@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-parallel race stress bench bench-runtime bench-matrix bench-scale bench-scale-full bench-tournament experiments report examples clean verify alloc lint e2e
+.PHONY: all build vet test test-bench test-parallel race stress bench bench-runtime bench-matrix bench-scale bench-scale-full bench-tournament experiments report examples clean verify alloc lint e2e
 
 all: build vet test
 
@@ -26,6 +26,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The benchmark harness's own tests (bench/ is a module of its own, so
+# ./... above does not reach it): decorator transparency, chain parity with a
+# spawned pulsed, histogram and HTTP-client checks. Mirrors the CI step.
+test-bench:
+	cd bench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -75,8 +81,12 @@ bench-matrix:
 bench-runtime: bench-matrix
 
 # Population-scale benchmark: the 100k-function cell with hard budgets on
-# resting bytes per function and mean idle minute-step latency. Mirrors the
-# CI "bench-scale" job, which uploads the JSON as an artifact. The full
+# resting bytes per function and mean idle minute-step latency. The cell
+# runs twice — bare under the budgets below, then with pulsed's default
+# observer chain (telemetry + provenance) attached under pulseload's fixed
+# observed-cell budgets (idle step <= 1 ms, bytes/function <= 1.25x the value
+# measured when the sparse Observer contract landed). Mirrors the CI
+# "bench-scale" job, which uploads the JSON as an artifact. The full
 # {10k, 100k, 1M} sweep published in BENCH_runtime.json comes from
 # bench-scale-full (minutes, not seconds, at the 1M cell).
 bench-scale:

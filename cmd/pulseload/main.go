@@ -21,6 +21,12 @@
 //
 //	pulseload -scale-only -scale 10000,100000,1000000 -scale-active-pct 1
 //
+// Every scale cell runs twice: bare (scale), and with pulsed's default
+// observer chain — telemetry + provenance — attached (scale_observed), the
+// configuration an operator actually runs. When budgets are on, the observed
+// cell is held to its own fixed ones (observedMaxIdleStepMs,
+// observedMaxBytesPerFn).
+//
 // After the matrix, a tracer-delta pair benchmarks epoch mode with the
 // sampled invocation tracer off vs on at -trace-stride (default 1024,
 // 0 skips the measurement) and publishes the throughput overhead into the
@@ -50,6 +56,7 @@ import (
 	pulse "github.com/pulse-serverless/pulse"
 	"github.com/pulse-serverless/pulse/internal/cluster"
 	"github.com/pulse-serverless/pulse/internal/core"
+	"github.com/pulse-serverless/pulse/internal/identity"
 	"github.com/pulse-serverless/pulse/internal/policy"
 	"github.com/pulse-serverless/pulse/internal/provenance"
 	"github.com/pulse-serverless/pulse/internal/runtime"
@@ -76,8 +83,22 @@ type benchFile struct {
 	TournamentDelta *runtime.TournamentDelta `json:"tournament_delta,omitempty"`
 	// Scale is the population-scale sweep (bytes per function and
 	// idle/active minute-step latency); absent when -scale is empty.
-	Scale []runtime.ScaleResult `json:"scale,omitempty"`
+	// ScaleObserved is the same sweep with pulsed's default observer chain
+	// (telemetry + provenance) attached.
+	Scale         []runtime.ScaleResult `json:"scale,omitempty"`
+	ScaleObserved []runtime.ScaleResult `json:"scale_observed,omitempty"`
 }
+
+// Budgets for the observed scale cell, enforced whenever the bare cell's
+// corresponding budget flag is set. The idle step is the sparse Observer
+// contract's promise: with the chain attached an idle minute still touches
+// no per-function state. Bytes per function is 1.25× the 100k cell measured
+// when the contract landed (1 065 B: 572 B runtime + controller arenas, the
+// rest the provenance recorder's per-identity entry and name index).
+const (
+	observedMaxIdleStepMs = 1.0
+	observedMaxBytesPerFn = 1331.0
+)
 
 func main() {
 	if err := run(); err != nil {
@@ -195,14 +216,15 @@ func run() error {
 	}
 
 	cat := pulse.Catalog()
-	newTracedRuntime := func(fns int, mode string, tracer *provenance.Tracer) (*runtime.Runtime, error) {
+	// Each cell gets a fresh policy: runs must not share state. obs, when
+	// non-nil, observes both the controller and the runtime, like pulsed.
+	buildRuntime := func(fns int, mode string, tracer *provenance.Tracer, obs telemetry.Observer) (*runtime.Runtime, error) {
 		asg := pulse.UniformAssignment(cat, fns)
-		// Each cell gets a fresh policy: runs must not share state.
 		var p pulse.Policy
 		var err error
 		switch *policyName {
 		case "pulse":
-			p, err = core.New(core.Config{Catalog: cat, Assignment: asg, Shards: *shards})
+			p, err = core.New(core.Config{Catalog: cat, Assignment: asg, Shards: *shards, Observer: obs})
 		case "fixed":
 			p, err = policy.NewFixed(cat, asg, 0, policy.QualityHighest)
 		default:
@@ -217,16 +239,51 @@ func run() error {
 			Policy:     p,
 			Mode:       mode,
 			Tracer:     tracer,
+			Observer:   obs,
 		})
 	}
-	newRuntime := func(fns int, mode string) (*runtime.Runtime, error) {
-		return newTracedRuntime(fns, mode, nil)
+	newTracedRuntime := func(fns int, mode string, tracer *provenance.Tracer) (*runtime.Runtime, error) {
+		return buildRuntime(fns, mode, tracer, nil)
 	}
-
+	newRuntime := func(fns int, mode string) (*runtime.Runtime, error) {
+		return buildRuntime(fns, mode, nil, nil)
+	}
+	// newObservedRuntime attaches pulsed's default observer chain.
+	newObservedRuntime := func(fns int, mode string) (*runtime.Runtime, error) {
+		tel, err := telemetry.New(telemetry.Config{})
+		if err != nil {
+			return nil, err
+		}
+		prov, err := provenance.NewRecorder(provenance.RecorderConfig{
+			Catalog: cat, Assignment: pulse.UniformAssignment(cat, fns), Names: identity.DefaultNames(fns),
+		})
+		if err != nil {
+			return nil, err
+		}
+		return buildRuntime(fns, mode, nil, telemetry.Multi(tel, prov))
+	}
 	file := benchFile{
 		Bench:    "runtime-serving-matrix",
 		Policy:   *policyName,
 		HostCPUs: goruntime.NumCPU(),
+	}
+	scaleSweep := func() error {
+		cfg := runtime.ScaleConfig{Populations: scalePops, ActivePct: *scaleActivePct, Minutes: *scaleMinutes, Mode: *scaleMode}
+		var err error
+		cfg.NewRuntime = newRuntime
+		if file.Scale, err = runScaleSweep("scale", cfg, *scaleMaxBytes, *scaleMaxIdleMs); err != nil {
+			return err
+		}
+		var maxBytes, maxIdleMs float64
+		if *scaleMaxBytes > 0 {
+			maxBytes = observedMaxBytesPerFn
+		}
+		if *scaleMaxIdleMs > 0 {
+			maxIdleMs = observedMaxIdleStepMs
+		}
+		cfg.NewRuntime = newObservedRuntime
+		file.ScaleObserved, err = runScaleSweep("scale+chain", cfg, maxBytes, maxIdleMs)
+		return err
 	}
 
 	// runTournament benchmarks the entrant roster's Observer-chain cost:
@@ -248,36 +305,15 @@ func run() error {
 			}
 			return pulse.NewAccountant(acfg)
 		}
-		newObservedRuntime := func(fns int, mode string, obs telemetry.Observer) (*runtime.Runtime, error) {
-			asg := pulse.UniformAssignment(cat, fns)
-			var p pulse.Policy
-			var err error
-			switch *policyName {
-			case "pulse":
-				p, err = core.New(core.Config{Catalog: cat, Assignment: asg, Shards: *shards, Observer: obs})
-			case "fixed":
-				p, err = policy.NewFixed(cat, asg, 0, policy.QualityHighest)
-			default:
-				err = fmt.Errorf("unknown policy %q (want pulse or fixed)", *policyName)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return runtime.New(runtime.Config{
-				Catalog:    cat,
-				Assignment: asg,
-				Policy:     p,
-				Mode:       mode,
-				Observer:   obs,
-			})
-		}
 		delta, err := runtime.RunTournamentDelta(runtime.TournamentDeltaConfig{
-			Functions:   fnCounts[0],
-			Duration:    *duration,
-			Seed:        *seed,
-			StepEvery:   *stepEvery,
-			Entrants:    names,
-			NewRuntime:  newObservedRuntime,
+			Functions: fnCounts[0],
+			Duration:  *duration,
+			Seed:      *seed,
+			StepEvery: *stepEvery,
+			Entrants:  names,
+			NewRuntime: func(fns int, mode string, obs telemetry.Observer) (*runtime.Runtime, error) {
+				return buildRuntime(fns, mode, nil, obs)
+			},
 			NewObserver: newObserver,
 		})
 		if err != nil {
@@ -305,8 +341,7 @@ func run() error {
 	}
 	if *scaleOnly {
 		file.Bench = "runtime-scale"
-		if err := runScaleSweep(&file, scalePops, *scaleActivePct, *scaleMinutes, *scaleMode,
-			*scaleMaxBytes, *scaleMaxIdleMs, newRuntime); err != nil {
+		if err := scaleSweep(); err != nil {
 			return err
 		}
 		return writeBenchFile(file, *out)
@@ -374,47 +409,38 @@ func run() error {
 	}
 
 	if len(scalePops) > 0 {
-		if err := runScaleSweep(&file, scalePops, *scaleActivePct, *scaleMinutes, *scaleMode,
-			*scaleMaxBytes, *scaleMaxIdleMs, newRuntime); err != nil {
+		if err := scaleSweep(); err != nil {
 			return err
 		}
 	}
 	return writeBenchFile(file, *out)
 }
 
-// runScaleSweep runs the population-scale sweep into file.Scale and applies
-// the optional per-cell budgets: resting bytes per function and mean idle
-// minute-step latency. A budget breach is a hard error — this is what the CI
-// bench-scale job gates on.
-func runScaleSweep(file *benchFile, pops []int, activePct float64, minutes int, mode string,
-	maxBytesPerFn, maxIdleStepMs float64, newRuntime func(int, string) (*runtime.Runtime, error)) error {
-	scaleResults, err := runtime.RunScale(runtime.ScaleConfig{
-		Populations: pops,
-		ActivePct:   activePct,
-		Minutes:     minutes,
-		Mode:        mode,
-		NewRuntime:  newRuntime,
-		Progress: func(res runtime.ScaleResult) {
-			fmt.Printf("scale %-8d %-8s build %6.2fs  %7.0f B/fn  idle step %9.1fµs  active step %9.1fµs (%d slots)\n",
-				res.Functions, res.Mode, res.BuildSeconds, res.BytesPerFunction,
-				res.IdleStepMicros, res.ActiveStepMicros, res.ActiveFunctions)
-		},
-	})
-	if err != nil {
-		return err
+// runScaleSweep runs one population-scale sweep and applies the optional
+// per-cell budgets: resting bytes per function and mean idle minute-step
+// latency. A budget breach is a hard error — this is what the CI bench-scale
+// job gates on.
+func runScaleSweep(label string, cfg runtime.ScaleConfig, maxBytesPerFn, maxIdleStepMs float64) ([]runtime.ScaleResult, error) {
+	cfg.Progress = func(res runtime.ScaleResult) {
+		fmt.Printf("%-11s %-8d %-8s build %6.2fs  %7.0f B/fn  idle step %9.1fµs  active step %9.1fµs (%d slots)\n",
+			label, res.Functions, res.Mode, res.BuildSeconds, res.BytesPerFunction,
+			res.IdleStepMicros, res.ActiveStepMicros, res.ActiveFunctions)
 	}
-	file.Scale = scaleResults
-	for _, res := range scaleResults {
+	results, err := runtime.RunScale(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, res := range results {
 		if maxBytesPerFn > 0 && res.BytesPerFunction > maxBytesPerFn {
-			return fmt.Errorf("scale budget breach at %d functions: %.0f bytes/function exceeds budget %.0f",
-				res.Functions, res.BytesPerFunction, maxBytesPerFn)
+			return nil, fmt.Errorf("%s budget breach at %d functions: %.0f bytes/function exceeds budget %.0f",
+				label, res.Functions, res.BytesPerFunction, maxBytesPerFn)
 		}
 		if maxIdleStepMs > 0 && res.IdleStepMicros > maxIdleStepMs*1000 {
-			return fmt.Errorf("scale budget breach at %d functions: idle step %.1fµs exceeds budget %.1fms",
-				res.Functions, res.IdleStepMicros, maxIdleStepMs)
+			return nil, fmt.Errorf("%s budget breach at %d functions: idle step %.1fµs exceeds budget %.1fms",
+				label, res.Functions, res.IdleStepMicros, maxIdleStepMs)
 		}
 	}
-	return nil
+	return results, nil
 }
 
 func writeBenchFile(file benchFile, out string) error {

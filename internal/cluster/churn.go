@@ -82,13 +82,14 @@ func runChurn(cfg Config, p Policy) (*Result, error) {
 	var slots []churnSlot
 	var counts []int
 
-	// Idle-skip (see Run): with no observer attached, an ActiveSetPolicy's
-	// accounting visits only the slots that can hold a decision, and the
-	// record fan-in hands the policy the minute's ascending invoked list.
-	// The tombstone cross-check still runs for every listed slot.
+	// Idle-skip (see Run): an ActiveSetPolicy's accounting visits only the
+	// slots that can hold a decision or owe a release sample, and the record
+	// fan-in hands the policy the minute's ascending invoked list. The
+	// tombstone cross-check still runs for every slot that decides a variant.
 	asp, sparse := p.(ActiveSetPolicy)
-	sparse = sparse && cfg.Observer == nil
 	var invoked []int32
+	var walk HolderWalk
+	famOf := func(fn int) (int, bool) { return slots[fn].fam, slots[fn].live }
 	register := func(t, ti int) error {
 		name := tr.Functions[ti].Name
 		fam := cfg.Assignment[ti]
@@ -167,90 +168,13 @@ func runChurn(cfg Config, p Policy) (*Result, error) {
 				p.Name(), len(alive), len(slots), t)
 		}
 
-		// Keep-alive accounting. Tombstoned slots must decide NoVariant;
-		// their samples are still emitted (like the runtime's) so observers
-		// see one keep-alive sample per issued slot per minute.
-		var kamMB, costUSD float64
-		if sparse {
-			for _, fn32 := range asp.ActiveSlots() {
-				fn := int(fn32)
-				vi := alive[fn]
-				if vi == NoVariant {
-					continue
-				}
-				s := &slots[fn]
-				if !s.live {
-					return nil, fmt.Errorf("cluster: policy %q kept variant %d alive for deregistered function %d at minute %d",
-						p.Name(), vi, fn, t)
-				}
-				fam := &cfg.Catalog.Families[s.fam]
-				if vi < 0 || vi >= fam.NumVariants() {
-					return nil, fmt.Errorf("cluster: policy %q kept invalid variant %d of family %q alive for function %d at minute %d",
-						p.Name(), vi, fam.Name, fn, t)
-				}
-				mem := fam.Variants[vi].MemoryMB
-				kamMB += mem
-				costUSD += cfg.Cost.KeepAliveUSDPerMinute(mem)
-			}
-			res.PerMinuteKaMMB[t] = kamMB
-			res.PerMinuteCostUSD[t] = costUSD
-			res.KeepAliveCostUSD += costUSD
-
-			invoked = invoked[:0]
-			for fn := range slots {
-				s := &slots[fn]
-				c := 0
-				if s.live {
-					c = tr.Functions[s.traceIdx].Counts[t]
-				}
-				counts[fn] = c
-				if c == 0 {
-					continue
-				}
-				invoked = append(invoked, int32(fn))
-				if err := serveFunction(&cfg, p, res, t, fn, c, alive[fn], s.fam); err != nil {
-					return nil, err
-				}
-			}
-
-			if cfg.MeasureOverhead {
-				start = time.Now()
-			}
-			asp.RecordInvocationsSparse(t, counts, invoked)
-			if cfg.MeasureOverhead {
-				res.PolicyOverheadSec += time.Since(start).Seconds()
-			}
-			continue
-		}
-		for fn, vi := range alive {
-			s := &slots[fn]
-			if vi == NoVariant {
-				if cfg.Observer != nil {
-					cfg.Observer.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: t, Function: fn, Variant: NoVariant})
-				}
-				continue
-			}
-			if !s.live {
-				return nil, fmt.Errorf("cluster: policy %q kept variant %d alive for deregistered function %d at minute %d",
-					p.Name(), vi, fn, t)
-			}
-			fam := &cfg.Catalog.Families[s.fam]
-			if vi < 0 || vi >= fam.NumVariants() {
-				return nil, fmt.Errorf("cluster: policy %q kept invalid variant %d of family %q alive for function %d at minute %d",
-					p.Name(), vi, fam.Name, fn, t)
-			}
-			mem := fam.Variants[vi].MemoryMB
-			kamMB += mem
-			costUSD += cfg.Cost.KeepAliveUSDPerMinute(mem)
-			if cfg.Observer != nil {
-				cfg.Observer.ObserveKeepAlive(telemetry.KeepAliveSample{
-					Minute:      t,
-					Function:    fn,
-					Variant:     vi,
-					VariantName: fam.Variants[vi].Name,
-					MemMB:       mem,
-				})
-			}
+		// Keep-alive accounting. Tombstoned slots must decide NoVariant; a
+		// slot deregistered while holding a variant still gets its release
+		// sample this minute (the contract is a function of the decision
+		// vectors alone), after which it rests like any idle slot.
+		kamMB, costUSD, err := accountKeepAlive(&cfg, p, &walk, t, alive, famOf)
+		if err != nil {
+			return nil, err
 		}
 		res.PerMinuteKaMMB[t] = kamMB
 		res.PerMinuteCostUSD[t] = costUSD
@@ -260,6 +184,7 @@ func runChurn(cfg Config, p Policy) (*Result, error) {
 		}
 
 		// Serve this minute's invocations.
+		invoked = invoked[:0]
 		for fn := range slots {
 			s := &slots[fn]
 			c := 0
@@ -270,6 +195,9 @@ func runChurn(cfg Config, p Policy) (*Result, error) {
 			if c == 0 {
 				continue
 			}
+			if sparse {
+				invoked = append(invoked, int32(fn))
+			}
 			if err := serveFunction(&cfg, p, res, t, fn, c, alive[fn], s.fam); err != nil {
 				return nil, err
 			}
@@ -278,7 +206,11 @@ func runChurn(cfg Config, p Policy) (*Result, error) {
 		if cfg.MeasureOverhead {
 			start = time.Now()
 		}
-		p.RecordInvocations(t, counts)
+		if sparse {
+			asp.RecordInvocationsSparse(t, counts, invoked)
+		} else {
+			p.RecordInvocations(t, counts)
+		}
 		if cfg.MeasureOverhead {
 			res.PolicyOverheadSec += time.Since(start).Seconds()
 		}

@@ -132,9 +132,10 @@ func TestChurnRequiresDynamicPolicy(t *testing.T) {
 
 // TestChurnEngineLifecycleStream pins the engine's per-minute ordering
 // contract: slots are issued in trace order, register samples carry the
-// first live minute, deregister samples carry the last lived minute, every
-// issued slot gets a keep-alive sample every minute (NoVariant once
-// tombstoned), and RecordInvocations sees zero counts for dead slots.
+// first live minute, deregister samples carry the last lived minute, a
+// holder gets a keep-alive sample every minute and a tombstoned one exactly
+// one more (its NoVariant release edge — the sparse contract), and
+// RecordInvocations sees zero counts for dead slots.
 func TestChurnEngineLifecycleStream(t *testing.T) {
 	tr := churnTrace(t)
 	p := newFakeDynamic([]string{"f0", "f1"})
@@ -180,8 +181,8 @@ func TestChurnEngineLifecycleStream(t *testing.T) {
 		}
 	}
 
-	// One keep-alive sample per issued slot per minute from its
-	// registration minute on, NoVariant after the tombstone.
+	// One keep-alive sample per holder per minute, one NoVariant release
+	// sample in the tombstone minute, and silence afterwards.
 	kaAt := func(minute, fn int) (telemetry.KeepAliveSample, bool) {
 		for _, s := range rec.KeepAlives {
 			if s.Minute == minute && s.Function == fn {
@@ -193,8 +194,8 @@ func TestChurnEngineLifecycleStream(t *testing.T) {
 	for _, check := range []struct {
 		minute, fn, variant int
 	}{
-		{3, 1, NoVariant}, // f1 tombstoned from minute 3
-		{5, 2, NoVariant}, // f3 tombstoned from minute 4
+		{3, 1, NoVariant}, // f1 tombstoned from minute 3: its release edge
+		{4, 2, NoVariant}, // f3 tombstoned from minute 4: its release edge
 		{2, 1, 0},         // f1 still live at minute 2
 		{5, 3, 0},         // f2 live to the end
 	} {
@@ -205,6 +206,12 @@ func TestChurnEngineLifecycleStream(t *testing.T) {
 		}
 		if s.Variant != check.variant {
 			t.Errorf("minute %d slot %d keep-alive variant %d, want %d", check.minute, check.fn, s.Variant, check.variant)
+		}
+	}
+
+	for _, rest := range [][2]int{{4, 1}, {5, 1}, {5, 2}} {
+		if s, ok := kaAt(rest[0], rest[1]); ok {
+			t.Errorf("resting slot %d got a keep-alive sample at minute %d: %+v", rest[1], rest[0], s)
 		}
 	}
 

@@ -94,6 +94,60 @@ type ActiveSetPolicy interface {
 	ActiveSlots() []int32
 }
 
+// HolderWalk is the producer half of the sparse KeepAlive contract
+// (telemetry.KeepAliveSample): it remembers which slots held a variant last
+// minute, so a minute's accounting visits exactly the slots that can owe an
+// observer a sample — this minute's candidates plus last minute's holders,
+// whose release edge must be reported — and nothing else. The cluster engine
+// and the live runtime share it, which is what keeps their streams identical.
+type HolderWalk struct {
+	held, next []int32 // last minute's holders (ascending); scratch for this minute's
+	all        []int32 // identity visit list for policies without an active set
+}
+
+// Slots returns the minute's candidate list for policy p over n slots: the
+// policy's active set when it tracks one, otherwise every slot. Which walk
+// runs depends only on what the policy can tell us, never on who listens.
+func (w *HolderWalk) Slots(p Policy, n int) []int32 {
+	if asp, ok := p.(ActiveSetPolicy); ok {
+		return asp.ActiveSlots()
+	}
+	for len(w.all) < n {
+		w.all = append(w.all, int32(len(w.all)))
+	}
+	return w.all[:n]
+}
+
+// Visit calls visit(fn, wasHeld) once for every slot in the ascending union
+// of last minute's holders and slots (strictly ascending, a superset of the
+// slots deciding anything but NoVariant). visit reports whether fn holds a
+// variant this minute; the holders it names are next minute's release
+// candidates. A KeepAlive sample is owed exactly when holds || wasHeld.
+func (w *HolderWalk) Visit(slots []int32, visit func(fn int, wasHeld bool) (holds bool)) {
+	held, next := w.held, w.next[:0]
+	i, j := 0, 0
+	for i < len(held) || j < len(slots) {
+		var fn int32
+		wasHeld := false
+		switch {
+		case j >= len(slots) || (i < len(held) && held[i] < slots[j]):
+			fn, wasHeld = held[i], true
+			i++
+		case i >= len(held) || slots[j] < held[i]:
+			fn = slots[j]
+			j++
+		default:
+			fn, wasHeld = held[i], true
+			i++
+			j++
+		}
+		if visit(int(fn), wasHeld) {
+			next = append(next, fn)
+		}
+	}
+	w.held, w.next = next, held
+}
+
 // Config assembles a simulation run.
 type Config struct {
 	Trace      *trace.Trace
@@ -119,7 +173,8 @@ type Config struct {
 	// service-time recording, and policy callbacks happen on the driving
 	// goroutine in function order. When an Observer is attached the
 	// engine always uses the serial scan so the audit event stream stays
-	// byte-for-byte identical.
+	// byte-for-byte identical — serial, not dense: the serial scan walks
+	// the policy's active set whether or not anyone observes it.
 	Shards int
 }
 
@@ -238,19 +293,16 @@ func Run(cfg Config, p Policy) (*Result, error) {
 		eng = newEnginePool(&cfg, p.Name(), shards, counts)
 		defer eng.close()
 	}
-	// Self-observability: time the per-minute accounting scan when a
-	// chained observer consumes self samples (only the serial scan can
-	// carry an observer — see above).
-	timing := telemetry.WantsSelf(cfg.Observer)
-
-	// Idle-skip: when the policy tracks its active set and no observer
-	// wants per-slot samples, the serial accounting loop visits only the
-	// slots that can hold a decision, and the record fan-in hands the
+	// Idle-skip: when the policy tracks its active set, the serial
+	// accounting walk (accountKeepAlive) visits only the slots that can hold
+	// a decision or owe a release sample, and the record fan-in hands the
 	// policy a pre-built invoked list. Both iterate ascending, so every
 	// float accumulates in dense-scan order — results are bit-identical.
 	asp, sparse := p.(ActiveSetPolicy)
-	sparse = sparse && cfg.Observer == nil && eng == nil
+	sparse = sparse && eng == nil
 	var invoked []int32
+	var walk HolderWalk
+	famOf := func(fn int) (int, bool) { return cfg.Assignment[fn], true }
 
 	for t := 0; t < tr.Horizon; t++ {
 		var start time.Time
@@ -287,60 +339,10 @@ func Run(cfg Config, p Policy) (*Result, error) {
 					}
 				}
 			}
-		} else if sparse {
-			// Idle-skip accounting: only listed slots can decide anything
-			// but NoVariant, and the list is ascending, so the sums match
-			// the dense loop's bit for bit.
-			for _, fn32 := range asp.ActiveSlots() {
-				fn := int(fn32)
-				vi := alive[fn]
-				if vi == NoVariant {
-					continue
-				}
-				fam := &cfg.Catalog.Families[cfg.Assignment[fn]]
-				if vi < 0 || vi >= fam.NumVariants() {
-					return nil, fmt.Errorf("cluster: policy %q kept invalid variant %d of family %q alive for function %d at minute %d",
-						p.Name(), vi, fam.Name, fn, t)
-				}
-				mem := fam.Variants[vi].MemoryMB
-				kamMB += mem
-				costUSD += cfg.Cost.KeepAliveUSDPerMinute(mem)
-			}
 		} else {
-			// Keep-alive accounting for this minute.
-			var scan0 time.Time
-			if timing {
-				scan0 = time.Now()
-			}
-			for fn, vi := range alive {
-				if vi == NoVariant {
-					if cfg.Observer != nil {
-						cfg.Observer.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: t, Function: fn, Variant: NoVariant})
-					}
-					continue
-				}
-				fam := &cfg.Catalog.Families[cfg.Assignment[fn]]
-				if vi < 0 || vi >= fam.NumVariants() {
-					return nil, fmt.Errorf("cluster: policy %q kept invalid variant %d of family %q alive for function %d at minute %d",
-						p.Name(), vi, fam.Name, fn, t)
-				}
-				mem := fam.Variants[vi].MemoryMB
-				kamMB += mem
-				costUSD += cfg.Cost.KeepAliveUSDPerMinute(mem)
-				if cfg.Observer != nil {
-					cfg.Observer.ObserveKeepAlive(telemetry.KeepAliveSample{
-						Minute:      t,
-						Function:    fn,
-						Variant:     vi,
-						VariantName: fam.Variants[vi].Name,
-						MemMB:       mem,
-					})
-				}
-			}
-			if timing {
-				telemetry.ObserveScan(cfg.Observer, telemetry.ScanSample{
-					Minute: t, Shard: -1, Functions: nFn, Seconds: time.Since(scan0).Seconds(),
-				})
+			var err error
+			if kamMB, costUSD, err = accountKeepAlive(&cfg, p, &walk, t, alive, famOf); err != nil {
+				return nil, err
 			}
 		}
 		res.PerMinuteKaMMB[t] = kamMB
@@ -392,6 +394,68 @@ func Run(cfg Config, p Policy) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// accountKeepAlive is the serial keep-alive accounting for minute t, shared
+// by the static and churn engines: it validates the decisions, sums memory
+// and cost in ascending slot order, and emits KeepAlive samples under the
+// sparse contract — one per holder, one per release edge, none for a slot
+// resting at NoVariant. Only the HolderWalk's slots are visited, so the work
+// is O(active) under an ActiveSetPolicy and the sums still associate exactly
+// as a dense scan's would (every skipped slot contributes nothing). famOf
+// maps a slot to its family and liveness; a tombstoned slot must decide
+// NoVariant.
+func accountKeepAlive(cfg *Config, p Policy, w *HolderWalk, t int, alive []int, famOf func(fn int) (fam int, live bool)) (kamMB, costUSD float64, err error) {
+	obs := cfg.Observer
+	timing := telemetry.WantsSelf(obs)
+	var scan0 time.Time
+	if timing {
+		scan0 = time.Now()
+	}
+	slots := w.Slots(p, len(alive))
+	w.Visit(slots, func(fn int, wasHeld bool) bool {
+		if err != nil {
+			return false
+		}
+		vi := alive[fn]
+		if vi == NoVariant {
+			if wasHeld && obs != nil {
+				obs.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: t, Function: fn, Variant: NoVariant})
+			}
+			return false
+		}
+		famIdx, live := famOf(fn)
+		if !live {
+			err = fmt.Errorf("cluster: policy %q kept variant %d alive for deregistered function %d at minute %d",
+				p.Name(), vi, fn, t)
+			return false
+		}
+		fam := &cfg.Catalog.Families[famIdx]
+		if vi < 0 || vi >= fam.NumVariants() {
+			err = fmt.Errorf("cluster: policy %q kept invalid variant %d of family %q alive for function %d at minute %d",
+				p.Name(), vi, fam.Name, fn, t)
+			return false
+		}
+		mem := fam.Variants[vi].MemoryMB
+		kamMB += mem
+		costUSD += cfg.Cost.KeepAliveUSDPerMinute(mem)
+		if obs != nil {
+			obs.ObserveKeepAlive(telemetry.KeepAliveSample{
+				Minute:      t,
+				Function:    fn,
+				Variant:     vi,
+				VariantName: fam.Variants[vi].Name,
+				MemMB:       mem,
+			})
+		}
+		return true
+	})
+	if timing {
+		telemetry.ObserveScan(obs, telemetry.ScanSample{
+			Minute: t, Shard: -1, Functions: len(slots), Seconds: time.Since(scan0).Seconds(),
+		})
+	}
+	return kamMB, costUSD, err
 }
 
 // serveFunction attributes one invoked function's minute: warm service on

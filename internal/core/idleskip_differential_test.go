@@ -15,13 +15,29 @@ import (
 	"testing"
 
 	"github.com/pulse-serverless/pulse/internal/models"
+	"github.com/pulse-serverless/pulse/internal/telemetry"
 )
+
+// scanRecorder is a self-observing Recorder — an observer that wants scan
+// timings must not pull the controller onto its dense scans. It keeps the
+// deterministic streams for DeepEqual and the gather scan samples for the
+// sparse-scan assertion.
+type scanRecorder struct {
+	telemetry.Recorder
+	scans []telemetry.ScanSample
+}
+
+func (r *scanRecorder) ObserveStep(telemetry.StepSample)   {}
+func (r *scanRecorder) ObserveFlush(telemetry.FlushSample) {}
+func (r *scanRecorder) ObserveScan(s telemetry.ScanSample) { r.scans = append(r.scans, s) }
 
 // TestIdleSkipDifferential drives an idle-skip controller and a
 // DisableIdleSkip reference with an identical random workload — mostly-idle
 // slots, a few hot ones, and register/deregister churn — and requires
-// bit-identical per-minute decisions, downgrade totals, peak counts, and
-// final snapshots, for both the serial and the sharded controller.
+// bit-identical per-minute decisions, downgrade totals, peak counts, observer
+// streams, and final snapshots, for both the serial and the sharded
+// controller. Both carry a SelfObserver: only DisableIdleSkip may select the
+// dense scans, and the sparse gather must report the active-set size.
 func TestIdleSkipDifferential(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -35,12 +51,13 @@ func TestIdleSkipDifferential(t *testing.T) {
 func testIdleSkipDifferential(t *testing.T, shards int, seed int64) {
 	cat := models.PaperCatalog()
 	const n = 48
-	newPulse := func(disable bool) *Pulse {
+	newPulse := func(disable bool, obs telemetry.Observer) *Pulse {
 		p, err := New(Config{
 			Catalog:         cat,
 			Assignment:      uniformAssignment(cat, n),
 			Shards:          shards,
 			DisableIdleSkip: disable,
+			Observer:        obs,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -48,7 +65,11 @@ func testIdleSkipDifferential(t *testing.T, shards int, seed int64) {
 		t.Cleanup(func() { p.Close() })
 		return p
 	}
-	sparse, dense := newPulse(false), newPulse(true)
+	sparseRec, denseRec := &scanRecorder{}, &scanRecorder{}
+	if !telemetry.WantsSelf(sparseRec) {
+		t.Fatal("the test observer is not a SelfObserver")
+	}
+	sparse, dense := newPulse(false, sparseRec), newPulse(true, denseRec)
 	if !sparse.idleSkip {
 		t.Fatal("idle-skip not engaged on the controller under test")
 	}
@@ -91,10 +112,15 @@ func testIdleSkipDifferential(t *testing.T, shards int, seed int64) {
 			}
 		}
 
+		sparseRec.scans = sparseRec.scans[:0]
 		d1 := sparse.KeepAlive(minute)
 		d2 := dense.KeepAlive(minute)
 		if !reflect.DeepEqual(d1, d2) {
 			t.Fatalf("minute %d: decisions diverge", minute)
+		}
+		// One serial scan sample per sparse gather, sized by the active set.
+		if got := sparseRec.scans; len(got) != 1 || got[0].Shard != -1 || got[0].Functions != len(sparse.ActiveSlots()) || got[0].Minute != minute {
+			t.Fatalf("minute %d: sparse gather reported scans %+v, want one {Shard -1, Functions %d}", minute, got, len(sparse.ActiveSlots()))
 		}
 
 		// Mostly-idle workload: a few hot slots, a thin tail of rare ones.
@@ -125,6 +151,21 @@ func testIdleSkipDifferential(t *testing.T, shards int, seed int64) {
 	}
 	if !reflect.DeepEqual(sparse.Snapshot(), dense.Snapshot()) {
 		t.Error("snapshots diverge after identical streams")
+	}
+	for _, s := range []struct {
+		kind      string
+		got, want any
+	}{
+		{"schedules", sparseRec.Schedules, denseRec.Schedules},
+		{"peaks", sparseRec.Peaks, denseRec.Peaks},
+		{"downgrades", sparseRec.Downgrades, denseRec.Downgrades},
+	} {
+		if !reflect.DeepEqual(s.got, s.want) {
+			t.Errorf("%s stream diverges between the sparse and dense controllers", s.kind)
+		}
+	}
+	if len(denseRec.Schedules) == 0 {
+		t.Error("no schedule sample observed: the streams compared are empty")
 	}
 }
 

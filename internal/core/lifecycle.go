@@ -29,7 +29,7 @@ import (
 // stays cold until its first recorded invocations — the paper's behaviour
 // for a function the controller has never seen. Growing the per-function
 // slices reallocates the state the shard workers alias, so the worker pool
-// is rebuilt (repartitioned) before the call returns.
+// is marked stale and rebuilt once at the next dispatch (resolveShards).
 func (p *Pulse) RegisterFunction(name string, family int) (int, error) {
 	if family < 0 || family >= len(p.cfg.Catalog.Families) {
 		return 0, fmt.Errorf("core: family %d out of range for %q", family, name)
@@ -46,7 +46,7 @@ func (p *Pulse) RegisterFunction(name string, family int) (int, error) {
 	p.out = append(p.out, cluster.NoVariant)
 	p.ip = append(p.ip, 0)
 	p.global.grow(family)
-	p.repartition()
+	p.resolveShards()
 	return slot, nil
 }
 

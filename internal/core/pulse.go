@@ -66,10 +66,9 @@ type Config struct {
 	// DisableIdleSkip forces the per-minute paths back to full scans over
 	// every registered slot instead of the incremental active-set index.
 	// Decisions are bit-identical either way (the property the idle-skip
-	// tests assert); this exists as the reference for those tests and as an
-	// escape hatch. Attaching a telemetry.SelfObserver implies the same
-	// full-scan behaviour, because scan samples report per-shard slot
-	// counts that only the dense walk produces.
+	// tests assert); it survives only as those tests' dense reference
+	// oracle. Nothing else selects the dense scans — in particular not an
+	// attached Observer or SelfObserver.
 	DisableIdleSkip bool
 
 	// Observer, when non-nil, receives every controller decision: the
@@ -104,10 +103,9 @@ func (c *Config) withDefaults() Config {
 // Per-function state lives in flat slot-indexed arenas (histArena,
 // planStore) rather than per-function heap objects, and the per-minute
 // paths iterate the incremental active set — the slots currently holding a
-// plan row — instead of every registered slot, unless
-// Config.DisableIdleSkip or an attached SelfObserver forces the dense
-// reference scans. Both representations and both iteration strategies
-// produce bit-identical decisions.
+// plan row — instead of every registered slot, whoever observes. The dense
+// scans behind Config.DisableIdleSkip are the tests' reference oracle; both
+// iteration strategies produce bit-identical decisions.
 type Pulse struct {
 	cfg      Config
 	reg      *identity.Registry
@@ -127,7 +125,10 @@ type Pulse struct {
 
 	// pool is the shard worker pool; nil when cfg.Shards resolves to 1,
 	// in which case every path runs serially on the calling goroutine.
-	pool *shardPool
+	// poolStale marks it as built over slices a registration has since
+	// regrown; workers() rebuilds it once, at the next dispatch.
+	pool      *shardPool
+	poolStale bool
 	// selfWanted caches telemetry.WantsSelf(cfg.Observer): whether the
 	// per-minute scans should read the clock and emit scan/flush duration
 	// samples. False keeps the scan paths free of clock reads.
@@ -202,22 +203,18 @@ func New(cfg Config) (*Pulse, error) {
 		return nil, fmt.Errorf("core: negative shard count %d", cfg.Shards)
 	}
 	p.selfWanted = telemetry.WantsSelf(cfg.Observer)
-	p.idleSkip = !cfg.DisableIdleSkip && !p.selfWanted
+	p.idleSkip = !cfg.DisableIdleSkip
 	p.reqShards = cfg.Shards
-	p.repartition()
+	p.resolveShards()
 	return p, nil
 }
 
-// repartition resolves the effective shard count against the current slot
-// count and (re)builds the worker pool. Registration appends to the
+// resolveShards re-resolves the effective shard count against the current
+// slot count and marks the worker pool stale. Registration appends to the
 // per-function slices, which reallocates the headers the shard workers
-// alias, so the pool is torn down and rebuilt whenever a slot is added.
-func (p *Pulse) repartition() {
-	if p.pool != nil {
-		runtime.SetFinalizer(p, nil)
-		p.pool.close()
-		p.pool = nil
-	}
+// alias; the workers are idle between dispatches, so nothing is torn down
+// here — a burst of registrations costs one rebuild, not one per call.
+func (p *Pulse) resolveShards() {
 	shards := p.reqShards
 	if shards == 0 {
 		shards = runtime.NumCPU()
@@ -226,14 +223,30 @@ func (p *Pulse) repartition() {
 		shards = n
 	}
 	p.cfg.Shards = shards
-	if shards > 1 {
-		p.pool = newShardPool(p.cfg, shards, p.hist, p.plans, p.out, p.ip, p.reg.ActiveSlice())
+	p.poolStale = true
+}
+
+// workers returns the shard pool for a dispatch (nil on a single-shard
+// controller), rebuilding it first if a registration staled it.
+func (p *Pulse) workers() *shardPool {
+	if !p.poolStale {
+		return p.pool
+	}
+	p.poolStale = false
+	if p.pool != nil {
+		runtime.SetFinalizer(p, nil)
+		p.pool.close()
+		p.pool = nil
+	}
+	if p.cfg.Shards > 1 {
+		p.pool = newShardPool(p.cfg, p.cfg.Shards, p.hist, p.plans, p.out, p.ip, p.reg.ActiveSlice())
 		// Safety net for callers that drop the controller without Close:
 		// the workers reference only the shard state, never p, so an
 		// unclosed controller still becomes unreachable and its pool is
 		// reclaimed here.
 		runtime.SetFinalizer(p, (*Pulse).Close)
 	}
+	return p.pool
 }
 
 // Close stops the shard worker goroutines. It is idempotent, safe on a
@@ -278,45 +291,32 @@ func (p *Pulse) PeakMinutes() int { return p.peakMinutes }
 // The gather first compacts the active set — slots whose plan drained
 // before this minute release their plan row and pin their decision to
 // NoVariant — then evaluates only the remaining active slots; every other
-// slot's decision rests at NoVariant. Under DisableIdleSkip (or a
-// SelfObserver) the gather instead walks every slot, exactly as before the
+// slot's decision rests at NoVariant. Under DisableIdleSkip (the tests'
+// oracle) the gather instead walks every slot, exactly as before the
 // active-set index existed; both walks produce the same decision vector.
 func (p *Pulse) KeepAlive(t int) []int {
 	p.compactActive(t)
-	switch {
-	case p.idleSkip:
+	var t0 time.Time
+	if p.selfWanted {
+		t0 = time.Now()
+	}
+	if p.idleSkip {
+		// Always on the coordinator: the active list is short and already
+		// ascending, so there is nothing for the workers to win.
 		for _, fn32 := range p.active.list {
-			fn := int(fn32)
-			v, prob, ok := p.plans.get(fn, t)
-			if !ok {
-				v, prob = cluster.NoVariant, 0
-			}
-			p.out[fn] = v
-			p.ip[fn] = prob
+			p.gatherSlot(int(fn32), t)
 		}
-	case p.pool != nil:
-		p.pool.dispatch(shardJob{op: opGather, t: t})
+		p.observeSerialScan(t, len(p.active.list), t0)
+	} else if pool := p.workers(); pool != nil {
+		pool.dispatch(shardJob{op: opGather, t: t})
 		if p.selfWanted {
 			p.emitScans(t)
 		}
-	default:
-		var t0 time.Time
-		if p.selfWanted {
-			t0 = time.Now()
-		}
+	} else {
 		for fn := range p.out {
-			v, prob, ok := p.plans.get(fn, t)
-			if !ok {
-				v, prob = cluster.NoVariant, 0
-			}
-			p.out[fn] = v
-			p.ip[fn] = prob
+			p.gatherSlot(fn, t)
 		}
-		if p.selfWanted {
-			telemetry.ObserveScan(p.cfg.Observer, telemetry.ScanSample{
-				Minute: t, Shard: -1, Functions: len(p.out), Seconds: time.Since(t0).Seconds(),
-			})
-		}
+		p.observeSerialScan(t, len(p.out), t0)
 	}
 
 	if !p.cfg.DisableGlobalOpt {
@@ -377,6 +377,17 @@ func (p *Pulse) KeepAlive(t int) []int {
 		panic("core: detector record: " + err.Error())
 	}
 	return p.out
+}
+
+// gatherSlot copies minute t's planned variant and probability for one slot
+// into the decision vectors (NoVariant when no plan covers the minute).
+func (p *Pulse) gatherSlot(fn, t int) {
+	v, prob, ok := p.plans.get(fn, t)
+	if !ok {
+		v, prob = cluster.NoVariant, 0
+	}
+	p.out[fn] = v
+	p.ip[fn] = prob
 }
 
 // keptAliveMB sums the current decision vector's memory, iterating the
@@ -493,11 +504,11 @@ func (p *Pulse) recordInvoked(t int, counts []int, scanFns int) {
 		p.active.sort()
 	}
 
-	if p.pool != nil {
+	if pool := p.workers(); pool != nil {
 		if p.idleSkip {
-			p.pool.dispatch(shardJob{op: opRecordSparse, t: t, counts: counts, invoked: invoked})
+			pool.dispatch(shardJob{op: opRecordSparse, t: t, counts: counts, invoked: invoked})
 		} else {
-			p.pool.dispatch(shardJob{op: opRecord, t: t, counts: counts})
+			pool.dispatch(shardJob{op: opRecord, t: t, counts: counts})
 		}
 		if p.selfWanted {
 			p.emitScans(t)
@@ -507,7 +518,7 @@ func (p *Pulse) recordInvoked(t int, counts []int, scanFns int) {
 			if p.selfWanted {
 				t0 = time.Now()
 			}
-			p.pool.flush(obs)
+			pool.flush(obs)
 			if p.selfWanted {
 				telemetry.ObserveFlush(obs, telemetry.FlushSample{
 					Minute: t, Seconds: time.Since(t0).Seconds(),
@@ -544,9 +555,15 @@ func (p *Pulse) recordInvoked(t int, counts []int, scanFns int) {
 			})
 		}
 	}
+	p.observeSerialScan(t, scanFns, t0)
+}
+
+// observeSerialScan reports a coordinator-side scan of fns slots begun at
+// t0 (read only when selfWanted) as the serial shard -1.
+func (p *Pulse) observeSerialScan(t, fns int, t0 time.Time) {
 	if p.selfWanted {
 		telemetry.ObserveScan(p.cfg.Observer, telemetry.ScanSample{
-			Minute: t, Shard: -1, Functions: scanFns, Seconds: time.Since(t0).Seconds(),
+			Minute: t, Shard: -1, Functions: fns, Seconds: time.Since(t0).Seconds(),
 		})
 	}
 }

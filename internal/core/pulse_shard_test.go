@@ -37,7 +37,8 @@ func TestShardedPartitionCoversAllFunctions(t *testing.T) {
 		{12, 2}, {12, 5}, {12, 12}, {7, 3}, {100, 16}, {5, 64},
 	} {
 		p := newShardedPulse(t, tc.n, tc.shards, nil)
-		if p.pool == nil {
+		pool := p.workers() // built lazily, at the first dispatch
+		if pool == nil {
 			t.Fatalf("n=%d shards=%d: no pool", tc.n, tc.shards)
 		}
 		want := tc.shards
@@ -48,7 +49,7 @@ func TestShardedPartitionCoversAllFunctions(t *testing.T) {
 			t.Errorf("n=%d shards=%d: effective %d, want %d", tc.n, tc.shards, got, want)
 		}
 		lo, minSize, maxSize := 0, tc.n, 0
-		for _, s := range p.pool.shards {
+		for _, s := range pool.shards {
 			if s.lo != lo {
 				t.Fatalf("n=%d shards=%d: shard starts at %d, want %d (gap or overlap)", tc.n, tc.shards, s.lo, lo)
 			}
@@ -97,7 +98,7 @@ func TestShardedDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.pool != nil {
+	if serial.workers() != nil {
 		t.Error("shards=1 built a worker pool")
 	}
 	if serial.Shards() != 1 {

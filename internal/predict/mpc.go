@@ -105,12 +105,20 @@ func (e *MPCEntrant) Retire(fn int) {
 }
 
 // KeepAlive implements tournament.ShadowEntrant: solve the horizon and
-// execute its first decision.
+// execute its first decision. Two fast paths keep the arena's per-slot
+// consult cheap without changing a bit of the result: a never-observed
+// slot forecasts 0 at every offset, so the horizon cannot pay for itself;
+// and a forecast clamped to exactly 0 adds 1 − e^0 = 0 to cum, so the
+// exponential is skipped.
 func (e *MPCEntrant) KeepAlive(m, fn int) int {
+	if e.hw.seen[fn] == 0 {
+		return cluster.NoVariant
+	}
 	cum := 0.0
 	for j := 0; j < e.cfg.Horizon; j++ {
-		lam := e.hw.Forecast(m+j, fn)
-		cum += 1 - math.Exp(-lam)
+		if lam := e.hw.Forecast(m+j, fn); lam != 0 {
+			cum += 1 - math.Exp(-lam)
+		}
 		if float64(j+1) < e.cfg.ColdCostMinutes*cum {
 			return e.highest[fn]
 		}

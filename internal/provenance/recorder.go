@@ -37,6 +37,10 @@ func SelfMetrics() []string { return []string{MetricStepLatencyUs, MetricSeqlock
 // minute.
 type Decision struct {
 	Minute int `json:"minute"`
+	// Resting marks a synthesized answer: the function had no recorded
+	// decision for the minute because it was resting cold with no plan (the
+	// sparse KeepAlive contract reports holders and release edges only).
+	Resting bool `json:"resting,omitempty"`
 	// Slot is the dense function slot that held the identity when the
 	// decision was made (slots change when a name re-registers).
 	Slot int `json:"slot"`
@@ -82,8 +86,9 @@ type Decision struct {
 	BudgetAfterMB  float64 `json:"budget_after_mb"`
 }
 
-// Explanation is the /why response: one function's recent decisions,
-// newest last.
+// Explanation is the /why response: one function's recent non-resting
+// decisions, newest last. Minutes absent from the list between two entries
+// (or after the last) are minutes the function rested cold.
 type Explanation struct {
 	Function  string     `json:"function"`
 	Slot      int        `json:"slot"`
@@ -109,7 +114,8 @@ type fnProv struct {
 	family int
 	active bool
 
-	// ring is the fixed-capacity decision ring; n counts total pushes.
+	// ring holds the last window non-resting decisions; it grows by append
+	// up to the window, then wraps. n counts total pushes.
 	ring []Decision
 	n    uint64
 
@@ -146,8 +152,11 @@ type RecorderConfig struct {
 }
 
 // Recorder is the decision provenance recorder: an Observer that sits in
-// the telemetry chain and reconstructs, per function per minute, the full
-// Algorithm 1/2 picture from the barrier-serialized sample stream. Every
+// the telemetry chain and reconstructs, per function per non-resting minute
+// (a holder or a release edge — the minutes the sparse KeepAlive contract
+// delivers a sample for), the full Algorithm 1/2 picture from the
+// barrier-serialized sample stream. A minute costs work proportional to the
+// samples it delivered; an idle minute touches no per-function state. Every
 // input it consumes is emitted inside the producers' minute write windows,
 // so its rings are deterministic — identical across the serial, striped,
 // and epoch runtimes (the differential harness pins DeepEqual equality).
@@ -160,6 +169,10 @@ type Recorder struct {
 	byName  map[string]*fnProv
 	bySlot  []*fnProv
 	entries []*fnProv // unique entries, registration order
+	// pending lists the entries whose in-flight decision the next minute
+	// rollup closes; lastMinute is the latest minute closed (-1 before any).
+	pending    []*fnProv
+	lastMinute int
 
 	// Algorithm 1 episode state, updated from peak transition samples.
 	inPeak   bool
@@ -199,6 +212,8 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 		byName:   make(map[string]*fnProv, len(cfg.Names)),
 		bySlot:   make([]*fnProv, len(cfg.Names)),
 		selfLast: -1,
+
+		lastMinute: -1,
 	}
 	for i, name := range cfg.Names {
 		if name == "" {
@@ -369,30 +384,42 @@ func (r *Recorder) ObserveKeepAlive(s telemetry.KeepAliveSample) {
 		d.TargetMB = r.targetMB
 	}
 	e.pend = d
-	e.pendSet = true
+	if !e.pendSet {
+		e.pendSet = true
+		r.pending = append(r.pending, e)
+	}
 }
 
 // ObserveMinute implements telemetry.Observer: the rollup closes the
 // minute — every parked decision gets the cluster-wide budget columns and
-// is pushed into its function's ring.
+// is pushed into its function's ring. Only the pending list is walked; an
+// entry a lifecycle event cleared in between is skipped.
 func (r *Recorder) ObserveMinute(s telemetry.MinuteSample) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	before := s.KeepAliveMB + r.freedMB
-	for _, e := range r.entries {
-		if !e.pendSet || e.pend.Minute != s.Minute {
+	for _, e := range r.pending {
+		if !e.pendSet {
+			continue
+		}
+		e.pendSet = false
+		if e.pend.Minute != s.Minute {
 			continue
 		}
 		e.pend.BudgetBeforeMB = before
 		e.pend.BudgetAfterMB = s.KeepAliveMB
-		if e.ring == nil {
-			e.ring = make([]Decision, r.window)
+		if len(e.ring) < r.window {
+			e.ring = append(e.ring, e.pend)
+		} else {
+			e.ring[e.n%uint64(r.window)] = e.pend
 		}
-		e.ring[e.n%uint64(r.window)] = e.pend
 		e.n++
-		e.pendSet = false
 	}
+	r.pending = r.pending[:0]
 	r.freedMB = 0
+	if s.Minute > r.lastMinute {
+		r.lastMinute = s.Minute
+	}
 }
 
 // ObserveRegister implements telemetry.LifecycleObserver: a brand-new name
@@ -527,29 +554,34 @@ func (e *fnProv) lastDecisions(n int) []Decision {
 func (r *Recorder) Explain(name string, n int) (Explanation, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.explainLocked(name, n)
+}
+
+func (r *Recorder) explainLocked(name string, n int) (Explanation, error) {
 	e := r.byName[name]
 	if e == nil {
 		return Explanation{}, fmt.Errorf("provenance: unknown function %q", name)
 	}
-	ex := Explanation{
-		Function: e.name,
-		Slot:     e.slot,
-		Family:   r.cat.Families[e.family].Name,
-		Active:   e.active,
-		Window:   r.window,
-	}
-	if e.ring == nil {
-		ex.Decisions = []Decision{}
-		return ex, nil
-	}
-	ex.Decisions = e.lastDecisions(n)
-	return ex, nil
+	return Explanation{
+		Function:  e.name,
+		Slot:      e.slot,
+		Family:    r.cat.Families[e.family].Name,
+		Active:    e.active,
+		Window:    r.window,
+		Decisions: e.lastDecisions(n),
+	}, nil
 }
 
-// ExplainMinute returns a function's decision for one specific minute, if
-// it is still inside the ring.
+// ExplainMinute returns a function's decision for one specific minute. A
+// closed minute with no recorded decision that falls after the oldest one
+// still in the ring (or anywhere, while the ring has never wrapped) is
+// answered as resting cold with no plan — absence is the sparse contract's
+// encoding of exactly that. A minute older than a wrapped ring's reach, or
+// one the recorder has not closed yet, is an error.
 func (r *Recorder) ExplainMinute(name string, minute int) (Explanation, error) {
-	ex, err := r.Explain(name, 0)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ex, err := r.explainLocked(name, 0)
 	if err != nil {
 		return Explanation{}, err
 	}
@@ -559,7 +591,13 @@ func (r *Recorder) ExplainMinute(name string, minute int) (Explanation, error) {
 			return ex, nil
 		}
 	}
-	return Explanation{}, fmt.Errorf("provenance: no recorded decision for %q at minute %d (ring keeps the last %d)", name, minute, ex.Window)
+	closed := minute >= 0 && minute <= r.lastMinute
+	wrapped := len(ex.Decisions) == r.window
+	if closed && (!wrapped || minute > ex.Decisions[0].Minute) {
+		ex.Decisions = []Decision{{Minute: minute, Slot: ex.Slot, Resting: true, Chosen: noVariant, Planned: noVariant, PlannedAt: -1}}
+		return ex, nil
+	}
+	return Explanation{}, fmt.Errorf("provenance: no recorded decision for %q at minute %d (ring keeps the last %d non-resting decisions)", name, minute, r.window)
 }
 
 // Names returns every identity the recorder knows, registration order.
@@ -581,10 +619,6 @@ func (r *Recorder) Rings() map[string][]Decision {
 	defer r.mu.Unlock()
 	out := make(map[string][]Decision, len(r.entries))
 	for _, e := range r.entries {
-		if e.ring == nil {
-			out[e.name] = []Decision{}
-			continue
-		}
 		out[e.name] = e.lastDecisions(0)
 	}
 	return out

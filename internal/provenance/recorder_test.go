@@ -202,6 +202,115 @@ func TestRecorderRingWindow(t *testing.T) {
 	}
 }
 
+// Under the sparse KeepAlive contract the ring holds the last Window
+// NON-RESTING decisions: idle minutes deliver only the minute rollup and
+// leave it alone. A closed minute missing between two recorded decisions (or
+// after the last) is answered as resting; one older than a wrapped ring's
+// reach, or not closed yet, is still an error.
+func TestRecorderRestingMinutes(t *testing.T) {
+	const window = 4
+	rec, _ := testRecorder(t, window)
+	hold := func(m int) {
+		rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: m, Function: 0, Variant: 1})
+		rec.ObserveMinute(telemetry.MinuteSample{Minute: m})
+	}
+	idle := func(m int) { rec.ObserveMinute(telemetry.MinuteSample{Minute: m}) }
+
+	hold(2)
+	rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: 3, Function: 0, Variant: noVariant}) // release edge
+	idle(3)
+	for m := 4; m < 40; m++ {
+		idle(m)
+	}
+	hold(40)
+	idle(41)
+
+	ex, err := rec.Explain("fn-0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var minutes []int
+	for _, d := range ex.Decisions {
+		minutes = append(minutes, d.Minute)
+	}
+	if !reflect.DeepEqual(minutes, []int{2, 3, 40}) {
+		t.Fatalf("ring minutes %v, want the three non-resting decisions [2 3 40]", minutes)
+	}
+	if d := ex.Decisions[1]; d.Chosen != noVariant || d.Resting {
+		t.Errorf("release edge recorded as %+v, want a real left-cold decision", d)
+	}
+
+	for _, m := range []int{0, 20, 41} { // before the first (unwrapped ring), between two, after the last
+		ex, err := rec.ExplainMinute("fn-0", m)
+		if err != nil {
+			t.Fatalf("resting minute %d: %v", m, err)
+		}
+		d := ex.Decisions[0]
+		if !d.Resting || d.Minute != m || d.Chosen != noVariant || d.Planned != noVariant || d.PlannedAt != -1 {
+			t.Errorf("minute %d answered %+v, want resting cold with no plan", m, d)
+		}
+	}
+	if ex, err := rec.ExplainMinute("fn-0", 40); err != nil || ex.Decisions[0].Resting || ex.Decisions[0].Chosen != 1 {
+		t.Errorf("recorded minute 40: %+v, %v", ex.Decisions, err)
+	}
+	if ex, err := rec.ExplainMinute("fn-1", 7); err != nil || !ex.Decisions[0].Resting {
+		t.Errorf("never-held function: %+v, %v, want resting", ex.Decisions, err)
+	}
+	if _, err := rec.ExplainMinute("fn-0", 42); err == nil {
+		t.Error("a minute the recorder has not closed was explained")
+	}
+
+	// Wrap the ring: minutes before its oldest entry are out of reach again.
+	for m := 50; m < 50+window; m++ {
+		hold(m)
+	}
+	if _, err := rec.ExplainMinute("fn-0", 45); err == nil || !strings.Contains(err.Error(), "4") {
+		t.Errorf("minute before a wrapped ring's reach: err %v, want window-naming error", err)
+	}
+}
+
+// Rings grow on demand and idle minutes cost nothing: a function with ten
+// decisions holds a ring of about sixteen (append doubling, rounded to an
+// allocator size class), not the window's 64, and a minute that delivers
+// only its rollup allocates nothing.
+func TestRecorderRingGrowsOnDemandIdleMinuteNoAllocs(t *testing.T) {
+	rec, _ := testRecorder(t, DefaultWindow)
+	m := 0
+	for ; m < 10; m++ {
+		rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: m, Function: 0, Variant: 0})
+		rec.ObserveMinute(telemetry.MinuteSample{Minute: m})
+	}
+	e := rec.byName["fn-0"]
+	if len(e.ring) != 10 || cap(e.ring) > 20 {
+		t.Errorf("ring len %d cap %d after 10 decisions, want 10 and about 16", len(e.ring), cap(e.ring))
+	}
+	if r := rec.byName["fn-1"].ring; r != nil {
+		t.Errorf("a function with no decision owns a ring of cap %d", cap(r))
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		rec.ObserveMinute(telemetry.MinuteSample{Minute: m})
+		m++
+	}); allocs != 0 {
+		t.Errorf("idle minute allocates %v, want 0", allocs)
+	}
+	// Steady state at the window: holder minutes wrap in place.
+	for i := 0; i < DefaultWindow; i++ {
+		rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: m, Function: 0, Variant: 0})
+		rec.ObserveMinute(telemetry.MinuteSample{Minute: m})
+		m++
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: m, Function: 0, Variant: 0})
+		rec.ObserveMinute(telemetry.MinuteSample{Minute: m})
+		m++
+	}); allocs != 0 {
+		t.Errorf("holder minute on a full ring allocates %v, want 0", allocs)
+	}
+	if len(e.ring) != DefaultWindow {
+		t.Errorf("full ring len %d, want %d", len(e.ring), DefaultWindow)
+	}
+}
+
 // Identity keying across churn: a deregistered name keeps its ring, a
 // re-registration under the same name continues it at the new slot, and
 // samples against the retired slot (or a stale plan mirror) are ignored.

@@ -35,7 +35,9 @@ const whyDefaultN = 16
 // (invocation probabilities, peak window, priority rank, memory budget)
 // and outputs (chosen variant vs the unconstrained plan). Query
 // parameters: fn (function name, or a slot number as a convenience),
-// minute (explain one specific minute), n (last N decisions, default 16,
+// minute (explain one specific minute; a minute the function spent resting
+// cold with no plan has no recorded decision and is answered with a
+// "resting": true entry), n (last N non-resting decisions, default 16,
 // capped at the ring window).
 func (a *API) handleWhy(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {

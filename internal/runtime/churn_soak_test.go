@@ -43,7 +43,7 @@ func TestChurnSoakBoundedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	if !rt.sparse {
+	if rt.asp == nil {
 		t.Fatal("sparse serving path not engaged; the soak must cover it")
 	}
 

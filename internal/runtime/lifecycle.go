@@ -12,7 +12,9 @@ import (
 // Step uses — so they are serialized against every invocation and every
 // minute rollover in all three serving modes. Inside the window no stripe
 // mutex is held by anyone and no invocation body is in flight, which is
-// what makes mutating the policy and growing the population safe; stripes
+// what makes mutating the policy and growing the population safe. Opening
+// it drains only the dirty chain (drainDirty), so a registration costs
+// O(stripes touched this minute), not O(population); stripes
 // themselves are heap-allocated and reached through a pointer slice, so
 // growth appends a pointer and never moves a stripe out from under a
 // lock-free reader holding the previous slice.

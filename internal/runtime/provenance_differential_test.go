@@ -10,10 +10,16 @@ package runtime
 // 'Differential|Sharded' -race regex picks this suite up.
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
 
+	"github.com/pulse-serverless/pulse/internal/cluster"
 	"github.com/pulse-serverless/pulse/internal/core"
 	"github.com/pulse-serverless/pulse/internal/identity"
 	"github.com/pulse-serverless/pulse/internal/models"
@@ -117,20 +123,28 @@ func TestDifferentialProvenanceRings(t *testing.T) {
 
 // TestDifferentialProvenanceChurn repeats the ring-equality proof under
 // online registration and deregistration: identity-keyed rings must carry
-// decisions across a name's re-registration identically in every mode.
+// decisions across a name's re-registration identically in every mode —
+// and identically to the cluster engine replaying the same trace, since the
+// rings hold exactly the samples the sparse KeepAlive contract delivers,
+// and that stream is producer-independent. It ends at the API: a minute a
+// function spent resting has no ring entry and /why?minute= says so.
 func TestDifferentialProvenanceChurn(t *testing.T) {
 	cat := models.PaperCatalog()
 	tr := churnRuntimeWorkload(t)
 	policies, names, initAsg := churnRuntimePolicies(t, cat, tr)
 	mkPolicy := policies["pulse"]
-
-	run := func(mode string, parallel bool) (map[string][]provenance.Decision, provenance.TracerStats) {
+	newRecorder := func() *provenance.Recorder {
 		rec, err := provenance.NewRecorder(provenance.RecorderConfig{
 			Catalog: cat, Assignment: initAsg, Names: names, Window: 32,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return rec
+	}
+
+	run := func(mode string, parallel bool) (map[string][]provenance.Decision, provenance.TracerStats) {
+		rec := newRecorder()
 		tracer := provenance.NewTracer(provenance.TracerConfig{Stride: provenanceStride})
 		r, err := New(Config{
 			Catalog:    cat,
@@ -159,6 +173,8 @@ func TestDifferentialProvenanceChurn(t *testing.T) {
 		mode     string
 		parallel bool
 	}{
+		{"striped-sequential", ModeStriped, false},
+		{"epoch-sequential", ModeEpoch, false},
 		{"striped-parallel", ModeStriped, true},
 		{"epoch-parallel", ModeEpoch, true},
 	} {
@@ -170,6 +186,76 @@ func TestDifferentialProvenanceChurn(t *testing.T) {
 			t.Errorf("%s: tracer counts diverge under churn: %d/%d attempts, %d/%d sampled",
 				cmp.name, trc.Attempts, serialTracer.Attempts, trc.Sampled, serialTracer.Sampled)
 		}
+	}
+
+	// The cluster engine, same trace, same recorder wiring.
+	asg := make(models.Assignment, len(tr.Functions))
+	for i := range asg {
+		asg[i] = i % len(cat.Families)
+	}
+	engineRec := newRecorder()
+	enginePolicy := mkPolicy(engineRec)
+	if _, err := cluster.Run(cluster.Config{
+		Trace: tr, Catalog: cat, Assignment: asg, Cost: cluster.DefaultCostModel(), Observer: engineRec,
+	}, enginePolicy); err != nil {
+		t.Fatal(err)
+	}
+	enginePolicy.(io.Closer).Close()
+	if engineRings := engineRec.Rings(); !reflect.DeepEqual(serialRings, engineRings) {
+		for name := range serialRings {
+			if !reflect.DeepEqual(serialRings[name], engineRings[name]) {
+				t.Errorf("engine: decision ring for %q diverges:\nserial: %+v\nengine: %+v", name, serialRings[name], engineRings[name])
+				break
+			}
+		}
+	}
+
+	// The new semantics must be visible: rings skip resting minutes, so some
+	// ring has a gap — and /why answers a minute inside it as resting
+	// instead of 404, while the recorded minutes around it stay real.
+	var gapName string
+	var gapMinute int
+	for name, ring := range serialRings {
+		for i := 1; i < len(ring); i++ {
+			if ring[i].Minute > ring[i-1].Minute+1 {
+				gapName, gapMinute = name, ring[i-1].Minute+1
+			}
+		}
+	}
+	if gapName == "" {
+		t.Fatal("no ring skips a minute: the workload never rests, or the recorder still stores resting minutes")
+	}
+	pol := mkPolicy(engineRec)
+	rt, err := New(Config{Catalog: cat, Assignment: initAsg, Names: names, Policy: pol, Clock: NewManualClock(time.Unix(0, 0))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	api, err := NewAPI(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	api.AttachProvenance(engineRec)
+	why := func(minute int) (int, provenance.Explanation) {
+		w := httptest.NewRecorder()
+		api.ServeHTTP(w, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/why?fn=%s&minute=%d", gapName, minute), nil))
+		var ex provenance.Explanation
+		if w.Code == http.StatusOK {
+			if err := json.Unmarshal(w.Body.Bytes(), &ex); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return w.Code, ex
+	}
+	if code, ex := why(gapMinute); code != http.StatusOK || len(ex.Decisions) != 1 ||
+		!ex.Decisions[0].Resting || ex.Decisions[0].Minute != gapMinute || ex.Decisions[0].Chosen != -1 {
+		t.Errorf("/why on resting minute %d of %q: status %d, %+v; want one resting decision", gapMinute, gapName, code, ex.Decisions)
+	}
+	if code, ex := why(gapMinute - 1); code != http.StatusOK || len(ex.Decisions) != 1 || ex.Decisions[0].Resting {
+		t.Errorf("/why on recorded minute %d of %q: status %d, %+v; want the recorded decision", gapMinute-1, gapName, code, ex.Decisions)
+	}
+	if code, _ := why(tr.Horizon + 5); code != http.StatusNotFound {
+		t.Errorf("/why on a minute not yet closed: status %d, want 404", code)
 	}
 }
 
@@ -243,9 +329,9 @@ func TestStepProvenanceIdleMinuteZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			// Warm: the first decisions allocate each function's ring (and
-			// the policy its buffer); steady state must then be flat.
-			for i := 0; i < 3; i++ {
+			// Warm: rings grow on demand up to the window (and the policy
+			// allocates its buffer); once they wrap, steady state is flat.
+			for i := 0; i < 16+3; i++ {
 				if err := r.Step(); err != nil {
 					t.Fatal(err)
 				}

@@ -81,6 +81,9 @@ type Config struct {
 	// (per-function and per-variant) — attach a *telemetry.Telemetry to
 	// expose labeled metrics and the decision log over the HTTP API. nil
 	// disables instrumentation at zero cost on the invocation hot path.
+	// Attaching one never changes which path Step runs: keep-alive samples
+	// follow the sparse contract (telemetry.KeepAliveSample), so the minute
+	// step stays O(active set) with the full chain listening.
 	//
 	// Delivery ordering: keep-alive and minute samples are emitted inside
 	// the minute write window and never interleave with each other;
@@ -165,7 +168,8 @@ type fnState struct {
 	// their stripes from the atomic dirtyHead. Both fields are written only
 	// under mu (the mark guards double-pushing; the head CAS itself is
 	// lock-free); Step's harvest walk consumes the chain and resets the
-	// mark under the same lock. Idle slots are never touched.
+	// mark under the same lock. Idle slots are never touched. Lifecycle
+	// write windows (beginWrite) walk the chain without unlinking it.
 	dirtyMark bool
 	dirtyNext int32
 
@@ -194,10 +198,11 @@ const fnChunk = 1024
 // odd while a writer (Step, Stats, Close, Register, Deregister) owns it.
 // Invoke loads an even seq, takes only its function's stripe lock,
 // re-checks that seq is unchanged, and serves; if the re-check fails it
-// releases and retries. Writers flip seq odd and then drain every stripe
-// lock once: any invocation that passed its re-check before the flip holds
-// its stripe lock and finishes first, and every later invocation observes
-// the odd (or advanced) seq and retries — so after the drain the writer
+// releases and retries. Writers flip seq odd and then drain the dirty
+// chain's stripe locks once: any invocation that passed its re-check before
+// the flip holds its stripe lock, chained its stripe before that re-check
+// (markDirty), and finishes first; every later invocation observes the odd
+// (or advanced) seq and retries — so after the drain the writer
 // owns all stripe and global state with no invocation body in flight,
 // exactly the exclusion the old RWMutex minute barrier provided. Policy
 // calls and Observer minute/keep-alive samples therefore keep their
@@ -251,17 +256,17 @@ type Runtime struct {
 	kaMMB     float64
 	kaCostUSD float64
 
-	// Idle-skip state (sparse == true): the runtime serves an
-	// ActiveSetPolicy with no observer attached, so Step can harvest the
-	// minute's counts from the dirty list instead of scanning every
-	// stripe, hand the policy a pre-built invoked list, and apply
-	// decisions over the union of the previous and current active sets.
-	// All are writer-owned except dirtyHead (pushed by the serving paths).
-	sparse     bool
-	asp        cluster.ActiveSetPolicy
+	// Idle-skip state. Every serving path chains the stripes it touches
+	// into the dirty list, so Step harvests the minute's counts from the
+	// chain instead of scanning every stripe, and decisions are applied over
+	// the union of last minute's holders and the policy's candidate slots
+	// (holders) — its active set when it tracks one (asp != nil), every slot
+	// otherwise. All are writer-owned except dirtyHead (pushed by the
+	// serving paths).
+	asp        cluster.ActiveSetPolicy // nil when the policy has no active set
+	holders    cluster.HolderWalk
 	dirtyHead  atomic.Int32 // top of the dirty chain; -1 when empty
 	invokedBuf []int32      // reused: this minute's invoked slots, sorted
-	prevAlive  []int32      // active set the last decisions were applied to
 
 	// reg mirrors the policy's identity registry: name → slot for the API,
 	// per-slot live flags. Mutated only under the exclusive barrier
@@ -336,12 +341,7 @@ func New(cfg Config) (*Runtime, error) {
 		reg:        reg,
 	}
 	r.dirtyHead.Store(-1)
-	// Idle-skip: with no observer (per-slot keep-alive samples need the
-	// dense walk) and a policy that tracks its active set, Step runs
-	// sparsely — see the Step and applyDecisionsLocked comments.
-	if asp, ok := cfg.Policy.(cluster.ActiveSetPolicy); ok && cfg.Observer == nil {
-		r.sparse, r.asp = true, asp
-	}
+	r.asp, _ = cfg.Policy.(cluster.ActiveSetPolicy)
 	for i := range cfg.Assignment {
 		r.addSlot(cfg.Assignment[i], cfg.Names[i])
 	}
@@ -397,12 +397,12 @@ func (r *Runtime) unlockShared() {
 }
 
 // beginWrite opens a write window: with the exclusive barrier held, it
-// flips the seqlock odd and drains every stripe. On return no invocation
+// flips the seqlock odd and drains the dirty chain. On return no invocation
 // body is in flight and none can start until endWrite, so the caller owns
 // all stripe and global state without taking stripe locks.
 func (r *Runtime) beginWrite() {
 	r.seq.Add(1)
-	r.drainStripes()
+	r.drainDirty()
 }
 
 // endWrite closes the write window, publishing every mutation made inside
@@ -412,17 +412,22 @@ func (r *Runtime) endWrite() {
 	r.seq.Add(1)
 }
 
-// drainStripes acquires and releases every stripe lock once. Called with
-// the seqlock odd: any invocation already past its seq re-check holds its
-// stripe lock and is waited out here; any invocation not yet past it will
-// observe the odd (or advanced) seq and retry. The lock acquisition also
-// carries the happens-before edge that makes those final bodies' writes
-// visible to the writer.
-func (r *Runtime) drainStripes() {
-	for _, st := range r.fns {
+// drainDirty acquires and releases the stripe lock of every node on the
+// dirty chain, leaving the chain linked for Step's harvest. Called with the
+// seqlock odd: any invocation already past its seq re-check holds its
+// stripe lock and — because markDirty runs under that lock before the
+// re-check — is on the chain, so it is waited out here; any invocation not
+// yet past the re-check will observe the odd (or advanced) seq and retry.
+// Stripes off the chain have no body in flight and nothing to publish, so a
+// lifecycle window costs O(stripes touched this minute), not O(population).
+// Nodes pushed while we walk sit above the head we loaded and belong to
+// bodies that will fail their re-check. The lock acquisition also carries
+// the happens-before edge that makes the final bodies' writes visible.
+func (r *Runtime) drainDirty() {
+	for h := r.dirtyHead.Load(); h >= 0; {
+		st := r.fns[h]
 		st.mu.Lock()
-		//lint:ignore SA2001 the empty critical section is the point: the
-		// acquire waits out the last in-flight invocation of this stripe.
+		h = st.dirtyNext
 		st.mu.Unlock()
 	}
 }
@@ -453,30 +458,31 @@ func (r *Runtime) startLocked() {
 }
 
 // applyDecisionsLocked requires an open write window (beginWrite): it
-// writes every function's alive variant and the minute's keep-alive cost.
-// In sparse mode only the union of the previous and current active sets is
-// visited — every other slot's decision is NoVariant (the ActiveSetPolicy
-// contract) and its stripe already rests at NoVariant, so the dense walk
-// would write the same values; both unions iterate ascending, keeping the
-// keep-alive memory sum bit-identical to the dense accumulation.
+// writes the minute's alive variants and keep-alive cost and emits the
+// keep-alive and minute samples. Only the union of last minute's holders and
+// the policy's candidate slots is visited — every other slot's decision is
+// NoVariant and its stripe already rests at NoVariant, so a dense walk would
+// write the same values and owe no sample (the sparse KeepAlive contract);
+// the union iterates ascending, keeping the keep-alive memory sum
+// bit-identical to a dense accumulation. Plain stripe writes are safe: the
+// window is open, so no invocation body is in flight, and endWrite's release
+// publishes them to the fast path's acquire loads.
 func (r *Runtime) applyDecisionsLocked(decisions []int) {
 	if len(decisions) != len(r.fns) {
 		panic(fmt.Sprintf("runtime: policy returned %d decisions for %d functions", len(decisions), len(r.fns)))
 	}
-	if r.sparse {
-		r.applyDecisionsSparse(decisions)
-		return
-	}
 	var kam float64
-	for fn, vi := range decisions {
-		r.fns[fn].alive = vi
+	r.holders.Visit(r.holders.Slots(r.cfg.Policy, len(r.fns)), func(fn int, wasHeld bool) bool {
+		st := r.fns[fn]
+		vi := decisions[fn]
+		st.alive = vi
 		if vi == cluster.NoVariant {
-			if r.obs != nil {
+			if wasHeld && r.obs != nil {
 				r.obs.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: r.minute, Function: fn, Variant: cluster.NoVariant})
 			}
-			continue
+			return false
 		}
-		fam := r.cfg.Catalog.Families[r.fns[fn].family]
+		fam := r.cfg.Catalog.Families[st.family]
 		if vi < 0 || vi >= fam.NumVariants() {
 			panic(fmt.Sprintf("runtime: policy kept invalid variant %d for function %d", vi, fn))
 		}
@@ -491,56 +497,14 @@ func (r *Runtime) applyDecisionsLocked(decisions []int) {
 				MemMB:       mem,
 			})
 		}
-	}
+		return true
+	})
 	cost := r.cfg.Cost.KeepAliveUSDPerMinute(kam)
 	r.kaMMB = kam
 	r.kaCostUSD += cost
 	if r.obs != nil {
 		r.obs.ObserveMinute(telemetry.MinuteSample{Minute: r.minute, KeepAliveMB: kam, CostUSD: cost})
 	}
-}
-
-// applyDecisionsSparse writes the decisions over the ascending merge of the
-// previous minute's applied set and the policy's current active set. Plain
-// stripe writes are safe here: the window is open (seq odd, chain walked),
-// so no invocation body is in flight, and endWrite's release publishes the
-// writes to the fast path's acquire loads. The current active set is copied
-// into prevAlive because it aliases policy state that mutates next minute.
-func (r *Runtime) applyDecisionsSparse(decisions []int) {
-	activeNow := r.asp.ActiveSlots()
-	prev := r.prevAlive
-	var kam float64
-	i, j := 0, 0
-	for i < len(prev) || j < len(activeNow) {
-		var fn int32
-		switch {
-		case j >= len(activeNow) || (i < len(prev) && prev[i] < activeNow[j]):
-			fn = prev[i]
-			i++
-		case i >= len(prev) || activeNow[j] < prev[i]:
-			fn = activeNow[j]
-			j++
-		default:
-			fn = prev[i]
-			i++
-			j++
-		}
-		st := r.fns[fn]
-		vi := decisions[fn]
-		st.alive = vi
-		if vi == cluster.NoVariant {
-			continue
-		}
-		fam := r.cfg.Catalog.Families[st.family]
-		if vi < 0 || vi >= fam.NumVariants() {
-			panic(fmt.Sprintf("runtime: policy kept invalid variant %d for function %d", vi, fn))
-		}
-		kam += fam.Variants[vi].MemoryMB
-	}
-	r.prevAlive = append(r.prevAlive[:0], activeNow...)
-	cost := r.cfg.Cost.KeepAliveUSDPerMinute(kam)
-	r.kaMMB = kam
-	r.kaCostUSD += cost
 }
 
 // Close marks the runtime closed and releases resources owned by its
@@ -712,9 +676,7 @@ func (r *Runtime) invokeEpoch(fn int) (Invocation, int, error) {
 			r.stripeWait.Add(1)
 			st.mu.Lock()
 		}
-		if r.sparse {
-			r.markDirty(st, fn)
-		}
+		r.markDirty(st, fn)
 		if r.seq.Load() != e {
 			st.mu.Unlock()
 			retries++
@@ -751,9 +713,7 @@ func (r *Runtime) invokeBarrier(fn int) (Invocation, error) {
 		r.stripeWait.Add(1)
 		st.mu.Lock()
 	}
-	if r.sparse {
-		r.markDirty(st, fn)
-	}
+	r.markDirty(st, fn)
 	inv, err := r.serveLocked(st, fn, r.minute)
 	st.mu.Unlock()
 	r.unlockShared()
@@ -858,48 +818,39 @@ func (r *Runtime) Step() error {
 	if r.selfWanted {
 		t0 = time.Now()
 	}
-	// Open the window manually: the harvest loop below is the drain — each
-	// stripe lock acquisition waits out that stripe's last in-flight
-	// invocation, and once seq is odd no new body can start.
+	// Open the window manually: the harvest walk below is the drain. Only
+	// the stripes on the dirty chain served this minute, and every stripe
+	// with an in-flight counted body is on it (see markDirty), so walking
+	// the chain is both the count harvest and the drain — idle slots are
+	// never touched. countsBuf holds all zeros between minutes; harvested
+	// entries are reset after the policy call. Pushes racing the odd window
+	// land on the fresh chain with their counts intact and are harvested
+	// next minute — their bodies failed the re-check, so nothing was
+	// counted now.
 	r.seq.Add(1)
-	if r.sparse {
-		// Sparse harvest: only the stripes on the dirty chain served this
-		// minute, and every stripe with an in-flight counted body is on it
-		// (see markDirty), so walking the chain is both the count harvest
-		// and the drain — idle slots are never touched. countsBuf holds
-		// all zeros between minutes; harvested entries are reset after the
-		// policy call. Pushes racing the odd window land on the fresh
-		// chain with their counts intact and are harvested next minute —
-		// their bodies failed the re-check, so nothing was counted now.
-		r.invokedBuf = r.invokedBuf[:0]
-		for h := r.dirtyHead.Swap(-1); h >= 0; {
-			st := r.fns[h]
-			st.mu.Lock()
-			if st.count > 0 {
-				r.countsBuf[h] = st.count
-				r.invokedBuf = append(r.invokedBuf, h)
-				st.count = 0
-			}
-			st.coldPod = cluster.NoVariant
-			st.dirtyMark = false
-			next := st.dirtyNext
-			st.mu.Unlock()
-			h = next
+	r.invokedBuf = r.invokedBuf[:0]
+	for h := r.dirtyHead.Swap(-1); h >= 0; {
+		st := r.fns[h]
+		st.mu.Lock()
+		if st.count > 0 {
+			r.countsBuf[h] = st.count
+			r.invokedBuf = append(r.invokedBuf, h)
+			st.count = 0
 		}
+		st.coldPod = cluster.NoVariant
+		st.dirtyMark = false
+		next := st.dirtyNext
+		st.mu.Unlock()
+		h = next
+	}
+	if r.asp != nil {
 		slices.Sort(r.invokedBuf)
 		r.asp.RecordInvocationsSparse(r.minute, r.countsBuf, r.invokedBuf)
-		for _, fn := range r.invokedBuf {
-			r.countsBuf[fn] = 0
-		}
 	} else {
-		for i, st := range r.fns {
-			st.mu.Lock()
-			r.countsBuf[i] = st.count
-			st.count = 0
-			st.coldPod = cluster.NoVariant
-			st.mu.Unlock()
-		}
 		r.cfg.Policy.RecordInvocations(r.minute, r.countsBuf)
+	}
+	for _, fn := range r.invokedBuf {
+		r.countsBuf[fn] = 0
 	}
 	r.minute++
 	r.minuteA.Store(int64(r.minute))

@@ -1,11 +1,19 @@
 package runtime
 
 import (
+	"fmt"
+	goruntime "runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/pulse-serverless/pulse/internal/cluster"
 	"github.com/pulse-serverless/pulse/internal/core"
+	"github.com/pulse-serverless/pulse/internal/identity"
 	"github.com/pulse-serverless/pulse/internal/models"
+	"github.com/pulse-serverless/pulse/internal/provenance"
+	"github.com/pulse-serverless/pulse/internal/telemetry"
 )
 
 // newScaleRuntime builds a PULSE-managed runtime of the given population —
@@ -121,7 +129,7 @@ func TestSparseIdleStepZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			if !r.sparse {
+			if r.asp == nil {
 				t.Fatal("sparse path not engaged")
 			}
 			window := p.Config().Window
@@ -166,6 +174,285 @@ func TestSparseIdleStepZeroAllocs(t *testing.T) {
 				}
 			}); allocs != 0 {
 				t.Errorf("%s fully-idle Step allocates %v/op, want 0", mode, allocs)
+			}
+		})
+	}
+}
+
+// keepAliveCounter counts the keep-alive samples a chain is handed.
+type keepAliveCounter struct {
+	telemetry.Nop
+	n int
+}
+
+func (c *keepAliveCounter) ObserveKeepAlive(telemetry.KeepAliveSample) { c.n++ }
+
+// TestFullChainIdleStepNoAllocs is the scaling pin for the sparse KeepAlive
+// contract: with pulsed's default observer chain attached (telemetry +
+// provenance, here plus a sample counter), a minute Step over a million
+// registered functions delivers exactly one keep-alive sample per holder or
+// release edge — never one per slot — and a fully idle Step delivers none
+// and allocates nothing: attaching observers must not make the step
+// population-sized. Run by the CI alloc job.
+func TestFullChainIdleStepNoAllocs(t *testing.T) {
+	n := 1_000_000
+	if testing.Short() {
+		n = 100_000
+	}
+	cat := models.PaperCatalog()
+	asg := make(models.Assignment, n)
+	for i := range asg {
+		asg[i] = i % len(cat.Families)
+	}
+	tel, err := telemetry.New(telemetry.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prov, err := provenance.NewRecorder(provenance.RecorderConfig{
+		Catalog: cat, Assignment: asg, Names: identity.DefaultNames(n),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := &keepAliveCounter{}
+	obs := telemetry.Multi(tel, prov, counter)
+	p, err := core.New(core.Config{Catalog: cat, Assignment: asg, Shards: 1, Observer: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(Config{
+		Catalog:    cat,
+		Assignment: asg,
+		Policy:     p,
+		Clock:      NewManualClock(time.Unix(0, 0)),
+		Observer:   obs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	hot := []int{0, n / 2, n - 1}
+	holders := func() map[int]bool {
+		held := map[int]bool{}
+		for _, fn := range hot {
+			v, err := r.AliveVariant(fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v != cluster.NoVariant {
+				held[fn] = true
+			}
+		}
+		return held
+	}
+	// stepCounted takes one Step and checks its keep-alive sample count
+	// against the contract: |holders before ∪ holders after|. Only the hot
+	// slots are ever invoked, so nothing else can hold.
+	stepCounted := func() int {
+		before, sent := holders(), counter.n
+		if err := r.Step(); err != nil {
+			t.Fatal(err)
+		}
+		owed := holders()
+		for fn := range before {
+			owed[fn] = true
+		}
+		if got := counter.n - sent; got != len(owed) {
+			t.Fatalf("minute %d: %d keep-alive samples for a holder ∪ release set of %d (population %d)",
+				r.Minute(), got, len(owed), n)
+		}
+		return len(owed)
+	}
+
+	delivered := 0
+	for m := 0; m < 3; m++ {
+		for _, fn := range hot {
+			if _, err := r.Invoke(fn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		delivered += stepCounted()
+	}
+	// Drain: the plans run out over the keep-alive window, each slot's last
+	// sample being its release edge.
+	for i := 0; i < p.Config().Window+2; i++ {
+		delivered += stepCounted()
+	}
+	if delivered == 0 {
+		t.Fatal("no keep-alive sample was ever delivered: the hot slots never held a variant")
+	}
+	if got := len(p.ActiveSlots()); got != 0 {
+		t.Fatalf("active set holds %d slots after drain, want 0", got)
+	}
+
+	sent := counter.n
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := r.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("idle Step over %d slots with the full chain attached allocates %v/op, want 0", n, allocs)
+	}
+	if counter.n != sent {
+		t.Errorf("idle Steps delivered %d keep-alive samples, want 0", counter.n-sent)
+	}
+}
+
+// TestShardedControllerRegistrationBurst registers twenty thousand functions
+// online while invokers hammer the initial population and a stepper rolls
+// minutes. The lifecycle window drains only the dirty chain and the sharded
+// controller rebuilds its worker pool lazily; this is the conservation
+// check for both shortcuts: every successful invocation is
+// counted exactly once (Σ workers == Stats.Invocations == Σ RecordInvocations
+// counts), every registrant gets the next dense slot, and a fresh registrant
+// is immediately invocable. CI's 'Differential|Sharded' -race regex picks it
+// up.
+func TestShardedControllerRegistrationBurst(t *testing.T) {
+	cat := models.PaperCatalog()
+	const initial = 8
+	asg := make(models.Assignment, initial)
+	for i := range asg {
+		asg[i] = i % len(cat.Families)
+	}
+	base, err := core.New(core.Config{Catalog: cat, Assignment: asg, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := &countingLifecyclePolicy{Pulse: base}
+	r, err := New(Config{Catalog: cat, Assignment: asg, Policy: pol, Clock: NewManualClock(time.Unix(0, 0))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	registrations := 20_000
+	if testing.Short() {
+		registrations = 2_000
+	}
+	stop := make(chan struct{})
+	var counted atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := r.Invoke((w + i) % initial); err != nil {
+					t.Error(err)
+					return
+				}
+				counted.Add(1)
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := r.Step(); err != nil {
+				t.Error(err)
+				return
+			}
+			goruntime.Gosched()
+		}
+	}()
+
+	for i := 0; i < registrations; i++ {
+		slot, err := r.Register(fmt.Sprintf("burst-%d", i), i%len(cat.Families))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slot != initial+i {
+			t.Fatalf("registration %d got slot %d, want %d", i, slot, initial+i)
+		}
+		if i%257 == 0 {
+			// A registrant is servable the moment Register returns.
+			if _, err := r.Invoke(slot); err != nil {
+				t.Fatal(err)
+			}
+			counted.Add(1)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if err := r.Step(); err != nil { // flush the open minute to the policy
+		t.Fatal(err)
+	}
+	want := int(counted.Load())
+	if got := r.Stats().Invocations; got != want {
+		t.Errorf("Stats().Invocations = %d, callers counted %d", got, want)
+	}
+	if pol.total != want {
+		t.Errorf("policy recorded %d invocations, callers counted %d", pol.total, want)
+	}
+	if got := r.NumFunctions(); got != initial+registrations {
+		t.Errorf("population %d, want %d", got, initial+registrations)
+	}
+}
+
+// countingLifecyclePolicy is countingPolicy for the full controller surface:
+// it keeps every optional interface of *core.Pulse (active set, lifecycle,
+// Close) and sums what the sparse record entry point is handed.
+type countingLifecyclePolicy struct {
+	*core.Pulse
+	total int
+}
+
+func (p *countingLifecyclePolicy) RecordInvocationsSparse(t int, counts []int, invoked []int32) {
+	for _, fn := range invoked {
+		p.total += counts[fn]
+	}
+	p.Pulse.RecordInvocationsSparse(t, counts, invoked)
+}
+
+// BenchmarkRegister times one online registration at two standing
+// populations: the lifecycle window drains only the dirty chain and the
+// controller defers its shard-pool rebuild, so the cost must not grow with
+// the population beyond amortized slice growth.
+func BenchmarkRegister(b *testing.B) {
+	cat := models.PaperCatalog()
+	for _, pop := range []int{1_000, 100_000} {
+		b.Run(fmt.Sprintf("pop=%dk", pop/1000), func(b *testing.B) {
+			asg := make(models.Assignment, pop)
+			for i := range asg {
+				asg[i] = i % len(cat.Families)
+			}
+			p, err := core.New(core.Config{Catalog: cat, Assignment: asg})
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, err := New(Config{Catalog: cat, Assignment: asg, Policy: p, Clock: NewManualClock(time.Unix(0, 0))})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer r.Close()
+			if err := r.Step(); err != nil {
+				b.Fatal(err)
+			}
+			names := make([]string, b.N)
+			for i := range names {
+				names[i] = fmt.Sprintf("bench-%d", i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Register(names[i], i%len(cat.Families)); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

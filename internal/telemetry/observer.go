@@ -15,9 +15,16 @@ type InvocationSample struct {
 	AccuracyPct float64
 }
 
-// KeepAliveSample reports, once per function per minute, which variant the
-// policy keeps alive. Variant is -1 (and VariantName empty) when the
-// function is left cold.
+// KeepAliveSample reports which variant the policy keeps alive for one
+// function in one minute. The stream is sparse: a sample is emitted for
+// function f in minute t if and only if f holds a variant in t (Variant ≥ 0)
+// or held one in t−1 (the release edge: Variant is -1, VariantName empty).
+// A function with no sample in a minute is resting at NoVariant — the same
+// "unlisted slot ⇒ NoVariant" invariant cluster.ActiveSetPolicy states for
+// decision vectors. The rule is a pure function of the decision vectors of
+// minutes t−1 and t, so every producer (the cluster engine, the live runtime
+// in every serving mode, walking densely or over an active set) emits the
+// identical stream, in ascending function order within a minute.
 type KeepAliveSample struct {
 	Minute      int
 	Function    int
@@ -84,9 +91,17 @@ func (d DowngradeSample) Uv() float64 { return d.Ai + d.Pr + d.Ip }
 // functions (each function's own samples remain in invocation order, and
 // a stable sort by (Minute, Function) reconstructs the serial stream).
 //
+// Per-minute cost contract: a minute delivers one ObserveMinute and one
+// ObserveKeepAlive per holder or release edge (see KeepAliveSample) — work
+// proportional to the active set, never to the registered population.
+// Consumers derive "idle" from absence; ObserveMinute is the only callback
+// guaranteed every minute, so minute-ledger observers roll their clock on
+// it rather than on the first keep-alive sample.
+//
 // Producers treat observers as nil-safe configuration — a nil Observer
 // field disables instrumentation entirely, and the Nop implementation
-// exists for call sites that want an always-valid value.
+// exists for call sites that want an always-valid value. Attaching an
+// Observer never changes which algorithmic path a producer runs.
 type Observer interface {
 	ObserveInvocation(InvocationSample)
 	ObserveKeepAlive(KeepAliveSample)

@@ -197,7 +197,11 @@ func (t *Telemetry) ObserveInvocation(s InvocationSample) {
 
 // ObserveKeepAlive implements Observer: it maintains the per-function,
 // per-variant keep-alive gauge, zeroing the series of a variant the
-// function no longer keeps so the exposition never shows stale memory.
+// function no longer keeps so the exposition never shows stale memory. The
+// sparse contract delivers exactly the samples this needs — a holder's
+// every minute (the gauge and kaLast follow variant changes) and the
+// release edge (the gauge is zeroed, kaLast forgotten); a resting function
+// has no gauge to maintain, so its silence costs nothing.
 func (t *Telemetry) ObserveKeepAlive(s KeepAliveSample) {
 	t.mu.Lock()
 	prev, had := t.kaLast[s.Function]

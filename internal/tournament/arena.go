@@ -397,7 +397,10 @@ func (a *Arena) Series(sel Selector, window int, hourly bool) []Point {
 }
 
 // ObserveKeepAlive implements telemetry.Observer: the live policy's
-// keep-alive decision for one function-minute.
+// keep-alive decision for one function-minute. Only holder samples carry
+// anything to account (release edges and resting functions charge nothing),
+// so the sparse contract changes no ledger; the clock rolls on whichever of
+// this and ObserveMinute arrives first in a minute.
 func (a *Arena) ObserveKeepAlive(s telemetry.KeepAliveSample) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
