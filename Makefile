@@ -3,17 +3,17 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-bench test-parallel race stress bench bench-runtime bench-matrix bench-scale bench-scale-full bench-tournament experiments report examples clean verify alloc lint e2e
+.PHONY: all build vet test test-bench test-parallel race stress bench bench-runtime bench-matrix bench-scale bench-scale-full experiments report examples clean verify alloc lint e2e loc
 
 all: build vet test
 
 # Everything CI's test job checks, in one target.
 verify: build vet test
 
-# Zero-allocation assertions for the hot paths (controller idle minute —
-# dense and arena-backed idle-skip, including the million-slot pin —
-# sparse runtime Step, telemetry buffers/fan-out, attribution accountant
-# and ring store). Mirrors the CI "alloc" job.
+# Zero-allocation assertions for the hot paths (controller idle minute,
+# including the million-slot pin, runtime Invoke and idle Step with and
+# without the observer chain, telemetry buffers/fan-out, attribution
+# accountant and ring store). Mirrors the CI "alloc" job.
 alloc:
 	$(GO) test ./... -run 'ZeroAllocs|DoesNotAllocate|NoAllocs|NoSteadyStateAllocs' -count=1
 
@@ -50,6 +50,7 @@ test-parallel:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPeakDetector$$' -fuzztime=10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzHistoryProbabilities$$' -fuzztime=10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime=10s
+	$(GO) test ./internal/metastore -run '^$$' -fuzz '^FuzzFunctionName$$' -fuzztime=10s
 	$(GO) test ./internal/runtime -run '^$$' -fuzz '^FuzzInvokeStepSchedule$$' -fuzztime=10s
 
 # Seqlock/epoch stress battery: the runtime package's concurrency tests
@@ -70,9 +71,9 @@ bench:
 	$(GO) test -bench=. -benchmem -run xxx .
 
 # Live-runtime serving benchmark matrix: the load harness sweeps GOMAXPROCS
-# × functions × mixes × modes (serial, striped, epoch) and writes the
+# × functions × mixes × modes (the serial oracle, epoch) and writes the
 # multi-point BENCH_runtime.json with per-cell throughput, latency
-# percentiles, and per-shape speedup ratios. Mirrors the CI "bench-matrix"
+# percentiles, and the per-shape epoch/serial speedup. Mirrors the CI "bench-matrix"
 # job, which uploads the JSON as an artifact. bench-runtime is kept as an
 # alias for muscle memory.
 bench-matrix:
@@ -97,15 +98,6 @@ bench-scale:
 bench-scale-full:
 	$(GO) run ./cmd/pulseload -scale-only -scale 10000,100000,1000000 -out BENCH_scale.json
 
-# Tournament Observer-chain overhead: epoch mode benchmarked with the
-# baseline accountant vs the full entrant roster (mpc, hawkes, qlearn)
-# riding the attribution feed. The per-entrant throughput delta is checked
-# against the advisory <3%/entrant guard and lands in the tournament_delta
-# field of BENCH_tournament.json.
-bench-tournament:
-	$(GO) run ./cmd/pulseload -tournament-only -tournament-entrants mpc,hawkes,qlearn \
-		-duration 2s -out BENCH_tournament.json
-
 # Full experiment suite at paper-like scale (hours on a small machine).
 experiments:
 	$(GO) run ./cmd/experiments -exp all -days 14 -runs 1000
@@ -124,3 +116,9 @@ examples:
 
 clean:
 	$(GO) clean ./...
+
+# Go line counts outside bench/: non-test, then test — the two numbers
+# ROADMAP asks every PR to report. Printed by the CI test job.
+loc:
+	@find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l | xargs echo non-test
+	@find . -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l | xargs echo test

@@ -158,8 +158,6 @@ func run() error {
 	attrib := flag.Bool("attribution", false, "run counterfactual cost attribution (shadow baselines, /attribution /timeseries /top)")
 	attribWindow := flag.Int("attribution-window", cluster.DefaultKeepAliveWindow, "fixed-baseline keep-alive window in minutes for attribution")
 	tournamentList := flag.String("tournament", "", "comma-separated shadow entrants to race in the policy tournament (registered: "+strings.Join(roster.Names(), ", ")+"); implies -attribution")
-	mode := flag.String("mode", "", "runtime serving mode: epoch (lock-free, default), striped, or serial")
-	serial := flag.Bool("serial", false, "shorthand for -mode serial (single-lock benchmark baseline)")
 	provWindow := flag.Int("provenance-window", provenance.DefaultWindow, "per-function decision provenance ring window in minutes for /why (0 disables provenance)")
 	traceSample := flag.Int64("trace-sample", 0, "trace 1 in K invocations into /traces and the SSE stream (0 disables tracing)")
 	alerts := flag.Bool("alerts", false, "evaluate threshold alert rules at the minute barrier (default rules unless -alert-rules)")
@@ -310,8 +308,6 @@ func run() error {
 		Policy:     p,
 		Clock:      runtime.WallClock{Compression: *compress},
 		Observer:   obs,
-		Mode:       *mode,
-		Serial:     *serial,
 		Tracer:     tracer,
 	})
 	if err != nil {

@@ -110,16 +110,19 @@ func TestTickIntervalValidation(t *testing.T) {
 	}
 }
 
-// The serial-runtime escape hatch and the compress validation must stay
-// wired into the flag surface.
+// The compress validation must stay wired into the flag surface; the serving
+// mode must not be on it — pulsed always serves in epoch mode.
 func TestRuntimeFlagsRegistered(t *testing.T) {
 	src, err := os.ReadFile("main.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"serial"`, "tickInterval(*compress)"} {
-		if !strings.Contains(string(src), want) {
-			t.Errorf("main.go does not contain %s", want)
+	if !strings.Contains(string(src), "tickInterval(*compress)") {
+		t.Error("main.go does not contain tickInterval(*compress)")
+	}
+	for _, gone := range []string{`"mode"`, `"serial"`} {
+		if strings.Contains(string(src), gone) {
+			t.Errorf("main.go still registers a %s flag", gone)
 		}
 	}
 }

@@ -1,17 +1,18 @@
 // Command pulseload is the live-runtime load benchmark matrix: it sweeps
-// GOMAXPROCS × functions × mixes × workers × serving modes (serial, striped,
-// epoch), builds a fresh in-process PULSE-managed runtime per cell, hammers
-// it with concurrent closed-loop callers and a background minute stepper,
-// and reports throughput and Invoke latency percentiles for every cell.
+// GOMAXPROCS × functions × mixes × workers × serving modes (the serial
+// oracle and epoch), builds a fresh in-process PULSE-managed runtime per
+// cell, hammers it with concurrent closed-loop callers and a background
+// minute stepper, and reports throughput and Invoke latency percentiles for
+// every cell.
 //
 //	pulseload -gomaxprocs 1,4 -functions 12,96 -mixes hotspot,zipf -duration 2s -out BENCH_runtime.json
 //
 // The JSON output (see README "Load benchmark" for the field reference)
 // carries every cell's LoadResult plus a per-shape summary with the
-// striped/serial, epoch/serial, and epoch/striped throughput ratios — the
-// scaling curve CI tracks as the serving-path perf trajectory. The epoch
-// mode's advantage needs parallelism and contention: expect parity at
-// GOMAXPROCS 1 and a growing lead on the hotspot mix from GOMAXPROCS 4 up.
+// epoch/serial throughput ratio — the scaling curve CI tracks as the
+// serving-path perf trajectory. The epoch mode's advantage needs
+// parallelism and contention: expect parity at GOMAXPROCS 1 and a growing
+// lead on the hotspot mix from GOMAXPROCS 4 up.
 //
 // With -scale, a population-scale sweep follows (or replaces, with
 // -scale-only, for the CI bench-scale job) the matrix: per population it
@@ -33,14 +34,6 @@
 // output's tracer_delta field. The guard is <2% overhead at stride 1024;
 // a breach is reported as a warning, not a failure, because single cells
 // at short durations are noisy.
-//
-// With -tournament-entrants (a roster list like mpc,hawkes,qlearn), a
-// tournament-delta pair benchmarks epoch mode with the baseline
-// attribution accountant vs the full entrant roster riding the Observer
-// chain, and publishes the per-entrant throughput overhead into the
-// output's tournament_delta field (guard: <3% per entrant, advisory).
-// -tournament-only skips the matrix and runs just that pair — the
-// Makefile bench-tournament target.
 package main
 
 import (
@@ -54,14 +47,12 @@ import (
 	"time"
 
 	pulse "github.com/pulse-serverless/pulse"
-	"github.com/pulse-serverless/pulse/internal/cluster"
 	"github.com/pulse-serverless/pulse/internal/core"
 	"github.com/pulse-serverless/pulse/internal/identity"
 	"github.com/pulse-serverless/pulse/internal/policy"
 	"github.com/pulse-serverless/pulse/internal/provenance"
 	"github.com/pulse-serverless/pulse/internal/runtime"
 	"github.com/pulse-serverless/pulse/internal/telemetry"
-	"github.com/pulse-serverless/pulse/internal/tournament/roster"
 )
 
 // benchFile is the BENCH_runtime.json schema: raw per-cell results plus the
@@ -78,9 +69,6 @@ type benchFile struct {
 	// TracerDelta is the tracer-on vs tracer-off epoch throughput
 	// comparison; absent when -trace-stride is 0.
 	TracerDelta *runtime.TracerDelta `json:"tracer_delta,omitempty"`
-	// TournamentDelta is the entrant-roster vs baseline-accountant
-	// throughput comparison; absent when -tournament-entrants is empty.
-	TournamentDelta *runtime.TournamentDelta `json:"tournament_delta,omitempty"`
 	// Scale is the population-scale sweep (bytes per function and
 	// idle/active minute-step latency); absent when -scale is empty.
 	// ScaleObserved is the same sweep with pulsed's default observer chain
@@ -149,17 +137,12 @@ func run() error {
 	stepEvery := flag.Duration("step-every", 100*time.Millisecond, "minute-barrier cadence (0 disables stepping)")
 	traceStride := flag.Int64("trace-stride", runtime.DefaultTracerDeltaStride,
 		"sampling period for the tracer-overhead pair after the matrix (0 skips it)")
-	tournamentEntrants := flag.String("tournament-entrants", "",
-		"comma-separated tournament entrants for the overhead pair after the matrix (e.g. mpc,hawkes,qlearn; empty skips it)")
-	tournamentOnly := flag.Bool("tournament-only", false,
-		"run only the tournament-overhead pair, skipping the serving matrix")
-	modes := flag.String("modes", strings.Join([]string{runtime.ModeSerial, runtime.ModeStriped, runtime.ModeEpoch}, ","),
+	modes := flag.String("modes", runtime.ModeSerial+","+runtime.ModeEpoch,
 		"comma-separated runtime modes to benchmark")
 	scale := flag.String("scale", "", "comma-separated populations for the scale sweep (empty skips it)")
 	scaleActivePct := flag.Float64("scale-active-pct", runtime.DefaultScaleActivePct,
 		"percentage of the population invoked per active scale minute")
 	scaleMinutes := flag.Int("scale-minutes", runtime.DefaultScaleMinutes, "timed minute steps per scale phase")
-	scaleMode := flag.String("scale-mode", runtime.ModeEpoch, "serving mode for the scale sweep")
 	scaleOnly := flag.Bool("scale-only", false, "run only the scale sweep, skipping the serving matrix")
 	scaleMaxBytes := flag.Float64("scale-max-bytes-per-fn", 0,
 		"fail if any scale cell exceeds this many resting heap bytes per function (0 disables)")
@@ -211,9 +194,6 @@ func run() error {
 	if *scaleOnly && len(scalePops) == 0 {
 		return fmt.Errorf("-scale-only requires a -scale population list")
 	}
-	if *tournamentOnly && *tournamentEntrants == "" {
-		return fmt.Errorf("-tournament-only requires a -tournament-entrants list")
-	}
 
 	cat := pulse.Catalog()
 	// Each cell gets a fresh policy: runs must not share state. obs, when
@@ -242,14 +222,8 @@ func run() error {
 			Observer:   obs,
 		})
 	}
-	newTracedRuntime := func(fns int, mode string, tracer *provenance.Tracer) (*runtime.Runtime, error) {
-		return buildRuntime(fns, mode, tracer, nil)
-	}
-	newRuntime := func(fns int, mode string) (*runtime.Runtime, error) {
-		return buildRuntime(fns, mode, nil, nil)
-	}
 	// newObservedRuntime attaches pulsed's default observer chain.
-	newObservedRuntime := func(fns int, mode string) (*runtime.Runtime, error) {
+	newObservedRuntime := func(fns int) (*runtime.Runtime, error) {
 		tel, err := telemetry.New(telemetry.Config{})
 		if err != nil {
 			return nil, err
@@ -260,7 +234,7 @@ func run() error {
 		if err != nil {
 			return nil, err
 		}
-		return buildRuntime(fns, mode, nil, telemetry.Multi(tel, prov))
+		return buildRuntime(fns, runtime.ModeEpoch, nil, telemetry.Multi(tel, prov))
 	}
 	file := benchFile{
 		Bench:    "runtime-serving-matrix",
@@ -268,9 +242,11 @@ func run() error {
 		HostCPUs: goruntime.NumCPU(),
 	}
 	scaleSweep := func() error {
-		cfg := runtime.ScaleConfig{Populations: scalePops, ActivePct: *scaleActivePct, Minutes: *scaleMinutes, Mode: *scaleMode}
+		cfg := runtime.ScaleConfig{Populations: scalePops, ActivePct: *scaleActivePct, Minutes: *scaleMinutes}
 		var err error
-		cfg.NewRuntime = newRuntime
+		cfg.NewRuntime = func(fns int) (*runtime.Runtime, error) {
+			return buildRuntime(fns, runtime.ModeEpoch, nil, nil)
+		}
 		if file.Scale, err = runScaleSweep("scale", cfg, *scaleMaxBytes, *scaleMaxIdleMs); err != nil {
 			return err
 		}
@@ -286,58 +262,8 @@ func run() error {
 		return err
 	}
 
-	// runTournament benchmarks the entrant roster's Observer-chain cost:
-	// baseline accountant vs the same accountant racing the named
-	// entrants, attached (like pulsed does) to both the controller and the
-	// runtime.
-	runTournament := func() error {
-		names := roster.ParseList(*tournamentEntrants)
-		cost := cluster.DefaultCostModel()
-		newObserver := func(fns int, extras bool) (telemetry.Observer, error) {
-			asg := pulse.UniformAssignment(cat, fns)
-			acfg := pulse.AttributionConfig{Catalog: cat, Assignment: asg, Cost: cost}
-			if extras {
-				ents, err := roster.Build(names, cat, cost)
-				if err != nil {
-					return nil, err
-				}
-				acfg.Entrants = ents
-			}
-			return pulse.NewAccountant(acfg)
-		}
-		delta, err := runtime.RunTournamentDelta(runtime.TournamentDeltaConfig{
-			Functions: fnCounts[0],
-			Duration:  *duration,
-			Seed:      *seed,
-			StepEvery: *stepEvery,
-			Entrants:  names,
-			NewRuntime: func(fns int, mode string, obs telemetry.Observer) (*runtime.Runtime, error) {
-				return buildRuntime(fns, mode, nil, obs)
-			},
-			NewObserver: newObserver,
-		})
-		if err != nil {
-			return err
-		}
-		file.TournamentDelta = &delta
-		verdict := fmt.Sprintf("within <%.0f%%/entrant guard", delta.GuardPctPerEntrant)
-		if !delta.WithinGuard {
-			verdict = fmt.Sprintf("WARNING: exceeds %.0f%%/entrant guard", delta.GuardPctPerEntrant)
-		}
-		fmt.Printf("tournament %s on %s: baseline %9.0f inv/s  loaded %9.0f inv/s  overhead %+.2f%% (%+.2f%%/entrant) %s\n",
-			strings.Join(delta.Entrants, ","), delta.Mode, delta.BaselineThroughput, delta.LoadedThroughput,
-			delta.OverheadPct, delta.OverheadPctPerEntrant, verdict)
-		return nil
-	}
 	if file.HostCPUs == 1 {
 		file.HostNote = "measured on a 1-CPU host: mode speedup ratios reflect serialized parallelism, and scale latencies have no background-GC overlap"
-	}
-	if *tournamentOnly {
-		file.Bench = "runtime-tournament"
-		if err := runTournament(); err != nil {
-			return err
-		}
-		return writeBenchFile(file, *out)
 	}
 	if *scaleOnly {
 		file.Bench = "runtime-scale"
@@ -357,7 +283,9 @@ func run() error {
 		Duration:   *duration,
 		Seed:       *seed,
 		StepEvery:  *stepEvery,
-		NewRuntime: newRuntime,
+		NewRuntime: func(fns int, mode string) (*runtime.Runtime, error) {
+			return buildRuntime(fns, mode, nil, nil)
+		},
 		Progress: func(res runtime.LoadResult) {
 			failed += res.Errors
 			fmt.Printf("gmp %-2d fns %-4d %-8s %-8s %9.0f inv/s  (%d invocations, %d workers, %d minutes, p50 %.1fµs p99 %.1fµs)\n",
@@ -376,12 +304,14 @@ func run() error {
 
 	if *traceStride > 0 {
 		delta, err := runtime.RunTracerDelta(runtime.TracerDeltaConfig{
-			Functions:  fnCounts[0],
-			Duration:   *duration,
-			Seed:       *seed,
-			StepEvery:  *stepEvery,
-			Stride:     *traceStride,
-			NewRuntime: newTracedRuntime,
+			Functions: fnCounts[0],
+			Duration:  *duration,
+			Seed:      *seed,
+			StepEvery: *stepEvery,
+			Stride:    *traceStride,
+			NewRuntime: func(fns int, tracer *provenance.Tracer) (*runtime.Runtime, error) {
+				return buildRuntime(fns, runtime.ModeEpoch, tracer, nil)
+			},
 		})
 		if err != nil {
 			return err
@@ -395,16 +325,9 @@ func run() error {
 			delta.Stride, delta.Mode, delta.OffThroughput, delta.OnThroughput,
 			delta.OverheadPct, delta.Sampled, delta.Attempts, verdict)
 	}
-	if *tournamentEntrants != "" {
-		if err := runTournament(); err != nil {
-			return err
-		}
-	}
 	for _, p := range file.Summary {
-		if p.SpeedupEpochVsStriped > 0 {
-			fmt.Printf("gmp %-2d fns %-4d %-8s epoch/striped %.2f×  epoch/serial %.2f×  striped/serial %.2f×\n",
-				p.GOMAXPROCS, p.Functions, p.Mix,
-				p.SpeedupEpochVsStriped, p.SpeedupEpochVsSerial, p.SpeedupStripedVsSerial)
+		if p.SpeedupEpochVsSerial > 0 {
+			fmt.Printf("gmp %-2d fns %-4d %-8s epoch/serial %.2f×\n", p.GOMAXPROCS, p.Functions, p.Mix, p.SpeedupEpochVsSerial)
 		}
 	}
 

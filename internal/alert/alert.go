@@ -12,7 +12,7 @@
 // Both the cluster engine and the live runtime emit minute rollups under
 // their minute barriers, so rule evaluation is deterministic — the same
 // trace produces the same firing minutes whether replayed through the
-// serial runtime, the striped runtime, or the (sharded) cluster engine.
+// serial runtime, the epoch runtime, or the (sharded) cluster engine.
 //
 // Nothing here blocks a producer: the Broadcaster drops events on slow
 // subscribers (counting every drop), and the Engine hands notifications to

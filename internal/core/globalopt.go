@@ -38,7 +38,7 @@ const (
 // downgraded again — the unbiasedness mechanism.
 type Priority struct {
 	counts []float64
-	norm   []float64
+	norm   []float64 // Normalize's reused result; nil until first asked for
 
 	// Incremental min/max bookkeeping so a single model's normalized
 	// priority can be read without the O(N) scan Normalize performs. The
@@ -58,7 +58,6 @@ func NewPriority(nModels int) (*Priority, error) {
 	}
 	return &Priority{
 		counts: make([]float64, nModels),
-		norm:   make([]float64, nModels),
 		minCnt: nModels,
 		maxCnt: nModels,
 	}, nil
@@ -129,7 +128,7 @@ func (p *Priority) Count(m int) float64 {
 // Normalize recomputes and returns the normalized priorities (Equation 1)
 // over all models. The returned slice is reused across calls.
 func (p *Priority) Normalize() []float64 {
-	copy(p.norm, p.counts)
+	p.norm = append(p.norm[:0], p.counts...)
 	stats.MinMaxNormalizeInPlace(p.norm)
 	return p.norm
 }
@@ -137,7 +136,6 @@ func (p *Priority) Normalize() []float64 {
 // grow appends one zero-count slot (a freshly registered model).
 func (p *Priority) grow() {
 	p.counts = append(p.counts, 0)
-	p.norm = append(p.norm, 0)
 	if p.minVal > 0 {
 		p.minVal, p.minCnt = 0, 1
 	} else {
@@ -205,6 +203,7 @@ type GlobalOptimizer struct {
 	disablePriority bool       // ablation: Uv = Ai + Ip
 	randomPick      *rand.Rand // non-nil: pick downgrade victims at random (strawman)
 	terms           []UtilityTerms
+	held            []int32 // heldSlots scratch
 }
 
 // UseRandomSelection switches the optimizer to the strawman the paper
@@ -266,18 +265,7 @@ func (g *GlobalOptimizer) KeptAliveMemoryMB(decisions []int) (float64, error) {
 	if len(decisions) != len(g.assignment) {
 		return 0, fmt.Errorf("core: %d decisions for %d functions", len(decisions), len(g.assignment))
 	}
-	var total float64
-	for fn, vi := range decisions {
-		if vi < 0 {
-			continue
-		}
-		fam := g.catalog.Families[g.assignment[fn]]
-		if vi >= fam.NumVariants() {
-			return 0, fmt.Errorf("core: function %d keeps invalid variant %d", fn, vi)
-		}
-		total += fam.Variants[vi].MemoryMB
-	}
-	return total, nil
+	return g.keptAliveMB(decisions, g.heldSlots(decisions))
 }
 
 // Flatten applies Algorithm 2 to the decision vector in place: while the
@@ -296,20 +284,61 @@ func (g *GlobalOptimizer) Flatten(decisions []int, ip []float64, targetKaM float
 	if len(ip) != len(g.assignment) {
 		return nil, fmt.Errorf("core: %d probabilities for %d functions", len(ip), len(g.assignment))
 	}
-	kam, err := g.KeptAliveMemoryMB(decisions)
+	return g.flatten(decisions, ip, targetKaM, g.heldSlots(decisions))
+}
+
+// heldSlots lists, ascending, the slots that hold a variant in decisions.
+// The returned slice is scratch reused across calls.
+func (g *GlobalOptimizer) heldSlots(decisions []int) []int32 {
+	g.held = g.held[:0]
+	for fn, vi := range decisions {
+		if vi >= 0 {
+			g.held = append(g.held, int32(fn))
+		}
+	}
+	return g.held
+}
+
+// keptAliveMB sums the memory decisions keeps alive over an ascending slot
+// list that covers every slot holding a variant; summing in slot order keeps
+// the float total independent of how the list was obtained.
+func (g *GlobalOptimizer) keptAliveMB(decisions []int, slots []int32) (float64, error) {
+	var total float64
+	for _, fn32 := range slots {
+		fn := int(fn32)
+		vi := decisions[fn]
+		if vi < 0 {
+			continue
+		}
+		fam := g.catalog.Families[g.assignment[fn]]
+		if vi >= fam.NumVariants() {
+			return 0, fmt.Errorf("core: function %d keeps invalid variant %d", fn, vi)
+		}
+		total += fam.Variants[vi].MemoryMB
+	}
+	return total, nil
+}
+
+// flatten is Algorithm 2 over an ascending slot list that covers every slot
+// holding a variant in decisions (the controller passes its active set, the
+// exported Flatten the held slots). The Pr term comes from the priority
+// structure's incremental normAt, so one downgrade costs O(len(slots)), not
+// O(population).
+func (g *GlobalOptimizer) flatten(decisions []int, ip []float64, targetKaM float64, slots []int32) ([]Downgrade, error) {
+	kam, err := g.keptAliveMB(decisions, slots)
 	if err != nil {
 		return nil, err
 	}
 	var applied []Downgrade
 	for kam > targetKaM {
-		// Normalize the priority structure (Algorithm 2 line 4).
-		norm := g.priority.Normalize()
-
 		// Compute Uv for every model currently kept alive that can still
-		// be downgraded (lines 5–8). Under StepByOne a model at its lowest
-		// variant is no longer a candidate — the low-quality floor stays.
+		// be downgraded (lines 4–8; normAt is line 4's normalization read
+		// per model). Under StepByOne a model at its lowest variant is no
+		// longer a candidate — the low-quality floor stays.
 		g.terms = g.terms[:0]
-		for fn, vi := range decisions {
+		for _, fn32 := range slots {
+			fn := int(fn32)
+			vi := decisions[fn]
 			if vi < 0 {
 				continue
 			}
@@ -321,7 +350,7 @@ func (g *GlobalOptimizer) Flatten(decisions []int, ip []float64, targetKaM float
 			if err != nil {
 				return nil, err
 			}
-			pr := norm[fn]
+			pr := g.priority.normAt(fn)
 			if g.disablePriority {
 				pr = 0
 			}
@@ -367,109 +396,6 @@ func (g *GlobalOptimizer) Flatten(decisions []int, ip []float64, targetKaM float
 		kam -= freed
 
 		// Update the priority structure (line 10).
-		if err := g.priority.Bump(fn); err != nil {
-			return nil, err
-		}
-		applied = append(applied, Downgrade{
-			Function:    fn,
-			FromVariant: from,
-			ToVariant:   to,
-			Ai:          chosen.Ai,
-			Pr:          chosen.Pr,
-			Ip:          chosen.Ip,
-			Uv:          chosen.Uv(),
-		})
-	}
-	return applied, nil
-}
-
-// keptAliveMBSparse is KeptAliveMemoryMB restricted to the active set: the
-// unlisted slots are guaranteed NoVariant, which the dense loop skips
-// anyway, and the list is sorted ascending, so the float sum associates in
-// exactly the dense order.
-func (g *GlobalOptimizer) keptAliveMBSparse(decisions []int, active []int32) float64 {
-	var total float64
-	for _, fn32 := range active {
-		fn := int(fn32)
-		vi := decisions[fn]
-		if vi < 0 {
-			continue
-		}
-		fam := g.catalog.Families[g.assignment[fn]]
-		if vi >= fam.NumVariants() {
-			panic(fmt.Sprintf("core: function %d keeps invalid variant %d", fn, vi))
-		}
-		total += fam.Variants[vi].MemoryMB
-	}
-	return total
-}
-
-// flattenSparse is Flatten restricted to the active set. The candidate
-// gather iterates the sorted active list — the same candidates, in the
-// same order, as the dense loop, because every unlisted slot's decision is
-// NoVariant — and the Pr term comes from the priority structure's
-// incremental normAt instead of a full Normalize pass. Decisions, applied
-// downgrades, and priority updates are bit-identical to Flatten's.
-func (g *GlobalOptimizer) flattenSparse(decisions []int, ip []float64, targetKaM float64, active []int32) ([]Downgrade, error) {
-	kam := g.keptAliveMBSparse(decisions, active)
-	var applied []Downgrade
-	for kam > targetKaM {
-		g.terms = g.terms[:0]
-		for _, fn32 := range active {
-			fn := int(fn32)
-			vi := decisions[fn]
-			if vi < 0 {
-				continue
-			}
-			if vi == 0 && g.step == StepByOne {
-				continue
-			}
-			fam := g.catalog.Families[g.assignment[fn]]
-			ai, err := fam.AccuracyImprovement(vi)
-			if err != nil {
-				return nil, err
-			}
-			pr := g.priority.normAt(fn)
-			if g.disablePriority {
-				pr = 0
-			}
-			g.terms = append(g.terms, UtilityTerms{
-				Function: fn,
-				Variant:  vi,
-				Ai:       ai,
-				Pr:       pr,
-				Ip:       stats.Clamp01(ip[fn]),
-			})
-		}
-		if len(g.terms) == 0 {
-			break
-		}
-		best := 0
-		if g.randomPick != nil {
-			best = g.randomPick.Intn(len(g.terms))
-		} else {
-			for i := 1; i < len(g.terms); i++ {
-				if g.terms[i].Uv() < g.terms[best].Uv() {
-					best = i
-				}
-			}
-		}
-		chosen := g.terms[best]
-		fn := chosen.Function
-		fam := g.catalog.Families[g.assignment[fn]]
-		from := decisions[fn]
-		to := from - 1
-		if g.step == StepEvict || from == 0 {
-			to = -1
-		}
-		decisions[fn] = to
-
-		freed := fam.Variants[from].MemoryMB
-		if to >= 0 {
-			freed -= fam.Variants[to].MemoryMB
-		}
-		kam -= freed
-
 		if err := g.priority.Bump(fn); err != nil {
 			return nil, err
 		}

@@ -2,11 +2,11 @@ package core
 
 // Differential proofs for the active-set index: idle-skip must be a pure
 // iteration-order optimization — every Schedule, KeepAlive decision,
-// downgrade, and snapshot must be bit-identical to the dense full-scan
-// reference for any interleaving of idle slots, active slots, and lifecycle
-// churn. The property test drives both controllers with one random stream
-// and compares everything; the alloc pin holds the idle-minute cost at zero
-// for a million mostly-idle slots.
+// downgrade, and snapshot must be bit-identical to the every-slot reference
+// controller (reference_test.go) for any interleaving of idle slots, active
+// slots, and lifecycle churn. The property test drives both controllers with
+// one random stream and compares everything; the alloc pin holds the
+// idle-minute cost at zero for a million mostly-idle slots.
 
 import (
 	"fmt"
@@ -19,9 +19,9 @@ import (
 )
 
 // scanRecorder is a self-observing Recorder — an observer that wants scan
-// timings must not pull the controller onto its dense scans. It keeps the
-// deterministic streams for DeepEqual and the gather scan samples for the
-// sparse-scan assertion.
+// timings must not make the controller scan more than its active set. It
+// keeps the deterministic streams for DeepEqual and the gather scan samples
+// for the sparse-scan assertion.
 type scanRecorder struct {
 	telemetry.Recorder
 	scans []telemetry.ScanSample
@@ -31,13 +31,13 @@ func (r *scanRecorder) ObserveStep(telemetry.StepSample)   {}
 func (r *scanRecorder) ObserveFlush(telemetry.FlushSample) {}
 func (r *scanRecorder) ObserveScan(s telemetry.ScanSample) { r.scans = append(r.scans, s) }
 
-// TestIdleSkipDifferential drives an idle-skip controller and a
-// DisableIdleSkip reference with an identical random workload — mostly-idle
+// TestIdleSkipDifferential drives the controller and the every-slot
+// reference controller with an identical random workload — mostly-idle
 // slots, a few hot ones, and register/deregister churn — and requires
 // bit-identical per-minute decisions, downgrade totals, peak counts, observer
 // streams, and final snapshots, for both the serial and the sharded
-// controller. Both carry a SelfObserver: only DisableIdleSkip may select the
-// dense scans, and the sparse gather must report the active-set size.
+// controller. The controller carries a SelfObserver, and its gather must
+// still report the active-set size.
 func TestIdleSkipDifferential(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -51,31 +51,18 @@ func TestIdleSkipDifferential(t *testing.T) {
 func testIdleSkipDifferential(t *testing.T, shards int, seed int64) {
 	cat := models.PaperCatalog()
 	const n = 48
-	newPulse := func(disable bool, obs telemetry.Observer) *Pulse {
-		p, err := New(Config{
-			Catalog:         cat,
-			Assignment:      uniformAssignment(cat, n),
-			Shards:          shards,
-			DisableIdleSkip: disable,
-			Observer:        obs,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { p.Close() })
-		return p
-	}
-	sparseRec, denseRec := &scanRecorder{}, &scanRecorder{}
+	sparseRec, refRec := &scanRecorder{}, &telemetry.Recorder{}
 	if !telemetry.WantsSelf(sparseRec) {
 		t.Fatal("the test observer is not a SelfObserver")
 	}
-	sparse, dense := newPulse(false, sparseRec), newPulse(true, denseRec)
-	if !sparse.idleSkip {
-		t.Fatal("idle-skip not engaged on the controller under test")
+	cfg := Config{Catalog: cat, Assignment: uniformAssignment(cat, n), Shards: shards, Observer: sparseRec}
+	sparse, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if dense.idleSkip {
-		t.Fatal("idle-skip engaged on the reference controller")
-	}
+	t.Cleanup(func() { sparse.Close() })
+	cfg.Observer = refRec
+	ref := newRefController(cfg)
 
 	rng := rand.New(rand.NewSource(seed))
 	live := []string{} // names eligible for deregistration
@@ -89,12 +76,11 @@ func testIdleSkipDifferential(t *testing.T, shards int, seed int64) {
 			name := fmt.Sprintf("dyn-%d", nextDyn)
 			nextDyn++
 			fam := rng.Intn(len(cat.Families))
-			s1, err1 := sparse.RegisterFunction(name, fam)
-			s2, err2 := dense.RegisterFunction(name, fam)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("minute %d: register: %v / %v", minute, err1, err2)
+			s1, err := sparse.RegisterFunction(name, fam)
+			if err != nil {
+				t.Fatalf("minute %d: register: %v", minute, err)
 			}
-			if s1 != s2 {
+			if s2 := ref.register(name, fam); s1 != s2 {
 				t.Fatalf("minute %d: slot disagreement %d vs %d", minute, s1, s2)
 			}
 			live = append(live, name)
@@ -107,14 +93,12 @@ func testIdleSkipDifferential(t *testing.T, shards int, seed int64) {
 			if err := sparse.DeregisterFunction(name); err != nil {
 				t.Fatalf("minute %d: deregister sparse: %v", minute, err)
 			}
-			if err := dense.DeregisterFunction(name); err != nil {
-				t.Fatalf("minute %d: deregister dense: %v", minute, err)
-			}
+			ref.deregister(name)
 		}
 
 		sparseRec.scans = sparseRec.scans[:0]
 		d1 := sparse.KeepAlive(minute)
-		d2 := dense.KeepAlive(minute)
+		d2 := ref.KeepAlive(minute)
 		if !reflect.DeepEqual(d1, d2) {
 			t.Fatalf("minute %d: decisions diverge", minute)
 		}
@@ -140,32 +124,33 @@ func testIdleSkipDifferential(t *testing.T, shards int, seed int64) {
 			}
 		}
 		sparse.RecordInvocationsSparse(minute, counts, invoked)
-		dense.RecordInvocations(minute, counts)
+		ref.RecordInvocations(minute, counts)
 	}
 
-	if sparse.TotalDowngrades() != dense.TotalDowngrades() {
-		t.Errorf("downgrades diverge: idle-skip %d, dense %d", sparse.TotalDowngrades(), dense.TotalDowngrades())
+	if sparse.TotalDowngrades() != ref.totalDowngrades {
+		t.Errorf("downgrades diverge: idle-skip %d, reference %d", sparse.TotalDowngrades(), ref.totalDowngrades)
 	}
-	if sparse.PeakMinutes() != dense.PeakMinutes() {
-		t.Errorf("peak minutes diverge: idle-skip %d, dense %d", sparse.PeakMinutes(), dense.PeakMinutes())
+	if sparse.PeakMinutes() != ref.peakMinutes {
+		t.Errorf("peak minutes diverge: idle-skip %d, reference %d", sparse.PeakMinutes(), ref.peakMinutes)
 	}
-	if !reflect.DeepEqual(sparse.Snapshot(), dense.Snapshot()) {
+	if !reflect.DeepEqual(sparse.Snapshot(), ref.Snapshot()) {
 		t.Error("snapshots diverge after identical streams")
 	}
 	for _, s := range []struct {
 		kind      string
 		got, want any
 	}{
-		{"schedules", sparseRec.Schedules, denseRec.Schedules},
-		{"peaks", sparseRec.Peaks, denseRec.Peaks},
-		{"downgrades", sparseRec.Downgrades, denseRec.Downgrades},
+		{"schedules", sparseRec.Schedules, refRec.Schedules},
+		{"peaks", sparseRec.Peaks, refRec.Peaks},
+		{"downgrades", sparseRec.Downgrades, refRec.Downgrades},
 	} {
 		if !reflect.DeepEqual(s.got, s.want) {
-			t.Errorf("%s stream diverges between the sparse and dense controllers", s.kind)
+			t.Errorf("%s stream diverges between the controller and the reference", s.kind)
 		}
 	}
-	if len(denseRec.Schedules) == 0 {
-		t.Error("no schedule sample observed: the streams compared are empty")
+	if len(refRec.Schedules) == 0 || len(refRec.Downgrades) == 0 {
+		t.Errorf("%d schedule and %d downgrade samples observed: the streams compared are empty",
+			len(refRec.Schedules), len(refRec.Downgrades))
 	}
 }
 
@@ -227,9 +212,6 @@ func TestIdleSkipMinuteZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if !p.idleSkip {
-		t.Fatal("idle-skip not engaged")
-	}
 
 	counts := make([]int, n)
 	hot := []int32{0, int32(n / 2), int32(n - 1)}

@@ -118,8 +118,8 @@ func (ps *planStore) get(fn, minute int) (variant int, prob float64, ok bool) {
 // row — the only slots whose decision can ever be anything but NoVariant.
 // The list is kept sorted ascending so every float accumulation that
 // iterates it (keep-alive memory sums, Algorithm 2's candidate gather)
-// visits functions in exactly the order the dense full-scan loops do,
-// keeping the sums bit-identical.
+// visits functions in slot order — the order a walk over every slot would
+// take — whatever order they became active in.
 type activeSet struct {
 	list   []int32
 	member []bool

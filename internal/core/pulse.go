@@ -63,14 +63,6 @@ type Config struct {
 	// peaks (ablation). The seed keeps runs reproducible.
 	RandomDowngradeSeed int64
 
-	// DisableIdleSkip forces the per-minute paths back to full scans over
-	// every registered slot instead of the incremental active-set index.
-	// Decisions are bit-identical either way (the property the idle-skip
-	// tests assert); it survives only as those tests' dense reference
-	// oracle. Nothing else selects the dense scans — in particular not an
-	// attached Observer or SelfObserver.
-	DisableIdleSkip bool
-
 	// Observer, when non-nil, receives every controller decision: the
 	// per-function keep-alive schedules, Algorithm 1 peak enter/exit
 	// transitions, and each Algorithm 2 downgrade with its utility
@@ -103,9 +95,7 @@ func (c *Config) withDefaults() Config {
 // Per-function state lives in flat slot-indexed arenas (histArena,
 // planStore) rather than per-function heap objects, and the per-minute
 // paths iterate the incremental active set — the slots currently holding a
-// plan row — instead of every registered slot, whoever observes. The dense
-// scans behind Config.DisableIdleSkip are the tests' reference oracle; both
-// iteration strategies produce bit-identical decisions.
+// plan row — instead of every registered slot, whoever observes.
 type Pulse struct {
 	cfg      Config
 	reg      *identity.Registry
@@ -120,8 +110,6 @@ type Pulse struct {
 	// invokedBuf is the reusable ascending list of slots invoked this
 	// minute, rebuilt by RecordInvocations / RecordInvocationsSparse.
 	invokedBuf []int32
-	// idleSkip caches whether the sparse active-set paths are in effect.
-	idleSkip bool
 
 	// pool is the shard worker pool; nil when cfg.Shards resolves to 1,
 	// in which case every path runs serially on the calling goroutine.
@@ -203,7 +191,6 @@ func New(cfg Config) (*Pulse, error) {
 		return nil, fmt.Errorf("core: negative shard count %d", cfg.Shards)
 	}
 	p.selfWanted = telemetry.WantsSelf(cfg.Observer)
-	p.idleSkip = !cfg.DisableIdleSkip
 	p.reqShards = cfg.Shards
 	p.resolveShards()
 	return p, nil
@@ -239,7 +226,7 @@ func (p *Pulse) workers() *shardPool {
 		p.pool = nil
 	}
 	if p.cfg.Shards > 1 {
-		p.pool = newShardPool(p.cfg, p.cfg.Shards, p.hist, p.plans, p.out, p.ip, p.reg.ActiveSlice())
+		p.pool = newShardPool(p.cfg, p.cfg.Shards, len(p.out), p.hist, p.plans)
 		// Safety net for callers that drop the controller without Close:
 		// the workers reference only the shard state, never p, so an
 		// unclosed controller still becomes unreachable and its pool is
@@ -291,46 +278,32 @@ func (p *Pulse) PeakMinutes() int { return p.peakMinutes }
 // The gather first compacts the active set — slots whose plan drained
 // before this minute release their plan row and pin their decision to
 // NoVariant — then evaluates only the remaining active slots; every other
-// slot's decision rests at NoVariant. Under DisableIdleSkip (the tests'
-// oracle) the gather instead walks every slot, exactly as before the
-// active-set index existed; both walks produce the same decision vector.
+// slot's decision rests at NoVariant.
 func (p *Pulse) KeepAlive(t int) []int {
 	p.compactActive(t)
 	var t0 time.Time
 	if p.selfWanted {
 		t0 = time.Now()
 	}
-	if p.idleSkip {
-		// Always on the coordinator: the active list is short and already
-		// ascending, so there is nothing for the workers to win.
-		for _, fn32 := range p.active.list {
-			p.gatherSlot(int(fn32), t)
+	// Always on the coordinator: the active list is short and already
+	// ascending, so there is nothing for the workers to win.
+	for _, fn32 := range p.active.list {
+		fn := int(fn32)
+		v, prob, ok := p.plans.get(fn, t)
+		if !ok {
+			v, prob = cluster.NoVariant, 0
 		}
-		p.observeSerialScan(t, len(p.active.list), t0)
-	} else if pool := p.workers(); pool != nil {
-		pool.dispatch(shardJob{op: opGather, t: t})
-		if p.selfWanted {
-			p.emitScans(t)
-		}
-	} else {
-		for fn := range p.out {
-			p.gatherSlot(fn, t)
-		}
-		p.observeSerialScan(t, len(p.out), t0)
+		p.out[fn] = v
+		p.ip[fn] = prob
 	}
+	p.observeSerialScan(t, len(p.active.list), t0)
 
 	if !p.cfg.DisableGlobalOpt {
 		kam := p.keptAliveMB()
 		if p.detector.IsPeak(kam) {
 			p.peakMinutes++
 			target := p.detector.FlattenTarget()
-			var downs []Downgrade
-			var err error
-			if p.idleSkip {
-				downs, err = p.global.flattenSparse(p.out, p.ip, target, p.active.list)
-			} else {
-				downs, err = p.global.Flatten(p.out, p.ip, target)
-			}
+			downs, err := p.global.flatten(p.out, p.ip, target, p.active.list)
 			if err != nil {
 				panic("core: flatten failed on validated state: " + err.Error())
 			}
@@ -379,25 +352,10 @@ func (p *Pulse) KeepAlive(t int) []int {
 	return p.out
 }
 
-// gatherSlot copies minute t's planned variant and probability for one slot
-// into the decision vectors (NoVariant when no plan covers the minute).
-func (p *Pulse) gatherSlot(fn, t int) {
-	v, prob, ok := p.plans.get(fn, t)
-	if !ok {
-		v, prob = cluster.NoVariant, 0
-	}
-	p.out[fn] = v
-	p.ip[fn] = prob
-}
-
-// keptAliveMB sums the current decision vector's memory, iterating the
-// active set when idle-skip is on (bit-identical: unlisted slots are
-// NoVariant, which the dense sum skips).
+// keptAliveMB sums the current decision vector's memory over the active
+// set; every unlisted slot is NoVariant.
 func (p *Pulse) keptAliveMB() float64 {
-	if p.idleSkip {
-		return p.global.keptAliveMBSparse(p.out, p.active.list)
-	}
-	kam, err := p.global.KeptAliveMemoryMB(p.out)
+	kam, err := p.global.keptAliveMB(p.out, p.active.list)
 	if err != nil {
 		// Plans only ever hold validated variant indices.
 		panic("core: invalid internal plan: " + err.Error())
@@ -458,7 +416,7 @@ func (p *Pulse) RecordInvocations(t int, counts []int) {
 		}
 		p.invokedBuf = append(p.invokedBuf, int32(fn))
 	}
-	p.recordInvoked(t, counts, len(counts))
+	p.recordInvoked(t, len(counts))
 }
 
 // RecordInvocationsSparse is the active-set fast path of RecordInvocations:
@@ -481,7 +439,7 @@ func (p *Pulse) RecordInvocationsSparse(t int, counts []int, invoked []int32) {
 		}
 		p.invokedBuf = append(p.invokedBuf, fn)
 	}
-	p.recordInvoked(t, counts, len(p.invokedBuf))
+	p.recordInvoked(t, len(p.invokedBuf))
 }
 
 // recordInvoked runs the function-centric optimizer for the slots in
@@ -489,7 +447,7 @@ func (p *Pulse) RecordInvocationsSparse(t int, counts []int, invoked []int32) {
 // updated on the coordinator, then the history/schedule work runs either
 // on the shard pool or serially. scanFns is the slot count a serial
 // ScanSample reports (the dense population for the dense entry point).
-func (p *Pulse) recordInvoked(t int, counts []int, scanFns int) {
+func (p *Pulse) recordInvoked(t, scanFns int) {
 	invoked := p.invokedBuf
 	added := false
 	for _, fn32 := range invoked {
@@ -505,11 +463,7 @@ func (p *Pulse) recordInvoked(t int, counts []int, scanFns int) {
 	}
 
 	if pool := p.workers(); pool != nil {
-		if p.idleSkip {
-			pool.dispatch(shardJob{op: opRecordSparse, t: t, counts: counts, invoked: invoked})
-		} else {
-			pool.dispatch(shardJob{op: opRecord, t: t, counts: counts})
-		}
+		pool.dispatch(shardJob{t: t, invoked: invoked})
 		if p.selfWanted {
 			p.emitScans(t)
 		}
@@ -568,7 +522,7 @@ func (p *Pulse) observeSerialScan(t, fns int, t0 time.Time) {
 	}
 }
 
-// emitScans reports each shard's just-completed op duration, in shard
+// emitScans reports each shard's just-completed job duration, in shard
 // order (the coordinator emits so samples stay barrier-serialized).
 func (p *Pulse) emitScans(t int) {
 	for i, s := range p.pool.shards {

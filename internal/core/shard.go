@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/pulse-serverless/pulse/internal/cluster"
 	"github.com/pulse-serverless/pulse/internal/models"
 	"github.com/pulse-serverless/pulse/internal/telemetry"
 )
@@ -15,11 +14,11 @@ import (
 // embarrassingly parallel half. Per-function state — inter-arrival
 // histories and keep-alive plan rings — is partitioned into contiguous
 // shards, each owned by one persistent worker goroutine. The per-minute
-// fan-out (RecordInvocations) and fan-in (the plan gather at the start of
-// KeepAlive) run on the pool behind a WaitGroup barrier; the global view —
-// Algorithm 1's peak detection and Algorithm 2's flattening — always runs
-// single-threaded on the merged candidate set, so the paper's semantics
-// are preserved bit for bit at every shard count.
+// fan-out (RecordInvocations) runs on the pool behind a WaitGroup barrier;
+// the plan gather over the active set and the global view — Algorithm 1's
+// peak detection and Algorithm 2's flattening — always run single-threaded
+// on the coordinator, so the paper's semantics are preserved bit for bit at
+// every shard count.
 //
 // Determinism guarantees:
 //
@@ -32,33 +31,16 @@ import (
 //     goroutine over the merged decision vector, in function order, so no
 //     summation is ever re-associated.
 
-// shardOp selects the work a shard worker performs behind one barrier.
-type shardOp uint8
-
-const (
-	// opRecord runs the function-centric optimizer for the shard's
-	// invoked functions: history update, probability estimation, and a
-	// fresh keep-alive plan.
-	opRecord shardOp = iota
-	// opRecordSparse is opRecord driven by the coordinator's pre-filtered
-	// invoked list instead of a dense scan of the counts vector; the
-	// worker handles the list's intersection with its own range.
-	opRecordSparse
-	// opGather assembles the minute's candidate decisions from the
-	// shard's plan rings into the merged output vector.
-	opGather
-)
-
-// shardJob is one minute's unit of work for one shard.
+// shardJob is one minute's unit of work for one shard: run the
+// function-centric optimizer (history update, probability estimation, a
+// fresh keep-alive plan) for the shard's part of invoked.
 type shardJob struct {
-	op      shardOp
 	t       int
-	counts  []int   // engine-owned; read-only until the barrier (opRecord)
-	invoked []int32 // coordinator-owned ascending invoked slots (opRecordSparse)
+	invoked []int32 // coordinator-owned ascending invoked slots
 }
 
-// shard owns the contiguous function range [lo, hi). The arenas and state
-// slices alias the controller's own; the worker only ever touches slots
+// shard owns the contiguous function range [lo, hi). The arenas alias the
+// controller's own; the worker only ever touches slots
 // inside its range (plan rows are pre-acquired by the coordinator, so a
 // worker never grows or frees arena storage), and the coordinator only
 // reads them after the barrier.
@@ -69,11 +51,8 @@ type shard struct {
 	lo, hi int
 	jobs   chan shardJob
 
-	hist   *histArena
-	plans  *planStore
-	out    []int
-	ip     []float64
-	active []bool // aliases the identity registry's per-slot live flags
+	hist  *histArena
+	plans *planStore
 
 	catalog    *models.Catalog
 	assignment models.Assignment
@@ -87,7 +66,7 @@ type shard struct {
 	buf     telemetry.Buffer
 
 	// timing mirrors telemetry.WantsSelf(Observer): the worker times each
-	// op into scanSec/scanFns, which the coordinator reads after the
+	// job into scanSec/scanFns, which the coordinator reads after the
 	// barrier and emits as ScanSamples in shard order.
 	timing  bool
 	scanSec float64
@@ -107,8 +86,7 @@ type shardPool struct {
 
 // newShardPool partitions n functions into nShards contiguous ranges
 // (sizes differing by at most one) and starts one worker per shard.
-func newShardPool(cfg Config, nShards int, hist *histArena, plans *planStore, out []int, ip []float64, active []bool) *shardPool {
-	n := len(out)
+func newShardPool(cfg Config, nShards, n int, hist *histArena, plans *planStore) *shardPool {
 	pool := &shardPool{shards: make([]*shard, nShards)}
 	base, rem := n/nShards, n%nShards
 	lo := 0
@@ -123,9 +101,6 @@ func newShardPool(cfg Config, nShards int, hist *histArena, plans *planStore, ou
 			jobs:       make(chan shardJob, 1),
 			hist:       hist,
 			plans:      plans,
-			out:        out,
-			ip:         ip,
-			active:     active,
 			catalog:    cfg.Catalog,
 			assignment: cfg.Assignment,
 			window:     cfg.Window,
@@ -182,14 +157,7 @@ func (s *shard) run(wg *sync.WaitGroup) {
 			if s.timing {
 				t0 = time.Now()
 			}
-			switch job.op {
-			case opRecord:
-				s.record(job.t, job.counts)
-			case opRecordSparse:
-				s.recordSparse(job.t, job.counts, job.invoked)
-			case opGather:
-				s.gather(job.t)
-			}
+			s.record(job.t, job.invoked)
 			if s.timing {
 				s.scanSec = time.Since(t0).Seconds()
 				s.scanFns = s.hi - s.lo
@@ -199,26 +167,11 @@ func (s *shard) run(wg *sync.WaitGroup) {
 	}
 }
 
-// record is the shard-local half of RecordInvocations: identical to the
-// serial loop, restricted to [lo, hi), with Observer events staged.
-func (s *shard) record(t int, counts []int) {
-	for fn := s.lo; fn < s.hi; fn++ {
-		c := counts[fn]
-		if c == 0 || !s.active[fn] {
-			continue
-		}
-		if !s.recordOne(fn, t) {
-			return
-		}
-	}
-}
-
-// recordSparse is record driven by the coordinator's pre-filtered ascending
-// invoked list: the worker binary-searches for its range's start and walks
-// the list's intersection with [lo, hi). The coordinator already dropped
-// zero-count and inactive slots, so the per-slot work — and therefore every
-// history update and plan write — is exactly record's.
-func (s *shard) recordSparse(t int, _ []int, invoked []int32) {
+// record is the shard-local half of RecordInvocations, with Observer
+// events staged: the worker binary-searches the coordinator's ascending
+// invoked list for its range's start and walks the list's intersection with
+// [lo, hi). The coordinator already dropped zero-count and inactive slots.
+func (s *shard) record(t int, invoked []int32) {
 	i := sort.Search(len(invoked), func(i int) bool { return int(invoked[i]) >= s.lo })
 	for _, fn32 := range invoked[i:] {
 		fn := int(fn32)
@@ -258,18 +211,4 @@ func (s *shard) recordOne(fn, t int) bool {
 		})
 	}
 	return true
-}
-
-// gather is the shard-local half of KeepAlive's candidate assembly: it
-// copies the minute's planned variant and probability for every owned
-// function into the merged vectors.
-func (s *shard) gather(t int) {
-	for fn := s.lo; fn < s.hi; fn++ {
-		v, prob, ok := s.plans.get(fn, t)
-		if !ok {
-			v, prob = cluster.NoVariant, 0
-		}
-		s.out[fn] = v
-		s.ip[fn] = prob
-	}
 }

@@ -158,8 +158,8 @@ type RecorderConfig struct {
 // barrier-serialized sample stream. A minute costs work proportional to the
 // samples it delivered; an idle minute touches no per-function state. Every
 // input it consumes is emitted inside the producers' minute write windows,
-// so its rings are deterministic — identical across the serial, striped,
-// and epoch runtimes (the differential harness pins DeepEqual equality).
+// so its rings are deterministic — identical across the serial and epoch
+// runtimes (the differential harness pins DeepEqual equality).
 // Invocation samples, the only stream that interleaves, are deliberately
 // ignored.
 type Recorder struct {

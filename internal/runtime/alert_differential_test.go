@@ -74,7 +74,7 @@ func (p *alertProbe) finish(t testing.TB) []alert.Notification {
 // replayAlertRuntime feeds a trace through a live Runtime observing probe:
 // every feed steps Horizon-1 times so minute H-1 ends open, matching the
 // cluster engine's feed shape, and Flush closes it identically everywhere.
-// Serial-mode feeds replay sequentially; striped and epoch feeds replay
+// Serial-mode feeds replay sequentially; epoch feeds replay
 // with one goroutine per function.
 func replayAlertRuntime(t *testing.T, cat *models.Catalog, asg models.Assignment, tr *trace.Trace, mode string) []alert.Notification {
 	t.Helper()
@@ -137,10 +137,10 @@ func replayAlertRuntime(t *testing.T, cat *models.Catalog, asg models.Assignment
 	return probe.finish(t)
 }
 
-// TestDifferentialAlertFirings replays the harness workloads through four
-// feeds — the serial runtime, the lock-striped and lock-free epoch
-// runtimes under per-function goroutines, and the cluster engine driven by
-// a 4-shard PULSE controller — and requires the exact same alert
+// TestDifferentialAlertFirings replays the harness workloads through three
+// feeds — the serial runtime, the lock-free epoch runtime under
+// per-function goroutines, and the cluster engine driven by a 4-shard PULSE
+// controller — and requires the exact same alert
 // transition sequence (rule, state, minute, value, everything) from each.
 // Alert firings are part of the deterministic surface: same trace ⇒ same
 // firing minutes, no matter how the platform is parallelized.
@@ -155,7 +155,6 @@ func TestDifferentialAlertFirings(t *testing.T) {
 			}
 
 			serial := replayAlertRuntime(t, cat, asg, wl.tr, ModeSerial)
-			striped := replayAlertRuntime(t, cat, asg, wl.tr, ModeStriped)
 			epoch := replayAlertRuntime(t, cat, asg, wl.tr, ModeEpoch)
 
 			simProbe := newAlertProbe(t, cat, asg)
@@ -171,10 +170,6 @@ func TestDifferentialAlertFirings(t *testing.T) {
 			}
 			sim := simProbe.finish(t)
 
-			if !reflect.DeepEqual(serial, striped) {
-				t.Errorf("serial vs striped firings diverge:\nserial:  %s\nstriped: %s",
-					describeNotifications(serial), describeNotifications(striped))
-			}
 			if !reflect.DeepEqual(serial, epoch) {
 				t.Errorf("serial vs epoch firings diverge:\nserial: %s\nepoch:  %s",
 					describeNotifications(serial), describeNotifications(epoch))
@@ -248,7 +243,7 @@ func TestDifferentialAlertsWithStalledSubscriber(t *testing.T) {
 		return rt.Stats()
 	}()
 
-	// The instrumented striped runtime: broadcaster + stalled subscriber +
+	// The instrumented epoch runtime: broadcaster + stalled subscriber +
 	// engine streaming minute points into it.
 	stream := alert.NewBroadcaster()
 	stalled := stream.Subscribe(1)
@@ -316,10 +311,10 @@ func TestDifferentialAlertsWithStalledSubscriber(t *testing.T) {
 	}
 
 	if got := rt.Stats(); !reflect.DeepEqual(serialStats, got) {
-		t.Errorf("stats diverge under stalled subscriber:\nserial:  %+v\nstriped: %+v", serialStats, got)
+		t.Errorf("stats diverge under stalled subscriber:\nserial: %+v\nepoch:  %+v", serialStats, got)
 	}
 	if got := sink.Notifications(); !reflect.DeepEqual(serialFirings, got) {
-		t.Errorf("firings diverge under stalled subscriber:\nserial:  %s\nstriped: %s",
+		t.Errorf("firings diverge under stalled subscriber:\nserial: %s\nepoch:  %s",
 			describeNotifications(serialFirings), describeNotifications(got))
 	}
 	if stalled.Dropped() == 0 {

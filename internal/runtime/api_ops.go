@@ -53,8 +53,7 @@ type healthzResponse struct {
 	Status    string  `json:"status"`
 	GoVersion string  `json:"goVersion"`
 	UptimeSec float64 `json:"uptimeSec"`
-	// Mode is the runtime's serving architecture: "epoch", "striped", or
-	// "serial".
+	// Mode is the runtime's serving architecture: "epoch" or "serial".
 	Mode string `json:"mode"`
 	// Minute is the current simulated minute.
 	Minute int `json:"minute"`

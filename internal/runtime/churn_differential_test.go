@@ -2,7 +2,7 @@ package runtime
 
 // Churn differential harness for the live runtime: replaying a churn trace
 // through Register/Invoke/Deregister/Step must be equivalent across
-// serving modes (serial vs striped, sequential vs per-function-goroutine
+// serving modes (serial vs epoch, sequential vs per-function-goroutine
 // invokes) and — at the attribution layer — equivalent to the cluster
 // engine's churn path replaying the same trace. CI's 'Differential|Sharded'
 // -race regex picks this suite up, so every comparison here is also a race
@@ -203,9 +203,9 @@ func assignFor(tr *trace.Trace, ti int, r *Runtime) int {
 }
 
 // TestDifferentialChurnRuntime drives the churn workload through a serial
-// runtime replayed sequentially and, for each of the striped and epoch
-// modes, a sequential and a per-function-goroutine replay, for each
-// policy. All five must land on identical Stats and identical per-slot
+// runtime replayed sequentially and, for the epoch mode, a sequential and
+// a per-function-goroutine replay, for each policy. All three must land on
+// identical Stats and identical per-slot
 // invocation streams; the sequential replays must additionally produce
 // identical observer streams (lifecycle samples included).
 func TestDifferentialChurnRuntime(t *testing.T) {
@@ -239,8 +239,6 @@ func TestDifferentialChurnRuntime(t *testing.T) {
 				mode     string
 				parallel bool
 			}{
-				{"striped-sequential", ModeStriped, false},
-				{"striped-parallel", ModeStriped, true},
 				{"epoch-sequential", ModeEpoch, false},
 				{"epoch-parallel", ModeEpoch, true},
 			} {
@@ -316,8 +314,6 @@ func TestDifferentialChurnAttribution(t *testing.T) {
 				parallel bool
 			}{
 				{"serial", ModeSerial, false},
-				{"striped", ModeStriped, false},
-				{"striped-parallel", ModeStriped, true},
 				{"epoch", ModeEpoch, false},
 				{"epoch-parallel", ModeEpoch, true},
 			} {
@@ -417,13 +413,13 @@ func TestChurnInvokeDeregistered(t *testing.T) {
 	}
 }
 
-// TestChurnLifecycleRaceClean hammers the concurrent runtime modes with
+// TestChurnLifecycleRaceClean hammers both runtime modes with
 // concurrent invokes, minute steps, and register/deregister churn. Run
 // under -race it proves the lifecycle path takes the exclusive barrier and
 // the epoch write window correctly; the only acceptable invoke failures
 // are the lifecycle sentinels.
 func TestChurnLifecycleRaceClean(t *testing.T) {
-	for _, mode := range []string{ModeStriped, ModeEpoch} {
+	for _, mode := range []string{ModeSerial, ModeEpoch} {
 		t.Run(mode, func(t *testing.T) { churnLifecycleRace(t, mode) })
 	}
 }

@@ -4,13 +4,14 @@ package runtime
 // function of the decision vectors — function f gets a sample in minute t
 // iff it holds a variant in t or held one in t−1 — so every producer must
 // emit the identical stream whichever walk it runs. The oracle is as dense
-// as this repository gets: a DisableIdleSkip controller whose active set is
-// hidden from the engine (so the engine walks every slot and records
-// densely), with every minute's decision vector logged; the expected stream
-// is computed from those vectors by the rule, independently of any
-// producer's bookkeeping. The active-set path — cluster engine and live
-// runtime in all three serving modes, controller shards {1,3}, under
-// register/deregister churn — must then DeepEqual it. CI's
+// as this repository gets: a controller whose active set is hidden from the
+// engine (so the engine walks every slot and records densely), with every
+// minute's decision vector logged; the expected stream is computed from
+// those vectors by the rule, independently of any producer's bookkeeping.
+// (That the controller's decisions themselves match an every-slot reference
+// is internal/core's TestIdleSkipDifferential.) The active-set path —
+// cluster engine and live runtime in both serving modes, controller shards
+// {1,3}, under register/deregister churn — must then DeepEqual it. CI's
 // 'Differential|Sharded' -race regex picks this suite up.
 
 import (
@@ -81,9 +82,9 @@ func TestDifferentialSparseContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	cost := cluster.DefaultCostModel()
-	newPulse := func(obs telemetry.Observer, shards int, dense bool) *core.Pulse {
+	newPulse := func(obs telemetry.Observer, shards int) *core.Pulse {
 		p, err := core.New(core.Config{
-			Catalog: cat, Assignment: initAsg, Names: names, Observer: obs, Shards: shards, DisableIdleSkip: dense,
+			Catalog: cat, Assignment: initAsg, Names: names, Observer: obs, Shards: shards,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -93,9 +94,9 @@ func TestDifferentialSparseContract(t *testing.T) {
 
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			// Oracle: dense controller, dense engine walk, logged decisions.
+			// Oracle: dense engine walk and record, logged decisions.
 			oracleRec := &telemetry.Recorder{}
-			oracle := &denseOracle{p: newPulse(oracleRec, shards, true)}
+			oracle := &denseOracle{p: newPulse(oracleRec, shards)}
 			defer oracle.p.Close()
 			if _, err := cluster.Run(cluster.Config{
 				Trace: tr, Catalog: cat, Assignment: asg, Cost: cost, Observer: oracleRec,
@@ -166,7 +167,7 @@ func TestDifferentialSparseContract(t *testing.T) {
 
 			// Active-set path, cluster engine.
 			engineRec := &telemetry.Recorder{}
-			enginePolicy := newPulse(engineRec, shards, false)
+			enginePolicy := newPulse(engineRec, shards)
 			defer enginePolicy.Close()
 			if _, err := cluster.Run(cluster.Config{
 				Trace: tr, Catalog: cat, Assignment: asg, Cost: cost, Observer: engineRec,
@@ -176,13 +177,13 @@ func TestDifferentialSparseContract(t *testing.T) {
 			check("engine", engineRec, false)
 
 			// Active-set path, live runtime, every serving mode.
-			for _, mode := range []string{ModeSerial, ModeStriped, ModeEpoch} {
+			for _, mode := range []string{ModeSerial, ModeEpoch} {
 				rec := &telemetry.Recorder{}
 				r, err := New(Config{
 					Catalog:    cat,
 					Assignment: initAsg,
 					Names:      names,
-					Policy:     newPulse(rec, shards, false),
+					Policy:     newPulse(rec, shards),
 					Clock:      NewManualClock(time.Unix(0, 0)),
 					Observer:   rec,
 					Mode:       mode,

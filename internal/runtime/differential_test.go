@@ -2,10 +2,10 @@ package runtime
 
 // The differential equivalence harness is the proof obligation behind the
 // serving path: for a matrix of trace workloads and policies, a serial
-// (single global lock) runtime replayed sequentially, a striped runtime
-// replayed with one goroutine per function, and an epoch (lock-free fast
-// path) runtime replayed the same way must produce identical Stats and
-// identical per-function invocation streams — and, when instrumented,
+// (single global lock) runtime replayed sequentially and an epoch
+// (lock-free fast path) runtime replayed with one goroutine per function
+// must produce identical Stats and identical per-function invocation
+// streams — and, when instrumented,
 // identical barrier-ordered observer streams. CI runs this suite under
 // -race (the sharded job's 'Differential|Sharded' regex picks it up, and
 // the stress job repeats it at GOMAXPROCS 1 and 4).
@@ -161,14 +161,13 @@ func replayCapture(t *testing.T, r *Runtime, tr *trace.Trace, parallel bool) (St
 	return r.Stats(), streams
 }
 
-// TestDifferentialRuntimeModes drives a serial runtime sequentially and a
-// striped and an epoch runtime with per-function goroutines over the same
-// workloads and policies, requiring reflect.DeepEqual on the final Stats
-// (float sums included — every mode accumulates per function, in function
-// order) and on every per-function invocation stream. Run under -race,
-// this three-way comparison is the serving path's equivalence proof: the
-// serial mode is the ground truth, and the lock-free epoch mode must match
-// it as exactly as the striped mode always has.
+// TestDifferentialRuntimeModes drives a serial runtime sequentially and an
+// epoch runtime with per-function goroutines over the same workloads and
+// policies, requiring reflect.DeepEqual on the final Stats (float sums
+// included — both modes accumulate per function, in function order) and on
+// every per-function invocation stream. Run under -race, this comparison is
+// the serving path's equivalence proof: the serial mode is the ground
+// truth, and the lock-free epoch mode must match it exactly.
 func TestDifferentialRuntimeModes(t *testing.T) {
 	cat := models.PaperCatalog()
 	for _, wl := range runtimeWorkloads(t) {
@@ -198,18 +197,16 @@ func TestDifferentialRuntimeModes(t *testing.T) {
 				defer serial.Close()
 				serialStats, serialStreams := replayCapture(t, serial, wl.tr, false)
 
-				for _, mode := range []string{ModeStriped, ModeEpoch} {
-					r := mk(mode)
-					stats, streams := replayCapture(t, r, wl.tr, true)
-					r.Close()
-					if !reflect.DeepEqual(serialStats, stats) {
-						t.Errorf("%s stats diverge:\nserial: %+v\n%s: %+v", mode, serialStats, mode, stats)
-					}
-					for fn := range serialStreams {
-						if !reflect.DeepEqual(serialStreams[fn], streams[fn]) {
-							t.Errorf("%s: function %d invocation stream diverges (%d vs %d invocations)",
-								mode, fn, len(serialStreams[fn]), len(streams[fn]))
-						}
+				epoch := mk(ModeEpoch)
+				defer epoch.Close()
+				stats, streams := replayCapture(t, epoch, wl.tr, true)
+				if !reflect.DeepEqual(serialStats, stats) {
+					t.Errorf("stats diverge:\nserial: %+v\nepoch:  %+v", serialStats, stats)
+				}
+				for fn := range serialStreams {
+					if !reflect.DeepEqual(serialStreams[fn], streams[fn]) {
+						t.Errorf("function %d invocation stream diverges (%d vs %d invocations)",
+							fn, len(serialStreams[fn]), len(streams[fn]))
 					}
 				}
 			})
@@ -225,8 +222,7 @@ func TestDifferentialRuntimeModes(t *testing.T) {
 // replay, but a stable sort by (minute, function) — which preserves each
 // function's own emission order — must reconstruct the exact serial
 // stream. Sequential replays (no goroutines) must reproduce the serial
-// invocation stream exactly, unsorted, in the striped and epoch modes
-// alike.
+// invocation stream exactly, unsorted.
 func TestDifferentialObserverStream(t *testing.T) {
 	cat := models.PaperCatalog()
 	wl := runtimeWorkloads(t)[0]
@@ -272,9 +268,7 @@ func TestDifferentialObserverStream(t *testing.T) {
 		mode     string
 		parallel bool
 	}{
-		{"striped-parallel", ModeStriped, true},
 		{"epoch-parallel", ModeEpoch, true},
-		{"striped-sequential", ModeStriped, false},
 		{"epoch-sequential", ModeEpoch, false},
 	} {
 		got := run(cmp.mode, cmp.parallel)

@@ -10,7 +10,7 @@ import (
 // Online function lifecycle for the live runtime. Register and Deregister
 // take the exclusive barrier and open a write window — the same discipline
 // Step uses — so they are serialized against every invocation and every
-// minute rollover in all three serving modes. Inside the window no stripe
+// minute rollover in both serving modes. Inside the window no stripe
 // mutex is held by anyone and no invocation body is in flight, which is
 // what makes mutating the policy and growing the population safe. Opening
 // it drains only the dirty chain (drainDirty), so a registration costs

@@ -50,8 +50,7 @@ type LoadConfig struct {
 // harness serializes into BENCH_runtime.json (field names below are the
 // JSON fields).
 type LoadResult struct {
-	// Mode is the runtime's serving architecture: "serial", "striped", or
-	// "epoch".
+	// Mode is the runtime's serving architecture: "serial" or "epoch".
 	Mode string `json:"mode"`
 	// Workers and Functions describe the run shape; GOMAXPROCS is the
 	// parallelism available to the Go scheduler when the run executed.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/pulse-serverless/pulse/internal/provenance"
-	"github.com/pulse-serverless/pulse/internal/telemetry"
 )
 
 // MatrixConfig configures a serving-path benchmark matrix: the cross
@@ -30,7 +29,7 @@ type MatrixConfig struct {
 	// GOMAXPROCS, keeping the runnable-goroutine pressure proportional to
 	// the parallelism under test. Defaults to {0}.
 	Workers []int
-	// Modes to sweep. Defaults to all three serving modes.
+	// Modes to sweep. Defaults to {ModeSerial, ModeEpoch}.
 	Modes []string
 	// Duration, Seed, StepEvery are passed through to each cell's
 	// LoadConfig. Duration is required.
@@ -45,7 +44,7 @@ type MatrixConfig struct {
 
 // MatrixPoint is one comparison row of the summarized matrix: a fixed
 // (gomaxprocs, functions, mix, workers) shape with per-mode throughput and
-// the speedup ratios the README quotes.
+// the speedup ratio the README quotes.
 type MatrixPoint struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Functions  int    `json:"functions"`
@@ -53,10 +52,9 @@ type MatrixPoint struct {
 	Workers    int    `json:"workers"`
 	// Throughput maps mode → invocations/sec for this shape.
 	Throughput map[string]float64 `json:"throughput_inv_per_sec"`
-	// Speedups are ratios of the above (0 when a mode is missing).
-	SpeedupStripedVsSerial float64 `json:"speedup_striped_vs_serial,omitempty"`
-	SpeedupEpochVsSerial   float64 `json:"speedup_epoch_vs_serial,omitempty"`
-	SpeedupEpochVsStriped  float64 `json:"speedup_epoch_vs_striped,omitempty"`
+	// SpeedupEpochVsSerial is the ratio of the above (0 when a mode is
+	// missing).
+	SpeedupEpochVsSerial float64 `json:"speedup_epoch_vs_serial,omitempty"`
 }
 
 // RunMatrix executes every cell of the matrix in a deterministic order
@@ -84,7 +82,7 @@ func RunMatrix(cfg MatrixConfig) ([]LoadResult, error) {
 		cfg.Workers = []int{0}
 	}
 	if len(cfg.Modes) == 0 {
-		cfg.Modes = []string{ModeSerial, ModeStriped, ModeEpoch}
+		cfg.Modes = []string{ModeSerial, ModeEpoch}
 	}
 	for _, gmp := range cfg.GOMAXPROCS {
 		if gmp <= 0 {
@@ -98,9 +96,9 @@ func RunMatrix(cfg MatrixConfig) ([]LoadResult, error) {
 	}
 	for _, mode := range cfg.Modes {
 		switch mode {
-		case ModeSerial, ModeStriped, ModeEpoch:
+		case ModeSerial, ModeEpoch:
 		default:
-			return nil, fmt.Errorf("runtime: unknown mode %q in matrix (want %s, %s, or %s)", mode, ModeSerial, ModeStriped, ModeEpoch)
+			return nil, fmt.Errorf("runtime: unknown mode %q in matrix (want %s or %s)", mode, ModeSerial, ModeEpoch)
 		}
 	}
 
@@ -162,11 +160,9 @@ const DefaultTracerDeltaStride = 1024
 // disabled (the pinned one-atomic-load carry cost) and once sampling at
 // Stride — so the delta isolates what turning sampling on costs.
 type TracerDeltaConfig struct {
-	// Functions, Mode, Mix, Workers fix the single shape under test.
-	// Defaults: 12 functions, ModeEpoch (the guard's mode), MixHotspot,
-	// workers = 2×GOMAXPROCS.
+	// Functions, Mix, Workers fix the single shape under test. Defaults: 12
+	// functions, MixHotspot, workers = 2×GOMAXPROCS.
 	Functions int
-	Mode      string
 	Mix       string
 	Workers   int
 	// Duration, Seed, StepEvery are passed to both cells' LoadConfig.
@@ -177,9 +173,10 @@ type TracerDeltaConfig struct {
 	// Stride is the 1-in-K sampling period for the tracer-on cell.
 	// Defaults to DefaultTracerDeltaStride.
 	Stride int64
-	// NewRuntime constructs the runtime under test with the given tracer
+	// NewRuntime constructs the runtime under test — production (epoch)
+	// serving, the mode the guard is quoted for — with the given tracer
 	// attached. Required.
-	NewRuntime func(functions int, mode string, tracer *provenance.Tracer) (*Runtime, error)
+	NewRuntime func(functions int, tracer *provenance.Tracer) (*Runtime, error)
 }
 
 // TracerDelta is the published tracer-on vs tracer-off comparison:
@@ -221,14 +218,6 @@ func RunTracerDelta(cfg TracerDeltaConfig) (TracerDelta, error) {
 	if cfg.Functions <= 0 {
 		cfg.Functions = 12
 	}
-	if cfg.Mode == "" {
-		cfg.Mode = ModeEpoch
-	}
-	switch cfg.Mode {
-	case ModeSerial, ModeStriped, ModeEpoch:
-	default:
-		return TracerDelta{}, fmt.Errorf("runtime: unknown mode %q in tracer delta", cfg.Mode)
-	}
 	if cfg.Mix == "" {
 		cfg.Mix = MixHotspot
 	}
@@ -237,9 +226,9 @@ func RunTracerDelta(cfg TracerDeltaConfig) (TracerDelta, error) {
 	}
 
 	cell := func(tracer *provenance.Tracer) (LoadResult, error) {
-		rt, err := cfg.NewRuntime(cfg.Functions, cfg.Mode, tracer)
+		rt, err := cfg.NewRuntime(cfg.Functions, tracer)
 		if err != nil {
-			return LoadResult{}, fmt.Errorf("runtime: tracer-delta cell (%d fns, %s): %w", cfg.Functions, cfg.Mode, err)
+			return LoadResult{}, fmt.Errorf("runtime: tracer-delta cell (%d fns): %w", cfg.Functions, err)
 		}
 		res, err := RunLoad(rt, LoadConfig{
 			Workers:   cfg.Workers,
@@ -266,7 +255,7 @@ func RunTracerDelta(cfg TracerDeltaConfig) (TracerDelta, error) {
 	}
 
 	d := TracerDelta{
-		Mode:          cfg.Mode,
+		Mode:          on.Mode,
 		Stride:        cfg.Stride,
 		OffThroughput: off.Throughput,
 		OnThroughput:  on.Throughput,
@@ -280,139 +269,6 @@ func RunTracerDelta(cfg TracerDeltaConfig) (TracerDelta, error) {
 		d.OverheadPct = (off.Throughput - on.Throughput) / off.Throughput * 100
 	}
 	d.WithinGuard = d.OverheadPct < TracerOverheadGuardPct
-	return d, nil
-}
-
-// TournamentOverheadGuardPctPerEntrant is the published budget for the
-// shadow-policy tournament: each extra entrant riding the attribution
-// Observer chain may cost at most this percentage of baseline throughput.
-// The bench reports the measured per-entrant delta against it (advisory —
-// single short cells are too noisy for a hard CI gate).
-const TournamentOverheadGuardPctPerEntrant = 3.0
-
-// TournamentDeltaConfig configures the tournament-overhead measurement:
-// one run shape, benchmarked twice back to back — once with the baseline
-// accountant (the three built-in shadows) and once with the full entrant
-// roster attached — so the delta isolates what racing extra policies
-// costs on the serving path.
-type TournamentDeltaConfig struct {
-	// Functions, Mode, Mix, Workers fix the single shape under test.
-	// Defaults: 12 functions, ModeEpoch, MixHotspot, 2×GOMAXPROCS workers.
-	Functions int
-	Mode      string
-	Mix       string
-	Workers   int
-	// Duration, Seed, StepEvery are passed to both cells' LoadConfig.
-	// Duration is required.
-	Duration  time.Duration
-	Seed      int64
-	StepEvery time.Duration
-	// Entrants names the extra entrants the loaded cell races; used for
-	// reporting and for the per-entrant overhead split. Required non-empty.
-	Entrants []string
-	// NewRuntime constructs the runtime under test with the given observer
-	// attached. Required. The observer is built by NewObserver, keeping
-	// this package free of policy/predict imports.
-	NewRuntime func(functions int, mode string, obs telemetry.Observer) (*Runtime, error)
-	// NewObserver builds one cell's observer: extras=false is the baseline
-	// accountant, extras=true carries the entrant roster. Required.
-	NewObserver func(functions int, extras bool) (telemetry.Observer, error)
-}
-
-// TournamentDelta is the published entrants-on vs baseline comparison:
-// throughput for both cells, the total and per-entrant overhead
-// percentages, and whether the per-entrant cost landed inside
-// TournamentOverheadGuardPctPerEntrant.
-type TournamentDelta struct {
-	Mode                  string   `json:"mode"`
-	Entrants              []string `json:"entrants"`
-	BaselineThroughput    float64  `json:"throughput_baseline_inv_per_sec"`
-	LoadedThroughput      float64  `json:"throughput_loaded_inv_per_sec"`
-	OverheadPct           float64  `json:"overhead_pct"`
-	OverheadPctPerEntrant float64  `json:"overhead_pct_per_entrant"`
-	GuardPctPerEntrant    float64  `json:"guard_pct_per_entrant"`
-	WithinGuard           bool     `json:"within_guard"`
-	// Baseline and Loaded carry the two full cell results for drill-down.
-	Baseline LoadResult `json:"baseline"`
-	Loaded   LoadResult `json:"loaded"`
-}
-
-// RunTournamentDelta benchmarks the configured shape with the baseline
-// accountant and again with the entrant roster attached, and returns the
-// throughput delta per entrant. A negative OverheadPct means the loaded
-// cell measured faster — ordinary noise at short durations, and always
-// within the guard.
-func RunTournamentDelta(cfg TournamentDeltaConfig) (TournamentDelta, error) {
-	if cfg.NewRuntime == nil || cfg.NewObserver == nil {
-		return TournamentDelta{}, fmt.Errorf("runtime: tournament delta needs NewRuntime and NewObserver constructors")
-	}
-	if cfg.Duration <= 0 {
-		return TournamentDelta{}, fmt.Errorf("runtime: non-positive tournament-delta cell duration %v", cfg.Duration)
-	}
-	if len(cfg.Entrants) == 0 {
-		return TournamentDelta{}, fmt.Errorf("runtime: tournament delta needs at least one entrant")
-	}
-	if cfg.Functions <= 0 {
-		cfg.Functions = 12
-	}
-	if cfg.Mode == "" {
-		cfg.Mode = ModeEpoch
-	}
-	switch cfg.Mode {
-	case ModeSerial, ModeStriped, ModeEpoch:
-	default:
-		return TournamentDelta{}, fmt.Errorf("runtime: unknown mode %q in tournament delta", cfg.Mode)
-	}
-	if cfg.Mix == "" {
-		cfg.Mix = MixHotspot
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 2 * goruntime.GOMAXPROCS(0)
-	}
-
-	cell := func(extras bool) (LoadResult, error) {
-		obs, err := cfg.NewObserver(cfg.Functions, extras)
-		if err != nil {
-			return LoadResult{}, fmt.Errorf("runtime: tournament-delta observer (extras=%v): %w", extras, err)
-		}
-		rt, err := cfg.NewRuntime(cfg.Functions, cfg.Mode, obs)
-		if err != nil {
-			return LoadResult{}, fmt.Errorf("runtime: tournament-delta cell (%d fns, %s): %w", cfg.Functions, cfg.Mode, err)
-		}
-		res, err := RunLoad(rt, LoadConfig{
-			Workers:   cfg.Workers,
-			Duration:  cfg.Duration,
-			Mix:       cfg.Mix,
-			Seed:      cfg.Seed,
-			StepEvery: cfg.StepEvery,
-		})
-		rt.Close()
-		return res, err
-	}
-
-	base, err := cell(false)
-	if err != nil {
-		return TournamentDelta{}, err
-	}
-	loaded, err := cell(true)
-	if err != nil {
-		return TournamentDelta{}, err
-	}
-
-	d := TournamentDelta{
-		Mode:               cfg.Mode,
-		Entrants:           append([]string(nil), cfg.Entrants...),
-		BaselineThroughput: base.Throughput,
-		LoadedThroughput:   loaded.Throughput,
-		GuardPctPerEntrant: TournamentOverheadGuardPctPerEntrant,
-		Baseline:           base,
-		Loaded:             loaded,
-	}
-	if base.Throughput > 0 {
-		d.OverheadPct = (base.Throughput - loaded.Throughput) / base.Throughput * 100
-		d.OverheadPctPerEntrant = d.OverheadPct / float64(len(cfg.Entrants))
-	}
-	d.WithinGuard = d.OverheadPctPerEntrant < TournamentOverheadGuardPctPerEntrant
 	return d, nil
 }
 
@@ -459,15 +315,8 @@ func SummarizeMatrix(results []LoadResult) []MatrixPoint {
 	out := make([]MatrixPoint, 0, len(order))
 	for _, k := range order {
 		p := points[k]
-		serial, striped, epoch := p.Throughput[ModeSerial], p.Throughput[ModeStriped], p.Throughput[ModeEpoch]
-		if serial > 0 && striped > 0 {
-			p.SpeedupStripedVsSerial = striped / serial
-		}
-		if serial > 0 && epoch > 0 {
+		if serial, epoch := p.Throughput[ModeSerial], p.Throughput[ModeEpoch]; serial > 0 && epoch > 0 {
 			p.SpeedupEpochVsSerial = epoch / serial
-		}
-		if striped > 0 && epoch > 0 {
-			p.SpeedupEpochVsStriped = epoch / striped
 		}
 		out = append(out, *p)
 	}

@@ -5,17 +5,13 @@ import (
 	"testing"
 	"time"
 
-	"github.com/pulse-serverless/pulse/internal/attribution"
-	"github.com/pulse-serverless/pulse/internal/cluster"
 	"github.com/pulse-serverless/pulse/internal/policy"
 	"github.com/pulse-serverless/pulse/internal/provenance"
-	"github.com/pulse-serverless/pulse/internal/telemetry"
-	"github.com/pulse-serverless/pulse/internal/tournament/roster"
 )
 
 // newTracedLoadRuntime is newLoadRuntime with a tracer attached — the
 // constructor shape RunTracerDelta needs.
-func newTracedLoadRuntime(t *testing.T, mode string, tracer *provenance.Tracer) *Runtime {
+func newTracedLoadRuntime(t *testing.T, tracer *provenance.Tracer) *Runtime {
 	t.Helper()
 	cat, asg := testSetup(t)
 	p, err := policy.NewFixed(cat, asg, 10, policy.QualityHighest)
@@ -27,7 +23,6 @@ func newTracedLoadRuntime(t *testing.T, mode string, tracer *provenance.Tracer) 
 		Assignment: asg,
 		Policy:     p,
 		Clock:      NewManualClock(time.Unix(0, 0)),
-		Mode:       mode,
 		Tracer:     tracer,
 	})
 	if err != nil {
@@ -37,8 +32,8 @@ func newTracedLoadRuntime(t *testing.T, mode string, tracer *provenance.Tracer) 
 }
 
 func TestRunTracerDeltaValidation(t *testing.T) {
-	mk := func(fns int, mode string, tr *provenance.Tracer) (*Runtime, error) {
-		return newTracedLoadRuntime(t, mode, tr), nil
+	mk := func(fns int, tr *provenance.Tracer) (*Runtime, error) {
+		return newTracedLoadRuntime(t, tr), nil
 	}
 	if _, err := RunTracerDelta(TracerDeltaConfig{Duration: time.Millisecond}); err == nil {
 		t.Error("tracer delta without a constructor accepted")
@@ -48,9 +43,6 @@ func TestRunTracerDeltaValidation(t *testing.T) {
 	}
 	if _, err := RunTracerDelta(TracerDeltaConfig{NewRuntime: mk, Duration: time.Millisecond, Stride: -1}); err == nil {
 		t.Error("negative stride accepted")
-	}
-	if _, err := RunTracerDelta(TracerDeltaConfig{NewRuntime: mk, Duration: time.Millisecond, Mode: "nope"}); err == nil {
-		t.Error("unknown mode accepted")
 	}
 }
 
@@ -66,12 +58,12 @@ func TestRunTracerDeltaSmoke(t *testing.T) {
 		Seed:      1,
 		StepEvery: 5 * time.Millisecond,
 		Stride:    2,
-		NewRuntime: func(fns int, mode string, tr *provenance.Tracer) (*Runtime, error) {
+		NewRuntime: func(fns int, tr *provenance.Tracer) (*Runtime, error) {
 			if fns != 3 {
 				t.Errorf("cell asked for %d functions, want 3", fns)
 			}
 			tracers = append(tracers, tr)
-			return newTracedLoadRuntime(t, mode, tr), nil
+			return newTracedLoadRuntime(t, tr), nil
 		},
 	})
 	if err != nil {
@@ -101,106 +93,6 @@ func TestRunTracerDeltaSmoke(t *testing.T) {
 	}
 }
 
-func TestRunTournamentDeltaValidation(t *testing.T) {
-	mkRt := func(fns int, mode string, obs telemetry.Observer) (*Runtime, error) {
-		return newLoadRuntime(t, mode), nil
-	}
-	mkObs := func(fns int, extras bool) (telemetry.Observer, error) {
-		return nil, nil
-	}
-	ok := TournamentDeltaConfig{
-		NewRuntime: mkRt, NewObserver: mkObs,
-		Duration: time.Millisecond, Entrants: []string{"mpc"},
-	}
-	for name, breakIt := range map[string]func(*TournamentDeltaConfig){
-		"no runtime constructor":  func(c *TournamentDeltaConfig) { c.NewRuntime = nil },
-		"no observer constructor": func(c *TournamentDeltaConfig) { c.NewObserver = nil },
-		"zero duration":           func(c *TournamentDeltaConfig) { c.Duration = 0 },
-		"empty entrant list":      func(c *TournamentDeltaConfig) { c.Entrants = nil },
-		"unknown mode":            func(c *TournamentDeltaConfig) { c.Mode = "nope" },
-	} {
-		cfg := ok
-		breakIt(&cfg)
-		if _, err := RunTournamentDelta(cfg); err == nil {
-			t.Errorf("tournament delta with %s accepted", name)
-		}
-	}
-}
-
-// TestRunTournamentDeltaSmoke runs the baseline/loaded pair with a real
-// accountant and the packaged roster, and checks the pair actually
-// differed: the baseline cell carried three entrants, the loaded cell
-// six, and the published overhead split is per entrant.
-func TestRunTournamentDeltaSmoke(t *testing.T) {
-	cat, asg := testSetup(t)
-	cost := cluster.DefaultCostModel()
-	var accts []*attribution.Accountant
-	d, err := RunTournamentDelta(TournamentDeltaConfig{
-		Functions: len(asg),
-		Duration:  10 * time.Millisecond,
-		Seed:      1,
-		StepEvery: 5 * time.Millisecond,
-		Entrants:  roster.Names(),
-		NewObserver: func(fns int, extras bool) (telemetry.Observer, error) {
-			cfg := attribution.Config{Catalog: cat, Assignment: asg, Cost: cost}
-			if extras {
-				ents, err := roster.Build(roster.Names(), cat, cost)
-				if err != nil {
-					return nil, err
-				}
-				cfg.Entrants = ents
-			}
-			a, err := attribution.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			accts = append(accts, a)
-			return a, nil
-		},
-		NewRuntime: func(fns int, mode string, obs telemetry.Observer) (*Runtime, error) {
-			p, err := policy.NewFixed(cat, asg, 10, policy.QualityHighest)
-			if err != nil {
-				return nil, err
-			}
-			return New(Config{
-				Catalog:    cat,
-				Assignment: asg,
-				Policy:     p,
-				Clock:      NewManualClock(time.Unix(0, 0)),
-				Mode:       mode,
-				Observer:   obs,
-			})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(accts) != 2 {
-		t.Fatalf("delta built %d accountants, want a baseline and a loaded cell", len(accts))
-	}
-	if n := len(accts[0].EntrantNames()); n != attribution.NumBaselines {
-		t.Errorf("baseline cell carries %d entrants, want the %d built-ins", n, attribution.NumBaselines)
-	}
-	if n := len(accts[1].EntrantNames()); n != attribution.NumBaselines+len(roster.Names()) {
-		t.Errorf("loaded cell carries %d entrants, want %d", n, attribution.NumBaselines+len(roster.Names()))
-	}
-	if d.Mode != ModeEpoch || d.GuardPctPerEntrant != TournamentOverheadGuardPctPerEntrant {
-		t.Errorf("delta shape %+v, want epoch with the published guard", d)
-	}
-	if d.Baseline.Invocations == 0 || d.Loaded.Invocations == 0 || d.Baseline.Errors != 0 || d.Loaded.Errors != 0 {
-		t.Errorf("cells did not serve cleanly: baseline %+v loaded %+v", d.Baseline, d.Loaded)
-	}
-	if d.BaselineThroughput != d.Baseline.Throughput || d.LoadedThroughput != d.Loaded.Throughput {
-		t.Errorf("published throughputs diverge from cell results: %+v", d)
-	}
-	if want := d.OverheadPct / float64(len(roster.Names())); d.OverheadPctPerEntrant != want {
-		t.Errorf("per-entrant overhead %v, want %v across %d entrants", d.OverheadPctPerEntrant, want, len(roster.Names()))
-	}
-	if d.WithinGuard != (d.OverheadPctPerEntrant < TournamentOverheadGuardPctPerEntrant) {
-		t.Errorf("guard verdict inconsistent: %+v", d)
-	}
-}
-
 func TestRunMatrixValidation(t *testing.T) {
 	mk := func(fns int, mode string) (*Runtime, error) { return newLoadRuntime(t, mode), nil }
 	if _, err := RunMatrix(MatrixConfig{Duration: time.Millisecond}); err == nil {
@@ -220,9 +112,9 @@ func TestRunMatrixValidation(t *testing.T) {
 	}
 }
 
-// TestRunMatrixSmoke runs a tiny 2×1×1×3 matrix and checks the sweep
+// TestRunMatrixSmoke runs a tiny 2×1×1×2 matrix and checks the sweep
 // produced every cell, restored GOMAXPROCS, and summarized into rows with
-// all three modes and populated speedups.
+// both modes and a populated speedup.
 func TestRunMatrixSmoke(t *testing.T) {
 	prev := goruntime.GOMAXPROCS(0)
 	var cells int
@@ -247,7 +139,7 @@ func TestRunMatrixSmoke(t *testing.T) {
 	if got := goruntime.GOMAXPROCS(0); got != prev {
 		t.Errorf("GOMAXPROCS left at %d, want %d restored", got, prev)
 	}
-	if want := 2 * 1 * 1 * 3; len(results) != want || cells != want {
+	if want := 2 * 1 * 1 * 2; len(results) != want || cells != want {
 		t.Fatalf("matrix produced %d results (%d progress calls), want %d", len(results), cells, want)
 	}
 	for _, r := range results {
@@ -266,11 +158,11 @@ func TestRunMatrixSmoke(t *testing.T) {
 		t.Errorf("summary rows out of sweep order: %+v", points)
 	}
 	for _, p := range points {
-		if len(p.Throughput) != 3 {
+		if len(p.Throughput) != 2 {
 			t.Errorf("row %+v missing modes", p)
 		}
-		if p.SpeedupStripedVsSerial <= 0 || p.SpeedupEpochVsSerial <= 0 || p.SpeedupEpochVsStriped <= 0 {
-			t.Errorf("row %+v has unpopulated speedups", p)
+		if p.SpeedupEpochVsSerial <= 0 {
+			t.Errorf("row %+v has an unpopulated speedup", p)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package runtime
 
 // Provenance differential harness: the decision provenance recorder
 // consumes only barrier-serialized samples, so its per-function decision
-// rings must be reflect.DeepEqual across the serial, striped, and epoch
+// rings must be reflect.DeepEqual across the serial and epoch
 // runtimes — under sequential and per-function-goroutine replay, with and
 // without churn. The sampled tracer's recorded-trace *count* is a pure
 // function of the Invoke attempt count, so it must also agree across
@@ -99,9 +99,7 @@ func TestDifferentialProvenanceRings(t *testing.T) {
 		mode     string
 		parallel bool
 	}{
-		{"striped-parallel", ModeStriped, true},
 		{"epoch-parallel", ModeEpoch, true},
-		{"striped-sequential", ModeStriped, false},
 		{"epoch-sequential", ModeEpoch, false},
 	} {
 		rings, tr := run(cmp.mode, cmp.parallel)
@@ -173,9 +171,7 @@ func TestDifferentialProvenanceChurn(t *testing.T) {
 		mode     string
 		parallel bool
 	}{
-		{"striped-sequential", ModeStriped, false},
 		{"epoch-sequential", ModeEpoch, false},
-		{"striped-parallel", ModeStriped, true},
 		{"epoch-parallel", ModeEpoch, true},
 	} {
 		rings, trc := run(cmp.mode, cmp.parallel)
@@ -265,7 +261,7 @@ func TestDifferentialProvenanceChurn(t *testing.T) {
 // job.
 func TestInvokeTracerDisabledZeroAllocs(t *testing.T) {
 	cat, asg := testSetup(t)
-	for _, mode := range []string{ModeSerial, ModeStriped, ModeEpoch} {
+	for _, mode := range []string{ModeSerial, ModeEpoch} {
 		t.Run(mode, func(t *testing.T) {
 			pol := &parityPolicy{cat: cat, asg: asg}
 			tracer := provenance.NewTracer(provenance.TracerConfig{})
@@ -305,7 +301,7 @@ func TestInvokeTracerDisabledZeroAllocs(t *testing.T) {
 func TestStepProvenanceIdleMinuteZeroAllocs(t *testing.T) {
 	cat, asg := testSetup(t)
 	names := identity.DefaultNames(len(asg))
-	for _, mode := range []string{ModeSerial, ModeStriped, ModeEpoch} {
+	for _, mode := range []string{ModeSerial, ModeEpoch} {
 		t.Run(mode, func(t *testing.T) {
 			rec, err := provenance.NewRecorder(provenance.RecorderConfig{
 				Catalog: cat, Assignment: asg, Names: names, Window: 16,

@@ -32,16 +32,14 @@ var ErrUnknownFunction = errors.New("runtime: unknown function")
 // a panic.
 var ErrDeregistered = errors.New("runtime: function deregistered")
 
-// Serving-path concurrency modes. ModeEpoch is the default: the Invoke
-// fast path takes no global lock at all — one seqlock read, one stripe
-// lock, one seqlock re-check. ModeStriped is the previous architecture
-// (shared RWMutex minute barrier + per-function stripes) and ModeSerial
-// the single-global-lock reference; both survive as differential baselines
-// and benchmark comparison points (cmd/pulseload).
+// Serving-path concurrency modes. ModeEpoch is the production path and the
+// default: the Invoke fast path takes no global lock at all — one seqlock
+// read, one stripe lock, one seqlock re-check. ModeSerial is the
+// single-global-lock oracle the differential harness and the benchmarks
+// (cmd/pulseload, bench/) compare it against.
 const (
-	ModeSerial  = "serial"
-	ModeStriped = "striped"
-	ModeEpoch   = "epoch"
+	ModeSerial = "serial"
+	ModeEpoch  = "epoch"
 )
 
 // Config assembles a live runtime.
@@ -97,16 +95,12 @@ type Config struct {
 	// (pinned by TestInvokeTracerDisabledZeroAllocs); a nil Tracer pays a
 	// nil check.
 	Tracer *provenance.Tracer
-	// Mode selects the serving-path architecture: ModeEpoch (default),
-	// ModeStriped, or ModeSerial. The three modes are behaviourally
-	// identical — proven by the differential harness (differential_test.go,
+	// Mode selects the serving-path architecture: ModeEpoch (default) or
+	// ModeSerial. The two are behaviourally identical — proven by the
+	// differential harness (differential_test.go,
 	// churn_differential_test.go, alert_differential_test.go) — and differ
 	// only in how Invoke synchronizes with the minute rollover.
 	Mode string
-	// Serial is the legacy selector for ModeSerial, kept for callers that
-	// predate Mode. Setting it together with a conflicting Mode is an
-	// error.
-	Serial bool
 }
 
 // Invocation is the outcome of one function invocation.
@@ -159,8 +153,7 @@ type fnState struct {
 	name   string
 
 	// active is the slot's tombstone flag, written only inside write
-	// windows and read under the stripe lock (epoch mode) or the shared
-	// barrier (striped/serial modes).
+	// windows and read under the stripe lock.
 	active bool
 
 	// dirtyMark and dirtyNext make the stripe an intrusive node in the
@@ -208,12 +201,11 @@ const fnChunk = 1024
 // calls and Observer minute/keep-alive samples therefore keep their
 // serialized ordering contracts unchanged. Global totals are derived by
 // summing the per-function accumulators in function order, which keeps
-// float sums bit-identical across all three modes. See DESIGN.md §6.6 for
-// the memory-ordering argument.
+// float sums bit-identical across both modes. See DESIGN.md §6.6 for the
+// memory-ordering argument.
 //
-// ModeStriped (Invoke holds an RWMutex barrier shared) and ModeSerial
-// (every Invoke takes the barrier exclusively) survive as reference modes;
-// the differential harness proves all three agree exactly.
+// ModeSerial (every Invoke takes the barrier exclusively) is the oracle;
+// the differential harness proves the two agree exactly.
 type Runtime struct {
 	cfg    Config
 	clock  Clock
@@ -235,9 +227,8 @@ type Runtime struct {
 
 	// barrier serializes writers against each other and against the
 	// read-only accessor surface (Minute, NumFunctions, lookups — all
-	// RLock). In striped/serial modes it is additionally the minute
-	// barrier for Invoke: shared in striped mode, exclusive in serial. In
-	// epoch mode Invoke never touches it.
+	// RLock). In serial mode it is additionally the minute barrier for
+	// Invoke, taken exclusively; in epoch mode Invoke never touches it.
 	barrier sync.RWMutex
 	started atomic.Bool
 	closed  atomic.Bool
@@ -299,17 +290,10 @@ func New(cfg Config) (*Runtime, error) {
 	mode := cfg.Mode
 	switch mode {
 	case "":
-		if cfg.Serial {
-			mode = ModeSerial
-		} else {
-			mode = ModeEpoch
-		}
-	case ModeSerial, ModeStriped, ModeEpoch:
-		if cfg.Serial && mode != ModeSerial {
-			return nil, fmt.Errorf("runtime: Serial conflicts with Mode %q", mode)
-		}
+		mode = ModeEpoch
+	case ModeSerial, ModeEpoch:
 	default:
-		return nil, fmt.Errorf("runtime: unknown mode %q (want %s, %s, or %s)", mode, ModeEpoch, ModeStriped, ModeSerial)
+		return nil, fmt.Errorf("runtime: unknown mode %q (want %s or %s)", mode, ModeEpoch, ModeSerial)
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = WallClock{}
@@ -369,31 +353,9 @@ func (r *Runtime) addSlot(family int, name string) {
 	r.fns = append(r.fns, &(*ch)[len(*ch)-1])
 }
 
-// Mode names the serving-path architecture: "epoch", "striped", or
-// "serial".
+// Mode names the serving-path architecture: "epoch" or "serial".
 func (r *Runtime) Mode() string {
 	return r.mode
-}
-
-// lockShared acquires the minute barrier for a minute-scoped read: shared
-// in striped and epoch modes, exclusive in the serial reference mode.
-// (Epoch-mode Invoke does not come through here — only slow accessors
-// like AliveVariant do, and those coexist with lock-free invocations
-// because they read only writer-owned or stripe-locked state.)
-func (r *Runtime) lockShared() {
-	if r.mode == ModeSerial {
-		r.barrier.Lock()
-	} else {
-		r.barrier.RLock()
-	}
-}
-
-func (r *Runtime) unlockShared() {
-	if r.mode == ModeSerial {
-		r.barrier.Unlock()
-	} else {
-		r.barrier.RUnlock()
-	}
 }
 
 // beginWrite opens a write window: with the exclusive barrier held, it
@@ -579,7 +541,7 @@ func (r *Runtime) LookupFunction(name string) (int, bool) {
 
 // serveLocked executes the invocation body for minute `minute` with st.mu
 // held: tombstone check, warm/cold decision, counter updates. It is the
-// single body shared by all three modes, so behavioural equivalence is by
+// single body shared by both modes, so behavioural equivalence is by
 // construction.
 func (r *Runtime) serveLocked(st *fnState, fn, minute int) (Invocation, error) {
 	if !st.active {
@@ -696,28 +658,22 @@ func (r *Runtime) invokeEpoch(fn int) (Invocation, int, error) {
 	}
 }
 
-// invokeBarrier is the striped/serial path: the minute barrier held shared
-// (striped) or exclusive (serial), then the stripe lock.
-func (r *Runtime) invokeBarrier(fn int) (Invocation, error) {
-	r.lockShared()
+// invokeSerial is the oracle path: the minute barrier held exclusively,
+// so one invocation runs at a time and none overlaps a write window.
+func (r *Runtime) invokeSerial(fn int) (Invocation, error) {
+	r.barrier.Lock()
+	defer r.barrier.Unlock()
 	if r.closed.Load() {
-		r.unlockShared()
 		return Invocation{}, ErrClosed
 	}
 	if fn < 0 || fn >= len(r.fns) {
-		r.unlockShared()
 		return Invocation{}, fmt.Errorf("%w %d", ErrUnknownFunction, fn)
 	}
 	st := r.fns[fn]
-	if !st.mu.TryLock() {
-		r.stripeWait.Add(1)
-		st.mu.Lock()
-	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	r.markDirty(st, fn)
-	inv, err := r.serveLocked(st, fn, r.minute)
-	st.mu.Unlock()
-	r.unlockShared()
-	return inv, err
+	return r.serveLocked(st, fn, r.minute)
 }
 
 // Invoke executes one invocation of function fn during the current minute.
@@ -753,7 +709,7 @@ func (r *Runtime) Invoke(fn int) (Invocation, error) {
 	if r.mode == ModeEpoch {
 		inv, retries, err = r.invokeEpoch(fn)
 	} else {
-		inv, err = r.invokeBarrier(fn)
+		inv, err = r.invokeSerial(fn)
 	}
 	if sampled {
 		tr := provenance.Trace{
@@ -874,7 +830,7 @@ func (r *Runtime) Step() error {
 
 // SeqlockRetries returns the cumulative number of epoch-mode Invoke
 // fast-path retries (seqlock re-check failures and odd-seq spins) — 0 in
-// the striped and serial modes, which never retry.
+// serial mode, which never retries.
 func (r *Runtime) SeqlockRetries() uint64 { return r.seqRetries.Load() }
 
 // StripeContention returns the cumulative number of Invoke stripe-lock
@@ -896,8 +852,8 @@ func (r *Runtime) Minute() int {
 // Stats returns a consistent snapshot of the runtime counters: it opens a
 // write window (so no invocation is mid-body anywhere) and sums the
 // per-function accumulators in function order, which keeps float totals
-// identical across the serial, striped, and epoch modes. It remains
-// available after Close.
+// identical across the serial and epoch modes. It remains available after
+// Close.
 func (r *Runtime) Stats() Stats {
 	r.barrier.Lock()
 	defer r.barrier.Unlock()
@@ -927,8 +883,8 @@ func (r *Runtime) Stats() Stats {
 // (cluster.NoVariant if none). It remains available after Close.
 func (r *Runtime) AliveVariant(fn int) (int, error) {
 	r.ensureStarted()
-	r.lockShared()
-	defer r.unlockShared()
+	r.barrier.RLock()
+	defer r.barrier.RUnlock()
 	if fn < 0 || fn >= len(r.fns) {
 		return 0, fmt.Errorf("%w %d", ErrUnknownFunction, fn)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,6 +54,10 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Policy: p, Catalog: cat, Assignment: asg, ExecScale: -1}); err == nil {
 		t.Error("negative exec scale accepted")
+	}
+	_, err = New(Config{Policy: p, Catalog: cat, Assignment: asg, Mode: "striped"})
+	if err == nil || !strings.Contains(err.Error(), ModeEpoch) || !strings.Contains(err.Error(), ModeSerial) {
+		t.Errorf("Mode striped: err %v, want one naming %s and %s", err, ModeEpoch, ModeSerial)
 	}
 }
 
@@ -487,7 +492,7 @@ func TestCloseNeverStartedRuntime(t *testing.T) {
 // never panic, deadlock, or reach the closed policy — and the counters
 // must account for exactly the successes.
 func TestInvokeDuringShutdown(t *testing.T) {
-	for _, mode := range []string{ModeSerial, ModeStriped, ModeEpoch} {
+	for _, mode := range []string{ModeSerial, ModeEpoch} {
 		t.Run(mode, func(t *testing.T) {
 			cat, asg := testSetup(t)
 			ctrl, err := core.New(core.Config{Catalog: cat, Assignment: asg, Shards: 2})
@@ -532,11 +537,11 @@ func TestInvokeDuringShutdown(t *testing.T) {
 }
 
 // TestConcurrentInvokeStepStats hammers Invoke, Step, and Stats from
-// concurrent goroutines in all three serving modes (run with -race):
+// concurrent goroutines in both serving modes (run with -race):
 // counters must end exact, and every Stats snapshot must be internally
 // consistent (warm + cold = invocations).
 func TestConcurrentInvokeStepStats(t *testing.T) {
-	for _, mode := range []string{ModeSerial, ModeStriped, ModeEpoch} {
+	for _, mode := range []string{ModeSerial, ModeEpoch} {
 		t.Run(mode, func(t *testing.T) {
 			cat, asg := testSetup(t)
 			p, err := policy.NewFixed(cat, asg, 10, policy.QualityHighest)

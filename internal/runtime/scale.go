@@ -35,11 +35,9 @@ type ScaleConfig struct {
 	// Minutes is the number of timed Steps in each of the idle and active
 	// phases. Defaults to DefaultScaleMinutes.
 	Minutes int
-	// Mode is the serving mode under test. Defaults to ModeEpoch.
-	Mode string
 	// NewRuntime constructs the runtime under test for one population.
 	// Required.
-	NewRuntime func(functions int, mode string) (*Runtime, error)
+	NewRuntime func(functions int) (*Runtime, error)
 	// Progress, when set, is called with each population's result as it
 	// lands.
 	Progress func(ScaleResult)
@@ -100,14 +98,6 @@ func RunScale(cfg ScaleConfig) ([]ScaleResult, error) {
 	if cfg.Minutes < 0 {
 		return nil, fmt.Errorf("runtime: negative scale minutes %d", cfg.Minutes)
 	}
-	if cfg.Mode == "" {
-		cfg.Mode = ModeEpoch
-	}
-	switch cfg.Mode {
-	case ModeSerial, ModeStriped, ModeEpoch:
-	default:
-		return nil, fmt.Errorf("runtime: unknown mode %q in scale sweep", cfg.Mode)
-	}
 
 	results := make([]ScaleResult, 0, len(cfg.Populations))
 	for _, n := range cfg.Populations {
@@ -125,7 +115,7 @@ func RunScale(cfg ScaleConfig) ([]ScaleResult, error) {
 
 // runScaleCell measures one population.
 func runScaleCell(cfg ScaleConfig, n int) (ScaleResult, error) {
-	res := ScaleResult{Functions: n, Mode: cfg.Mode, ActivePct: cfg.ActivePct}
+	res := ScaleResult{Functions: n, ActivePct: cfg.ActivePct}
 
 	// Resting footprint: live heap before vs after construction, both
 	// measured post-GC so the delta is retained bytes, not allocation
@@ -136,11 +126,12 @@ func runScaleCell(cfg ScaleConfig, n int) (ScaleResult, error) {
 	goruntime.ReadMemStats(&before)
 
 	t0 := time.Now()
-	rt, err := cfg.NewRuntime(n, cfg.Mode)
+	rt, err := cfg.NewRuntime(n)
 	if err != nil {
 		return ScaleResult{}, fmt.Errorf("runtime: scale cell %d: %w", n, err)
 	}
 	defer rt.Close()
+	res.Mode = rt.Mode()
 	res.BuildSeconds = time.Since(t0).Seconds()
 
 	goruntime.GC()

@@ -18,10 +18,10 @@ import (
 
 // newScaleRuntime builds a PULSE-managed runtime of the given population —
 // the constructor shape RunScale sweeps.
-func newScaleRuntime(t *testing.T) func(fns int, mode string) (*Runtime, error) {
+func newScaleRuntime(t *testing.T) func(fns int) (*Runtime, error) {
 	t.Helper()
 	cat := models.PaperCatalog()
-	return func(fns int, mode string) (*Runtime, error) {
+	return func(fns int) (*Runtime, error) {
 		asg := make(models.Assignment, fns)
 		for i := range asg {
 			asg[i] = i % len(cat.Families)
@@ -35,7 +35,6 @@ func newScaleRuntime(t *testing.T) func(fns int, mode string) (*Runtime, error) 
 			Assignment: asg,
 			Policy:     p,
 			Clock:      NewManualClock(time.Unix(0, 0)),
-			Mode:       mode,
 		})
 	}
 }
@@ -56,9 +55,6 @@ func TestRunScaleValidation(t *testing.T) {
 	}
 	if _, err := RunScale(ScaleConfig{NewRuntime: mk, Populations: []int{10}, Minutes: -3}); err == nil {
 		t.Error("negative minutes accepted")
-	}
-	if _, err := RunScale(ScaleConfig{NewRuntime: mk, Populations: []int{10}, Mode: "nope"}); err == nil {
-		t.Error("unknown mode accepted")
 	}
 }
 
@@ -101,7 +97,7 @@ func TestRunScaleSmoke(t *testing.T) {
 }
 
 // TestSparseIdleStepZeroAllocs pins the runtime's sparse minute barrier at
-// zero heap allocations on idle minutes, in every serving mode — both while
+// zero heap allocations on idle minutes, in both serving modes — both while
 // recently-invoked slots still hold live plans (the barrier touches only
 // the active set) and after the plans drain (the barrier touches nothing).
 // Run by the CI alloc job.
@@ -112,7 +108,7 @@ func TestSparseIdleStepZeroAllocs(t *testing.T) {
 	for i := range asg {
 		asg[i] = i % len(cat.Families)
 	}
-	for _, mode := range []string{ModeSerial, ModeStriped, ModeEpoch} {
+	for _, mode := range []string{ModeSerial, ModeEpoch} {
 		t.Run(mode, func(t *testing.T) {
 			p, err := core.New(core.Config{Catalog: cat, Assignment: asg, Shards: 1})
 			if err != nil {

@@ -3,7 +3,7 @@ package runtime
 // Tournament differential: the arena's fixed entrant-then-function
 // accounting order makes every entrant's ledger and savings series a pure
 // function of the invocation trace — invariant to the serving mode
-// (serial, striped, epoch), to the policy core's shard count, and to
+// (serial, epoch), to the policy core's shard count, and to
 // whether the stream came from the cluster engine or the live runtime's
 // lifecycle path. CI's 'Differential|Sharded' -race regex picks this up,
 // so the comparison doubles as a race check on the entrant feed.
@@ -101,7 +101,7 @@ func TestDifferentialTournamentChurn(t *testing.T) {
 		}
 		check(fmt.Sprintf("engine/shards=%d", shards), engAcct)
 
-		for _, mode := range []string{ModeSerial, ModeStriped, ModeEpoch} {
+		for _, mode := range []string{ModeSerial, ModeEpoch} {
 			acct := newAcct()
 			r, err := New(Config{
 				Catalog:    cat,
