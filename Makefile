@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-bench test-parallel race stress bench bench-runtime bench-matrix bench-scale bench-scale-full experiments report examples clean verify alloc lint e2e loc
+.PHONY: all build vet test test-bench test-parallel race stress bench bench-runtime bench-matrix bench-scale bench-scale-full bench-arena experiments report examples clean verify alloc lint e2e loc
 
 all: build vet test
 
@@ -97,6 +97,13 @@ bench-scale:
 
 bench-scale-full:
 	$(GO) run ./cmd/pulseload -scale-only -scale 10000,100000,1000000 -out BENCH_scale.json
+
+# Per-slot cost of one tournament minute boundary: 100k slots, the six
+# entrants of `pulsed -attribution -tournament mpc,hawkes,qlearn`, an idle and
+# a 1 %-invoked minute, reported as ns/slot with allocations. Runs in the CI
+# "bench-scale" job.
+bench-arena:
+	$(GO) test ./internal/tournament -run '^$$' -bench '^BenchmarkArenaMinute$$' -benchtime 20x
 
 # Full experiment suite at paper-like scale (hours on a small machine).
 experiments:

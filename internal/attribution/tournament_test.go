@@ -164,10 +164,16 @@ func TestTournamentRejectsDuplicateEntrantNames(t *testing.T) {
 // With the whole roster attached — six entrants — a steady-state minute
 // (keep-alives, a batched and a cold invocation, the barrier) must not
 // allocate: the hot path is integer counters plus preallocated rows, and
-// every packaged entrant's KeepAlive/Record is allocation-free.
+// every packaged entrant's KeepAlive/Record is allocation-free. The same
+// holds for the minute right after a deregister: the arena drops the
+// retired slot from its live-slot list in place.
 func TestTournamentIdleMinuteSixEntrantsNoSteadyStateAllocs(t *testing.T) {
 	cat := testCatalog(t)
+	const churnRuns = 30
 	asg := models.Assignment{0, 1, 0, 1}
+	for i := 0; i <= churnRuns; i++ { // slots 4.. exist to be deregistered below
+		asg = append(asg, i%2)
+	}
 	a := newAccountant(t, Config{
 		Catalog: cat, Assignment: asg, SeriesWindow: 128,
 		Entrants: rosterEntrants(t, cat),
@@ -191,5 +197,18 @@ func TestTournamentIdleMinuteSixEntrantsNoSteadyStateAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, observeMinute); avg != 0 {
 		t.Errorf("steady-state minute with 6 entrants allocates %v times, want 0", avg)
+	}
+
+	victim := len(asg)
+	deregisterThenMinute := func() {
+		victim--
+		a.ObserveDeregister(telemetry.DeregisterSample{Minute: minute - 1, Function: victim})
+		observeMinute()
+	}
+	if avg := testing.AllocsPerRun(churnRuns, deregisterThenMinute); avg != 0 {
+		t.Errorf("minute after a deregister allocates %v times, want 0", avg)
+	}
+	if !a.Arena().LedgersReleased(victim) || a.Arena().LedgersReleased(3) {
+		t.Error("the deregisters above did not retire the slots they named")
 	}
 }

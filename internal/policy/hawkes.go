@@ -31,6 +31,9 @@ import (
 type HawkesEntrant struct {
 	name string
 	cfg  HawkesConfig
+	// restHold is the decision for a never-excited slot: λ = μ there, so
+	// the answer is a constant of the config.
+	restHold bool
 
 	x       []float64 // excitation as of t0, per slot
 	t0      []int     // minute of the last excitation update, -1 before any
@@ -64,7 +67,9 @@ func NewHawkesEntrant(name string, cfg HawkesConfig) *HawkesEntrant {
 	if cfg == (HawkesConfig{}) {
 		cfg = DefaultHawkesConfig()
 	}
-	return &HawkesEntrant{name: name, cfg: cfg}
+	h := &HawkesEntrant{name: name, cfg: cfg}
+	h.restHold = h.holds(cfg.Mu)
+	return h
 }
 
 // Name implements tournament.ShadowEntrant.
@@ -84,19 +89,20 @@ func (h *HawkesEntrant) Retire(fn int) {
 	h.t0[fn] = -1
 }
 
-// intensity returns λ(m) for slot fn.
-func (h *HawkesEntrant) intensity(m, fn int) float64 {
-	lam := h.cfg.Mu
-	if h.t0[fn] >= 0 {
-		lam += h.x[fn] * math.Exp(-h.cfg.Beta*float64(m-h.t0[fn]))
-	}
-	return lam
+// holds reports whether intensity lam makes dropping cost more, in expected
+// cold start, than one minute of keep-alive.
+func (h *HawkesEntrant) holds(lam float64) bool {
+	p := 1 - math.Exp(-lam)
+	return p*h.cfg.ColdCostMinutes >= 1
 }
 
 // KeepAlive implements tournament.ShadowEntrant.
 func (h *HawkesEntrant) KeepAlive(m, fn int) int {
-	p := 1 - math.Exp(-h.intensity(m, fn))
-	if p*h.cfg.ColdCostMinutes >= 1 {
+	hold := h.restHold
+	if t0 := h.t0[fn]; t0 >= 0 {
+		hold = h.holds(h.cfg.Mu + h.x[fn]*math.Exp(-h.cfg.Beta*float64(m-t0)))
+	}
+	if hold {
 		return h.highest[fn]
 	}
 	return cluster.NoVariant

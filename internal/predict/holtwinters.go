@@ -11,13 +11,44 @@ import (
 // "different keep-alive durations / other predictors" extension the paper's
 // discussion invites, and slots into the same Warmer interface so it can be
 // evaluated standalone or PULSE-integrated like Wild and IceBreaker.
+//
+// The seasonal profile is stored minute-major in blocks of hwBlock
+// functions: every function is observed once per minute at the same
+// seasonal index, so minute m's pass over ascending fn reads one contiguous
+// row per block instead of one cache line out of every function's own
+// season array.
 type HoltWinters struct {
 	cfg     HWConfig
 	level   []float64
 	trend   []float64
-	season  [][]float64 // per function: one slot per minute of the season
+	season  [][]float64 // season[fn/hwBlock][si*hwBlock + fn%hwBlock], si the minute of the season
 	seen    []int       // samples observed per function
 	lastInv []int
+}
+
+// hwBlock is how many functions share one season block. A row of a block is
+// hwBlock*8 bytes — eight cache lines — and a block SeasonLength rows; a
+// population pays for whole blocks, so the last one is partly unused.
+const (
+	hwBlockShift = 6
+	hwBlock      = 1 << hwBlockShift
+)
+
+// grow adds one never-observed function slot, allocating a season block
+// when the slot is the first of its block.
+func (hw *HoltWinters) grow() {
+	if len(hw.level)%hwBlock == 0 {
+		hw.season = append(hw.season, make([]float64, hw.cfg.SeasonLength*hwBlock))
+	}
+	hw.level = append(hw.level, 0)
+	hw.trend = append(hw.trend, 0)
+	hw.seen = append(hw.seen, 0)
+	hw.lastInv = append(hw.lastInv, -1)
+}
+
+// cell addresses function fn's seasonal component at season index si.
+func (hw *HoltWinters) cell(fn, si int) *float64 {
+	return &hw.season[fn>>hwBlockShift][si<<hwBlockShift|fn&(hwBlock-1)]
 }
 
 // HWConfig parameterizes the smoother.
@@ -76,17 +107,9 @@ func NewHoltWinters(nFunctions int, cfg HWConfig) (*HoltWinters, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	hw := &HoltWinters{
-		cfg:     cfg,
-		level:   make([]float64, nFunctions),
-		trend:   make([]float64, nFunctions),
-		season:  make([][]float64, nFunctions),
-		seen:    make([]int, nFunctions),
-		lastInv: make([]int, nFunctions),
-	}
-	for i := range hw.season {
-		hw.season[i] = make([]float64, cfg.SeasonLength)
-		hw.lastInv[i] = -1
+	hw := &HoltWinters{cfg: cfg}
+	for i := 0; i < nFunctions; i++ {
+		hw.grow()
 	}
 	return hw, nil
 }
@@ -103,18 +126,18 @@ func (hw *HoltWinters) Record(t, fn, count int) {
 		hw.lastInv[fn] = t
 	}
 	x := float64(count)
-	si := t % hw.cfg.SeasonLength
+	cell := hw.cell(fn, t%hw.cfg.SeasonLength)
 	if hw.seen[fn] == 0 {
 		hw.level[fn] = x
-		hw.season[fn][si] = 0
+		*cell = 0
 		hw.seen[fn]++
 		return
 	}
 	prevLevel := hw.level[fn]
-	seas := hw.season[fn][si]
+	seas := *cell
 	hw.level[fn] = hw.cfg.Alpha*(x-seas) + (1-hw.cfg.Alpha)*(prevLevel+hw.trend[fn])
 	hw.trend[fn] = hw.cfg.Beta*(hw.level[fn]-prevLevel) + (1-hw.cfg.Beta)*hw.trend[fn]
-	hw.season[fn][si] = hw.cfg.Gamma*(x-hw.level[fn]) + (1-hw.cfg.Gamma)*seas
+	*cell = hw.cfg.Gamma*(x-hw.level[fn]) + (1-hw.cfg.Gamma)*seas
 	hw.seen[fn]++
 }
 
@@ -125,7 +148,7 @@ func (hw *HoltWinters) Forecast(t, fn int) float64 {
 	if fn < 0 || fn >= len(hw.level) || hw.seen[fn] == 0 {
 		return 0
 	}
-	v := hw.level[fn] + hw.trend[fn] + hw.season[fn][t%hw.cfg.SeasonLength]
+	v := hw.level[fn] + hw.trend[fn] + *hw.cell(fn, t%hw.cfg.SeasonLength)
 	return math.Max(0, v)
 }
 

@@ -84,43 +84,48 @@ func (e *MPCEntrant) Name() string { return e.name }
 // Register implements tournament.ShadowEntrant: grow one forecaster slot.
 func (e *MPCEntrant) Register(fn, fam, numVariants int) {
 	e.highest = append(e.highest, numVariants-1)
-	e.hw.level = append(e.hw.level, 0)
-	e.hw.trend = append(e.hw.trend, 0)
-	e.hw.season = append(e.hw.season, make([]float64, e.cfg.HW.SeasonLength))
-	e.hw.seen = append(e.hw.seen, 0)
-	e.hw.lastInv = append(e.hw.lastInv, -1)
+	e.hw.grow()
 }
 
 // Retire implements tournament.ShadowEntrant: the slot's forecaster state
-// resets to never-observed.
+// resets to never-observed. The seasonal cells are left as they are: slots
+// are append-only and a retired one is never consulted or fed again, and
+// clearing them would be a SeasonLength-cache-line strided sweep inside the
+// exclusive lifecycle window.
 func (e *MPCEntrant) Retire(fn int) {
 	e.hw.level[fn] = 0
 	e.hw.trend[fn] = 0
 	e.hw.seen[fn] = 0
 	e.hw.lastInv[fn] = -1
-	season := e.hw.season[fn]
-	for i := range season {
-		season[i] = 0
-	}
 }
 
 // KeepAlive implements tournament.ShadowEntrant: solve the horizon and
 // execute its first decision. Two fast paths keep the arena's per-slot
-// consult cheap without changing a bit of the result: a never-observed
-// slot forecasts 0 at every offset, so the horizon cannot pay for itself;
-// and a forecast clamped to exactly 0 adds 1 − e^0 = 0 to cum, so the
-// exponential is skipped.
+// consult cheap without changing a bit of the result: a slot that has never
+// been invoked has only ever recorded zero counts, and all-zero level, trend
+// and season is an exact fixed point of the smoother under zero input, so it
+// forecasts 0 at every offset and the horizon cannot pay for itself; and a
+// forecast clamped to exactly 0 adds 1 − e^0 = 0 to cum, so the exponential
+// is skipped. The loop is Forecast(m+j, fn) with level+trend hoisted (the
+// same left-to-right sum); its seasonal cells are consecutive rows of the
+// slot's block, so ascending fn reads Horizon sequential streams.
 func (e *MPCEntrant) KeepAlive(m, fn int) int {
-	if e.hw.seen[fn] == 0 {
+	hw := e.hw
+	if hw.lastInv[fn] < 0 {
 		return cluster.NoVariant
 	}
+	base := hw.level[fn] + hw.trend[fn]
+	si := m % hw.cfg.SeasonLength
 	cum := 0.0
 	for j := 0; j < e.cfg.Horizon; j++ {
-		if lam := e.hw.Forecast(m+j, fn); lam != 0 {
+		if lam := math.Max(0, base+*hw.cell(fn, si)); lam != 0 {
 			cum += 1 - math.Exp(-lam)
 		}
 		if float64(j+1) < e.cfg.ColdCostMinutes*cum {
 			return e.highest[fn]
+		}
+		if si++; si == hw.cfg.SeasonLength {
+			si = 0
 		}
 	}
 	return cluster.NoVariant

@@ -37,19 +37,18 @@ type famInfo struct {
 }
 
 // fnShared is one function's shared (live-policy) state: the integer
-// counters the report's Actual tally derives from, plus the open-minute
-// invocation accumulator the barrier feed delivers to entrants. Keeping
-// counts rather than running float sums makes reports independent of how
-// the feed fragments a minute's invocations into samples.
+// counters the report's Actual tally derives from. Keeping counts rather
+// than running float sums makes reports independent of how the feed
+// fragments a minute's invocations into samples. Only samples naming the
+// function touch it; what every minute boundary reads for every function
+// lives in the Arena's columns instead.
 type fnShared struct {
-	lastInv    int  // minute of the last invocation, -1 before any
-	seenMinute int  // minute of the last invocation sample, -1 before any
-	retired    bool // slot deregistered; ledger closed, counters frozen
+	lastInv    int // minute of the last invocation, -1 before any
+	seenMinute int // minute of the last invocation sample, -1 before any
 
 	invocations int
 	actualCold  int
 	downgrades  int
-	openCnt     int // invocations folded into the open minute (barrier feed)
 
 	aliveMin     []int // actual kept-alive minutes, by variant index (nil once retired)
 	invByVariant []int // actual invocations, by variant index (nil once retired)
@@ -108,10 +107,25 @@ type Arena struct {
 	cost cluster.CostModel
 
 	fams  []famInfo
-	famOf []int
 	fns   []fnShared
 	ents  []entrant
 	names []string
+
+	// Per-slot columns, indexed like fns: the fields every minute boundary
+	// reads, kept dense so open and close stream them instead of striding
+	// through fnShared.
+	famOf   []int
+	retired []bool // slot deregistered; ledger closed, counters frozen
+	openCnt []int  // invocations folded into the open minute (barrier feed)
+
+	// live lists the slots open and close walk, ascending. A deregister only
+	// marks it stale; the next minute boundary drops the retired slots in
+	// place, so a burst of deregisters costs one pass.
+	live      []int32
+	liveStale bool
+	// touched lists the slots whose openCnt is non-zero, so close clears
+	// those instead of the whole column.
+	touched []int32
 
 	cur   int // open minute, -1 before the first sample
 	store *store
@@ -168,6 +182,9 @@ func New(cfg Config) (*Arena, error) {
 		fams:    make([]famInfo, len(cfg.Catalog.Families)),
 		famOf:   make([]int, len(cfg.Assignment)),
 		fns:     make([]fnShared, len(cfg.Assignment)),
+		retired: make([]bool, len(cfg.Assignment)),
+		openCnt: make([]int, len(cfg.Assignment)),
+		live:    make([]int32, len(cfg.Assignment)),
 		ents:    make([]entrant, len(cfg.Entrants)),
 		names:   names,
 		cur:     -1,
@@ -202,6 +219,7 @@ func New(cfg Config) (*Arena, error) {
 	for fn := range cfg.Assignment {
 		fam := cfg.Assignment[fn]
 		a.famOf[fn] = fam
+		a.live[fn] = int32(fn)
 		nv := cfg.Catalog.Families[fam].NumVariants()
 		a.fns[fn] = fnShared{
 			lastInv:      -1,
@@ -257,7 +275,7 @@ func (a *Arena) LedgersReleased(fn int) bool {
 		return false
 	}
 	f := &a.fns[fn]
-	if !f.retired || f.aliveMin != nil || f.invByVariant != nil {
+	if !a.retired[fn] || f.aliveMin != nil || f.invByVariant != nil {
 		return false
 	}
 	for ei := range a.ents {
@@ -287,31 +305,45 @@ func (a *Arena) roll(m int) {
 	}
 }
 
+// liveSlots returns the live slots in ascending order, first dropping the
+// ones retired since the last minute boundary (in place: no allocation).
+func (a *Arena) liveSlots() []int32 {
+	if a.liveStale {
+		live := a.live[:0]
+		for _, fn := range a.live {
+			if !a.retired[fn] {
+				live = append(live, fn)
+			}
+		}
+		a.live, a.liveStale = live, false
+	}
+	return a.live
+}
+
 // open starts minute m: every entrant, in registration order, is asked
 // which variant it holds warm for every live function in ascending slot
-// order, and is charged keep-alive for each held variant.
+// order, and is charged keep-alive for each held variant. The family's
+// geometry is only looked up for a slot the entrant holds.
 func (a *Arena) open(m int) {
 	a.cur = m
+	live := a.liveSlots()
 	for ei := range a.ents {
 		e := &a.ents[ei]
-		for fn := range a.fns {
-			if a.fns[fn].retired {
+		for _, slot := range live {
+			fn := int(slot)
+			v := e.impl.KeepAlive(m, fn)
+			if v < 0 {
+				e.open[fn] = NoVariant
 				continue
 			}
 			fi := &a.fams[a.famOf[fn]]
-			v := e.impl.KeepAlive(m, fn)
 			if v > fi.highest {
 				v = fi.highest
 			}
-			if v < 0 {
-				v = NoVariant
-			}
 			e.open[fn] = v
-			if v >= 0 {
-				e.led[fn].aliveMin[v]++
-				e.minKaM += fi.memMB[v]
-				e.minCost += fi.costPerMin[v]
-			}
+			e.led[fn].aliveMin[v]++
+			e.minKaM += fi.memMB[v]
+			e.minCost += fi.costPerMin[v]
 		}
 	}
 }
@@ -342,19 +374,18 @@ func (a *Arena) fillRow() []float64 {
 // ascending slot order — and reset the per-minute accumulators.
 func (a *Arena) close() {
 	a.store.push(a.cur, a.fillRow())
+	live := a.liveSlots()
 	for ei := range a.ents {
 		e := &a.ents[ei]
-		for fn := range a.fns {
-			if a.fns[fn].retired {
-				continue
-			}
-			e.impl.Record(a.cur, fn, a.fns[fn].openCnt)
+		for _, slot := range live {
+			e.impl.Record(a.cur, int(slot), a.openCnt[slot])
 		}
 		e.minKaM, e.minCost, e.minCold = 0, 0, 0
 	}
-	for fn := range a.fns {
-		a.fns[fn].openCnt = 0
+	for _, slot := range a.touched {
+		a.openCnt[slot] = 0
 	}
+	a.touched = a.touched[:0]
 	a.minActualKaM, a.minActualCost = 0, 0
 	a.minActualCold, a.minInv = 0, 0
 }
@@ -405,7 +436,7 @@ func (a *Arena) ObserveKeepAlive(s telemetry.KeepAliveSample) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.roll(s.Minute)
-	if s.Function < 0 || s.Function >= len(a.fns) || a.fns[s.Function].retired {
+	if s.Function < 0 || s.Function >= len(a.fns) || a.retired[s.Function] {
 		// Retired slots are pinned to NoVariant by every well-formed feed;
 		// a contrary sample is foreign and is dropped (the ledger is gone).
 		return
@@ -429,7 +460,7 @@ func (a *Arena) ObserveInvocation(s telemetry.InvocationSample) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.roll(s.Minute)
-	if s.Function < 0 || s.Function >= len(a.fns) || a.fns[s.Function].retired {
+	if s.Function < 0 || s.Function >= len(a.fns) || a.retired[s.Function] {
 		// A retired function cannot be invoked; a contrary sample is a
 		// foreign feed and is dropped (the per-variant ledger is gone).
 		return
@@ -445,7 +476,10 @@ func (a *Arena) ObserveInvocation(s telemetry.InvocationSample) {
 		f.seenMinute = s.Minute
 	}
 	f.invocations += n
-	f.openCnt += n
+	if a.openCnt[s.Function] == 0 {
+		a.touched = append(a.touched, int32(s.Function))
+	}
+	a.openCnt[s.Function] += n
 	a.minInv += n
 	vi, ok := fi.byName[s.Variant]
 	if !ok {
@@ -546,6 +580,9 @@ func (a *Arena) ObserveRegister(s telemetry.RegisterSample) {
 	}
 	nv := len(a.fams[s.Family].memMB)
 	a.famOf = append(a.famOf, s.Family)
+	a.retired = append(a.retired, false)
+	a.openCnt = append(a.openCnt, 0)
+	a.live = append(a.live, int32(s.Function))
 	a.fns = append(a.fns, fnShared{
 		lastInv:      -1,
 		seenMinute:   -1,
@@ -581,8 +618,8 @@ func (a *Arena) ObserveDeregister(s telemetry.DeregisterSample) {
 		return
 	}
 	f := &a.fns[s.Function]
-	if !f.retired {
-		f.retired = true
+	if !a.retired[s.Function] {
+		a.retired[s.Function], a.liveStale = true, true
 		fi := &a.fams[a.famOf[s.Function]]
 		for v := 0; v < len(fi.memMB); v++ {
 			m := float64(f.aliveMin[v])

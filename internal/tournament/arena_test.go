@@ -1,0 +1,291 @@
+package tournament_test
+
+// The arena's entrant protocol, pinned from the entrant's side: a recording
+// entrant logs every call it receives, and a model of the documented minute
+// protocol (tournament.ShadowEntrant) predicts the log. The model knows
+// nothing about how the arena finds its live slots, so a stale live-slot
+// list, a skipped slot or a reordered walk shows up as a log mismatch.
+
+import (
+	"reflect"
+	"sort"
+	"testing"
+
+	"github.com/pulse-serverless/pulse/internal/models"
+	"github.com/pulse-serverless/pulse/internal/telemetry"
+	"github.com/pulse-serverless/pulse/internal/tournament"
+)
+
+// call is one protocol call as an entrant saw it. n is the variant count of
+// a Register and the invocation count of a Record; m is -1 where the call
+// carries no minute.
+type call struct {
+	ent, op  string
+	m, fn, n int
+}
+
+// recorder is a ShadowEntrant that holds nothing and appends every call to a
+// log shared by all recorders of one arena, so the log also pins the order
+// entrants are visited in.
+type recorder struct {
+	name string
+	log  *[]call
+}
+
+func (r *recorder) Name() string { return r.name }
+func (r *recorder) Register(fn, fam, nv int) {
+	*r.log = append(*r.log, call{r.name, "register", -1, fn, nv})
+}
+func (r *recorder) Retire(fn int) { *r.log = append(*r.log, call{r.name, "retire", -1, fn, 0}) }
+func (r *recorder) KeepAlive(m, fn int) int {
+	*r.log = append(*r.log, call{r.name, "keepalive", m, fn, 0})
+	return tournament.NoVariant
+}
+func (r *recorder) Record(m, fn, count int) {
+	*r.log = append(*r.log, call{r.name, "record", m, fn, count})
+}
+
+// protocolModel drives an arena and, beside it, the log the protocol says
+// its entrants must see.
+type protocolModel struct {
+	t     *testing.T
+	arena *tournament.Arena
+	cat   *models.Catalog
+	ents  []string
+	fam   []int        // family per slot, retired ones included
+	live  map[int]bool // slots registered and not retired
+	cnt   map[int]int  // open minute's invocations per slot
+	cur   int          // open minute, -1 before the first sample
+	got   []call
+	want  []call
+}
+
+func newProtocolModel(t *testing.T, entrants []string, asg models.Assignment) *protocolModel {
+	t.Helper()
+	d := &protocolModel{
+		t: t, cat: models.PaperCatalog(), ents: entrants,
+		live: map[int]bool{}, cnt: map[int]int{}, cur: -1,
+	}
+	impls := make([]tournament.ShadowEntrant, len(entrants))
+	for i, name := range entrants {
+		impls[i] = &recorder{name: name, log: &d.got}
+	}
+	for fn, fam := range asg {
+		d.fam = append(d.fam, fam)
+		d.live[fn] = true
+		d.eachEntrant("register", -1, fn, d.cat.Families[fam].NumVariants())
+	}
+	arena, err := tournament.New(tournament.Config{Catalog: d.cat, Assignment: asg, Entrants: impls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.arena = arena
+	return d
+}
+
+func (d *protocolModel) eachEntrant(op string, m, fn, n int) {
+	for _, ent := range d.ents {
+		d.want = append(d.want, call{ent, op, m, fn, n})
+	}
+}
+
+func (d *protocolModel) liveAscending() []int {
+	out := make([]int, 0, len(d.live))
+	for fn := range d.live {
+		out = append(out, fn)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// expectOpen predicts minute m's open: entrants in registration order, live
+// slots ascending within each.
+func (d *protocolModel) expectOpen(m int) {
+	d.cur = m
+	for _, ent := range d.ents {
+		for _, fn := range d.liveAscending() {
+			d.want = append(d.want, call{ent, "keepalive", m, fn, 0})
+		}
+	}
+}
+
+// expectRoll predicts the clock advancing to m: every minute in between is
+// closed (one Record per live slot with the minute's summed count) and the
+// next one opened.
+func (d *protocolModel) expectRoll(m int) {
+	if d.cur < 0 {
+		d.expectOpen(m)
+		return
+	}
+	for d.cur < m {
+		for _, ent := range d.ents {
+			for _, fn := range d.liveAscending() {
+				d.want = append(d.want, call{ent, "record", d.cur, fn, d.cnt[fn]})
+			}
+		}
+		d.cnt = map[int]int{}
+		d.expectOpen(d.cur + 1)
+	}
+}
+
+func (d *protocolModel) minute(m int) {
+	d.expectRoll(m)
+	d.arena.ObserveMinute(telemetry.MinuteSample{Minute: m})
+}
+
+func (d *protocolModel) invoke(m, fn, n int) {
+	d.expectRoll(m)
+	d.cnt[fn] += n
+	d.arena.ObserveInvocation(telemetry.InvocationSample{
+		Minute: m, Function: fn, Count: n,
+		Variant: d.cat.Families[d.fam[fn]].Variants[0].Name,
+	})
+}
+
+// register adds the next dense slot; registration does not advance the clock.
+func (d *protocolModel) register(fam int) int {
+	fn := len(d.fam)
+	d.fam = append(d.fam, fam)
+	d.live[fn] = true
+	d.eachEntrant("register", -1, fn, d.cat.Families[fam].NumVariants())
+	d.arena.ObserveRegister(telemetry.RegisterSample{Minute: d.cur, Function: fn, Family: fam})
+	return fn
+}
+
+// deregister retires fn before the clock advances to m.
+func (d *protocolModel) deregister(m, fn int) {
+	delete(d.live, fn)
+	d.eachEntrant("retire", -1, fn, 0)
+	d.expectRoll(m)
+	d.arena.ObserveDeregister(telemetry.DeregisterSample{Minute: m, Function: fn})
+}
+
+func (d *protocolModel) check() {
+	d.t.Helper()
+	if reflect.DeepEqual(d.got, d.want) {
+		return
+	}
+	for i := 0; i < len(d.got) || i < len(d.want); i++ {
+		var g, w call
+		if i < len(d.got) {
+			g = d.got[i]
+		}
+		if i < len(d.want) {
+			w = d.want[i]
+		}
+		if g != w {
+			d.t.Fatalf("entrant call %d: got %+v, want %+v (%d calls made, %d expected)", i, g, w, len(d.got), len(d.want))
+		}
+	}
+}
+
+// calls filters the received log.
+func (d *protocolModel) calls(ent, op string, m, fn int) []call {
+	var out []call
+	for _, c := range d.got {
+		if c.ent == ent && c.op == op && c.m == m && c.fn == fn {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// Exactly one KeepAlive at open and one Record at close per live slot,
+// slots ascending, entrants in registration order, while slots register
+// and deregister between and inside minutes.
+func TestArenaProtocolUnderChurn(t *testing.T) {
+	d := newProtocolModel(t, []string{"first", "second", "third"}, models.Assignment{0, 1, 2, 0, 1})
+	d.minute(0)
+	d.invoke(0, 3, 1)
+	d.register(2)
+	d.minute(1)
+	d.deregister(1, 2) // mid-minute: minute 1 is open and stays open
+	d.deregister(1, 0) // the lowest slot
+	d.invoke(1, 4, 2)
+	d.register(0)
+	d.minute(2)
+	d.deregister(3, 6) // retire the newest slot while rolling 2 → 3
+	d.register(1)
+	d.register(1)
+	d.minute(4)
+	d.deregister(4, 7)
+	d.deregister(4, 1)
+	d.deregister(4, 3)
+	d.minute(5)
+	d.minute(6)
+	d.check()
+
+	// Spot checks in the protocol's own words, independent of the model.
+	for _, ent := range d.ents {
+		if n := len(d.calls(ent, "keepalive", 6, 4)); n != 1 {
+			t.Errorf("%s: live slot 4 consulted %d times at the open of minute 6, want 1", ent, n)
+		}
+		if n := len(d.calls(ent, "record", 5, 4)); n != 1 {
+			t.Errorf("%s: live slot 4 fed %d times at the close of minute 5, want 1", ent, n)
+		}
+	}
+}
+
+// A slot registered mid-minute gets that minute's Record but no KeepAlive
+// for it; a slot retired mid-minute gets neither from then on.
+func TestArenaProtocolMidMinuteLifecycle(t *testing.T) {
+	d := newProtocolModel(t, []string{"only"}, models.Assignment{0, 1, 2})
+	d.minute(0)
+	d.minute(1)
+	joined := d.register(1)
+	d.invoke(1, joined, 4)
+	d.deregister(1, 1)
+	d.minute(2)
+	d.minute(3)
+	d.check()
+
+	if n := len(d.calls("only", "keepalive", 1, joined)); n != 0 {
+		t.Errorf("slot registered during minute 1 was consulted for it %d times", n)
+	}
+	if rec := d.calls("only", "record", 1, joined); len(rec) != 1 || rec[0].n != 4 {
+		t.Errorf("slot registered during minute 1: minute-1 records = %+v, want one carrying 4", rec)
+	}
+	if n := len(d.calls("only", "keepalive", 2, joined)); n != 1 {
+		t.Errorf("slot registered during minute 1 consulted %d times at the open of minute 2, want 1", n)
+	}
+	if n := len(d.calls("only", "keepalive", 1, 1)); n != 1 {
+		t.Errorf("slot 1 was live at the open of minute 1: consulted %d times, want 1", n)
+	}
+	for m := 1; m <= 3; m++ {
+		if n := len(d.calls("only", "record", m, 1)); n != 0 {
+			t.Errorf("slot retired during minute 1 was fed minute %d", m)
+		}
+		if n := len(d.calls("only", "keepalive", m+1, 1)); n != 0 {
+			t.Errorf("slot retired during minute 1 was consulted for minute %d", m+1)
+		}
+	}
+}
+
+// A multi-minute gap rolls every minute in between, and Record carries the
+// summed count of a minute fragmented into several invocation samples.
+func TestArenaProtocolGapAndFragmentedMinute(t *testing.T) {
+	d := newProtocolModel(t, []string{"a", "b"}, models.Assignment{0, 1})
+	d.invoke(3, 0, 2) // the first sample opens minute 3
+	d.invoke(3, 1, 1)
+	d.invoke(3, 0, 5)
+	d.invoke(3, 0, 1)
+	d.minute(9)
+	d.check()
+
+	for _, ent := range d.ents {
+		if rec := d.calls(ent, "record", 3, 0); len(rec) != 1 || rec[0].n != 8 {
+			t.Errorf("%s: minute 3 records for slot 0 = %+v, want one carrying 2+5+1", ent, rec)
+		}
+		for m := 4; m < 9; m++ {
+			for fn := 0; fn < 2; fn++ {
+				rec := d.calls(ent, "record", m, fn)
+				if len(rec) != 1 || rec[0].n != 0 {
+					t.Errorf("%s: gap minute %d slot %d records = %+v, want one carrying 0", ent, m, fn, rec)
+				}
+				if n := len(d.calls(ent, "keepalive", m, fn)); n != 1 {
+					t.Errorf("%s: gap minute %d slot %d consulted %d times, want 1", ent, m, fn, n)
+				}
+			}
+		}
+	}
+}

@@ -112,7 +112,7 @@ func (a *Arena) functionLedger(fn int) FunctionLedger {
 	// retired slot's ledgers were folded (in this same variant order) into
 	// the fixed-size sums at deregistration, so the values — and the float
 	// rounding — are identical either way.
-	if f.retired && f.aliveMin == nil {
+	if a.retired[fn] && f.aliveMin == nil {
 		fr.Actual.KeepAliveMBMinutes = f.foldedKaMBMin
 		fr.Actual.KeepAliveCostUSD = f.foldedKaCost
 		fr.Actual.AccuracyMinutesPct = f.foldedAccMin
@@ -138,7 +138,7 @@ func (a *Arena) functionLedger(fn int) FunctionLedger {
 	for ei := range a.ents {
 		led := &a.ents[ei].led[fn]
 		t := &fr.Shadows[ei]
-		if f.retired && led.aliveMin == nil {
+		if a.retired[fn] && led.aliveMin == nil {
 			t.KeepAliveMBMinutes = led.foldedKaMBMin
 			t.KeepAliveCostUSD = led.foldedKaCost
 			t.AccuracyMinutesPct = led.foldedAccMin
