@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-bench test-parallel race stress bench bench-runtime bench-matrix bench-scale bench-scale-full bench-arena experiments report examples clean verify alloc lint e2e loc
+.PHONY: all build vet test test-bench test-parallel race stress bench bench-runtime bench-matrix bench-scale bench-scale-full bench-arena bench-observers experiments report examples clean verify alloc lint e2e loc
 
 all: build vet test
 
@@ -12,7 +12,8 @@ verify: build vet test
 
 # Zero-allocation assertions for the hot paths (controller idle minute,
 # including the million-slot pin, runtime Invoke and idle Step with and
-# without the observer chain, telemetry buffers/fan-out, attribution
+# without the observer chain, telemetry buffers/fan-out and its steady-state
+# sample streams, the provenance recorder's holder minute, attribution
 # accountant and ring store). Mirrors the CI "alloc" job.
 alloc:
 	$(GO) test ./... -run 'ZeroAllocs|DoesNotAllocate|NoAllocs|NoSteadyStateAllocs' -count=1
@@ -104,6 +105,13 @@ bench-scale-full:
 # "bench-scale" job.
 bench-arena:
 	$(GO) test ./internal/tournament -run '^$$' -bench '^BenchmarkArenaMinute$$' -benchtime 20x
+
+# Per-sample cost of one minute of the barrier-serialized sample stream into
+# each of pulsed's default observers (telemetry, then the provenance recorder
+# with growing and with full rings): 100k slots, 12k holders, 1k schedules,
+# reported as ns/sample with allocations. Runs in the CI "bench-scale" job.
+bench-observers:
+	$(GO) test ./internal/telemetry ./internal/provenance -run '^$$' -bench '^BenchmarkObserverMinute$$' -benchtime 20x
 
 # Full experiment suite at paper-like scale (hours on a small machine).
 experiments:

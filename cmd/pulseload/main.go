@@ -81,11 +81,12 @@ type benchFile struct {
 // corresponding budget flag is set. The idle step is the sparse Observer
 // contract's promise: with the chain attached an idle minute still touches
 // no per-function state. Bytes per function is 1.25× the 100k cell measured
-// when the contract landed (1 065 B: 572 B runtime + controller arenas, the
-// rest the provenance recorder's per-identity entry and name index).
+// when the observers' state became slot-indexed (760 B: 564 B runtime +
+// controller arenas, the rest the provenance recorder's per-identity entry
+// and name index; telemetry holds nothing for a function no sample names).
 const (
 	observedMaxIdleStepMs = 1.0
-	observedMaxBytesPerFn = 1331.0
+	observedMaxBytesPerFn = 950.0
 )
 
 func main() {

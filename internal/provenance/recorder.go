@@ -2,6 +2,7 @@ package provenance
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/pulse-serverless/pulse/internal/models"
@@ -104,35 +105,85 @@ type Point struct {
 	Value  float64 `json:"value"`
 }
 
+// Limits of the compact record's index types: NewRecorder rejects a catalog
+// past them, so every family and variant index a sample can validly carry
+// fits.
+const (
+	maxFamilies   = 1 << 14      // record.famFlags keeps 14 bits of family index
+	maxVariants   = math.MaxInt8 // variant indices are int8 (noVariant = -1)
+	recDowngraded = 1 << 14      // record.famFlags: Algorithm 2 moved the function
+	recPeak       = 1 << 15      // record.famFlags: the minute sat inside a peak episode
+)
+
+// record is a Decision as the rings keep it: narrow integers, variant
+// *indices* beside the family they were recorded under, and the floats.
+// Variant names and Uv = Ai+Pr+Ip are what the catalog and three of the
+// floats can say again, so they are materialized when a ring is read
+// (Recorder.decision) — the catalog is immutable, so the answer is the one a
+// name stored at write time would have given.
+type record struct {
+	minute, slot, plannedAt int32
+	famFlags                uint16 // family index | recDowngraded | recPeak
+	chosen, planned         int8
+
+	memMB, prob                   float64
+	ai, pr, ip                    float64
+	priorMB, targetMB             float64
+	budgetBeforeMB, budgetAfterMB float64
+}
+
+// ringBlock is the number of records a ring grows by: a function's ring is
+// a list of blocks allocated as its decisions arrive, up to the window, so
+// growth never copies a record and a never-held function owns no block.
+const ringBlock = 8
+
+// planCell is one minute of the plan mirror: the variant the latest
+// committed schedule planned for that minute, from which probability, and
+// when it was committed.
+type planCell struct {
+	prob       float64
+	minute, at int32
+	variant    int8
+}
+
 // fnProv is one identity's provenance state. It is keyed by name, not
 // slot: when a name deregisters and later re-registers (getting a fresh
 // slot), the same entry — and the same decision ring — carries on, so
 // /why survives churn.
 type fnProv struct {
-	name   string
-	slot   int // current (or last) slot
-	family int
+	name string
+
+	// blocks holds the last window non-resting decisions, record i of the
+	// ring at blocks[i/ringBlock][i%ringBlock]; n counts total pushes.
+	blocks []*[ringBlock]record
+	n      uint64
+
+	// plan mirrors the latest committed schedule entry per absolute minute,
+	// planRing-style (index minute % len, stamp checked). Sized lazily from
+	// the first schedule sample's plan length.
+	plan []planCell
+
+	// The downgrade stashed for the keep-alive sample that follows it in
+	// the same minute.
+	dgAi, dgPr, dgIp float64
+	dgMinute         int32
+	dgFrom           int8
+	dgSet            bool
+
 	active bool
+	family uint16
+	slot   int32 // current (or last) slot
+	// pend indexes the in-flight minute's decision in Recorder.pending, -1
+	// when there is none (or a lifecycle event cancelled it).
+	pend int32
+}
 
-	// ring holds the last window non-resting decisions; it grows by append
-	// up to the window, then wraps. n counts total pushes.
-	ring []Decision
-	n    uint64
-
-	// pend assembles the in-flight minute's decision across the
-	// barrier-serialized sample stream (downgrade → keep-alive → minute).
-	pend    Decision
-	pendSet bool
-	dg      telemetry.DowngradeSample
-	dgSet   bool
-
-	// Plan mirror: the latest committed schedule entry per absolute
-	// minute, planRing-style (index minute % len, stamp checked). Sized
-	// lazily from the first schedule sample's plan length.
-	planMin  []int
-	planVar  []int
-	planProb []float64
-	planAt   []int
+// pendRec is one in-flight decision: assembled from the barrier-serialized
+// sample stream (downgrade → keep-alive), parked until the minute rollup
+// supplies the budget columns, then written to its ring — once.
+type pendRec struct {
+	e   *fnProv
+	rec record
 }
 
 // RecorderConfig parameterizes a Recorder.
@@ -169,9 +220,9 @@ type Recorder struct {
 	byName  map[string]*fnProv
 	bySlot  []*fnProv
 	entries []*fnProv // unique entries, registration order
-	// pending lists the entries whose in-flight decision the next minute
-	// rollup closes; lastMinute is the latest minute closed (-1 before any).
-	pending    []*fnProv
+	// pending holds the in-flight minute's decisions in arrival order, reused
+	// every minute; lastMinute is the latest minute closed (-1 before any).
+	pending    []pendRec
 	lastMinute int
 
 	// Algorithm 1 episode state, updated from peak transition samples.
@@ -199,6 +250,14 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 	if err := cfg.Assignment.Validate(cfg.Catalog, len(cfg.Assignment)); err != nil {
 		return nil, err
 	}
+	if n := len(cfg.Catalog.Families); n > maxFamilies {
+		return nil, fmt.Errorf("provenance: catalog has %d families, the decision record indexes at most %d", n, maxFamilies)
+	}
+	for i := range cfg.Catalog.Families {
+		if f := &cfg.Catalog.Families[i]; f.NumVariants() > maxVariants {
+			return nil, fmt.Errorf("provenance: family %q has %d variants, the decision record indexes at most %d", f.Name, f.NumVariants(), maxVariants)
+		}
+	}
 	if len(cfg.Names) != len(cfg.Assignment) {
 		return nil, fmt.Errorf("provenance: %d names for %d functions", len(cfg.Names), len(cfg.Assignment))
 	}
@@ -211,10 +270,12 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 		window:   w,
 		byName:   make(map[string]*fnProv, len(cfg.Names)),
 		bySlot:   make([]*fnProv, len(cfg.Names)),
+		entries:  make([]*fnProv, 0, len(cfg.Names)),
 		selfLast: -1,
 
 		lastMinute: -1,
 	}
+	initial := make([]fnProv, len(cfg.Names)) // one allocation; entries never move
 	for i, name := range cfg.Names {
 		if name == "" {
 			return nil, fmt.Errorf("provenance: empty name for function %d", i)
@@ -222,7 +283,8 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 		if _, dup := r.byName[name]; dup {
 			return nil, fmt.Errorf("provenance: duplicate name %q", name)
 		}
-		e := &fnProv{name: name, slot: i, family: cfg.Assignment[i], active: true}
+		e := &initial[i]
+		*e = fnProv{name: name, slot: int32(i), family: uint16(cfg.Assignment[i]), active: true, pend: -1}
 		r.byName[name] = e
 		r.bySlot[i] = e
 		r.entries = append(r.entries, e)
@@ -241,10 +303,20 @@ func (r *Recorder) entryFor(fn int) *fnProv {
 		return nil
 	}
 	e := r.bySlot[fn]
-	if e == nil || e.slot != fn {
+	if e == nil || int(e.slot) != fn {
 		return nil
 	}
 	return e
+}
+
+// liveEntry is entryFor restricted to what a barrier-stream sample may
+// write to: an active entry, in a minute the record can hold. Callers hold
+// r.mu.
+func (r *Recorder) liveEntry(fn, minute int) *fnProv {
+	if e := r.entryFor(fn); e != nil && e.active && uint(minute) <= math.MaxInt32 {
+		return e
+	}
+	return nil
 }
 
 // ObserveInvocation implements telemetry.Observer as a deliberate no-op:
@@ -258,36 +330,34 @@ func (r *Recorder) ObserveInvocation(telemetry.InvocationSample) {}
 // committed from which invocation probability — the unconstrained choice
 // /why reports alongside what actually ran.
 func (r *Recorder) ObserveSchedule(s telemetry.ScheduleSample) {
-	if len(s.Plan) == 0 {
+	if len(s.Plan) == 0 || len(s.Plan) >= math.MaxInt32-s.Minute {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e := r.entryFor(s.Function)
-	if e == nil || !e.active {
+	e := r.liveEntry(s.Function, s.Minute)
+	if e == nil {
 		return
 	}
-	if e.planMin == nil {
-		n := len(s.Plan) + 1
-		e.planMin = make([]int, n)
-		e.planVar = make([]int, n)
-		e.planProb = make([]float64, n)
-		e.planAt = make([]int, n)
-		for i := range e.planMin {
-			e.planMin[i] = -1
+	if e.plan == nil {
+		e.plan = make([]planCell, len(s.Plan)+1)
+		for i := range e.plan {
+			e.plan[i].minute = -1
 		}
 	}
-	n := len(e.planMin)
+	n := len(e.plan)
+	nv := r.cat.Families[e.family].NumVariants()
 	for i, v := range s.Plan {
 		m := s.Minute + 1 + i
-		idx := m % n
-		e.planMin[idx] = m
-		e.planVar[idx] = v
-		e.planAt[idx] = s.Minute
+		c := &e.plan[m%n]
+		if v < noVariant || v >= nv {
+			// A variant outside the family: the minute reads as unplanned.
+			c.minute = -1
+			continue
+		}
+		*c = planCell{minute: int32(m), at: int32(s.Minute), variant: int8(v)}
 		if i < len(s.Probs) {
-			e.planProb[idx] = s.Probs[i]
-		} else {
-			e.planProb[idx] = 0
+			c.prob = s.Probs[i]
 		}
 	}
 }
@@ -314,15 +384,18 @@ func (r *Recorder) ObservePeak(s telemetry.PeakSample) {
 func (r *Recorder) ObserveDowngrade(s telemetry.DowngradeSample) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e := r.entryFor(s.Function)
-	if e == nil || !e.active {
+	e := r.liveEntry(s.Function, s.Minute)
+	if e == nil {
 		return
 	}
-	e.dg = s
-	e.dgSet = true
 	fam := &r.cat.Families[e.family]
+	if s.FromVariant < noVariant || s.FromVariant >= fam.NumVariants() {
+		return
+	}
+	e.dgMinute, e.dgFrom, e.dgSet = int32(s.Minute), int8(s.FromVariant), true
+	e.dgAi, e.dgPr, e.dgIp = s.Ai, s.Pr, s.Ip
 	var freed float64
-	if s.FromVariant >= 0 && s.FromVariant < fam.NumVariants() {
+	if s.FromVariant >= 0 {
 		freed = fam.Variants[s.FromVariant].MemoryMB
 	}
 	if s.ToVariant >= 0 && s.ToVariant < fam.NumVariants() {
@@ -334,85 +407,76 @@ func (r *Recorder) ObserveDowngrade(s telemetry.DowngradeSample) {
 // ObserveKeepAlive implements telemetry.Observer: the decision record is
 // assembled — chosen variant from the sample, unconstrained variant and
 // probability from the plan mirror (or the downgrade stash), peak context
-// from episode state — and parked until the minute rollup closes it.
+// from episode state — and parked until the minute rollup closes it. A
+// variant index outside the function's family cannot be recorded (or named)
+// and drops the sample.
 func (r *Recorder) ObserveKeepAlive(s telemetry.KeepAliveSample) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e := r.entryFor(s.Function)
-	if e == nil || !e.active {
+	e := r.liveEntry(s.Function, s.Minute)
+	if e == nil || s.Variant < noVariant || s.Variant >= r.cat.Families[e.family].NumVariants() {
 		return
 	}
-	d := Decision{
-		Minute:    s.Minute,
-		Slot:      s.Function,
-		Chosen:    s.Variant,
-		MemMB:     s.MemMB,
-		Planned:   noVariant,
-		PlannedAt: -1,
+	if e.pend < 0 {
+		e.pend = int32(len(r.pending))
+		r.pending = append(r.pending, pendRec{e: e})
 	}
-	fam := &r.cat.Families[e.family]
-	if s.Variant >= 0 && s.Variant < fam.NumVariants() {
-		d.ChosenName = fam.Variants[s.Variant].Name
+	c := &r.pending[e.pend].rec
+	*c = record{
+		minute:    int32(s.Minute),
+		slot:      e.slot,
+		plannedAt: -1,
+		famFlags:  e.family,
+		chosen:    int8(s.Variant),
+		planned:   noVariant,
+		memMB:     s.MemMB,
 	}
-	if n := len(e.planMin); n > 0 {
-		if idx := s.Minute % n; e.planMin[idx] == s.Minute {
-			d.Prob = e.planProb[idx]
-			d.PlannedAt = e.planAt[idx]
-			d.Planned = e.planVar[idx]
+	if n := len(e.plan); n > 0 {
+		if p := &e.plan[s.Minute%n]; p.minute == c.minute {
+			c.prob, c.plannedAt, c.planned = p.prob, p.at, p.variant
 		}
 	}
-	if e.dgSet && e.dg.Minute == s.Minute {
-		d.Downgraded = true
-		d.Planned = e.dg.FromVariant
-		d.Ai = e.dg.Ai
-		d.Pr = e.dg.Pr
-		d.Ip = e.dg.Ip
-		d.Uv = e.dg.Uv()
-	}
-	e.dgSet = false
-	if d.Planned == noVariant && !d.Downgraded {
+	if e.dgSet && e.dgMinute == c.minute {
+		c.famFlags |= recDowngraded
+		c.planned = e.dgFrom
+		c.ai, c.pr, c.ip = e.dgAi, e.dgPr, e.dgIp
+	} else if c.planned == noVariant {
 		// No plan covered this minute (minute 0, or a baseline policy
 		// without schedules): unconstrained and chosen coincide.
-		d.Planned = s.Variant
+		c.planned = c.chosen
 	}
-	if d.Planned >= 0 && d.Planned < fam.NumVariants() {
-		d.PlannedName = fam.Variants[d.Planned].Name
-	}
+	e.dgSet = false
 	if r.inPeak {
-		d.Peak = true
-		d.PriorMB = r.priorMB
-		d.TargetMB = r.targetMB
-	}
-	e.pend = d
-	if !e.pendSet {
-		e.pendSet = true
-		r.pending = append(r.pending, e)
+		c.famFlags |= recPeak
+		c.priorMB, c.targetMB = r.priorMB, r.targetMB
 	}
 }
 
 // ObserveMinute implements telemetry.Observer: the rollup closes the
 // minute — every parked decision gets the cluster-wide budget columns and
-// is pushed into its function's ring. Only the pending list is walked; an
-// entry a lifecycle event cleared in between is skipped.
+// is written into its function's ring. Only the pending list is walked; a
+// decision a lifecycle event cancelled in between is skipped.
 func (r *Recorder) ObserveMinute(s telemetry.MinuteSample) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	before := s.KeepAliveMB + r.freedMB
-	for _, e := range r.pending {
-		if !e.pendSet {
+	for i := range r.pending {
+		p := &r.pending[i]
+		e := p.e
+		if e.pend != int32(i) {
 			continue
 		}
-		e.pendSet = false
-		if e.pend.Minute != s.Minute {
+		e.pend = -1
+		if int(p.rec.minute) != s.Minute {
 			continue
 		}
-		e.pend.BudgetBeforeMB = before
-		e.pend.BudgetAfterMB = s.KeepAliveMB
-		if len(e.ring) < r.window {
-			e.ring = append(e.ring, e.pend)
-		} else {
-			e.ring[e.n%uint64(r.window)] = e.pend
+		p.rec.budgetBeforeMB = before
+		p.rec.budgetAfterMB = s.KeepAliveMB
+		at := int(e.n % uint64(r.window))
+		if at/ringBlock == len(e.blocks) {
+			e.blocks = append(e.blocks, new([ringBlock]record))
 		}
+		e.blocks[at/ringBlock][at%ringBlock] = p.rec
 		e.n++
 	}
 	r.pending = r.pending[:0]
@@ -427,6 +491,9 @@ func (r *Recorder) ObserveMinute(s telemetry.MinuteSample) {
 // decision ring) at the new slot — the identity keying that makes /why
 // survive churn.
 func (r *Recorder) ObserveRegister(s telemetry.RegisterSample) {
+	if uint(s.Function) > math.MaxInt32 || uint(s.Family) >= uint(len(r.cat.Families)) {
+		return // a slot or family the record cannot index: nothing to explain it by
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for len(r.bySlot) <= s.Function {
@@ -438,17 +505,14 @@ func (r *Recorder) ObserveRegister(s telemetry.RegisterSample) {
 		r.byName[s.Name] = e
 		r.entries = append(r.entries, e)
 	}
-	e.slot = s.Function
-	e.family = s.Family
+	e.slot = int32(s.Function)
+	e.family = uint16(s.Family)
 	e.active = true
-	e.pendSet = false
+	e.pend = -1
 	e.dgSet = false
 	// The plan mirror belongs to the previous incarnation's schedule
 	// stream; drop it so stale plans cannot explain new decisions.
-	e.planMin = nil
-	e.planVar = nil
-	e.planProb = nil
-	e.planAt = nil
+	e.plan = nil
 	r.bySlot[s.Function] = e
 }
 
@@ -463,7 +527,7 @@ func (r *Recorder) ObserveDeregister(s telemetry.DeregisterSample) {
 		return
 	}
 	e.active = false
-	e.pendSet = false
+	e.pend = -1
 	e.dgSet = false
 }
 
@@ -532,19 +596,49 @@ func (r *Recorder) SelfSeries(metric string, window int) (pts []Point, ok bool) 
 	return pts, true
 }
 
-// lastDecisions appends up to n of e's most recent decisions, oldest
-// first. Callers hold r.mu.
-func (e *fnProv) lastDecisions(n int) []Decision {
-	have := e.n
-	if have > uint64(len(e.ring)) {
-		have = uint64(len(e.ring))
+// decision materializes a ring record: names from the catalog family the
+// indices were recorded under, Uv from its three terms.
+func (r *Recorder) decision(c *record) Decision {
+	fam := &r.cat.Families[c.famFlags&(maxFamilies-1)]
+	d := Decision{
+		Minute:         int(c.minute),
+		Slot:           int(c.slot),
+		Chosen:         int(c.chosen),
+		MemMB:          c.memMB,
+		Planned:        int(c.planned),
+		Prob:           c.prob,
+		PlannedAt:      int(c.plannedAt),
+		Downgraded:     c.famFlags&recDowngraded != 0,
+		Ai:             c.ai,
+		Pr:             c.pr,
+		Ip:             c.ip,
+		Uv:             c.ai + c.pr + c.ip,
+		Peak:           c.famFlags&recPeak != 0,
+		PriorMB:        c.priorMB,
+		TargetMB:       c.targetMB,
+		BudgetBeforeMB: c.budgetBeforeMB,
+		BudgetAfterMB:  c.budgetAfterMB,
 	}
+	if c.chosen >= 0 {
+		d.ChosenName = fam.Variants[c.chosen].Name
+	}
+	if c.planned >= 0 {
+		d.PlannedName = fam.Variants[c.planned].Name
+	}
+	return d
+}
+
+// lastDecisions returns up to n of e's most recent decisions (n <= 0: the
+// whole ring), oldest first. Callers hold r.mu.
+func (r *Recorder) lastDecisions(e *fnProv, n int) []Decision {
+	have := min(e.n, uint64(r.window))
 	if n > 0 && uint64(n) < have {
 		have = uint64(n)
 	}
 	out := make([]Decision, 0, have)
 	for i := e.n - have; i < e.n; i++ {
-		out = append(out, e.ring[i%uint64(len(e.ring))])
+		at := int(i % uint64(r.window))
+		out = append(out, r.decision(&e.blocks[at/ringBlock][at%ringBlock]))
 	}
 	return out
 }
@@ -564,11 +658,11 @@ func (r *Recorder) explainLocked(name string, n int) (Explanation, error) {
 	}
 	return Explanation{
 		Function:  e.name,
-		Slot:      e.slot,
+		Slot:      int(e.slot),
 		Family:    r.cat.Families[e.family].Name,
 		Active:    e.active,
 		Window:    r.window,
-		Decisions: e.lastDecisions(n),
+		Decisions: r.lastDecisions(e, n),
 	}, nil
 }
 
@@ -619,7 +713,7 @@ func (r *Recorder) Rings() map[string][]Decision {
 	defer r.mu.Unlock()
 	out := make(map[string][]Decision, len(r.entries))
 	for _, e := range r.entries {
-		out[e.name] = e.lastDecisions(0)
+		out[e.name] = r.lastDecisions(e, 0)
 	}
 	return out
 }

@@ -1,7 +1,10 @@
 package provenance
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -270,9 +273,11 @@ func TestRecorderRestingMinutes(t *testing.T) {
 }
 
 // Rings grow on demand and idle minutes cost nothing: a function with ten
-// decisions holds a ring of about sixteen (append doubling, rounded to an
-// allocator size class), not the window's 64, and a minute that delivers
-// only its rollup allocates nothing.
+// decisions holds two ring blocks, not the window's eight, a function with
+// none holds none, and a minute that delivers only its rollup allocates
+// nothing. Growing allocates the ring blocks themselves — one per ringBlock
+// decisions, never a copy of what is already recorded — and a full ring
+// nothing at all.
 func TestRecorderRingGrowsOnDemandIdleMinuteNoAllocs(t *testing.T) {
 	rec, _ := testRecorder(t, DefaultWindow)
 	m := 0
@@ -281,11 +286,11 @@ func TestRecorderRingGrowsOnDemandIdleMinuteNoAllocs(t *testing.T) {
 		rec.ObserveMinute(telemetry.MinuteSample{Minute: m})
 	}
 	e := rec.byName["fn-0"]
-	if len(e.ring) != 10 || cap(e.ring) > 20 {
-		t.Errorf("ring len %d cap %d after 10 decisions, want 10 and about 16", len(e.ring), cap(e.ring))
+	if want := (10 + ringBlock - 1) / ringBlock; e.n != 10 || len(e.blocks) != want {
+		t.Errorf("%d decisions in %d ring blocks, want 10 in %d", e.n, len(e.blocks), want)
 	}
-	if r := rec.byName["fn-1"].ring; r != nil {
-		t.Errorf("a function with no decision owns a ring of cap %d", cap(r))
+	if b := rec.byName["fn-1"].blocks; b != nil {
+		t.Errorf("a function with no decision owns %d ring blocks", len(b))
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
 		rec.ObserveMinute(telemetry.MinuteSample{Minute: m})
@@ -293,12 +298,21 @@ func TestRecorderRingGrowsOnDemandIdleMinuteNoAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("idle minute allocates %v, want 0", allocs)
 	}
-	// Steady state at the window: holder minutes wrap in place.
+	// The blocks still to come, plus the block list (8 pointers) doubling.
+	// (Counted by hand: AllocsPerRun's warm-up call would do the growing.)
+	most := uint64(DefaultWindow/ringBlock - len(e.blocks) + 2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < DefaultWindow; i++ {
 		rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: m, Function: 0, Variant: 0})
 		rec.ObserveMinute(telemetry.MinuteSample{Minute: m})
 		m++
 	}
+	runtime.ReadMemStats(&after)
+	if growing := after.Mallocs - before.Mallocs; growing > most {
+		t.Errorf("growing a ring from 10 decisions to the window allocated %d times, want at most %d", growing, most)
+	}
+	// Steady state at the window: holder minutes wrap in place.
 	if allocs := testing.AllocsPerRun(200, func() {
 		rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: m, Function: 0, Variant: 0})
 		rec.ObserveMinute(telemetry.MinuteSample{Minute: m})
@@ -306,8 +320,8 @@ func TestRecorderRingGrowsOnDemandIdleMinuteNoAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("holder minute on a full ring allocates %v, want 0", allocs)
 	}
-	if len(e.ring) != DefaultWindow {
-		t.Errorf("full ring len %d, want %d", len(e.ring), DefaultWindow)
+	if len(e.blocks)*ringBlock != DefaultWindow {
+		t.Errorf("full ring holds %d records, want %d", len(e.blocks)*ringBlock, DefaultWindow)
 	}
 }
 
@@ -413,9 +427,9 @@ func TestRecorderSelfSeries(t *testing.T) {
 }
 
 // Recording a decision on an idle recorder path must not allocate: the
-// rings are fixed-capacity and the pending slots live inline in the entry.
-// (The first minute lazily allocates each touched function's ring; steady
-// state is pinned at zero.) Run by the CI alloc job.
+// rings are fixed-capacity and the recorder's pending list is reused every
+// minute. (The first minute lazily allocates each touched function's ring;
+// steady state is pinned at zero.) Run by the CI alloc job.
 func TestRecorderSteadyStateZeroAllocs(t *testing.T) {
 	rec, _ := testRecorder(t, 8)
 	// Warm: first decision allocates fn-0's ring and plan mirror.
@@ -434,5 +448,127 @@ func TestRecorderSteadyStateZeroAllocs(t *testing.T) {
 		minute++
 	}); allocs != 0 {
 		t.Errorf("steady-state recording allocates %v/op, want 0", allocs)
+	}
+}
+
+// The rings index the catalog where the old ones stored names, through int8
+// and 14-bit fields: a catalog that does not fit them is rejected up front,
+// and one at the limits works.
+func TestNewRecorderCatalogLimits(t *testing.T) {
+	family := func(name string, variants int) models.Family {
+		f := models.Family{Name: name}
+		for v := 0; v < variants; v++ {
+			f.Variants = append(f.Variants, models.Variant{
+				Name: fmt.Sprintf("%s-%d", name, v), AccuracyPct: 50, ExecSec: 1, MemoryMB: float64(v + 1),
+			})
+		}
+		return f
+	}
+	build := func(families, variants int) error {
+		cat := &models.Catalog{}
+		for f := 0; f < families; f++ {
+			cat.Families = append(cat.Families, family(fmt.Sprintf("f%d", f), 1))
+		}
+		last := families - 1
+		cat.Families[last] = family("wide", variants)
+		rec, err := NewRecorder(RecorderConfig{Catalog: cat, Assignment: models.Assignment{last}, Names: []string{"a"}})
+		if err != nil {
+			return err
+		}
+		// The last variant of the last family survives the round trip.
+		rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: 0, Function: 0, Variant: variants - 1, MemMB: 1})
+		rec.ObserveMinute(telemetry.MinuteSample{Minute: 0})
+		ex, err := rec.Explain("a", 0)
+		if err != nil {
+			return err
+		}
+		if want := fmt.Sprintf("wide-%d", variants-1); len(ex.Decisions) != 1 || ex.Decisions[0].ChosenName != want || ex.Family != "wide" {
+			return fmt.Errorf("round trip at the limit: %+v, want variant %s of family wide", ex, want)
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name               string
+		families, variants int
+		ok                 bool
+	}{
+		{"at both limits", maxFamilies, maxVariants, true},
+		{"one family too many", maxFamilies + 1, 2, false},
+		{"one variant too many", 3, maxVariants + 1, false},
+	} {
+		if err := build(tc.families, tc.variants); (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want accepted = %v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// Samples a foreign feed could send — a slot outside the table or already
+// deregistered, a variant or family index outside the catalog, a minute the
+// record cannot hold — are dropped without panicking and leave no trace; the
+// well-formed samples around them are recorded as usual.
+func TestRecorderForeignFeed(t *testing.T) {
+	const huge = math.MaxInt
+	for _, tc := range []struct {
+		name string
+		feed func(rec *Recorder)
+	}{
+		{"negative slot", func(rec *Recorder) {
+			rec.ObserveSchedule(telemetry.ScheduleSample{Minute: 0, Function: -1, Plan: []int{0}})
+			rec.ObserveDowngrade(telemetry.DowngradeSample{Minute: 1, Function: -1, FromVariant: 1})
+			rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: 1, Function: -1, Variant: 0})
+			rec.ObserveDeregister(telemetry.DeregisterSample{Minute: 1, Function: -1})
+			rec.ObserveRegister(telemetry.RegisterSample{Minute: 1, Function: -1, Name: "ghost"})
+		}},
+		{"slot beyond the table", func(rec *Recorder) {
+			rec.ObserveSchedule(telemetry.ScheduleSample{Minute: 0, Function: huge, Plan: []int{0}})
+			rec.ObserveDowngrade(telemetry.DowngradeSample{Minute: 1, Function: 2, FromVariant: 1})
+			rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: 1, Function: huge, Variant: 0})
+			rec.ObserveDeregister(telemetry.DeregisterSample{Minute: 1, Function: 99})
+			rec.ObserveRegister(telemetry.RegisterSample{Minute: 1, Function: huge, Name: "ghost"})
+		}},
+		{"variant outside the family", func(rec *Recorder) {
+			rec.ObserveSchedule(telemetry.ScheduleSample{Minute: 0, Function: 0, Plan: []int{3, -2, huge}, Probs: []float64{1, 1, 1}})
+			rec.ObserveDowngrade(telemetry.DowngradeSample{Minute: 1, Function: 0, FromVariant: 3, ToVariant: 200})
+			rec.ObserveDowngrade(telemetry.DowngradeSample{Minute: 1, Function: 0, FromVariant: -2})
+			rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: 1, Function: 0, Variant: 3})
+			rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: 1, Function: 0, Variant: -2})
+			rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: 1, Function: 1, Variant: 2}) // BERT has two
+			rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: 1, Function: 0, Variant: huge})
+		}},
+		{"family outside the catalog", func(rec *Recorder) {
+			rec.ObserveRegister(telemetry.RegisterSample{Minute: 1, Function: 2, Name: "ghost", Family: 5})
+			rec.ObserveRegister(telemetry.RegisterSample{Minute: 1, Function: 2, Name: "ghost", Family: -1})
+			rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: 1, Function: 2, Variant: 0})
+		}},
+		{"minute outside the record", func(rec *Recorder) {
+			for _, m := range []int{-1, math.MaxInt32 + 1, huge} {
+				rec.ObserveSchedule(telemetry.ScheduleSample{Minute: m, Function: 0, Plan: []int{0}})
+				rec.ObserveDowngrade(telemetry.DowngradeSample{Minute: m, Function: 0, FromVariant: 1})
+				rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: m, Function: 0, Variant: 0})
+				rec.ObserveMinute(telemetry.MinuteSample{Minute: m})
+			}
+			rec.ObserveSchedule(telemetry.ScheduleSample{Minute: math.MaxInt32 - 1, Function: 0, Plan: []int{0, 0, 0}})
+		}},
+		{"slot after its deregistration", func(rec *Recorder) {
+			rec.ObserveDeregister(telemetry.DeregisterSample{Minute: 0, Function: 0, Name: "fn-0"})
+			rec.ObserveDeregister(telemetry.DeregisterSample{Minute: 0, Function: 0, Name: "fn-0"})
+			rec.ObserveSchedule(telemetry.ScheduleSample{Minute: 0, Function: 0, Plan: []int{1}})
+			rec.ObserveDowngrade(telemetry.DowngradeSample{Minute: 1, Function: 0, FromVariant: 1})
+			rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: 1, Function: 0, Variant: 0})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec, _ := testRecorder(t, 4)
+			tc.feed(rec)
+			rec.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: 1, Function: 1, Variant: 1})
+			rec.ObserveMinute(telemetry.MinuteSample{Minute: 1, KeepAliveMB: 7})
+			rings := rec.Rings()
+			if len(rings) != 2 || len(rings["fn-0"]) != 0 {
+				t.Errorf("foreign samples left a trace: %+v", rings)
+			}
+			if d := rings["fn-1"]; len(d) != 1 || d[0].Minute != 1 || d[0].ChosenName != "BERT-Large" || d[0].Downgraded || d[0].BudgetBeforeMB != 7 {
+				t.Errorf("the well-formed decision beside them: %+v", d)
+			}
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -8,6 +10,7 @@ import (
 	"github.com/pulse-serverless/pulse/internal/attribution"
 	"github.com/pulse-serverless/pulse/internal/cluster"
 	"github.com/pulse-serverless/pulse/internal/core"
+	"github.com/pulse-serverless/pulse/internal/telemetry"
 )
 
 // countingPolicy wraps a policy and sums every invocation count reported to
@@ -29,12 +32,15 @@ func (p *countingPolicy) RecordInvocations(t int, counts []int) {
 // TestEpochInvocationConservation is the conservation law for the lock-free
 // serving path: under concurrent invokers racing a concurrent stepper,
 // every successful invocation must be counted exactly once, everywhere.
-// Four ledgers have to agree to the invocation:
+// Five ledgers have to agree to the invocation:
 //
 //	workers' own success count
 //	  == Stats().Invocations (per-stripe accumulators)
 //	  == sum of counts the policy saw via RecordInvocations (minute harvest)
 //	  == sum over minutes of the accountant's invocations series (MetricAt)
+//	  == sum of telemetry's pulse_function_invocations_total series, whose
+//	     hit path takes no lock (first touches race each other and the
+//	     stepper's keep-alive samples on the same slot table)
 //
 // The last equality additionally pins "no invocation lands in more than one
 // minute": an invocation double-counted across a rollover would inflate the
@@ -51,13 +57,17 @@ func TestEpochInvocationConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := &countingPolicy{Policy: base}
+	tel, err := telemetry.New(telemetry.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	r, err := New(Config{
 		Catalog:    cat,
 		Assignment: asg,
 		Policy:     pol,
 		Clock:      NewManualClock(time.Unix(0, 0)),
 		Cost:       cost,
-		Observer:   acct,
+		Observer:   telemetry.Multi(tel, acct),
 		Mode:       ModeEpoch,
 	})
 	if err != nil {
@@ -133,6 +143,23 @@ func TestEpochInvocationConservation(t *testing.T) {
 	}
 	if int(series) != want {
 		t.Errorf("sum of per-minute attribution series = %v, want %d (an invocation left or entered a second minute)", series, want)
+	}
+	var exposition strings.Builder
+	if err := tel.Registry().WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	var counted float64
+	for _, line := range strings.Split(exposition.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "pulse_function_invocations_total{"); ok {
+			v, err := strconv.ParseFloat(rest[strings.LastIndexByte(rest, ' ')+1:], 64)
+			if err != nil {
+				t.Fatalf("exposition line %q: %v", line, err)
+			}
+			counted += v
+		}
+	}
+	if int(counted) != want {
+		t.Errorf("telemetry invocation counters sum to %v, want %d", counted, want)
 	}
 	if r.Minute() < 2 {
 		t.Errorf("stepper only reached minute %d: the rollover race was not exercised", r.Minute())

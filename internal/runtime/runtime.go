@@ -33,8 +33,9 @@ var ErrUnknownFunction = errors.New("runtime: unknown function")
 var ErrDeregistered = errors.New("runtime: function deregistered")
 
 // Serving-path concurrency modes. ModeEpoch is the production path and the
-// default: the Invoke fast path takes no global lock at all — one seqlock
-// read, one stripe lock, one seqlock re-check. ModeSerial is the
+// default: the runtime's own Invoke path takes no global lock — one seqlock
+// read, one stripe lock, one seqlock re-check (what the Observer it then
+// calls takes is the Observer's; see Invoke). ModeSerial is the
 // single-global-lock oracle the differential harness and the benchmarks
 // (cmd/pulseload, bench/) compare it against.
 const (
@@ -444,7 +445,7 @@ func (r *Runtime) applyDecisionsLocked(decisions []int) {
 			}
 			return false
 		}
-		fam := r.cfg.Catalog.Families[st.family]
+		fam := &r.cfg.Catalog.Families[st.family]
 		if vi < 0 || vi >= fam.NumVariants() {
 			panic(fmt.Sprintf("runtime: policy kept invalid variant %d for function %d", vi, fn))
 		}
@@ -681,10 +682,16 @@ func (r *Runtime) invokeSerial(fn int) (Invocation, error) {
 // container of the policy's cold variant, pay its cold-start latency, and
 // leave it warm for the remainder of the minute.
 //
-// Invoke is safe for arbitrary concurrency: in the default epoch mode it
-// takes no global lock — invocations of different functions share nothing
-// but a read of the epoch counter, and invocations of the same function
-// serialize on that function's stripe. Every invocation lands in exactly
+// Invoke is safe for arbitrary concurrency: in the default epoch mode the
+// runtime itself takes no global lock — invocations of different functions
+// share nothing but a read of the epoch counter, and invocations of the same
+// function serialize on that function's stripe. The ObserveInvocation call
+// that follows is outside those locks and costs what the chain costs: with
+// pulsed's default chain (telemetry + provenance) it takes no lock either
+// once the function's series exist — telemetry's hit path is atomic loads,
+// the provenance recorder ignores invocations — while -attribution adds the
+// tournament arena's mutex and -alerts the alert engine's, one global lock
+// each per invocation (ROADMAP item 2b). Every invocation lands in exactly
 // one minute (the seqlock re-check retries any invocation that straddles a
 // minute rollover). Invoking a deregistered function returns an error
 // wrapping ErrDeregistered — the tombstone flag is read under the stripe

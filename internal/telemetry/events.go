@@ -31,7 +31,8 @@ const (
 )
 
 // Event is one decision-log record. The struct is flat so the ring buffer
-// stores values without per-event allocation; which fields are meaningful
+// stores values without per-event allocation (each ring slot owns the backing
+// storage of its Plan and Probs and reuses it); which fields are meaningful
 // depends on Kind. Function is -1 for events not scoped to a function.
 type Event struct {
 	Seq    uint64 `json:"seq"`
@@ -97,7 +98,8 @@ func NewEventLog(capacity int, sink io.Writer) (*EventLog, error) {
 }
 
 // Append stamps the event with the next sequence number and records it. It
-// returns the assigned sequence number.
+// returns the assigned sequence number. The ring copies e.Plan and e.Probs
+// into the slot's own storage, so the caller's slices are not retained.
 func (l *EventLog) Append(e Event) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -105,7 +107,11 @@ func (l *EventLog) Append(e Event) uint64 {
 	l.seq++
 	if c := len(l.buf); c > 0 {
 		i := (l.start + l.n) % c
-		l.buf[i] = e
+		slot := &l.buf[i]
+		plan, probs := slot.Plan[:0], slot.Probs[:0]
+		*slot = e
+		slot.Plan = append(plan, e.Plan...)
+		slot.Probs = append(probs, e.Probs...)
 		if l.n < c {
 			l.n++
 		} else {
@@ -132,8 +138,9 @@ func (l *EventLog) Append(e Event) uint64 {
 // after it is stamped and buffered. Taps run under the log's lock on the
 // appender's goroutine — they MUST NOT block or call back into the log
 // (a live-stream broadcaster with non-blocking fan-out is the intended
-// consumer). Register taps before the feed starts; Tap is not safe
-// concurrently with Append.
+// consumer), and they must not keep the event's Plan or Probs past the call:
+// the slices are the appender's. Register taps before the feed starts; Tap
+// is not safe concurrently with Append.
 func (l *EventLog) Tap(fn func(Event)) {
 	if fn == nil {
 		return
@@ -170,7 +177,7 @@ type Filter struct {
 	Limit int
 }
 
-func (f Filter) matches(e Event) bool {
+func (f Filter) matches(e *Event) bool {
 	if f.Kind != "" && e.Kind != f.Kind {
 		return false
 	}
@@ -181,18 +188,23 @@ func (f Filter) matches(e Event) bool {
 }
 
 // Select returns the buffered events matching the filter in append order.
+// Plan and Probs are copies: the ring reuses its own.
 func (l *EventLog) Select(f Filter) []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []Event
 	for i := 0; i < l.n; i++ {
-		e := l.buf[(l.start+i)%len(l.buf)]
+		e := &l.buf[(l.start+i)%len(l.buf)]
 		if f.matches(e) {
-			out = append(out, e)
+			out = append(out, *e)
 		}
 	}
 	if f.Limit > 0 && len(out) > f.Limit {
 		out = out[len(out)-f.Limit:]
+	}
+	for i := range out {
+		out[i].Plan = append([]int(nil), out[i].Plan...)
+		out[i].Probs = append([]float64(nil), out[i].Probs...)
 	}
 	return out
 }

@@ -109,15 +109,13 @@ func (t *Telemetry) ObserveRegister(s RegisterSample) {
 // function that no longer exists.
 func (t *Telemetry) ObserveDeregister(s DeregisterSample) {
 	t.deregisters.Inc()
-	t.mu.Lock()
-	var prevGauge *Gauge
-	if prev, had := t.kaLast[s.Function]; had {
-		prevGauge = t.kaCache[prev]
-		delete(t.kaLast, s.Function)
-	}
-	t.mu.Unlock()
-	if prevGauge != nil {
-		prevGauge.Set(0)
+	if fs := t.lookup(s.Function); fs != nil {
+		t.mu.Lock()
+		if fs.held.gauge != nil {
+			fs.held.gauge.set(0)
+			fs.held = kaSeries{}
+		}
+		t.mu.Unlock()
 	}
 	t.log.Append(Event{
 		Minute:   s.Minute,

@@ -5,9 +5,14 @@
 // through which the core optimizers, the cluster engine, and the live
 // runtime report what they decided and why.
 //
-// Everything is concurrency-safe. Metric write paths are lock-free
-// (atomic CAS on float bits) so instrumentation can sit on invocation hot
-// paths; the Nop observer adds zero allocations, so uninstrumented
+// Everything is concurrency-safe. Series updates are lock-free (atomic CAS
+// on float bits) and Telemetry finds a sample's series by indexing a slot
+// table (slots.go): the invocation stream takes no lock once a function's
+// series exist, the barrier-serialized streams share one mutex nobody else
+// contends for, the decision log has its own. A first touch never creates a
+// series under a lock a later sample needs, and a scrape holds a family's
+// lock only to snapshot it, so scrapes cannot stall samples (DESIGN.md
+// §6.10). The Nop observer adds zero allocations, so uninstrumented
 // deployments pay nothing.
 package telemetry
 
@@ -15,7 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -168,19 +173,32 @@ const labelSep = "\xff"
 // values. It panics on arity mismatch — a programmer error, like indexing
 // out of range.
 func (f *family) with(values []string) *series {
-	if len(values) != len(f.labels) {
-		panic(fmt.Sprintf("telemetry: metric %s called with %d label values, schema has %d", f.name, len(values), len(f.labels)))
-	}
-	key := strings.Join(values, labelSep)
+	key := f.key(values)
 	f.mu.RLock()
 	s := f.series[key]
 	f.mu.RUnlock()
 	if s != nil {
 		return s
 	}
+	return f.create(key, values)
+}
+
+// fresh is with minus the shared-lock probe, for a caller whose own handle
+// table says the series was never resolved (the probe would miss).
+func (f *family) fresh(values []string) *series { return f.create(f.key(values), values) }
+
+func (f *family) key(values []string) string {
+	if len(values) != len(f.labels) {
+		panic(fmt.Sprintf("telemetry: metric %s called with %d label values, schema has %d", f.name, len(values), len(f.labels)))
+	}
+	return strings.Join(values, labelSep)
+}
+
+func (f *family) create(key string, values []string) *series {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s = f.series[key]; s != nil {
+	s := f.series[key]
+	if s != nil {
 		return s
 	}
 	s = &series{labelValues: append([]string(nil), values...)}
@@ -231,18 +249,21 @@ func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
 
 // ObserveN records n observations of v in one step — the batch form the
 // cluster engine uses when a minute delivers many identical invocations.
-func (h *Histogram) ObserveN(v float64, n uint64) {
+func (h *Histogram) ObserveN(v float64, n uint64) { h.s.observe(h.buckets, v, n) }
+
+// observe is ObserveN for callers that keep the series, not a handle.
+func (s *series) observe(buckets []float64, v float64, n uint64) {
 	if n == 0 {
 		return
 	}
-	for i, ub := range h.buckets {
+	for i, ub := range buckets {
 		if v <= ub {
-			atomic.AddUint64(&h.s.bucketN[i], n)
+			atomic.AddUint64(&s.bucketN[i], n)
 			break
 		}
 	}
-	atomic.AddUint64(&h.s.count, n)
-	h.s.add(v * float64(n))
+	atomic.AddUint64(&s.count, n)
+	s.add(v * float64(n))
 }
 
 // Sum returns the sum of all observations.
@@ -406,14 +427,22 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 			continue
 		}
-		f.mu.RLock()
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
+		// Snapshot under the read lock, format after releasing it: rendering
+		// a 100k-function family takes seconds, and a series creation queued
+		// behind a held read lock parks every later reader of the family.
+		type keyed struct {
+			key string
+			s   *series
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			s := f.series[k]
+		f.mu.RLock()
+		snap := make([]keyed, 0, len(f.series))
+		for k, s := range f.series {
+			snap = append(snap, keyed{k, s})
+		}
+		f.mu.RUnlock()
+		slices.SortFunc(snap, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+		for _, ks := range snap {
+			s := ks.s
 			if f.typ == histogramType {
 				var cum uint64
 				for i, ub := range f.buckets {
@@ -451,7 +480,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			b.WriteString(formatValue(s.value()))
 			b.WriteByte('\n')
 		}
-		f.mu.RUnlock()
 		if _, err := io.WriteString(w, b.String()); err != nil {
 			return err
 		}

@@ -141,11 +141,13 @@ func (t *Telemetry) ObserveStep(s StepSample) {
 func (t *Telemetry) ObserveScan(s ScanSample) {
 	t.mu.Lock()
 	h := t.scanCache[s.Shard]
+	t.mu.Unlock()
 	if h == nil {
 		h = t.scanDur.With(strconv.Itoa(s.Shard))
+		t.mu.Lock()
 		t.scanCache[s.Shard] = h
+		t.mu.Unlock()
 	}
-	t.mu.Unlock()
 	h.Observe(s.Seconds)
 }
 

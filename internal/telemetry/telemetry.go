@@ -2,8 +2,9 @@ package telemetry
 
 import (
 	"io"
-	"strconv"
+	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Config parameterizes a Telemetry instance.
@@ -40,26 +41,12 @@ type Telemetry struct {
 	scanDur     *HistogramVec // {shard}
 	flushDur    *Histogram
 
+	// mu guards slot-table growth, the publication of invocation handle
+	// sets, keep-alive gauge state and scanCache. The ObserveInvocation hit
+	// path never takes it; no registry series is ever created under it.
 	mu        sync.Mutex
-	invCache  map[invKey]*Counter
-	svcCache  map[int]*Histogram
-	kaCache   map[kaKey]*Gauge
-	kaLast    map[int]kaKey // variant each function last kept alive
-	dgCache   map[int]*Counter
-	schCache  map[int]*Counter
-	scanCache map[int]*Histogram
-	fnLabel   map[int]string // strconv.Itoa cache
-}
-
-type invKey struct {
-	fn      int
-	variant string
-	cold    bool
-}
-
-type kaKey struct {
-	fn      int
-	variant string
+	dir       atomic.Pointer[[]*slotChunk] // the slot table (slots.go)
+	scanCache map[int]*Histogram           // by shard
 }
 
 // New builds a Telemetry instance with its default metric families.
@@ -71,15 +58,9 @@ func New(cfg Config) (*Telemetry, error) {
 	t := &Telemetry{
 		reg:       NewRegistry(),
 		log:       log,
-		invCache:  make(map[invKey]*Counter),
-		svcCache:  make(map[int]*Histogram),
-		kaCache:   make(map[kaKey]*Gauge),
-		kaLast:    make(map[int]kaKey),
-		dgCache:   make(map[int]*Counter),
-		schCache:  make(map[int]*Counter),
 		scanCache: make(map[int]*Histogram),
-		fnLabel:   make(map[int]string),
 	}
+	t.dir.Store(new([]*slotChunk))
 	if t.invocations, err = t.reg.NewCounterVec("pulse_function_invocations_total",
 		"Invocations served, by function, model variant, and start kind.",
 		"function", "variant", "start"); err != nil {
@@ -158,75 +139,97 @@ func (t *Telemetry) Registry() *Registry { return t.reg }
 // Events exposes the decision log (for the HTTP /events endpoint).
 func (t *Telemetry) Events() *EventLog { return t.log }
 
-func (t *Telemetry) fn(n int) string {
-	if s, ok := t.fnLabel[n]; ok {
-		return s
-	}
-	s := strconv.Itoa(n)
-	t.fnLabel[n] = s
-	return s
-}
-
 // ObserveInvocation implements Observer: it bumps the labeled invocation
-// counter and feeds the function's service-time histogram.
+// counter and feeds the function's service-time histogram. Once a (function,
+// variant, start kind) has been seen the path takes no lock: atomic loads, a
+// scan of the function's few variants, the lock-free series updates.
 func (t *Telemetry) ObserveInvocation(s InvocationSample) {
 	n := s.Count
 	if n <= 0 {
 		n = 1
 	}
-	k := invKey{fn: s.Function, variant: s.Variant, cold: s.Cold}
-	t.mu.Lock()
-	c := t.invCache[k]
-	if c == nil {
-		start := "warm"
-		if s.Cold {
-			start = "cold"
+	fs := t.slot(s.Function)
+	if fs == nil {
+		return
+	}
+	cold := 0
+	if s.Cold {
+		cold = 1
+	}
+	var c, h *series
+	if set := fs.inv.Load(); set != nil {
+		h = set.svc
+		for i := range set.variants {
+			if set.variants[i].name == s.Variant {
+				c = set.variants[i].start[cold]
+				break
+			}
 		}
-		c = t.invocations.With(t.fn(s.Function), s.Variant, start)
-		t.invCache[k] = c
 	}
-	h := t.svcCache[s.Function]
-	if h == nil {
-		h = t.service.With(t.fn(s.Function))
-		t.svcCache[s.Function] = h
+	if c == nil {
+		c, h = t.invocationSeries(fs, s.Variant, cold)
 	}
-	t.mu.Unlock()
-	c.Add(float64(n))
-	h.ObserveN(s.ServiceSec, uint64(n))
+	c.add(float64(n))
+	h.observe(t.service.f.buckets, s.ServiceSec, uint64(n))
 }
 
 // ObserveKeepAlive implements Observer: it maintains the per-function,
 // per-variant keep-alive gauge, zeroing the series of a variant the
 // function no longer keeps so the exposition never shows stale memory. The
 // sparse contract delivers exactly the samples this needs — a holder's
-// every minute (the gauge and kaLast follow variant changes) and the
-// release edge (the gauge is zeroed, kaLast forgotten); a resting function
-// has no gauge to maintain, so its silence costs nothing.
+// every minute (the gauge follows variant changes) and the release edge (the
+// gauge is zeroed and forgotten); a resting function's silence costs nothing.
+// A holder whose variant and memory did not change since its last sample
+// returns without touching a series: the gauge already holds the value.
 func (t *Telemetry) ObserveKeepAlive(s KeepAliveSample) {
+	fs := t.slot(s.Function)
+	if fs == nil {
+		return
+	}
+	bits := math.Float64bits(s.MemMB)
 	t.mu.Lock()
-	prev, had := t.kaLast[s.Function]
-	cur := kaKey{fn: s.Function, variant: s.VariantName}
-	var prevGauge, curGauge *Gauge
-	if had && prev != cur {
-		prevGauge = t.kaCache[prev]
-	}
-	if s.Variant >= 0 {
-		curGauge = t.kaCache[cur]
-		if curGauge == nil {
-			curGauge = t.keepalive.With(t.fn(s.Function), s.VariantName)
-			t.kaCache[cur] = curGauge
+	defer t.mu.Unlock()
+	held := &fs.held
+	if s.Variant < 0 { // release edge
+		if held.gauge != nil {
+			held.gauge.set(0)
+			*held = kaSeries{}
 		}
-		t.kaLast[s.Function] = cur
-	} else {
-		delete(t.kaLast, s.Function)
+		return
 	}
-	t.mu.Unlock()
-	if prevGauge != nil {
-		prevGauge.Set(0)
+	if held.gauge == nil || held.variant != s.VariantName {
+		next := fs.kaSeries(s.VariantName)
+		if next.gauge == nil {
+			// First hold of this variant: resolve the gauge outside the lock
+			// (creation may wait behind a scrape), then look again.
+			t.mu.Unlock()
+			g := t.keepalive.f.fresh([]string{fs.label, s.VariantName})
+			t.mu.Lock()
+			if next = fs.kaSeries(s.VariantName); next.gauge == nil {
+				next = kaSeries{variant: s.VariantName, gauge: g}
+				fs.ka = append(fs.ka, next)
+			}
+		}
+		if held.gauge != nil {
+			held.gauge.set(0)
+		}
+		*held = next
+	} else if fs.heldBits == bits {
+		return
 	}
-	if curGauge != nil {
-		curGauge.Set(s.MemMB)
+	held.gauge.set(s.MemMB)
+	fs.heldBits = bits
+}
+
+// kaSeries returns the function's gauge for variant, zero when it never held
+// it. Callers hold Telemetry.mu.
+func (fs *fnSeries) kaSeries(variant string) kaSeries {
+	for _, k := range fs.ka {
+		if k.variant == variant {
+			return k
+		}
 	}
+	return kaSeries{}
 }
 
 // ObserveMinute implements Observer: the rollup goes to the decision log.
@@ -243,20 +246,16 @@ func (t *Telemetry) ObserveMinute(s MinuteSample) {
 // ObserveSchedule implements Observer: it counts the plan and logs it with
 // the probabilities that chose each variant.
 func (t *Telemetry) ObserveSchedule(s ScheduleSample) {
-	t.mu.Lock()
-	c := t.schCache[s.Function]
-	if c == nil {
-		c = t.schedules.With(t.fn(s.Function))
-		t.schCache[s.Function] = c
+	if fs := t.slot(s.Function); fs != nil {
+		fs.counter(&fs.sch, t.schedules).add(1)
 	}
-	t.mu.Unlock()
-	c.Inc()
+	// The log copies Plan and Probs into its ring slot's own storage.
 	t.log.Append(Event{
 		Minute:   s.Minute,
 		Kind:     KindSchedule,
 		Function: s.Function,
-		Plan:     append([]int(nil), s.Plan...),
-		Probs:    append([]float64(nil), s.Probs...),
+		Plan:     s.Plan,
+		Probs:    s.Probs,
 	})
 }
 
@@ -285,14 +284,9 @@ func (t *Telemetry) ObservePeak(s PeakSample) {
 // ObserveDowngrade implements Observer: every Algorithm 2 downgrade is
 // counted per function and logged with its full utility breakdown.
 func (t *Telemetry) ObserveDowngrade(s DowngradeSample) {
-	t.mu.Lock()
-	c := t.dgCache[s.Function]
-	if c == nil {
-		c = t.downgrades.With(t.fn(s.Function))
-		t.dgCache[s.Function] = c
+	if fs := t.slot(s.Function); fs != nil {
+		fs.counter(&fs.dg, t.downgrades).add(1)
 	}
-	t.mu.Unlock()
-	c.Inc()
 	t.log.Append(Event{
 		Minute:      s.Minute,
 		Kind:        KindDowngrade,
