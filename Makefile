@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-bench test-parallel race stress bench bench-runtime bench-matrix bench-scale bench-scale-full bench-arena bench-observers experiments report examples clean verify alloc lint e2e loc
+.PHONY: all build vet test test-bench test-parallel race stress bench bench-scale bench-scale-full bench-arena bench-observers experiments report examples clean verify alloc lint e2e loc
 
 all: build vet test
 
@@ -71,33 +71,22 @@ e2e:
 bench:
 	$(GO) test -bench=. -benchmem -run xxx .
 
-# Live-runtime serving benchmark matrix: the load harness sweeps GOMAXPROCS
-# × functions × mixes × modes (the serial oracle, epoch) and writes the
-# multi-point BENCH_runtime.json with per-cell throughput, latency
-# percentiles, and the per-shape epoch/serial speedup. Mirrors the CI "bench-matrix"
-# job, which uploads the JSON as an artifact. bench-runtime is kept as an
-# alias for muscle memory.
-bench-matrix:
-	$(GO) run ./cmd/pulseload -gomaxprocs 1,4 -functions 12,96 -mixes hotspot,zipf -duration 2s -out BENCH_runtime.json
-
-bench-runtime: bench-matrix
-
-# Population-scale benchmark: the 100k-function cell with hard budgets on
+# Population-scale gate: the 100k-function cell with hard budgets on
 # resting bytes per function and mean idle minute-step latency. The cell
 # runs twice — bare under the budgets below, then with pulsed's default
 # observer chain (telemetry + provenance) attached under pulseload's fixed
 # observed-cell budgets (idle step <= 1 ms, bytes/function <= 1.25x the value
-# measured when the sparse Observer contract landed). Mirrors the CI
-# "bench-scale" job, which uploads the JSON as an artifact. The full
-# {10k, 100k, 1M} sweep published in BENCH_runtime.json comes from
-# bench-scale-full (minutes, not seconds, at the 1M cell).
+# measured when the observers' state became slot-indexed). Mirrors the CI
+# "bench-scale" job, which uploads BENCH_scale.json as an artifact.
 bench-scale:
-	$(GO) run ./cmd/pulseload -scale-only -scale 100000 \
+	$(GO) run ./cmd/pulseload -scale 100000 \
 		-scale-max-bytes-per-fn 1024 -scale-max-idle-step-ms 1 \
 		-out BENCH_scale.json
 
+# The full {10k, 100k, 1M} sweep behind README's "Population scale" table
+# (minutes, not seconds, at the 1M cell), written to BENCH_scale.json.
 bench-scale-full:
-	$(GO) run ./cmd/pulseload -scale-only -scale 10000,100000,1000000 -out BENCH_scale.json
+	$(GO) run ./cmd/pulseload -scale 10000,100000,1000000 -out BENCH_scale.json
 
 # Per-slot cost of one tournament minute boundary: 100k slots, the six
 # entrants of `pulsed -attribution -tournament mpc,hawkes,qlearn`, an idle and

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"github.com/pulse-serverless/pulse/internal/alert"
@@ -147,14 +148,19 @@ func NewInstrumentedAPI(rt *Runtime, tel *telemetry.Telemetry) (*API, error) {
 }
 
 // registerStatsMetrics bridges the runtime's global counters into the
-// registry as scrape-time funcs, replacing the former hand-rolled writer.
+// registry as scrape-time funcs. Stats() opens a population-wide write
+// window, so a render takes it once: the registry renders families in
+// registration order, and the first of these funcs snapshots Stats for the
+// seven after it. A scrape racing another may take some of the eight values
+// from the other's snapshot.
 func registerStatsMetrics(reg *telemetry.Registry, rt *Runtime) error {
 	type metric struct {
 		name, help string
 		counter    bool
 		value      func(Stats) float64
 	}
-	for _, m := range []metric{
+	var snap atomic.Pointer[Stats]
+	for i, m := range []metric{
 		{"pulse_invocations_total", "Invocations served.", true, func(s Stats) float64 { return float64(s.Invocations) }},
 		{"pulse_warm_starts_total", "Invocations served warm.", true, func(s Stats) float64 { return float64(s.WarmStarts) }},
 		{"pulse_cold_starts_total", "Invocations served cold.", true, func(s Stats) float64 { return float64(s.ColdStarts) }},
@@ -165,7 +171,14 @@ func registerStatsMetrics(reg *telemetry.Registry, rt *Runtime) error {
 		{"pulse_mean_accuracy_pct", "Mean accuracy delivered per invocation.", false, func(s Stats) float64 { return s.MeanAccuracyPct() }},
 	} {
 		value := m.value
-		fn := func() float64 { return value(rt.Stats()) }
+		fn := func() float64 { return value(*snap.Load()) }
+		if i == 0 {
+			fn = func() float64 {
+				s := rt.Stats()
+				snap.Store(&s)
+				return value(s)
+			}
+		}
 		var err error
 		if m.counter {
 			err = reg.NewCounterFunc(m.name, m.help, fn)

@@ -85,13 +85,6 @@ func (a *API) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, apiError{"GET required"})
 		return
 	}
-	active := 0
-	n := a.rt.NumFunctions()
-	for fn := 0; fn < n; fn++ {
-		if a.rt.FunctionActive(fn) {
-			active++
-		}
-	}
 	var entrants []string
 	if a.acct != nil {
 		entrants = a.acct.EntrantNames()
@@ -101,9 +94,9 @@ func (a *API) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		GoVersion:          goruntime.Version(),
 		UptimeSec:          time.Since(a.started).Seconds(),
 		Mode:               a.rt.Mode(),
-		Minute:             a.rt.Stats().Minute,
-		Functions:          n,
-		Active:             active,
+		Minute:             a.rt.Minute(),
+		Functions:          a.rt.NumFunctions(),
+		Active:             a.rt.NumActive(),
 		Telemetry:          a.tel != nil,
 		Attribution:        a.acct != nil,
 		Provenance:         a.prov != nil,

@@ -24,10 +24,16 @@ func TestHealthzJSON(t *testing.T) {
 	api.AttachStream(stream)
 	api.AttachAlerts(engine)
 
+	// A health probe reads; it must not open a write window that stalls
+	// every in-flight Invoke.
+	seq := rt.seq.Load()
 	rec := httptest.NewRecorder()
 	api.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /healthz = %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := rt.seq.Load(); got != seq {
+		t.Errorf("GET /healthz moved the seqlock %d -> %d", seq, got)
 	}
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Errorf("content type %q, want application/json", ct)
@@ -65,6 +71,26 @@ func TestHealthzJSON(t *testing.T) {
 	}
 	if h.Alerts.Firing == nil {
 		t.Error("alerts.firing must be [] in JSON, not null")
+	}
+
+	// active counts live slots: a tombstoned slot leaves it, not functions.
+	if err := rt.Deregister(rt.FunctionName(0)); err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	api.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	h = healthzResponse{}
+	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	for fn := 0; fn < rt.NumFunctions(); fn++ {
+		if rt.FunctionActive(fn) {
+			live++
+		}
+	}
+	if h.Functions != rt.NumFunctions() || h.Active != live || live != h.Functions-1 {
+		t.Errorf("after a deregister: functions %d active %d, want %d and %d live", h.Functions, h.Active, rt.NumFunctions(), live)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"github.com/pulse-serverless/pulse/internal/core"
 	"github.com/pulse-serverless/pulse/internal/models"
 	"github.com/pulse-serverless/pulse/internal/policy"
+	"github.com/pulse-serverless/pulse/internal/provenance"
 	"github.com/pulse-serverless/pulse/internal/telemetry"
 )
 
@@ -327,26 +328,36 @@ func TestInvokeObserverOverhead(t *testing.T) {
 func BenchmarkInvoke(b *testing.B) {
 	cat := models.PaperCatalog()
 	asg := models.Assignment{0, 1, 2}
+	none := func(*testing.B) telemetry.Observer { return nil }
 	for _, bc := range []struct {
 		name string
 		obs  func(b *testing.B) telemetry.Observer
+		// tracer, when set, attaches a sampled invocation tracer: stride 0
+		// is the carry cost every deployment pays, 1024 the sampling cost.
+		tracer *provenance.TracerConfig
 	}{
-		{"uninstrumented", func(*testing.B) telemetry.Observer { return nil }},
-		{"nop", func(*testing.B) telemetry.Observer { return telemetry.Nop{} }},
+		{"uninstrumented", none, nil},
+		{"nop", func(*testing.B) telemetry.Observer { return telemetry.Nop{} }, nil},
 		{"telemetry", func(b *testing.B) telemetry.Observer {
 			tel, err := telemetry.New(telemetry.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			return tel
-		}},
+		}, nil},
+		{"tracer-off", none, &provenance.TracerConfig{}},
+		{"tracer-1in1024", none, &provenance.TracerConfig{Stride: 1024}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			p, err := newFixedPolicy(cat, asg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			rt, err := New(Config{Catalog: cat, Assignment: asg, Policy: p, Clock: NewManualClock(time.Unix(0, 0)), Observer: bc.obs(b)})
+			var tracer *provenance.Tracer
+			if bc.tracer != nil {
+				tracer = provenance.NewTracer(*bc.tracer)
+			}
+			rt, err := New(Config{Catalog: cat, Assignment: asg, Policy: p, Clock: NewManualClock(time.Unix(0, 0)), Observer: bc.obs(b), Tracer: tracer})
 			if err != nil {
 				b.Fatal(err)
 			}

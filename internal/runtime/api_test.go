@@ -140,10 +140,16 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := rt.Invoke(0); err != nil {
 		t.Fatal(err)
 	}
+	// One render takes one Stats snapshot: a single write window, which
+	// moves the seqlock by exactly 2 however many values come from it.
+	seq := rt.seq.Load()
 	rec := httptest.NewRecorder()
 	api.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("metrics = %d", rec.Code)
+	}
+	if got := rt.seq.Load() - seq; got != 2 {
+		t.Errorf("GET /metrics moved the seqlock by %d, want 2 (one write window)", got)
 	}
 	out := rec.Body.String()
 	for _, s := range []string{

@@ -36,8 +36,8 @@ var ErrDeregistered = errors.New("runtime: function deregistered")
 // default: the runtime's own Invoke path takes no global lock — one seqlock
 // read, one stripe lock, one seqlock re-check (what the Observer it then
 // calls takes is the Observer's; see Invoke). ModeSerial is the
-// single-global-lock oracle the differential harness and the benchmarks
-// (cmd/pulseload, bench/) compare it against.
+// single-global-lock oracle that the differential harness and the bench/
+// scale100k workload's bit-for-bit check compare it against.
 const (
 	ModeSerial = "serial"
 	ModeEpoch  = "epoch"

@@ -6,8 +6,7 @@ import (
 	"time"
 )
 
-// Population-scale benchmark: where the load matrix measures serving-path
-// throughput at small populations, RunScale measures what a large mostly-idle
+// Population-scale benchmark: RunScale measures what a large mostly-idle
 // population *costs* — resting heap bytes per registered function and the
 // minute-step latency with nothing (and then a small fraction) of the fleet
 // active. These are the two numbers the flat-arena + idle-skip design exists
