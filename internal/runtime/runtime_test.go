@@ -421,44 +421,49 @@ func TestRuntimeCloseShardedPolicy(t *testing.T) {
 // TestInvokeAfterClose: Close must flip the runtime into a terminal state
 // where Invoke and Step return ErrClosed instead of calling into the
 // closed policy (the sharded controller's worker pool is gone), while the
-// read-only surface stays available for final reporting.
+// read-only surface stays available for final reporting, in both serving
+// modes.
 func TestInvokeAfterClose(t *testing.T) {
-	cat, asg := testSetup(t)
-	ctrl, err := core.New(core.Config{Catalog: cat, Assignment: asg, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := New(Config{Catalog: cat, Assignment: asg, Policy: ctrl, Clock: NewManualClock(time.Unix(0, 0))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Invoke(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Invoke(0); !errors.Is(err, ErrClosed) {
-		t.Errorf("Invoke after Close = %v, want ErrClosed", err)
-	}
-	if err := r.Step(); !errors.Is(err, ErrClosed) {
-		t.Errorf("Step after Close = %v, want ErrClosed", err)
-	}
-	// The read-only surface survives for final reporting.
-	if st := r.Stats(); st.Invocations != 1 {
-		t.Errorf("Stats after Close = %+v", st)
-	}
-	if r.Minute() != 1 {
-		t.Errorf("Minute after Close = %d", r.Minute())
-	}
-	if _, err := r.AliveVariant(0); err != nil {
-		t.Errorf("AliveVariant after Close: %v", err)
-	}
-	if err := r.Close(); err != nil {
-		t.Errorf("second Close: %v", err)
+	for _, mode := range []string{ModeSerial, ModeEpoch} {
+		t.Run(mode, func(t *testing.T) {
+			cat, asg := testSetup(t)
+			ctrl, err := core.New(core.Config{Catalog: cat, Assignment: asg, Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := New(Config{Catalog: cat, Assignment: asg, Policy: ctrl, Clock: NewManualClock(time.Unix(0, 0)), Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Invoke(0); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Step(); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Invoke(0); !errors.Is(err, ErrClosed) {
+				t.Errorf("Invoke after Close = %v, want ErrClosed", err)
+			}
+			if err := r.Step(); !errors.Is(err, ErrClosed) {
+				t.Errorf("Step after Close = %v, want ErrClosed", err)
+			}
+			// The read-only surface survives for final reporting.
+			if st := r.Stats(); st.Invocations != 1 {
+				t.Errorf("Stats after Close = %+v", st)
+			}
+			if r.Minute() != 1 {
+				t.Errorf("Minute after Close = %d", r.Minute())
+			}
+			if _, err := r.AliveVariant(0); err != nil {
+				t.Errorf("AliveVariant after Close: %v", err)
+			}
+			if err := r.Close(); err != nil {
+				t.Errorf("second Close: %v", err)
+			}
+		})
 	}
 }
 
