@@ -89,9 +89,10 @@ bench-scale-full:
 	$(GO) run ./cmd/pulseload -scale 10000,100000,1000000 -out BENCH_scale.json
 
 # Per-slot cost of one tournament minute boundary: 100k slots, the six
-# entrants of `pulsed -attribution -tournament mpc,hawkes,qlearn`, an idle and
-# a 1 %-invoked minute, reported as ns/slot with allocations. Runs in the CI
-# "bench-scale" job.
+# entrants of `pulsed -attribution -tournament mpc,hawkes,qlearn` together
+# ("all") and each alone, an idle and a 1 %-invoked minute, timed after the
+# warm-up's holds have expired, reported as ns/slot with allocations. Runs
+# in the CI "bench-scale" job.
 bench-arena:
 	$(GO) test ./internal/tournament -run '^$$' -bench '^BenchmarkArenaMinute$$' -benchtime 20x
 

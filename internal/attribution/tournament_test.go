@@ -165,8 +165,9 @@ func TestTournamentRejectsDuplicateEntrantNames(t *testing.T) {
 // (keep-alives, a batched and a cold invocation, the barrier) must not
 // allocate: the hot path is integer counters plus preallocated rows, and
 // every packaged entrant's KeepAlive/Record is allocation-free. The same
-// holds for the minute right after a deregister: the arena drops the
-// retired slot from its live-slot list in place.
+// holds while holders turn over (the resting entrants' held lists are
+// double-buffered) and for the minute right after a deregister: the arena
+// drops the retired slot from its live-slot list in place.
 func TestTournamentIdleMinuteSixEntrantsNoSteadyStateAllocs(t *testing.T) {
 	cat := testCatalog(t)
 	const churnRuns = 30
@@ -197,6 +198,25 @@ func TestTournamentIdleMinuteSixEntrantsNoSteadyStateAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, observeMinute); avg != 0 {
 		t.Errorf("steady-state minute with 6 entrants allocates %v times, want 0", avg)
+	}
+
+	// A rotating cohort: two slots invoked per minute, each slot every 16
+	// minutes, so the resting entrants' held lists (fixed-high's 10-minute
+	// window, hawkes' decay tail) gain and lose members every minute.
+	const rotate = 32
+	cohortMinute := func() {
+		for k := 0; k < 2; k++ {
+			fn := (2*minute + k) % rotate
+			a.ObserveInvocation(telemetry.InvocationSample{Minute: minute, Function: fn, Variant: cat.Families[asg[fn]].Variants[0].Name, Count: 2})
+		}
+		a.ObserveMinute(telemetry.MinuteSample{Minute: minute})
+		minute++
+	}
+	for i := 0; i < 4*rotate; i++ {
+		cohortMinute()
+	}
+	if avg := testing.AllocsPerRun(200, cohortMinute); avg != 0 {
+		t.Errorf("rotating-cohort minute with 6 entrants allocates %v times, want 0", avg)
 	}
 
 	victim := len(asg)

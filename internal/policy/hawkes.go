@@ -108,6 +108,13 @@ func (h *HawkesEntrant) KeepAlive(m, fn int) int {
 	return cluster.NoVariant
 }
 
+// Rests implements tournament.RestingEntrant. Excitation keeps the sign of
+// Alpha, so with β ≥ 0 the intensity only moves monotonically toward μ
+// between arrivals; holding is monotone in λ, so a slot that let go stays
+// let go until its next invocation — unless μ alone holds (restHold), which
+// also covers a never-invoked slot.
+func (h *HawkesEntrant) Rests() bool { return !h.restHold && h.cfg.Beta >= 0 }
+
 // Record implements tournament.ShadowEntrant: invocations excite the
 // process at the minute barrier. Decay is applied lazily (the exponential
 // kernel makes the deferred product exact), so idle minutes cost nothing.

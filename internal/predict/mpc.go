@@ -118,7 +118,7 @@ func (e *MPCEntrant) KeepAlive(m, fn int) int {
 	si := m % hw.cfg.SeasonLength
 	cum := 0.0
 	for j := 0; j < e.cfg.Horizon; j++ {
-		if lam := math.Max(0, base+*hw.cell(fn, si)); lam != 0 {
+		if lam := base + *hw.cell(fn, si); lam > 0 {
 			cum += 1 - math.Exp(-lam)
 		}
 		if float64(j+1) < e.cfg.ColdCostMinutes*cum {

@@ -2,6 +2,7 @@ package tournament
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/pulse-serverless/pulse/internal/cluster"
@@ -85,6 +86,13 @@ type entrant struct {
 	open []int       // variant held in the open minute per fn, NoVariant when none
 	led  []entLedger // per-function account
 
+	// rests marks a RestingEntrant whose Rests() held at construction. Only
+	// for those, held lists the slots holding a variant in the open minute,
+	// ascending; spare is the previous minute's list, reused as the next
+	// one's buffer.
+	rests       bool
+	held, spare []int32
+
 	// Open-minute cluster-wide accumulators, written into the store when
 	// the minute closes.
 	minKaM  float64
@@ -100,8 +108,11 @@ type entrant struct {
 // Accounting order is fixed and deterministic: at every minute boundary
 // entrants are visited in registration order and functions in ascending
 // slot order within each entrant, regardless of shard count or runtime
-// serving mode. Per-entrant minute accumulators are independent, so this
-// order also pins the float summation order per entrant.
+// serving mode. A resting entrant is visited only at the slots it held or
+// saw invoked in the previous minute, still ascending; the slots it skips
+// hold nothing and charge nothing. Per-entrant minute accumulators are
+// independent, so this order also pins the float summation order per
+// entrant.
 type Arena struct {
 	mu   sync.Mutex
 	cost cluster.CostModel
@@ -124,7 +135,8 @@ type Arena struct {
 	live      []int32
 	liveStale bool
 	// touched lists the slots whose openCnt is non-zero, so close clears
-	// those instead of the whole column.
+	// those instead of the whole column. close sorts it and leaves it to the
+	// next open, where it is the resting entrants' invoked-at-m−1 list.
 	touched []int32
 
 	cur   int // open minute, -1 before the first sample
@@ -213,6 +225,9 @@ func New(cfg Config) (*Arena, error) {
 		e := &a.ents[ei]
 		e.impl = cfg.Entrants[ei]
 		e.hind, _ = cfg.Entrants[ei].(HindsightEntrant)
+		if r, ok := cfg.Entrants[ei].(RestingEntrant); ok {
+			e.rests = r.Rests()
+		}
 		e.open = make([]int, len(cfg.Assignment))
 		e.led = make([]entLedger, len(cfg.Assignment))
 	}
@@ -322,30 +337,64 @@ func (a *Arena) liveSlots() []int32 {
 
 // open starts minute m: every entrant, in registration order, is asked
 // which variant it holds warm for every live function in ascending slot
-// order, and is charged keep-alive for each held variant. The family's
-// geometry is only looked up for a slot the entrant holds.
+// order, and is charged keep-alive for each held variant. A resting entrant
+// is asked only for the live slots it held in m−1 merged with the slots
+// invoked in m−1 (the sorted touched list close left behind); every other
+// slot already holds NoVariant in e.open.
 func (a *Arena) open(m int) {
 	a.cur = m
 	live := a.liveSlots()
+	inv := a.touched
 	for ei := range a.ents {
 		e := &a.ents[ei]
-		for _, slot := range live {
-			fn := int(slot)
-			v := e.impl.KeepAlive(m, fn)
-			if v < 0 {
-				e.open[fn] = NoVariant
-				continue
+		if !e.rests {
+			for _, slot := range live {
+				a.consult(e, m, slot)
 			}
-			fi := &a.fams[a.famOf[fn]]
-			if v > fi.highest {
-				v = fi.highest
-			}
-			e.open[fn] = v
-			e.led[fn].aliveMin[v]++
-			e.minKaM += fi.memMB[v]
-			e.minCost += fi.costPerMin[v]
+			continue
 		}
+		held, next := e.held, e.spare[:0]
+		for i, j := 0, 0; i < len(held) || j < len(inv); {
+			var slot int32
+			if j == len(inv) || i < len(held) && held[i] <= inv[j] {
+				slot = held[i]
+				if j < len(inv) && inv[j] == slot {
+					j++
+				}
+				i++
+			} else {
+				slot = inv[j]
+				j++
+			}
+			if !a.retired[slot] && a.consult(e, m, slot) {
+				next = append(next, slot)
+			}
+		}
+		e.held, e.spare = next, held
 	}
+	a.touched = a.touched[:0]
+}
+
+// consult asks e which variant it holds warm for slot in minute m, notes it
+// in e.open, and charges a held variant's keep-alive. The family's geometry
+// is only looked up for a slot the entrant holds. It reports whether a
+// variant is held.
+func (a *Arena) consult(e *entrant, m int, slot int32) bool {
+	fn := int(slot)
+	v := e.impl.KeepAlive(m, fn)
+	if v < 0 {
+		e.open[fn] = NoVariant
+		return false
+	}
+	fi := &a.fams[a.famOf[fn]]
+	if v > fi.highest {
+		v = fi.highest
+	}
+	e.open[fn] = v
+	e.led[fn].aliveMin[v]++
+	e.minKaM += fi.memMB[v]
+	e.minCost += fi.costPerMin[v]
+	return true
 }
 
 // fillRow snapshots the open minute's cluster-wide accumulators into the
@@ -371,21 +420,31 @@ func (a *Arena) fillRow() []float64 {
 // close finalizes the open minute: push the row into the time-series
 // store, deliver the barrier feed — every entrant in registration order
 // receives every live function's invocation count for the minute, in
-// ascending slot order — and reset the per-minute accumulators.
+// ascending slot order; a resting entrant only the non-zero counts — and
+// reset the per-minute accumulators. The sorted touched list is kept for
+// the next open.
 func (a *Arena) close() {
 	a.store.push(a.cur, a.fillRow())
 	live := a.liveSlots()
+	slices.Sort(a.touched)
 	for ei := range a.ents {
 		e := &a.ents[ei]
-		for _, slot := range live {
-			e.impl.Record(a.cur, int(slot), a.openCnt[slot])
+		if e.rests {
+			for _, slot := range a.touched {
+				if !a.retired[slot] {
+					e.impl.Record(a.cur, int(slot), a.openCnt[slot])
+				}
+			}
+		} else {
+			for _, slot := range live {
+				e.impl.Record(a.cur, int(slot), a.openCnt[slot])
+			}
 		}
 		e.minKaM, e.minCost, e.minCold = 0, 0, 0
 	}
 	for _, slot := range a.touched {
 		a.openCnt[slot] = 0
 	}
-	a.touched = a.touched[:0]
 	a.minActualKaM, a.minActualCost = 0, 0
 	a.minActualCold, a.minInv = 0, 0
 }

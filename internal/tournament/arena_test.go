@@ -2,13 +2,15 @@ package tournament_test
 
 // The arena's entrant protocol, pinned from the entrant's side: a recording
 // entrant logs every call it receives, and a model of the documented minute
-// protocol (tournament.ShadowEntrant) predicts the log. The model knows
-// nothing about how the arena finds its live slots, so a stale live-slot
-// list, a skipped slot or a reordered walk shows up as a log mismatch.
+// protocol (tournament.ShadowEntrant, tournament.RestingEntrant) predicts the
+// log. The model knows nothing about how the arena finds its live, held or
+// invoked slots, so a stale list, a skipped slot or a reordered walk shows
+// up as a log mismatch.
 
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/pulse-serverless/pulse/internal/models"
@@ -45,8 +47,40 @@ func (r *recorder) Record(m, fn, count int) {
 	*r.log = append(*r.log, call{r.name, "record", m, fn, count})
 }
 
+// restWindow is how many minutes after an invoked minute a restingRecorder
+// keeps holding the slot.
+const restWindow = 2
+
+// restingRecorder is a recorder that rests (tournament.RestingEntrant) and,
+// like fixed-high, holds variant 0 through restWindow minutes after each
+// invoked minute, so its held set turns over.
+type restingRecorder struct {
+	recorder
+	last map[int]int // last invoked minute per slot
+}
+
+func (r *restingRecorder) Rests() bool { return true }
+func (r *restingRecorder) Retire(fn int) {
+	r.recorder.Retire(fn)
+	delete(r.last, fn)
+}
+func (r *restingRecorder) KeepAlive(m, fn int) int {
+	r.recorder.KeepAlive(m, fn)
+	if l, ok := r.last[fn]; ok && m <= l+restWindow {
+		return 0
+	}
+	return tournament.NoVariant
+}
+func (r *restingRecorder) Record(m, fn, count int) {
+	r.recorder.Record(m, fn, count)
+	if count > 0 {
+		r.last[fn] = m
+	}
+}
+
 // protocolModel drives an arena and, beside it, the log the protocol says
-// its entrants must see.
+// its entrants must see. An entrant whose name starts with "rest" is a
+// restingRecorder, any other a recorder.
 type protocolModel struct {
 	t     *testing.T
 	arena *tournament.Arena
@@ -58,17 +92,28 @@ type protocolModel struct {
 	cur   int          // open minute, -1 before the first sample
 	got   []call
 	want  []call
+
+	last map[int]int  // last invoked minute per live slot (restingRecorder's rule)
+	held map[int]bool // slots the resting recorders hold in the open minute
 }
+
+func resting(name string) bool { return strings.HasPrefix(name, "rest") }
 
 func newProtocolModel(t *testing.T, entrants []string, asg models.Assignment) *protocolModel {
 	t.Helper()
 	d := &protocolModel{
 		t: t, cat: models.PaperCatalog(), ents: entrants,
 		live: map[int]bool{}, cnt: map[int]int{}, cur: -1,
+		last: map[int]int{}, held: map[int]bool{},
 	}
 	impls := make([]tournament.ShadowEntrant, len(entrants))
 	for i, name := range entrants {
-		impls[i] = &recorder{name: name, log: &d.got}
+		rec := recorder{name: name, log: &d.got}
+		if resting(name) {
+			impls[i] = &restingRecorder{recorder: rec, last: map[int]int{}}
+		} else {
+			impls[i] = &rec
+		}
 	}
 	for fn, fam := range asg {
 		d.fam = append(d.fam, fam)
@@ -99,32 +144,59 @@ func (d *protocolModel) liveAscending() []int {
 }
 
 // expectOpen predicts minute m's open: entrants in registration order, live
-// slots ascending within each.
-func (d *protocolModel) expectOpen(m int) {
+// slots ascending within each; a resting entrant only at the live slots it
+// held in m−1 or that were invoked in m−1 (invoked).
+func (d *protocolModel) expectOpen(m int, invoked map[int]int) {
 	d.cur = m
+	live := d.liveAscending()
+	var visit []int
+	held := map[int]bool{}
+	for _, fn := range live {
+		if !d.held[fn] && invoked[fn] == 0 {
+			continue
+		}
+		visit = append(visit, fn)
+		if l, ok := d.last[fn]; ok && m <= l+restWindow {
+			held[fn] = true
+		}
+	}
+	d.held = held
 	for _, ent := range d.ents {
-		for _, fn := range d.liveAscending() {
+		slots := live
+		if resting(ent) {
+			slots = visit
+		}
+		for _, fn := range slots {
 			d.want = append(d.want, call{ent, "keepalive", m, fn, 0})
 		}
 	}
 }
 
 // expectRoll predicts the clock advancing to m: every minute in between is
-// closed (one Record per live slot with the minute's summed count) and the
-// next one opened.
+// closed (one Record per live slot with the minute's summed count; for a
+// resting entrant, per invoked live slot) and the next one opened.
 func (d *protocolModel) expectRoll(m int) {
 	if d.cur < 0 {
-		d.expectOpen(m)
+		d.expectOpen(m, nil)
 		return
 	}
 	for d.cur < m {
+		live := d.liveAscending()
 		for _, ent := range d.ents {
-			for _, fn := range d.liveAscending() {
-				d.want = append(d.want, call{ent, "record", d.cur, fn, d.cnt[fn]})
+			for _, fn := range live {
+				if d.cnt[fn] > 0 || !resting(ent) {
+					d.want = append(d.want, call{ent, "record", d.cur, fn, d.cnt[fn]})
+				}
 			}
 		}
+		for _, fn := range live {
+			if d.cnt[fn] > 0 {
+				d.last[fn] = d.cur
+			}
+		}
+		invoked := d.cnt
 		d.cnt = map[int]int{}
-		d.expectOpen(d.cur + 1)
+		d.expectOpen(d.cur+1, invoked)
 	}
 }
 
@@ -155,6 +227,7 @@ func (d *protocolModel) register(fam int) int {
 // deregister retires fn before the clock advances to m.
 func (d *protocolModel) deregister(m, fn int) {
 	delete(d.live, fn)
+	delete(d.last, fn)
 	d.eachEntrant("retire", -1, fn, 0)
 	d.expectRoll(m)
 	d.arena.ObserveDeregister(telemetry.DeregisterSample{Minute: m, Function: fn})
@@ -286,6 +359,66 @@ func TestArenaProtocolGapAndFragmentedMinute(t *testing.T) {
 					t.Errorf("%s: gap minute %d slot %d consulted %d times, want 1", ent, m, fn, n)
 				}
 			}
+		}
+	}
+}
+
+// Resting entrants, interleaved with dense ones, are consulted only at the
+// slots they held or saw invoked in the previous minute and fed only
+// non-zero counts — ascending, in registration order, retired slots skipped
+// — while held sets turn over, a held slot is invoked again, slots register
+// and retire mid-minute, minutes fragment and the clock jumps.
+func TestArenaProtocolRestingEntrants(t *testing.T) {
+	d := newProtocolModel(t, []string{"dense", "rest-a", "dense-b", "rest-b"}, models.Assignment{0, 1, 2, 0, 1, 2})
+	d.minute(0)
+	d.invoke(0, 1, 1)
+	d.invoke(0, 4, 2)
+	d.invoke(1, 1, 3) // held through minute 2 and invoked again
+	d.invoke(1, 1, 1)
+	d.invoke(1, 5, 1)
+	joined := d.register(2) // slot 6, mid-minute
+	d.invoke(1, joined, 2)
+	d.minute(2)
+	d.deregister(2, 4) // held (invoked at 0), retired mid-minute
+	d.invoke(2, 3, 1)
+	d.deregister(2, 3) // invoked this minute, then retired
+	d.minute(3)
+	d.invoke(4, 0, 1)
+	d.minute(9) // gap: holders expire inside it
+	d.invoke(9, 2, 4)
+	d.register(0)
+	d.minute(10)
+	d.minute(11)
+	d.check()
+
+	for _, c := range d.got {
+		if !resting(c.ent) {
+			continue
+		}
+		if c.op == "record" && c.n == 0 {
+			t.Errorf("%s fed a zero count: %+v", c.ent, c)
+		}
+		if (c.fn == 3 || c.fn == 4) && c.m >= 3 {
+			t.Errorf("%s saw slot %d after it retired during minute 2: %+v", c.ent, c.fn, c)
+		}
+	}
+	for _, ent := range []string{"rest-a", "rest-b"} {
+		// Slot 0 is invoked only at minute 4: held 5..6, let go at 7.
+		for m := 5; m <= 7; m++ {
+			if n := len(d.calls(ent, "keepalive", m, 0)); n != 1 {
+				t.Errorf("%s: slot 0 consulted %d times at minute %d, want 1", ent, n, m)
+			}
+		}
+		for m := 8; m <= 11; m++ {
+			if n := len(d.calls(ent, "keepalive", m, 0)); n != 0 {
+				t.Errorf("%s: slot 0, let go at minute 7, consulted at minute %d", ent, m)
+			}
+		}
+		if n := len(d.calls(ent, "keepalive", 2, 1)); n != 1 {
+			t.Errorf("%s: slot 1, held and invoked in minute 1, consulted %d times at minute 2, want 1", ent, n)
+		}
+		if n := len(d.calls(ent, "keepalive", 2, joined)); n != 1 {
+			t.Errorf("%s: slot %d, registered and invoked in minute 1, consulted %d times at minute 2, want 1", ent, joined, n)
 		}
 	}
 }

@@ -50,6 +50,9 @@ func (f *FixedWindow) Record(m, fn, count int) {
 	}
 }
 
+// Rests implements RestingEntrant: a window only opens at an invoked minute.
+func (f *FixedWindow) Rests() bool { return true }
+
 // Never keeps nothing warm, ever: every invoked minute opens with a cold
 // start on the highest variant. It is the floor of the cost axis and the
 // ceiling of the cold-start axis.
@@ -72,6 +75,9 @@ func (n *Never) KeepAlive(m, fn int) int { return NoVariant }
 
 // Record implements ShadowEntrant.
 func (n *Never) Record(m, fn, count int) {}
+
+// Rests implements RestingEntrant.
+func (n *Never) Rests() bool { return true }
 
 // Oracle is the paper's hindsight ideal (Figure 6b): the highest variant
 // is alive exactly during invoked minutes — charged retroactively when the
@@ -102,11 +108,16 @@ func (o *Oracle) KeepAlive(m, fn int) int { return NoVariant }
 // Record implements ShadowEntrant.
 func (o *Oracle) Record(m, fn, count int) {}
 
+// Rests implements RestingEntrant: the retroactive charge comes from
+// HindsightKeepAlive, which rides the invocation samples, not the walk.
+func (o *Oracle) Rests() bool { return true }
+
 // HindsightKeepAlive implements HindsightEntrant.
 func (o *Oracle) HindsightKeepAlive(m, fn int) int { return o.highest[fn] }
 
 var (
-	_ ShadowEntrant    = (*FixedWindow)(nil)
-	_ ShadowEntrant    = (*Never)(nil)
+	_ RestingEntrant   = (*FixedWindow)(nil)
+	_ RestingEntrant   = (*Never)(nil)
+	_ RestingEntrant   = (*Oracle)(nil)
 	_ HindsightEntrant = (*Oracle)(nil)
 )

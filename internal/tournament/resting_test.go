@@ -1,0 +1,192 @@
+package tournament_test
+
+// Dense-vs-resting differential: the six production entrants raced twice on
+// one randomized churn stream — once as they are (fixed-high, never, oracle
+// and hawkes rest), once each wrapped so the arena cannot see Rests and walks
+// every live slot — must give bit-identical ledgers and series.
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"github.com/pulse-serverless/pulse/internal/cluster"
+	"github.com/pulse-serverless/pulse/internal/models"
+	"github.com/pulse-serverless/pulse/internal/telemetry"
+	"github.com/pulse-serverless/pulse/internal/tournament"
+	"github.com/pulse-serverless/pulse/internal/tournament/roster"
+)
+
+// denseOnly hides every method but ShadowEntrant's; denseHindsight keeps
+// HindsightKeepAlive too.
+type (
+	denseOnly      struct{ tournament.ShadowEntrant }
+	denseHindsight struct{ tournament.HindsightEntrant }
+)
+
+// productionEntrants builds the six entrants `pulsed -attribution
+// -tournament mpc,hawkes,qlearn` races, optionally with Rests hidden.
+func productionEntrants(t testing.TB, cat *models.Catalog, hideRests bool) []tournament.ShadowEntrant {
+	t.Helper()
+	extras, err := roster.Build(roster.Names(), cat, cluster.DefaultCostModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents := append([]tournament.ShadowEntrant{
+		tournament.NewFixedWindow("fixed-high", cluster.DefaultKeepAliveWindow),
+		tournament.NewNever("never"),
+		tournament.NewOracle("oracle"),
+	}, extras...)
+	if hideRests {
+		for i, e := range ents {
+			if h, ok := e.(tournament.HindsightEntrant); ok {
+				ents[i] = denseHindsight{h}
+			} else {
+				ents[i] = denseOnly{e}
+			}
+		}
+	}
+	return ents
+}
+
+// feedChurn drives one randomized stream into every arena: invocations
+// fragmented into several samples, live keep-alive samples, downgrades,
+// registers and retires in mid-minute, stale-minute samples and
+// multi-minute gaps.
+func feedChurn(seed int64, cat *models.Catalog, initial, minutes int, arenas ...*tournament.Arena) {
+	rng := rand.New(rand.NewSource(seed))
+	fam := make([]int, initial)
+	live := make([]int, initial)
+	for fn := range fam {
+		fam[fn] = fn % len(cat.Families)
+		live[fn] = fn
+	}
+	each := func(f func(a *tournament.Arena)) {
+		for _, a := range arenas {
+			f(a)
+		}
+	}
+	m := 0
+	for end := minutes; m < end; {
+		// A bursty population: a hot tenth invoked most minutes, the rest
+		// rarely, so held sets keep turning over.
+		for _, fn := range live {
+			p := 0.02
+			if fn%10 == 0 {
+				p = 0.6
+			}
+			if rng.Float64() >= p {
+				continue
+			}
+			variants := cat.Families[fam[fn]].Variants
+			for frag := 1 + rng.Intn(3); frag > 0; frag-- {
+				s := telemetry.InvocationSample{
+					Minute: m, Function: fn, Count: 1 + rng.Intn(4),
+					Variant: variants[rng.Intn(len(variants))].Name,
+					Cold:    rng.Intn(4) == 0,
+				}
+				if m > 0 && rng.Intn(20) == 0 {
+					s.Minute = m - 1 // stale: folded into the open minute
+				}
+				each(func(a *tournament.Arena) { a.ObserveInvocation(s) })
+			}
+			if rng.Intn(3) == 0 {
+				s := telemetry.KeepAliveSample{Minute: m, Function: fn, Variant: rng.Intn(len(variants))}
+				each(func(a *tournament.Arena) { a.ObserveKeepAlive(s) })
+			}
+			if rng.Intn(50) == 0 {
+				s := telemetry.DowngradeSample{Minute: m, Function: fn}
+				each(func(a *tournament.Arena) { a.ObserveDowngrade(s) })
+			}
+		}
+		switch r := rng.Intn(10); {
+		case r < 3: // mid-minute register, sometimes invoked at once
+			fn := len(fam)
+			fam = append(fam, rng.Intn(len(cat.Families)))
+			live = append(live, fn)
+			s := telemetry.RegisterSample{Minute: m, Function: fn, Family: fam[fn]}
+			each(func(a *tournament.Arena) { a.ObserveRegister(s) })
+			if rng.Intn(2) == 0 {
+				inv := telemetry.InvocationSample{Minute: m, Function: fn, Count: 2, Variant: cat.Families[fam[fn]].Variants[0].Name}
+				each(func(a *tournament.Arena) { a.ObserveInvocation(inv) })
+			}
+		case r < 5 && len(live) > 1: // mid-minute or rolling retire
+			i := rng.Intn(len(live))
+			s := telemetry.DeregisterSample{Minute: m + rng.Intn(2), Function: live[i]}
+			live = append(live[:i], live[i+1:]...)
+			each(func(a *tournament.Arena) { a.ObserveDeregister(s) })
+		}
+		if rng.Intn(8) == 0 {
+			m += 2 + rng.Intn(15) // gap: the next sample rolls every minute between
+		} else {
+			s := telemetry.MinuteSample{Minute: m}
+			each(func(a *tournament.Arena) { a.ObserveMinute(s) })
+			m++
+		}
+	}
+	s := telemetry.MinuteSample{Minute: m}
+	each(func(a *tournament.Arena) { a.ObserveMinute(s) })
+}
+
+func TestDifferentialRestingVsDense(t *testing.T) {
+	cat := models.PaperCatalog()
+	const initial = 120
+	asg := make(models.Assignment, initial)
+	for fn := range asg {
+		asg[fn] = fn % len(cat.Families)
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		var arenas [2]*tournament.Arena
+		for i, hide := range []bool{false, true} {
+			ents := productionEntrants(t, cat, hide)
+			resting := 0
+			for _, e := range ents {
+				if r, ok := e.(tournament.RestingEntrant); ok && r.Rests() {
+					resting++
+				}
+			}
+			if want := map[bool]int{false: 4, true: 0}[hide]; resting != want {
+				t.Fatalf("hideRests=%v: %d resting entrants, want %d", hide, resting, want)
+			}
+			a, err := tournament.New(tournament.Config{Catalog: cat, Assignment: asg, SeriesWindow: 128, Entrants: ents})
+			if err != nil {
+				t.Fatal(err)
+			}
+			arenas[i] = a
+		}
+		feedChurn(seed, cat, initial, 400, arenas[:]...)
+		rest, dense := arenas[0], arenas[1]
+
+		rs, ds := rest.Snapshot(), dense.Snapshot()
+		if !reflect.DeepEqual(rs, ds) {
+			t.Errorf("seed %d: snapshots diverge\nresting %+v\ndense   %+v", seed, rs.Total, ds.Total)
+		}
+		if rs.Total.Shadows[0].KeepAliveMBMinutes == 0 || rs.Total.Shadows[3].KeepAliveMBMinutes == 0 {
+			t.Errorf("seed %d: fixed-high or hawkes never held a slot; the stream does not exercise the held lists", seed)
+		}
+		sels := []tournament.Selector{
+			tournament.Shared(tournament.ChanKaMMB), tournament.Shared(tournament.ChanCostUSD),
+			tournament.Shared(tournament.ChanCold), tournament.Shared(tournament.ChanInvocations),
+		}
+		for ei := range rs.Entrants {
+			for _, c := range []tournament.Channel{tournament.ChanKaMMB, tournament.ChanCostUSD, tournament.ChanCold, tournament.ChanSavingsUSD} {
+				sels = append(sels, tournament.Selector{Entrant: ei, Channel: c})
+			}
+		}
+		for _, sel := range sels {
+			for _, hourly := range []bool{false, true} {
+				rp, dp := rest.Series(sel, 1<<20, hourly), dense.Series(sel, 1<<20, hourly)
+				if len(rp) == 0 || len(rp) != len(dp) {
+					t.Fatalf("seed %d %+v hourly=%v: %d resting points, %d dense", seed, sel, hourly, len(rp), len(dp))
+				}
+				for i := range rp {
+					if rp[i].Minute != dp[i].Minute || math.Float64bits(rp[i].Value) != math.Float64bits(dp[i].Value) {
+						t.Errorf("seed %d %+v hourly=%v point %d: resting %+v, dense %+v", seed, sel, hourly, i, rp[i], dp[i])
+						break
+					}
+				}
+			}
+		}
+	}
+}

@@ -11,7 +11,8 @@
 // sample stream, it keeps one shared ledger (the live policy's account)
 // plus one per-entrant per-function ledger, opens each minute by asking
 // every entrant which variant it holds warm, and closes each minute by
-// feeding every entrant the minute's per-function invocation counts.
+// feeding every entrant the minute's per-function invocation counts (a
+// RestingEntrant is spared the calls whose answers are already fixed).
 // Entrants therefore only ever see the stream at minute granularity,
 // which makes every entrant — including learning ones — a pure function
 // of the trace: decisions for minute m may use history through m−1 only,
@@ -35,6 +36,9 @@ const NoVariant = cluster.NoVariant
 //	Record(m, fn, count)       — at the close of minute m: the minute's total invocations (0 when idle)
 //	Retire(fn)                 — slot fn deregistered; it will never be invoked or scanned again
 //
+// A RestingEntrant is spared the KeepAlive and Record calls whose answers
+// its promises already fix.
+//
 // Implementations must be deterministic (no wall clock, no global RNG) and
 // must not allocate in KeepAlive or Record once registered: the Arena's
 // steady-state minute is allocation-free and entrants ride inside it.
@@ -51,12 +55,34 @@ type ShadowEntrant interface {
 	// per-function state (the slot is never scanned again).
 	Retire(fn int)
 	// KeepAlive reports the variant index the entrant holds warm for
-	// function fn during minute m, or NoVariant. Called once per minute
-	// per live function, ascending fn, before any of minute m's samples.
+	// function fn during minute m, or NoVariant. Called at most once per
+	// minute per live function, ascending fn, before any of minute m's
+	// samples: once for every live function, unless the entrant rests
+	// (RestingEntrant).
 	KeepAlive(m, fn int) int
-	// Record delivers minute m's total invocation count for fn (possibly
-	// zero) at the minute barrier, after every sample of m was observed.
+	// Record delivers minute m's total invocation count for fn at the
+	// minute barrier, after every sample of m was observed. The count may
+	// be zero, except for a resting entrant.
 	Record(m, fn, count int)
+}
+
+// RestingEntrant is a ShadowEntrant that may declare its idle slots at
+// rest. When Rests returns true (asked once, when the Arena is built) the
+// entrant promises three things:
+//
+//   - Record(m, fn, 0) changes nothing;
+//   - a newly registered slot holds NoVariant until its first invoked minute;
+//   - a slot that held NoVariant in minute m−1, and had no invocations in
+//     m−1, holds NoVariant in m.
+//
+// The Arena then consults KeepAlive only for the slots the entrant held in
+// m−1 plus the slots invoked in m−1, ascending, and calls Record only with a
+// positive count. Every skipped call has a known answer, so the ledgers are
+// exactly those of the full walk. Entrants that must see the zeros — a
+// smoother, a learner's shared table — do not rest.
+type RestingEntrant interface {
+	ShadowEntrant
+	Rests() bool
 }
 
 // HindsightEntrant is a ShadowEntrant with retroactive clairvoyance: when
