@@ -56,16 +56,20 @@ test-parallel:
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDifferentialScenario$$' -fuzztime=10s
 
 # Seqlock/epoch stress battery: the runtime package's concurrency tests
-# (torn-read, lifecycle, soak) and the scenario harness (serial vs epoch
-# replays, conservation under racing invokers, churn races) repeated under
-# the race detector at contrasting parallelism levels. Mirrors the CI
-# "stress" job.
+# (torn-read, lifecycle, soak, parking), the scenario harness (serial vs
+# epoch replays, conservation under racing invokers, churn races) and the
+# tournament arena's parallel entrant walk (with the accountant over it)
+# repeated under the race detector at contrasting parallelism levels.
+# Mirrors the CI "stress" job.
 SCENARIOS = -run '^TestDifferentialScenarios$$'
+ARENA = ./internal/tournament ./internal/attribution
 stress:
 	GOMAXPROCS=1 $(GO) test -race -count=5 -timeout=25m ./internal/runtime
 	GOMAXPROCS=1 $(GO) test -race -count=5 -timeout=45m ./internal/core $(SCENARIOS)
+	GOMAXPROCS=1 $(GO) test -race -count=5 $(ARENA)
 	GOMAXPROCS=4 $(GO) test -race -count=5 -timeout=25m ./internal/runtime
 	GOMAXPROCS=4 $(GO) test -race -count=5 -timeout=45m ./internal/core $(SCENARIOS)
+	GOMAXPROCS=4 $(GO) test -race -count=5 $(ARENA)
 
 # Live ops smoke test: builds the pulsed binary, runs it with a compressed
 # clock and a webhook sink, and drives an alert through fire and resolve.

@@ -1,8 +1,10 @@
 package attribution
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	goruntime "runtime"
 	"testing"
 
 	"github.com/pulse-serverless/pulse/internal/cluster"
@@ -56,6 +58,16 @@ func newAccountant(t *testing.T, cfg Config) *Accountant {
 		t.Fatal(err)
 	}
 	return a
+}
+
+// newAccountantWalkers builds an accountant whose arena walks each minute
+// boundary on walkers goroutines: the arena sizes its walk as
+// min(GOMAXPROCS, entrants) when it is built, so GOMAXPROCS is raised to
+// walkers for the construction only.
+func newAccountantWalkers(t *testing.T, walkers int, cfg Config) *Accountant {
+	t.Helper()
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(walkers))
+	return newAccountant(t, cfg)
 }
 
 func relDiff(a, b float64) float64 {
@@ -334,26 +346,31 @@ func TestNewValidation(t *testing.T) {
 // Steady-state observation must not allocate: one warm minute of samples
 // (keep-alive per function, minute rollup, a few invocations) runs with
 // zero allocations once the accountant is constructed, like the telemetry
-// buffer and the sharded controller's idle path.
+// buffer and the sharded controller's idle path — whether the arena walks
+// its three baselines on the calling goroutine or on one goroutine each.
 func TestAccountantIdleMinuteZeroAllocs(t *testing.T) {
-	cat := testCatalog(t)
-	asg := models.Assignment{0, 1, 0, 1}
-	a := newAccountant(t, Config{Catalog: cat, Assignment: asg, SeriesWindow: 128})
+	for _, walkers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("walkers=%d", walkers), func(t *testing.T) {
+			cat := testCatalog(t)
+			asg := models.Assignment{0, 1, 0, 1}
+			a := newAccountantWalkers(t, walkers, Config{Catalog: cat, Assignment: asg, SeriesWindow: 128})
 
-	minute := 0
-	observeMinute := func() {
-		for fn := range asg {
-			a.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: minute, Function: fn, Variant: 0, MemMB: 512})
-		}
-		a.ObserveMinute(telemetry.MinuteSample{Minute: minute})
-		a.ObserveInvocation(telemetry.InvocationSample{Minute: minute, Function: 0, Variant: "alpha-lo", Count: 2, AccuracyPct: 60})
-		a.ObserveInvocation(telemetry.InvocationSample{Minute: minute, Function: 1, Variant: "beta-lo", Cold: true, Count: 1, AccuracyPct: 70})
-		minute++
-	}
-	for i := 0; i < 30; i++ { // warm up past the first hour-bucket writes
-		observeMinute()
-	}
-	if avg := testing.AllocsPerRun(200, observeMinute); avg != 0 {
-		t.Errorf("steady-state minute allocates %v times, want 0", avg)
+			minute := 0
+			observeMinute := func() {
+				for fn := range asg {
+					a.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: minute, Function: fn, Variant: 0, MemMB: 512})
+				}
+				a.ObserveMinute(telemetry.MinuteSample{Minute: minute})
+				a.ObserveInvocation(telemetry.InvocationSample{Minute: minute, Function: 0, Variant: "alpha-lo", Count: 2, AccuracyPct: 60})
+				a.ObserveInvocation(telemetry.InvocationSample{Minute: minute, Function: 1, Variant: "beta-lo", Cold: true, Count: 1, AccuracyPct: 70})
+				minute++
+			}
+			for i := 0; i < 30; i++ { // warm up past the first hour-bucket writes
+				observeMinute()
+			}
+			if avg := testing.AllocsPerRun(200, observeMinute); avg != 0 {
+				t.Errorf("steady-state minute allocates %v times, want 0", avg)
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ package attribution
 // still observes an idle steady-state minute without allocating.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -167,68 +168,74 @@ func TestTournamentRejectsDuplicateEntrantNames(t *testing.T) {
 // every packaged entrant's KeepAlive/Record is allocation-free. The same
 // holds while holders turn over (the resting entrants' held lists are
 // double-buffered) and for the minute right after a deregister: the arena
-// drops the retired slot from its live-slot list in place.
+// drops the retired slot from its live-slot list in place. All of it holds
+// whether the arena walks the entrants on the calling goroutine or on one
+// goroutine each.
 func TestTournamentIdleMinuteSixEntrantsNoSteadyStateAllocs(t *testing.T) {
-	cat := testCatalog(t)
-	const churnRuns = 30
-	asg := models.Assignment{0, 1, 0, 1}
-	for i := 0; i <= churnRuns; i++ { // slots 4.. exist to be deregistered below
-		asg = append(asg, i%2)
-	}
-	a := newAccountant(t, Config{
-		Catalog: cat, Assignment: asg, SeriesWindow: 128,
-		Entrants: rosterEntrants(t, cat),
-	})
-	if got := len(a.EntrantNames()); got != 6 {
-		t.Fatalf("expected 6 entrants, got %d", got)
-	}
+	for _, walkers := range []int{1, 6} {
+		t.Run(fmt.Sprintf("walkers=%d", walkers), func(t *testing.T) {
+			cat := testCatalog(t)
+			const churnRuns = 30
+			asg := models.Assignment{0, 1, 0, 1}
+			for i := 0; i <= churnRuns; i++ { // slots 4.. exist to be deregistered below
+				asg = append(asg, i%2)
+			}
+			a := newAccountantWalkers(t, walkers, Config{
+				Catalog: cat, Assignment: asg, SeriesWindow: 128,
+				Entrants: rosterEntrants(t, cat),
+			})
+			if got := len(a.EntrantNames()); got != 6 {
+				t.Fatalf("expected 6 entrants, got %d", got)
+			}
 
-	minute := 0
-	observeMinute := func() {
-		for fn := range asg {
-			a.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: minute, Function: fn, Variant: 0, MemMB: 512})
-		}
-		a.ObserveMinute(telemetry.MinuteSample{Minute: minute})
-		a.ObserveInvocation(telemetry.InvocationSample{Minute: minute, Function: 0, Variant: "alpha-lo", Count: 2, AccuracyPct: 60})
-		a.ObserveInvocation(telemetry.InvocationSample{Minute: minute, Function: 1, Variant: "beta-lo", Cold: true, Count: 1, AccuracyPct: 70})
-		minute++
-	}
-	for i := 0; i < 30; i++ { // warm up past the first hour-bucket writes
-		observeMinute()
-	}
-	if avg := testing.AllocsPerRun(200, observeMinute); avg != 0 {
-		t.Errorf("steady-state minute with 6 entrants allocates %v times, want 0", avg)
-	}
+			minute := 0
+			observeMinute := func() {
+				for fn := range asg {
+					a.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: minute, Function: fn, Variant: 0, MemMB: 512})
+				}
+				a.ObserveMinute(telemetry.MinuteSample{Minute: minute})
+				a.ObserveInvocation(telemetry.InvocationSample{Minute: minute, Function: 0, Variant: "alpha-lo", Count: 2, AccuracyPct: 60})
+				a.ObserveInvocation(telemetry.InvocationSample{Minute: minute, Function: 1, Variant: "beta-lo", Cold: true, Count: 1, AccuracyPct: 70})
+				minute++
+			}
+			for i := 0; i < 30; i++ { // warm up past the first hour-bucket writes
+				observeMinute()
+			}
+			if avg := testing.AllocsPerRun(200, observeMinute); avg != 0 {
+				t.Errorf("steady-state minute with 6 entrants allocates %v times, want 0", avg)
+			}
 
-	// A rotating cohort: two slots invoked per minute, each slot every 16
-	// minutes, so the resting entrants' held lists (fixed-high's 10-minute
-	// window, hawkes' decay tail) gain and lose members every minute.
-	const rotate = 32
-	cohortMinute := func() {
-		for k := 0; k < 2; k++ {
-			fn := (2*minute + k) % rotate
-			a.ObserveInvocation(telemetry.InvocationSample{Minute: minute, Function: fn, Variant: cat.Families[asg[fn]].Variants[0].Name, Count: 2})
-		}
-		a.ObserveMinute(telemetry.MinuteSample{Minute: minute})
-		minute++
-	}
-	for i := 0; i < 4*rotate; i++ {
-		cohortMinute()
-	}
-	if avg := testing.AllocsPerRun(200, cohortMinute); avg != 0 {
-		t.Errorf("rotating-cohort minute with 6 entrants allocates %v times, want 0", avg)
-	}
+			// A rotating cohort: two slots invoked per minute, each slot every 16
+			// minutes, so the resting entrants' held lists (fixed-high's 10-minute
+			// window, hawkes' decay tail) gain and lose members every minute.
+			const rotate = 32
+			cohortMinute := func() {
+				for k := 0; k < 2; k++ {
+					fn := (2*minute + k) % rotate
+					a.ObserveInvocation(telemetry.InvocationSample{Minute: minute, Function: fn, Variant: cat.Families[asg[fn]].Variants[0].Name, Count: 2})
+				}
+				a.ObserveMinute(telemetry.MinuteSample{Minute: minute})
+				minute++
+			}
+			for i := 0; i < 4*rotate; i++ {
+				cohortMinute()
+			}
+			if avg := testing.AllocsPerRun(200, cohortMinute); avg != 0 {
+				t.Errorf("rotating-cohort minute with 6 entrants allocates %v times, want 0", avg)
+			}
 
-	victim := len(asg)
-	deregisterThenMinute := func() {
-		victim--
-		a.ObserveDeregister(telemetry.DeregisterSample{Minute: minute - 1, Function: victim})
-		observeMinute()
-	}
-	if avg := testing.AllocsPerRun(churnRuns, deregisterThenMinute); avg != 0 {
-		t.Errorf("minute after a deregister allocates %v times, want 0", avg)
-	}
-	if !a.Arena().LedgersReleased(victim) || a.Arena().LedgersReleased(3) {
-		t.Error("the deregisters above did not retire the slots they named")
+			victim := len(asg)
+			deregisterThenMinute := func() {
+				victim--
+				a.ObserveDeregister(telemetry.DeregisterSample{Minute: minute - 1, Function: victim})
+				observeMinute()
+			}
+			if avg := testing.AllocsPerRun(churnRuns, deregisterThenMinute); avg != 0 {
+				t.Errorf("minute after a deregister allocates %v times, want 0", avg)
+			}
+			if !a.Arena().LedgersReleased(victim) || a.Arena().LedgersReleased(3) {
+				t.Error("the deregisters above did not retire the slots they named")
+			}
+		})
 	}
 }

@@ -842,7 +842,7 @@ type chain struct {
 	tel     *telemetry.Telemetry
 	acct    *attribution.Accountant
 	restful *tournament.Arena // nil but on a row's first producer
-	misuse  []string          // calls the Rests-hidden arena made for a retired slot
+	hidden  []*restless       // the Rests-hidden arena's entrants
 	series  []uint64          // seriesBits of the accountant's arena
 	prov    *provenance.Recorder
 	alerts  *alert.Engine
@@ -886,7 +886,8 @@ func newChain(t *testing.T, cat *models.Catalog, asg models.Assignment, names []
 			tournament.NewOracle(attribution.BaselineOracle),
 		}, entrants()...)
 		for i, e := range hidden {
-			r := &restless{ShadowEntrant: e, misuse: &c.misuse}
+			r := &restless{ShadowEntrant: e}
+			c.hidden = append(c.hidden, r)
 			hidden[i] = r
 			if h, ok := e.(tournament.HindsightEntrant); ok {
 				hidden[i] = restlessHindsight{r, h}
@@ -927,11 +928,12 @@ func (c *chain) finish(t *testing.T) {
 }
 
 // restless hides Rests, so the arena consults it at every live slot, and
-// notes any call the arena makes for a slot it already retired.
+// notes any call the arena makes for a slot it already retired. Each keeps
+// its own notes: the arena walks entrants concurrently.
 type restless struct {
 	tournament.ShadowEntrant
 	retired []bool
-	misuse  *[]string
+	misuse  []string
 }
 
 func (e *restless) Register(fn, fam, nv int) {
@@ -955,8 +957,8 @@ func (e *restless) Record(m, fn, count int) {
 }
 
 func (e *restless) note(call string, m, fn int) {
-	if e.retired[fn] && len(*e.misuse) < 3 {
-		*e.misuse = append(*e.misuse, fmt.Sprintf("%s %s(%d, %d) after Retire", e.Name(), call, m, fn))
+	if e.retired[fn] && len(e.misuse) < 3 {
+		e.misuse = append(e.misuse, fmt.Sprintf("%s %s(%d, %d) after Retire", e.Name(), call, m, fn))
 	}
 }
 
@@ -1115,8 +1117,10 @@ func laws(t *testing.T, sc *scenario, o *outcome) {
 		if !o.parallel && !o.race && !slices.Equal(o.series, seriesBits(o.restful)) {
 			t.Error("the resting and the Rests-hidden arenas' series diverge")
 		}
-		if len(o.misuse) > 0 {
-			t.Errorf("the arena consulted retired slots: %v", o.misuse)
+		for _, r := range o.hidden {
+			if len(r.misuse) > 0 {
+				t.Errorf("the arena consulted retired slots: %v", r.misuse)
+			}
 		}
 	}
 	if want := attribution.NumBaselines + len(roster.Names()); len(snap.Entrants) != want {

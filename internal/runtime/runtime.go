@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	goruntime "runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -190,9 +189,10 @@ const fnChunk = 1024
 // seqlock-style epoch counter (seq) is even while the world is stable and
 // odd while a writer (Step, Stats, Close, Register, Deregister) owns it.
 // Invoke loads an even seq, takes only its function's stripe lock,
-// re-checks that seq is unchanged, and serves; if the re-check fails it
-// releases and retries. Writers flip seq odd and then drain the dirty
-// chain's stripe locks once: any invocation that passed its re-check before
+// re-checks that seq is unchanged, and serves; if seq is odd or the
+// re-check fails it releases, parks on the barrier until the window ends,
+// and retries. Writers flip seq odd and then drain the dirty chain's
+// stripe locks once: any invocation that passed its re-check before
 // the flip holds its stripe lock, chained its stripe before that re-check
 // (markDirty), and finishes first; every later invocation observes the odd
 // (or advanced) seq and retries — so after the drain the writer
@@ -228,7 +228,9 @@ type Runtime struct {
 	// barrier serializes writers against each other and against the
 	// read-only accessor surface (Minute, NumFunctions, lookups — all
 	// RLock). In serial mode it is additionally the minute barrier for
-	// Invoke, taken exclusively; in epoch mode Invoke never touches it.
+	// Invoke, taken exclusively; in epoch mode Invoke takes it shared only
+	// to park after meeting a write window (its uncontended path never
+	// touches it).
 	barrier sync.RWMutex
 	started atomic.Bool
 	closed  atomic.Bool
@@ -603,21 +605,26 @@ func (r *Runtime) markDirty(st *fnState, fn int) {
 }
 
 // invokeEpoch is the lock-free fast path: load an even seq, take the
-// stripe lock, re-check seq, serve. A failed re-check means a write window
-// opened (or completed) in between — release and retry, so a counted
-// invocation is guaranteed to have executed entirely inside one stable
-// epoch, i.e. entirely inside one minute. The retry loop allocates
-// nothing (pinned by TestEpochInvokeZeroAllocs). It reports how many
-// times it retried (for sampled traces); retries and contended stripe
-// acquisitions also feed the self-observability counters, paid only on
-// their rare branches.
+// stripe lock, re-check seq, serve. An odd seq or a failed re-check means a
+// write window opened (or completed) in between — release, park until the
+// window ends, and retry, so a counted invocation is guaranteed to have
+// executed entirely inside one stable epoch, i.e. entirely inside one
+// minute. The retry loop allocates nothing (pinned by
+// TestEpochInvokeZeroAllocs). It reports how many times it retried (for
+// sampled traces); retries and contended stripe acquisitions also feed the
+// self-observability counters, paid only on their rare branches.
 func (r *Runtime) invokeEpoch(fn int) (Invocation, int, error) {
 	retries := 0
 	for {
 		e := r.seq.Load()
 		if e&1 != 0 {
+			// Park: every write window runs under the exclusive barrier, so
+			// taking it shared sleeps until the window ends, leaving the
+			// core to the writer (and a tournament arena's walk helpers)
+			// instead of spinning on it.
 			retries++
-			goruntime.Gosched()
+			r.barrier.RLock()
+			r.barrier.RUnlock()
 			continue
 		}
 		if r.closed.Load() {
@@ -642,7 +649,8 @@ func (r *Runtime) invokeEpoch(fn int) (Invocation, int, error) {
 		if r.seq.Load() != e {
 			st.mu.Unlock()
 			retries++
-			goruntime.Gosched()
+			r.barrier.RLock()
+			r.barrier.RUnlock()
 			continue
 		}
 		// Stable epoch: the writer that will end this minute must drain
@@ -835,8 +843,9 @@ func (r *Runtime) Step() error {
 }
 
 // SeqlockRetries returns the cumulative number of epoch-mode Invoke
-// fast-path retries (seqlock re-check failures and odd-seq spins) — 0 in
-// serial mode, which never retries.
+// fast-path retries (seqlock re-check failures and odd-seq loads, each
+// followed by parking until the write window ends) — 0 in serial mode,
+// which never retries.
 func (r *Runtime) SeqlockRetries() uint64 { return r.seqRetries.Load() }
 
 // StripeContention returns the cumulative number of Invoke stripe-lock

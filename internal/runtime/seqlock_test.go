@@ -4,6 +4,7 @@ import (
 	"errors"
 	goruntime "runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -168,5 +169,80 @@ func TestEpochInvokeZeroAllocs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("epoch Invoke fast path allocates %v times per call, want 0", allocs)
+	}
+}
+
+// gatePolicy is a parityPolicy whose KeepAlive, once armed, signals entered
+// and blocks until release is closed: it holds one Step's write window open
+// for as long as a test likes.
+type gatePolicy struct {
+	parityPolicy
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (p *gatePolicy) KeepAlive(t int) []int {
+	if p.armed.CompareAndSwap(true, false) {
+		close(p.entered)
+		<-p.release
+	}
+	return p.parityPolicy.KeepAlive(t)
+}
+
+// TestEpochInvokeParksDuringWriteWindow: callers that meet an open write
+// window sleep until it ends instead of spinning through the retry loop, so
+// each retries a bounded number of times however long the window lasts, and
+// every one is served in the minute the window opened.
+func TestEpochInvokeParksDuringWriteWindow(t *testing.T) {
+	cat, asg := testSetup(t)
+	pol := &gatePolicy{
+		parityPolicy: parityPolicy{cat: cat, asg: asg},
+		entered:      make(chan struct{}),
+		release:      make(chan struct{}),
+	}
+	r, err := New(Config{Catalog: cat, Assignment: asg, Policy: pol, Clock: NewManualClock(time.Unix(0, 0)), Mode: ModeEpoch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Invoke(0); err != nil { // start outside the gated window
+		t.Fatal(err)
+	}
+
+	pol.armed.Store(true)
+	stepped := make(chan error, 1)
+	go func() { stepped <- r.Step() }()
+	<-pol.entered // Step's window is open and stays open until release
+	before := r.SeqlockRetries()
+
+	const callers = 8
+	var wg sync.WaitGroup
+	minutes := make([]int, callers)
+	errs := make([]error, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			inv, err := r.Invoke(i % len(asg))
+			minutes[i], errs[i] = inv.Minute, err
+		}(i)
+	}
+	// Long enough for every caller to meet the window; a caller spinning
+	// through it would retry thousands of times meanwhile.
+	time.Sleep(50 * time.Millisecond)
+	close(pol.release)
+	if err := <-stepped; err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+
+	for i := range minutes {
+		if errs[i] != nil || minutes[i] != 1 {
+			t.Errorf("caller %d: served in minute %d (err %v), want minute 1", i, minutes[i], errs[i])
+		}
+	}
+	if got := r.SeqlockRetries() - before; got > 2*callers {
+		t.Errorf("%d callers retried %d times across one write window, want at most %d", callers, got, 2*callers)
 	}
 }

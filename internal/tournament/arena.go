@@ -2,8 +2,10 @@ package tournament
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/pulse-serverless/pulse/internal/cluster"
 	"github.com/pulse-serverless/pulse/internal/models"
@@ -105,14 +107,19 @@ type entrant struct {
 // attribution.Accountant is a thin adapter over one Arena carrying the
 // three classic baselines as entrants 0..2.
 //
-// Accounting order is fixed and deterministic: at every minute boundary
-// entrants are visited in registration order and functions in ascending
-// slot order within each entrant, regardless of shard count or runtime
-// serving mode. A resting entrant is visited only at the slots it held or
-// saw invoked in the previous minute, still ascending; the slots it skips
-// hold nothing and charge nothing. Per-entrant minute accumulators are
-// independent, so this order also pins the float summation order per
-// entrant.
+// Accounting order is fixed and deterministic per entrant: at every minute
+// boundary each entrant is walked through the closing minute's Records and
+// then the opening minute's KeepAlive consults, functions in ascending slot
+// order, regardless of shard count or runtime serving mode. A resting
+// entrant is visited only at the slots it held or saw invoked in the
+// previous minute, still ascending; the slots it skips hold nothing and
+// charge nothing. Per-entrant minute accumulators are independent, so this
+// order also pins the float summation order per entrant.
+//
+// Different entrants' walks run concurrently, on the goroutine holding the
+// arena plus up to GOMAXPROCS−1 helpers, so the interleaving of calls
+// across entrants is not part of the contract: entrants must share no
+// mutable state.
 type Arena struct {
 	mu   sync.Mutex
 	cost cluster.CostModel
@@ -123,20 +130,20 @@ type Arena struct {
 	names []string
 
 	// Per-slot columns, indexed like fns: the fields every minute boundary
-	// reads, kept dense so open and close stream them instead of striding
+	// reads, kept dense so the walks stream them instead of striding
 	// through fnShared.
 	famOf   []int
 	retired []bool // slot deregistered; ledger closed, counters frozen
 	openCnt []int  // invocations folded into the open minute (barrier feed)
 
-	// live lists the slots open and close walk, ascending. A deregister only
-	// marks it stale; the next minute boundary drops the retired slots in
-	// place, so a burst of deregisters costs one pass.
+	// live lists the slots a minute boundary walks, ascending. A deregister
+	// only marks it stale; the next minute boundary drops the retired slots
+	// in place, so a burst of deregisters costs one pass.
 	live      []int32
 	liveStale bool
-	// touched lists the slots whose openCnt is non-zero, so close clears
-	// those instead of the whole column. close sorts it and leaves it to the
-	// next open, where it is the resting entrants' invoked-at-m−1 list.
+	// touched lists the slots whose openCnt is non-zero, so a boundary
+	// clears those instead of the whole column. The boundary sorts it first:
+	// it is the resting entrants' invoked-at-m−1 list.
 	touched []int32
 
 	cur   int // open minute, -1 before the first sample
@@ -147,11 +154,187 @@ type Arena struct {
 	minActualCold, minInv       int
 
 	scratch []float64 // store-row staging, preallocated (zero-alloc pushes)
+
+	pool *walkPool // walks the entrants at every minute boundary
+}
+
+// boundary is one minute boundary as an entrant's walk sees it: the close
+// of minute m−1 (when closing) fused with the open of minute m. It is
+// read-only during the walk; each walk writes only its own entrant.
+type boundary struct {
+	m       int
+	closing bool
+	live    []int32 // live slots, ascending
+	inv     []int32 // slots invoked in m−1, ascending (retired ones included)
+	openCnt []int
+	retired []bool
+	famOf   []int
+	fams    []famInfo
+}
+
+// walk runs e through the boundary. Closing, e receives every live
+// function's invocation count for m−1 in ascending slot order — a resting
+// entrant only the non-zero counts — and its minute accumulators reset.
+// Opening, e is asked which variant it holds warm for every live function
+// in ascending slot order and is charged keep-alive for each held variant;
+// a resting entrant is asked only for the live slots it held in m−1 merged
+// with the slots invoked in m−1, every other slot already holding
+// NoVariant in e.open.
+func (b *boundary) walk(e *entrant) {
+	if b.closing {
+		if e.rests {
+			for _, slot := range b.inv {
+				if !b.retired[slot] {
+					e.impl.Record(b.m-1, int(slot), b.openCnt[slot])
+				}
+			}
+		} else {
+			for _, slot := range b.live {
+				e.impl.Record(b.m-1, int(slot), b.openCnt[slot])
+			}
+		}
+		e.minKaM, e.minCost, e.minCold = 0, 0, 0
+	}
+	ka, cost := e.minKaM, e.minCost
+	if !e.rests {
+		for _, slot := range b.live {
+			if mb, c, ok := b.consult(e, slot); ok {
+				ka += mb
+				cost += c
+			}
+		}
+		e.minKaM, e.minCost = ka, cost
+		return
+	}
+	held, inv, next := e.held, b.inv, e.spare[:0]
+	for i, j := 0, 0; i < len(held) || j < len(inv); {
+		var slot int32
+		if j == len(inv) || i < len(held) && held[i] <= inv[j] {
+			slot = held[i]
+			if j < len(inv) && inv[j] == slot {
+				j++
+			}
+			i++
+		} else {
+			slot = inv[j]
+			j++
+		}
+		if b.retired[slot] {
+			continue
+		}
+		if mb, c, ok := b.consult(e, slot); ok {
+			ka += mb
+			cost += c
+			next = append(next, slot)
+		}
+	}
+	e.held, e.spare = next, held
+	e.minKaM, e.minCost = ka, cost
+}
+
+// consult asks e which variant it holds warm for slot in minute b.m, notes
+// it in e.open and e's ledger, and returns the held variant's keep-alive
+// memory and cost for the minute. The family's geometry is only looked up
+// for a slot the entrant holds. ok reports whether a variant is held.
+func (b *boundary) consult(e *entrant, slot int32) (memMB, cost float64, ok bool) {
+	fn := int(slot)
+	v := e.impl.KeepAlive(b.m, fn)
+	if v < 0 {
+		e.open[fn] = NoVariant
+		return 0, 0, false
+	}
+	fi := &b.fams[b.famOf[fn]]
+	if v > fi.highest {
+		v = fi.highest
+	}
+	e.open[fn] = v
+	e.led[fn].aliveMin[v]++
+	return fi.memMB[v], fi.costPerMin[v], true
+}
+
+// walkPool walks every entrant through each minute boundary. The goroutine
+// holding the arena joins helpers persistent goroutines; all claim entrants
+// through next, dense ones first (their walks are the long ones), and walk
+// returns once every entrant is done. With no helpers the caller walks
+// everything on the same path. The pool never references its Arena, so an
+// unreachable arena is still finalized, and its finalizer stops the
+// helpers.
+type walkPool struct {
+	ents  []entrant // the arena's entrants (same backing array)
+	order []int     // entrant indices in claim order: dense first
+	b     boundary  // written before the helpers wake, cleared after the barrier
+
+	next    atomic.Int32
+	helpers int
+	wake    chan struct{} // one token per helper per boundary
+	done    sync.WaitGroup
+	stop    sync.Once
+}
+
+// newWalkPool starts workers−1 helpers over ents.
+func newWalkPool(ents []entrant, workers int) *walkPool {
+	p := &walkPool{ents: ents, helpers: max(workers-1, 0)}
+	for _, rests := range []bool{false, true} {
+		for ei := range ents {
+			if ents[ei].rests == rests {
+				p.order = append(p.order, ei)
+			}
+		}
+	}
+	p.wake = make(chan struct{}, p.helpers)
+	for i := 0; i < p.helpers; i++ {
+		go p.help()
+	}
+	return p
+}
+
+// walk runs b over every entrant and returns after the last walk ends.
+func (p *walkPool) walk(b boundary) {
+	p.b = b
+	p.next.Store(0)
+	p.done.Add(p.helpers)
+	for i := 0; i < p.helpers; i++ {
+		p.wake <- struct{}{}
+	}
+	p.claim()
+	p.done.Wait()
+	p.b = boundary{} // hold no column a registration may since have regrown
+}
+
+// claim walks unclaimed entrants until none is left.
+func (p *walkPool) claim() {
+	for {
+		i := int(p.next.Add(1)) - 1
+		if i >= len(p.order) {
+			return
+		}
+		p.b.walk(&p.ents[p.order[i]])
+	}
+}
+
+// help is a helper's loop: one claim per token, until the pool stops.
+func (p *walkPool) help() {
+	for range p.wake {
+		p.claim()
+		p.done.Done()
+	}
+}
+
+// close stops the helpers. Idempotent.
+func (p *walkPool) close() {
+	p.stop.Do(func() { close(p.wake) })
 }
 
 // New builds an Arena. The catalog and assignment must match the ones
-// driving the policy under observation.
+// driving the policy under observation. Its minute boundaries walk the
+// entrants on min(GOMAXPROCS, len(Entrants)) goroutines, the caller's
+// included.
 func New(cfg Config) (*Arena, error) {
+	return newArena(cfg, min(runtime.GOMAXPROCS(0), len(cfg.Entrants)))
+}
+
+// newArena is New with the boundary walk's goroutine count fixed.
+func newArena(cfg Config, workers int) (*Arena, error) {
 	if cfg.Catalog == nil {
 		return nil, fmt.Errorf("tournament: nil catalog")
 	}
@@ -252,6 +435,12 @@ func New(cfg Config) (*Arena, error) {
 			e.impl.Register(fn, fam, nv)
 		}
 	}
+	a.pool = newWalkPool(a.ents, workers)
+	if a.pool.helpers > 0 {
+		// The helpers reference only the pool, never a, so an arena nobody
+		// holds is still collected; this stops its helpers when it is.
+		runtime.SetFinalizer(a, func(a *Arena) { a.pool.close() })
+	}
 	return a, nil
 }
 
@@ -308,15 +497,11 @@ func (a *Arena) LedgersReleased(fn int) bool {
 // emitted after the tick advanced) is folded into the open minute.
 func (a *Arena) roll(m int) {
 	if a.cur < 0 {
-		if m < 0 {
-			m = 0
-		}
-		a.open(m)
+		a.advance(max(m, 0), false)
 		return
 	}
 	for a.cur < m {
-		a.close()
-		a.open(a.cur + 1)
+		a.advance(a.cur+1, true)
 	}
 }
 
@@ -335,71 +520,9 @@ func (a *Arena) liveSlots() []int32 {
 	return a.live
 }
 
-// open starts minute m: every entrant, in registration order, is asked
-// which variant it holds warm for every live function in ascending slot
-// order, and is charged keep-alive for each held variant. A resting entrant
-// is asked only for the live slots it held in m−1 merged with the slots
-// invoked in m−1 (the sorted touched list close left behind); every other
-// slot already holds NoVariant in e.open.
-func (a *Arena) open(m int) {
-	a.cur = m
-	live := a.liveSlots()
-	inv := a.touched
-	for ei := range a.ents {
-		e := &a.ents[ei]
-		if !e.rests {
-			for _, slot := range live {
-				a.consult(e, m, slot)
-			}
-			continue
-		}
-		held, next := e.held, e.spare[:0]
-		for i, j := 0, 0; i < len(held) || j < len(inv); {
-			var slot int32
-			if j == len(inv) || i < len(held) && held[i] <= inv[j] {
-				slot = held[i]
-				if j < len(inv) && inv[j] == slot {
-					j++
-				}
-				i++
-			} else {
-				slot = inv[j]
-				j++
-			}
-			if !a.retired[slot] && a.consult(e, m, slot) {
-				next = append(next, slot)
-			}
-		}
-		e.held, e.spare = next, held
-	}
-	a.touched = a.touched[:0]
-}
-
-// consult asks e which variant it holds warm for slot in minute m, notes it
-// in e.open, and charges a held variant's keep-alive. The family's geometry
-// is only looked up for a slot the entrant holds. It reports whether a
-// variant is held.
-func (a *Arena) consult(e *entrant, m int, slot int32) bool {
-	fn := int(slot)
-	v := e.impl.KeepAlive(m, fn)
-	if v < 0 {
-		e.open[fn] = NoVariant
-		return false
-	}
-	fi := &a.fams[a.famOf[fn]]
-	if v > fi.highest {
-		v = fi.highest
-	}
-	e.open[fn] = v
-	e.led[fn].aliveMin[v]++
-	e.minKaM += fi.memMB[v]
-	e.minCost += fi.costPerMin[v]
-	return true
-}
-
 // fillRow snapshots the open minute's cluster-wide accumulators into the
-// preallocated scratch row in store layout — the values close() will push
-// when the minute ends. Called with a.mu held.
+// preallocated scratch row in store layout — the values a closing boundary
+// will push. Called with a.mu held.
 func (a *Arena) fillRow() []float64 {
 	row := a.scratch
 	row[0] = a.minActualKaM
@@ -417,42 +540,33 @@ func (a *Arena) fillRow() []float64 {
 	return row
 }
 
-// close finalizes the open minute: push the row into the time-series
-// store, deliver the barrier feed — every entrant in registration order
-// receives every live function's invocation count for the minute, in
-// ascending slot order; a resting entrant only the non-zero counts — and
-// reset the per-minute accumulators. The sorted touched list is kept for
-// the next open.
-func (a *Arena) close() {
-	a.store.push(a.cur, a.fillRow())
-	live := a.liveSlots()
-	slices.Sort(a.touched)
-	for ei := range a.ents {
-		e := &a.ents[ei]
-		if e.rests {
-			for _, slot := range a.touched {
-				if !a.retired[slot] {
-					e.impl.Record(a.cur, int(slot), a.openCnt[slot])
-				}
-			}
-		} else {
-			for _, slot := range live {
-				e.impl.Record(a.cur, int(slot), a.openCnt[slot])
-			}
-		}
-		e.minKaM, e.minCost, e.minCold = 0, 0, 0
+// advance opens minute m, closing the open minute m−1 first when closing:
+// its row goes into the time-series store, then every entrant is walked
+// through the boundary on the pool (see boundary.walk), and the barrier
+// feed and shared accumulators reset.
+func (a *Arena) advance(m int, closing bool) {
+	if closing {
+		a.store.push(a.cur, a.fillRow())
+		slices.Sort(a.touched)
 	}
+	a.pool.walk(boundary{
+		m: m, closing: closing,
+		live: a.liveSlots(), inv: a.touched,
+		openCnt: a.openCnt, retired: a.retired, famOf: a.famOf, fams: a.fams,
+	})
 	for _, slot := range a.touched {
 		a.openCnt[slot] = 0
 	}
+	a.touched = a.touched[:0]
 	a.minActualKaM, a.minActualCost = 0, 0
 	a.minActualCold, a.minInv = 0, 0
+	a.cur = m
 }
 
 // ValueAt returns one cluster-wide channel's value at a single minute:
 // the stored value for a closed minute still inside the series window, or
 // the live accumulators when the minute is the currently open one — what
-// close() would push if the minute ended now. Reports false for minutes
+// its closing boundary would push if the minute ended now. Reports false for minutes
 // never seen or already evicted from the ring, and for selectors the
 // arena does not carry.
 func (a *Arena) ValueAt(sel Selector, minute int) (float64, bool) {

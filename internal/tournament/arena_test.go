@@ -2,10 +2,12 @@ package tournament_test
 
 // The arena's entrant protocol, pinned from the entrant's side: a recording
 // entrant logs every call it receives, and a model of the documented minute
-// protocol (tournament.ShadowEntrant, tournament.RestingEntrant) predicts the
-// log. The model knows nothing about how the arena finds its live, held or
-// invoked slots, so a stale list, a skipped slot or a reordered walk shows
-// up as a log mismatch.
+// protocol (tournament.ShadowEntrant, tournament.RestingEntrant) predicts
+// each entrant's log. The model knows nothing about how the arena finds its
+// live, held or invoked slots, so a stale list, a skipped slot or a
+// reordered walk shows up as a log mismatch. Entrants are walked
+// concurrently, so the protocol fixes each entrant's call order but not the
+// interleaving across entrants: every entrant keeps a log of its own.
 
 import (
 	"reflect"
@@ -26,9 +28,8 @@ type call struct {
 	m, fn, n int
 }
 
-// recorder is a ShadowEntrant that holds nothing and appends every call to a
-// log shared by all recorders of one arena, so the log also pins the order
-// entrants are visited in.
+// recorder is a ShadowEntrant that holds nothing and appends every call to
+// its own log.
 type recorder struct {
 	name string
 	log  *[]call
@@ -90,8 +91,8 @@ type protocolModel struct {
 	live  map[int]bool // slots registered and not retired
 	cnt   map[int]int  // open minute's invocations per slot
 	cur   int          // open minute, -1 before the first sample
-	got   []call
-	want  []call
+	got   [][]call     // calls each entrant received, by entrant index
+	want  [][]call     // calls the protocol says each entrant must receive
 
 	last map[int]int  // last invoked minute per live slot (restingRecorder's rule)
 	held map[int]bool // slots the resting recorders hold in the open minute
@@ -105,10 +106,11 @@ func newProtocolModel(t *testing.T, entrants []string, asg models.Assignment) *p
 		t: t, cat: models.PaperCatalog(), ents: entrants,
 		live: map[int]bool{}, cnt: map[int]int{}, cur: -1,
 		last: map[int]int{}, held: map[int]bool{},
+		got: make([][]call, len(entrants)), want: make([][]call, len(entrants)),
 	}
 	impls := make([]tournament.ShadowEntrant, len(entrants))
 	for i, name := range entrants {
-		rec := recorder{name: name, log: &d.got}
+		rec := recorder{name: name, log: &d.got[i]}
 		if resting(name) {
 			impls[i] = &restingRecorder{recorder: rec, last: map[int]int{}}
 		} else {
@@ -120,7 +122,8 @@ func newProtocolModel(t *testing.T, entrants []string, asg models.Assignment) *p
 		d.live[fn] = true
 		d.eachEntrant("register", -1, fn, d.cat.Families[fam].NumVariants())
 	}
-	arena, err := tournament.New(tournament.Config{Catalog: d.cat, Assignment: asg, Entrants: impls})
+	// One goroutine per entrant, so the walks overlap whatever GOMAXPROCS is.
+	arena, err := tournament.NewWithWorkers(tournament.Config{Catalog: d.cat, Assignment: asg, Entrants: impls}, len(impls))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +132,8 @@ func newProtocolModel(t *testing.T, entrants []string, asg models.Assignment) *p
 }
 
 func (d *protocolModel) eachEntrant(op string, m, fn, n int) {
-	for _, ent := range d.ents {
-		d.want = append(d.want, call{ent, op, m, fn, n})
+	for i, ent := range d.ents {
+		d.want[i] = append(d.want[i], call{ent, op, m, fn, n})
 	}
 }
 
@@ -143,9 +146,9 @@ func (d *protocolModel) liveAscending() []int {
 	return out
 }
 
-// expectOpen predicts minute m's open: entrants in registration order, live
-// slots ascending within each; a resting entrant only at the live slots it
-// held in m−1 or that were invoked in m−1 (invoked).
+// expectOpen predicts minute m's open: live slots ascending for every
+// entrant; for a resting entrant only the live slots it held in m−1 or that
+// were invoked in m−1 (invoked).
 func (d *protocolModel) expectOpen(m int, invoked map[int]int) {
 	d.cur = m
 	live := d.liveAscending()
@@ -161,13 +164,13 @@ func (d *protocolModel) expectOpen(m int, invoked map[int]int) {
 		}
 	}
 	d.held = held
-	for _, ent := range d.ents {
+	for i, ent := range d.ents {
 		slots := live
 		if resting(ent) {
 			slots = visit
 		}
 		for _, fn := range slots {
-			d.want = append(d.want, call{ent, "keepalive", m, fn, 0})
+			d.want[i] = append(d.want[i], call{ent, "keepalive", m, fn, 0})
 		}
 	}
 }
@@ -182,10 +185,10 @@ func (d *protocolModel) expectRoll(m int) {
 	}
 	for d.cur < m {
 		live := d.liveAscending()
-		for _, ent := range d.ents {
+		for i, ent := range d.ents {
 			for _, fn := range live {
 				if d.cnt[fn] > 0 || !resting(ent) {
-					d.want = append(d.want, call{ent, "record", d.cur, fn, d.cnt[fn]})
+					d.want[i] = append(d.want[i], call{ent, "record", d.cur, fn, d.cnt[fn]})
 				}
 			}
 		}
@@ -233,39 +236,48 @@ func (d *protocolModel) deregister(m, fn int) {
 	d.arena.ObserveDeregister(telemetry.DeregisterSample{Minute: m, Function: fn})
 }
 
+// check compares every entrant's log with the predicted one, call by call.
 func (d *protocolModel) check() {
 	d.t.Helper()
-	if reflect.DeepEqual(d.got, d.want) {
-		return
-	}
-	for i := 0; i < len(d.got) || i < len(d.want); i++ {
-		var g, w call
-		if i < len(d.got) {
-			g = d.got[i]
+	for e, ent := range d.ents {
+		got, want := d.got[e], d.want[e]
+		if reflect.DeepEqual(got, want) {
+			continue
 		}
-		if i < len(d.want) {
-			w = d.want[i]
-		}
-		if g != w {
-			d.t.Fatalf("entrant call %d: got %+v, want %+v (%d calls made, %d expected)", i, g, w, len(d.got), len(d.want))
+		for i := 0; i < len(got) || i < len(want); i++ {
+			var g, w call
+			if i < len(got) {
+				g = got[i]
+			}
+			if i < len(want) {
+				w = want[i]
+			}
+			if g != w {
+				d.t.Fatalf("%s call %d: got %+v, want %+v (%d calls made, %d expected)", ent, i, g, w, len(got), len(want))
+			}
 		}
 	}
 }
 
-// calls filters the received log.
+// calls filters one entrant's received log.
 func (d *protocolModel) calls(ent, op string, m, fn int) []call {
 	var out []call
-	for _, c := range d.got {
-		if c.ent == ent && c.op == op && c.m == m && c.fn == fn {
-			out = append(out, c)
+	for e, name := range d.ents {
+		if name != ent {
+			continue
+		}
+		for _, c := range d.got[e] {
+			if c.op == op && c.m == m && c.fn == fn {
+				out = append(out, c)
+			}
 		}
 	}
 	return out
 }
 
 // Exactly one KeepAlive at open and one Record at close per live slot,
-// slots ascending, entrants in registration order, while slots register
-// and deregister between and inside minutes.
+// slots ascending within each entrant, while slots register and deregister
+// between and inside minutes.
 func TestArenaProtocolUnderChurn(t *testing.T) {
 	d := newProtocolModel(t, []string{"first", "second", "third"}, models.Assignment{0, 1, 2, 0, 1})
 	d.minute(0)
@@ -365,8 +377,8 @@ func TestArenaProtocolGapAndFragmentedMinute(t *testing.T) {
 
 // Resting entrants, interleaved with dense ones, are consulted only at the
 // slots they held or saw invoked in the previous minute and fed only
-// non-zero counts — ascending, in registration order, retired slots skipped
-// — while held sets turn over, a held slot is invoked again, slots register
+// non-zero counts — ascending, retired slots skipped — while held sets turn
+// over, a held slot is invoked again, slots register
 // and retire mid-minute, minutes fragment and the clock jumps.
 func TestArenaProtocolRestingEntrants(t *testing.T) {
 	d := newProtocolModel(t, []string{"dense", "rest-a", "dense-b", "rest-b"}, models.Assignment{0, 1, 2, 0, 1, 2})
@@ -391,15 +403,17 @@ func TestArenaProtocolRestingEntrants(t *testing.T) {
 	d.minute(11)
 	d.check()
 
-	for _, c := range d.got {
-		if !resting(c.ent) {
+	for e, log := range d.got {
+		if !resting(d.ents[e]) {
 			continue
 		}
-		if c.op == "record" && c.n == 0 {
-			t.Errorf("%s fed a zero count: %+v", c.ent, c)
-		}
-		if (c.fn == 3 || c.fn == 4) && c.m >= 3 {
-			t.Errorf("%s saw slot %d after it retired during minute 2: %+v", c.ent, c.fn, c)
+		for _, c := range log {
+			if c.op == "record" && c.n == 0 {
+				t.Errorf("%s fed a zero count: %+v", c.ent, c)
+			}
+			if (c.fn == 3 || c.fn == 4) && c.m >= 3 {
+				t.Errorf("%s saw slot %d after it retired during minute 2: %+v", c.ent, c.fn, c)
+			}
 		}
 	}
 	for _, ent := range []string{"rest-a", "rest-b"} {

@@ -1,9 +1,9 @@
 package tournament_test
 
-// Dense-vs-resting differential: the six production entrants raced twice on
-// one randomized churn stream — once as they are (fixed-high, never, oracle
-// and hawkes rest), once each wrapped so the arena cannot see Rests and walks
-// every live slot — must give bit-identical ledgers and series.
+// Arena differentials on one randomized churn stream. Dense-vs-resting: the
+// six production entrants raced twice — once as they are (fixed-high, never,
+// oracle and hawkes rest), once each wrapped so the arena cannot see Rests and
+// walks every live slot — must give bit-identical ledgers and series.
 
 import (
 	"math"
@@ -131,11 +131,7 @@ func feedChurn(seed int64, cat *models.Catalog, initial, minutes int, arenas ...
 
 func TestDifferentialRestingVsDense(t *testing.T) {
 	cat := models.PaperCatalog()
-	const initial = 120
-	asg := make(models.Assignment, initial)
-	for fn := range asg {
-		asg[fn] = fn % len(cat.Families)
-	}
+	asg := churnAssignment(cat)
 	for _, seed := range []int64{1, 2, 3} {
 		var arenas [2]*tournament.Arena
 		for i, hide := range []bool{false, true} {
@@ -155,36 +151,74 @@ func TestDifferentialRestingVsDense(t *testing.T) {
 			}
 			arenas[i] = a
 		}
-		feedChurn(seed, cat, initial, 400, arenas[:]...)
-		rest, dense := arenas[0], arenas[1]
+		feedChurn(seed, cat, len(asg), 400, arenas[:]...)
+		compareArenas(t, seed, "resting", arenas[0], "dense", arenas[1])
+	}
+}
 
-		rs, ds := rest.Snapshot(), dense.Snapshot()
-		if !reflect.DeepEqual(rs, ds) {
-			t.Errorf("seed %d: snapshots diverge\nresting %+v\ndense   %+v", seed, rs.Total, ds.Total)
-		}
-		if rs.Total.Shadows[0].KeepAliveMBMinutes == 0 || rs.Total.Shadows[3].KeepAliveMBMinutes == 0 {
-			t.Errorf("seed %d: fixed-high or hawkes never held a slot; the stream does not exercise the held lists", seed)
-		}
-		sels := []tournament.Selector{
-			tournament.Shared(tournament.ChanKaMMB), tournament.Shared(tournament.ChanCostUSD),
-			tournament.Shared(tournament.ChanCold), tournament.Shared(tournament.ChanInvocations),
-		}
-		for ei := range rs.Entrants {
-			for _, c := range []tournament.Channel{tournament.ChanKaMMB, tournament.ChanCostUSD, tournament.ChanCold, tournament.ChanSavingsUSD} {
-				sels = append(sels, tournament.Selector{Entrant: ei, Channel: c})
+// Parallel-vs-serial differential: the six production entrants raced on the
+// churn stream once with every boundary walked on the calling goroutine and
+// once with one goroutine per entrant must give bit-identical ledgers and
+// series, under the race detector too.
+func TestDifferentialArenaParallelVsSerial(t *testing.T) {
+	cat := models.PaperCatalog()
+	asg := churnAssignment(cat)
+	for _, seed := range []int64{1, 2, 3} {
+		var arenas [2]*tournament.Arena
+		for i := range arenas {
+			ents := productionEntrants(t, cat, false)
+			workers := []int{1, len(ents)}[i]
+			a, err := tournament.NewWithWorkers(tournament.Config{Catalog: cat, Assignment: asg, SeriesWindow: 128, Entrants: ents}, workers)
+			if err != nil {
+				t.Fatal(err)
 			}
+			arenas[i] = a
 		}
-		for _, sel := range sels {
-			for _, hourly := range []bool{false, true} {
-				rp, dp := rest.Series(sel, 1<<20, hourly), dense.Series(sel, 1<<20, hourly)
-				if len(rp) == 0 || len(rp) != len(dp) {
-					t.Fatalf("seed %d %+v hourly=%v: %d resting points, %d dense", seed, sel, hourly, len(rp), len(dp))
-				}
-				for i := range rp {
-					if rp[i].Minute != dp[i].Minute || math.Float64bits(rp[i].Value) != math.Float64bits(dp[i].Value) {
-						t.Errorf("seed %d %+v hourly=%v point %d: resting %+v, dense %+v", seed, sel, hourly, i, rp[i], dp[i])
-						break
-					}
+		feedChurn(seed, cat, len(asg), 400, arenas[:]...)
+		compareArenas(t, seed, "serial", arenas[0], "parallel", arenas[1])
+	}
+}
+
+// churnAssignment is the initial population feedChurn starts from.
+func churnAssignment(cat *models.Catalog) models.Assignment {
+	asg := make(models.Assignment, 120)
+	for fn := range asg {
+		asg[fn] = fn % len(cat.Families)
+	}
+	return asg
+}
+
+// compareArenas requires two arenas fed one churn stream to agree exactly:
+// deep-equal snapshots and bit-identical points in every minute and hourly
+// series, shared and per entrant.
+func compareArenas(t *testing.T, seed int64, na string, a *tournament.Arena, nb string, b *tournament.Arena) {
+	t.Helper()
+	as, bs := a.Snapshot(), b.Snapshot()
+	if !reflect.DeepEqual(as, bs) {
+		t.Errorf("seed %d: snapshots diverge\n%-8s %+v\n%-8s %+v", seed, na, as.Total, nb, bs.Total)
+	}
+	if as.Total.Shadows[0].KeepAliveMBMinutes == 0 || as.Total.Shadows[3].KeepAliveMBMinutes == 0 {
+		t.Errorf("seed %d: fixed-high or hawkes never held a slot; the stream does not exercise the held lists", seed)
+	}
+	sels := []tournament.Selector{
+		tournament.Shared(tournament.ChanKaMMB), tournament.Shared(tournament.ChanCostUSD),
+		tournament.Shared(tournament.ChanCold), tournament.Shared(tournament.ChanInvocations),
+	}
+	for ei := range as.Entrants {
+		for _, c := range []tournament.Channel{tournament.ChanKaMMB, tournament.ChanCostUSD, tournament.ChanCold, tournament.ChanSavingsUSD} {
+			sels = append(sels, tournament.Selector{Entrant: ei, Channel: c})
+		}
+	}
+	for _, sel := range sels {
+		for _, hourly := range []bool{false, true} {
+			ap, bp := a.Series(sel, 1<<20, hourly), b.Series(sel, 1<<20, hourly)
+			if len(ap) == 0 || len(ap) != len(bp) {
+				t.Fatalf("seed %d %+v hourly=%v: %d %s points, %d %s", seed, sel, hourly, len(ap), na, len(bp), nb)
+			}
+			for i := range ap {
+				if ap[i].Minute != bp[i].Minute || math.Float64bits(ap[i].Value) != math.Float64bits(bp[i].Value) {
+					t.Errorf("seed %d %+v hourly=%v point %d: %s %+v, %s %+v", seed, sel, hourly, i, na, ap[i], nb, bp[i])
+					break
 				}
 			}
 		}

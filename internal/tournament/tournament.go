@@ -3,9 +3,9 @@
 // policy expressible as a ShadowEntrant can be raced in-stream against the
 // live policy, with the same accounting discipline the Accountant always
 // had — integer counters on the hot path, float pricing at snapshot time,
-// and a fixed deterministic accounting order (entrants in registration
-// order, functions in slot order within each entrant) so results are
-// invariant to shard count and runtime serving mode.
+// and a fixed deterministic accounting order per entrant (functions in slot
+// order) so results are invariant to shard count, runtime serving mode and
+// how many goroutines walk the entrants.
 //
 // The Arena is the referee: a telemetry.Observer fed the barrier-ordered
 // sample stream, it keeps one shared ledger (the live policy's account)
@@ -38,6 +38,12 @@ const NoVariant = cluster.NoVariant
 //
 // A RestingEntrant is spared the KeepAlive and Record calls whose answers
 // its promises already fix.
+//
+// The Arena never calls one entrant concurrently with itself, but at every
+// minute boundary it walks different entrants concurrently, on different
+// goroutines: entrants must share no mutable state, and only the order of
+// calls to one entrant is fixed, not how they interleave with another
+// entrant's.
 //
 // Implementations must be deterministic (no wall clock, no global RNG) and
 // must not allocate in KeepAlive or Record once registered: the Arena's
