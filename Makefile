@@ -44,8 +44,8 @@ lint:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
 # Sharded-controller equivalence proof: the differential harness and every
-# shard test under the race detector, plus short fuzz smoke runs over the
-# optimizer invariants. Mirrors the CI "sharded" job.
+# controller shard test under the race detector, plus short fuzz smoke runs
+# over the optimizer invariants. Mirrors the CI "sharded" job.
 test-parallel:
 	$(GO) test -race ./... -run 'Differential|Sharded'
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPeakDetector$$' -fuzztime=10s
@@ -57,12 +57,13 @@ test-parallel:
 
 # Seqlock/epoch stress battery: the runtime package's concurrency tests
 # (torn-read, lifecycle, soak, parking), the scenario harness (serial vs
-# epoch replays, conservation under racing invokers, churn races) and the
-# tournament arena's parallel entrant walk (with the accountant over it)
+# epoch replays, conservation under racing invokers, churn races), the
+# fork-join pool the minute barrier fans out on, and the tournament arena's
+# parallel entrant walk over it (with the accountant over the arena),
 # repeated under the race detector at contrasting parallelism levels.
 # Mirrors the CI "stress" job.
 SCENARIOS = -run '^TestDifferentialScenarios$$'
-ARENA = ./internal/tournament ./internal/attribution
+ARENA = ./internal/forkjoin ./internal/tournament ./internal/attribution
 stress:
 	GOMAXPROCS=1 $(GO) test -race -count=5 -timeout=25m ./internal/runtime
 	GOMAXPROCS=1 $(GO) test -race -count=5 -timeout=45m ./internal/core $(SCENARIOS)

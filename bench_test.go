@@ -270,11 +270,11 @@ func BenchmarkAblationDowngradeSelection(b *testing.B) {
 }
 
 // BenchmarkPulseSharded measures controller throughput at cluster scale —
-// 10k functions per minute tick — serial versus one shard per CPU. The
-// decisions are bit-identical at every shard count (the differential
-// harness proves it); this benchmark shows what the sharding buys:
-// RecordInvocations fans the per-function optimizer out to the persistent
-// worker pool.
+// 10k functions per minute tick — one shard versus the default of one per
+// GOMAXPROCS. The decisions are bit-identical at every shard count (the
+// differential harness proves it); this benchmark shows what the sharding
+// buys: RecordInvocations runs the per-function optimizer as one fork-join
+// task per shard on the controller's persistent pool, the caller included.
 func BenchmarkPulseSharded(b *testing.B) {
 	const nFunctions = 10_000
 	cat := pulse.Catalog()
@@ -294,7 +294,7 @@ func BenchmarkPulseSharded(b *testing.B) {
 		}
 	}
 
-	for _, shards := range []int{1, runtime.NumCPU()} {
+	for _, shards := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			p, err := pulse.New(pulse.Config{Catalog: cat, Assignment: asg, Shards: shards})
 			if err != nil {

@@ -148,7 +148,7 @@ func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
 	compress := flag.Float64("compress", 60, "time compression (60 = one simulated minute per wall second)")
 	policyName := flag.String("policy", "pulse", "keep-alive policy: pulse or openwhisk")
-	shards := flag.Int("shards", 0, "PULSE controller shards (0 = one per CPU, 1 = serial); decisions are identical at every count")
+	shards := flag.Int("shards", 0, "PULSE controller shards (0 = GOMAXPROCS, 1 = serial on the caller); decisions are identical at every count")
 	demo := flag.Bool("demo", false, "generate background demo traffic")
 	seed := flag.Int64("seed", 1, "demo traffic seed")
 	stateDir := flag.String("statedir", "", "metadata store directory: PULSE state is restored on start and saved on shutdown")

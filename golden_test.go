@@ -173,7 +173,7 @@ func TestGoldenResult(t *testing.T) {
 }
 
 // TestGoldenResultSharded pins the sharded controller to the same golden
-// numbers: the default shard count (one per CPU) must reproduce the
+// numbers: the default shard count (one per GOMAXPROCS) must reproduce the
 // committed serial digest exactly.
 func TestGoldenResultSharded(t *testing.T) {
 	res, p, tr, acct := goldenRun(t, 0)

@@ -11,9 +11,8 @@ import (
 
 // This file is the lifecycle-aware engine path: when the trace carries
 // function churn (trace.Trace.HasChurn), Run dispatches here. The churn
-// engine is always serial — like an Observer-attached run, its value is a
-// deterministic, auditable event stream, and the per-minute lifecycle step
-// would race a sharded scan's function partition anyway.
+// engine is serial, like the static one: its value is a deterministic,
+// auditable event stream.
 //
 // The slot model mirrors the identity registry everywhere else in the
 // stack: the engine and the policy agree on dense, append-only function

@@ -52,8 +52,8 @@ func (cm CostModel) KeepAliveUSDPerMinute(memMB float64) float64 {
 
 // Policy is a keep-alive controller. The engine drives it minute by
 // minute; implementations must be deterministic for reproducible runs.
-// Policies that own background resources (such as the sharded PULSE
-// controller's worker pool) additionally implement io.Closer; drivers
+// Policies that own background resources (such as the PULSE controller's
+// record-step helper goroutines) additionally implement io.Closer; drivers
 // that construct policies should close them when done.
 type Policy interface {
 	// Name identifies the policy in reports.
@@ -165,17 +165,6 @@ type Config struct {
 	// invocation samples — the same instrumentation surface the live
 	// runtime uses, so simulation runs can be audited identically.
 	Observer telemetry.Observer
-	// Shards is the number of worker goroutines the engine fans the
-	// per-minute function scans out to (keep-alive accounting and
-	// invocation-count loading). 0 or 1 runs serially. Results are
-	// bit-identical at every shard count: workers only precompute
-	// per-function contributions; all floating-point accumulation,
-	// service-time recording, and policy callbacks happen on the driving
-	// goroutine in function order. When an Observer is attached the
-	// engine always uses the serial scan so the audit event stream stays
-	// byte-for-byte identical — serial, not dense: the serial scan walks
-	// the policy's active set whether or not anyone observes it.
-	Shards int
 }
 
 // Validate checks the configuration is runnable.
@@ -197,9 +186,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Cost.USDPerGBSecond <= 0 {
 		return fmt.Errorf("cluster: non-positive cost rate %v", c.Cost.USDPerGBSecond)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("cluster: negative shard count %d", c.Shards)
 	}
 	return nil
 }
@@ -281,25 +267,12 @@ func Run(cfg Config, p Policy) (*Result, error) {
 	}
 	counts := make([]int, nFn)
 
-	// The per-minute function scans fan out to a persistent worker pool
-	// when sharding is enabled; an attached Observer forces the serial
-	// scan so the audit event stream keeps its exact serial order.
-	shards := cfg.Shards
-	if cfg.Observer != nil || shards > nFn {
-		shards = 1
-	}
-	var eng *enginePool
-	if shards > 1 {
-		eng = newEnginePool(&cfg, p.Name(), shards, counts)
-		defer eng.close()
-	}
-	// Idle-skip: when the policy tracks its active set, the serial
-	// accounting walk (accountKeepAlive) visits only the slots that can hold
-	// a decision or owe a release sample, and the record fan-in hands the
-	// policy a pre-built invoked list. Both iterate ascending, so every
-	// float accumulates in dense-scan order — results are bit-identical.
+	// Idle-skip: when the policy tracks its active set, the accounting walk
+	// (accountKeepAlive) visits only the slots that can hold a decision or
+	// owe a release sample, and the record fan-in hands the policy a
+	// pre-built invoked list. Both iterate ascending, so every float
+	// accumulates in dense-scan order — results are bit-identical.
 	asp, sparse := p.(ActiveSetPolicy)
-	sparse = sparse && eng == nil
 	var invoked []int32
 	var walk HolderWalk
 	famOf := func(fn int) (int, bool) { return cfg.Assignment[fn], true }
@@ -319,31 +292,9 @@ func Run(cfg Config, p Policy) (*Result, error) {
 				p.Name(), len(alive), nFn, t)
 		}
 
-		var kamMB, costUSD float64
-		if eng != nil {
-			// Sharded scan: workers validate decisions, load invocation
-			// counts, and compact the minute's active functions; all
-			// accumulation happens here, in function order, so sums are
-			// bit-identical to the serial scan.
-			eng.scan(t, alive)
-			for _, s := range eng.shards {
-				if s.err != nil {
-					return nil, s.err
-				}
-			}
-			for _, s := range eng.shards {
-				for _, ev := range s.events {
-					if ev.vi != NoVariant {
-						kamMB += ev.mem
-						costUSD += cfg.Cost.KeepAliveUSDPerMinute(ev.mem)
-					}
-				}
-			}
-		} else {
-			var err error
-			if kamMB, costUSD, err = accountKeepAlive(&cfg, p, &walk, t, alive, famOf); err != nil {
-				return nil, err
-			}
+		kamMB, costUSD, err := accountKeepAlive(&cfg, p, &walk, t, alive, famOf)
+		if err != nil {
+			return nil, err
 		}
 		res.PerMinuteKaMMB[t] = kamMB
 		res.PerMinuteCostUSD[t] = costUSD
@@ -353,31 +304,18 @@ func Run(cfg Config, p Policy) (*Result, error) {
 		}
 
 		// Serve this minute's invocations.
-		if eng != nil {
-			for _, s := range eng.shards {
-				for _, ev := range s.events {
-					if ev.c == 0 {
-						continue
-					}
-					if err := serveFunction(&cfg, p, res, t, ev.fn, ev.c, ev.vi, cfg.Assignment[ev.fn]); err != nil {
-						return nil, err
-					}
-				}
+		invoked = invoked[:0]
+		for fn := 0; fn < nFn; fn++ {
+			c := tr.Functions[fn].Counts[t]
+			counts[fn] = c
+			if c == 0 {
+				continue
 			}
-		} else {
-			invoked = invoked[:0]
-			for fn := 0; fn < nFn; fn++ {
-				c := tr.Functions[fn].Counts[t]
-				counts[fn] = c
-				if c == 0 {
-					continue
-				}
-				if sparse {
-					invoked = append(invoked, int32(fn))
-				}
-				if err := serveFunction(&cfg, p, res, t, fn, c, alive[fn], cfg.Assignment[fn]); err != nil {
-					return nil, err
-				}
+			if sparse {
+				invoked = append(invoked, int32(fn))
+			}
+			if err := serveFunction(&cfg, p, res, t, fn, c, alive[fn], cfg.Assignment[fn]); err != nil {
+				return nil, err
 			}
 		}
 
@@ -460,8 +398,8 @@ func accountKeepAlive(cfg *Config, p Policy, w *HolderWalk, t int, alive []int, 
 
 // serveFunction attributes one invoked function's minute: warm service on
 // the kept-alive variant, or a cold start on the policy's cold variant
-// with the remainder of the minute served warm. Shared by the serial,
-// sharded, and churn scans so their accounting cannot drift. famIdx is
+// with the remainder of the minute served warm. Shared by the static and
+// churn scans so their accounting cannot drift. famIdx is
 // passed explicitly because under churn the function slot is not an index
 // into Config.Assignment.
 func serveFunction(cfg *Config, p Policy, res *Result, t, fn, c, vi, famIdx int) error {

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/pulse-serverless/pulse/internal/models"
@@ -250,5 +252,76 @@ func TestResultZeroInvocations(t *testing.T) {
 	r := &Result{}
 	if r.MeanAccuracyPct() != 0 || r.WarmStartRate() != 0 || r.OverheadPerServiceTime() != 0 {
 		t.Error("zero-invocation result should return zeros, not NaN")
+	}
+}
+
+// badVariantPolicy holds nothing warm except at minute m, where it keeps
+// variant alive for slot fn (unless alive is NoVariant) and answers fn's
+// cold start with variant cold.
+type badVariantPolicy struct {
+	*fakeDynamic
+	m, fn, alive, cold int
+}
+
+func (b *badVariantPolicy) Name() string { return "bad-variant" }
+
+func (b *badVariantPolicy) KeepAlive(t int) []int {
+	out := make([]int, len(b.names))
+	for i := range out {
+		out[i] = NoVariant
+	}
+	if t == b.m {
+		out[b.fn] = b.alive
+	}
+	return out
+}
+
+func (b *badVariantPolicy) ColdVariant(t, fn int) int {
+	if t == b.m && fn == b.fn {
+		return b.cold
+	}
+	return 0
+}
+
+// TestRunReportsInvalidVariants: an out-of-range kept-alive or cold variant
+// fails the run, on the static and the churn engine alike, with an error
+// naming the policy, the variant, the function and the minute.
+func TestRunReportsInvalidVariants(t *testing.T) {
+	static := &trace.Trace{Horizon: 4, Functions: []trace.Function{
+		{ID: 0, Name: "f0", Counts: []int{1, 0, 1, 0}},
+		{ID: 1, Name: "f1", Counts: []int{0, 0, 0, 0}},
+		{ID: 2, Name: "f2", Counts: []int{0, 1, 1, 1}},
+	}}
+	for _, eng := range []struct {
+		name  string
+		tr    *trace.Trace
+		names []string // the policy's population at minute 0
+		fn    int      // a slot live and invoked at minute 2
+	}{
+		{"static", static, []string{"f0", "f1", "f2"}, 2},
+		{"churn", churnTrace(t), []string{"f0", "f1"}, 3}, // f2 arrives at 2, after f3
+	} {
+		for _, tc := range []struct {
+			name        string
+			alive, cold int
+			variant     string
+		}{
+			{"kept-alive-too-high", 5, 0, "variant 5 "},
+			{"kept-alive-negative", -2, 0, "variant -2 "},
+			{"cold-too-high", NoVariant, 9, "cold variant 9 "},
+		} {
+			t.Run(eng.name+"/"+tc.name, func(t *testing.T) {
+				p := &badVariantPolicy{fakeDynamic: newFakeDynamic(eng.names), m: 2, fn: eng.fn, alive: tc.alive, cold: tc.cold}
+				_, err := Run(churnConfig(eng.tr), p)
+				if err == nil {
+					t.Fatal("invalid variant accepted")
+				}
+				for _, want := range []string{`policy "bad-variant"`, tc.variant, fmt.Sprintf("function %d ", eng.fn), "minute 2"} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("error %q does not name %q", err, want)
+					}
+				}
+			})
+		}
 	}
 }

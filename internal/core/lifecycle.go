@@ -27,9 +27,9 @@ import (
 // RegisterFunction implements cluster.DynamicPolicy: the named function
 // gets the next slot with an empty inter-arrival history and no plan, so it
 // stays cold until its first recorded invocations — the paper's behaviour
-// for a function the controller has never seen. Growing the per-function
-// slices reallocates the state the shard workers alias, so the worker pool
-// is marked stale and rebuilt once at the next dispatch (resolveShards).
+// for a function the controller has never seen. The shard ranges are
+// re-partitioned over the grown slot count (resolveShards); the pool's
+// goroutines stay as they are.
 func (p *Pulse) RegisterFunction(name string, family int) (int, error) {
 	if family < 0 || family >= len(p.cfg.Catalog.Families) {
 		return 0, fmt.Errorf("core: family %d out of range for %q", family, name)
@@ -55,8 +55,7 @@ func (p *Pulse) RegisterFunction(name string, family int) (int, error) {
 // returns to the free list, the slot leaves the active set, its decision is
 // pinned to NoVariant, its history's heap storage (spill lists, local gap
 // queue) is freed, and its downgrade priority count zeroed. The slot count
-// does not change, so the shard partition stays as is; the workers observe
-// the tombstone through the active flags they alias.
+// does not change, so the shard partition stays as is.
 func (p *Pulse) DeregisterFunction(name string) error {
 	slot, err := p.reg.Deregister(name)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/pulse-serverless/pulse/internal/cluster"
+	"github.com/pulse-serverless/pulse/internal/forkjoin"
 	"github.com/pulse-serverless/pulse/internal/identity"
 	"github.com/pulse-serverless/pulse/internal/models"
 	"github.com/pulse-serverless/pulse/internal/telemetry"
@@ -38,13 +39,14 @@ type Config struct {
 	Technique ThresholdTechnique
 	// Shards is the number of parallel shards the controller partitions
 	// its functions into. Each shard owns its functions' histories and
-	// plan rings and is served by one persistent worker goroutine; the
+	// plan rings and is one task of the minute's record step, which runs
+	// on min(GOMAXPROCS, Shards) goroutines, the caller's included; the
 	// global peak-detect/flatten step (Algorithms 1 and 2) always runs
 	// single-threaded on the merged view, so decisions are identical for
-	// every shard count. 0 selects runtime.NumCPU(); 1 runs fully serial
-	// with no worker goroutines; the count is capped at the number of
-	// functions. A controller with more than one shard owns goroutines:
-	// call Close when done (a finalizer reclaims them otherwise).
+	// every shard count. 0 selects GOMAXPROCS; 1 runs every shard on the
+	// caller with no helper goroutines; the count is capped at the number
+	// of functions. A controller with helper goroutines owns them: call
+	// Close when done (a finalizer reclaims them otherwise).
 	Shards int
 
 	// DisableGlobalOpt turns off cross-function optimization, leaving only
@@ -111,19 +113,17 @@ type Pulse struct {
 	// minute, rebuilt by RecordInvocations / RecordInvocationsSparse.
 	invokedBuf []int32
 
-	// pool is the shard worker pool; nil when cfg.Shards resolves to 1,
-	// in which case every path runs serially on the calling goroutine.
-	// poolStale marks it as built over slices a registration has since
-	// regrown; workers() rebuilds it once, at the next dispatch.
-	pool      *shardPool
-	poolStale bool
+	// rec is the record step's task state and pool runs its shard tasks.
+	// The pool is sized once, in New; registration only re-partitions rec.
+	rec  *recorder
+	pool *forkjoin.Pool
 	// selfWanted caches telemetry.WantsSelf(cfg.Observer): whether the
 	// per-minute scans should read the clock and emit scan/flush duration
 	// samples. False keeps the scan paths free of clock reads.
 	selfWanted bool
-	// reqShards is the configured (unresolved) shard count; the effective
-	// count in cfg.Shards is re-resolved against the slot count whenever
-	// registration grows the per-function state.
+	// reqShards is the requested shard count with 0 resolved to
+	// GOMAXPROCS; the effective count in cfg.Shards is re-resolved against
+	// the slot count whenever registration grows the per-function state.
 	reqShards int
 
 	totalDowngrades int
@@ -192,58 +192,48 @@ func New(cfg Config) (*Pulse, error) {
 	}
 	p.selfWanted = telemetry.WantsSelf(cfg.Observer)
 	p.reqShards = cfg.Shards
+	if p.reqShards == 0 {
+		p.reqShards = runtime.GOMAXPROCS(0)
+	}
+	p.rec = &recorder{
+		hist:      p.hist,
+		plans:     p.plans,
+		catalog:   cfg.Catalog,
+		window:    cfg.Window,
+		blend:     cfg.Blend,
+		technique: cfg.Technique,
+		observe:   cfg.Observer != nil,
+		timing:    p.selfWanted,
+	}
 	p.resolveShards()
+	// The pool is sized for the requested shard count, which a growing
+	// population reaches, so registration never respawns it.
+	p.pool = forkjoin.New(min(runtime.GOMAXPROCS(0), p.reqShards), p.rec.task)
+	if p.pool.Workers() > 1 {
+		// Safety net for callers that drop the controller without Close:
+		// the helpers reference only the pool and the recorder, never p,
+		// so an unclosed controller still becomes unreachable and its
+		// helpers are stopped here.
+		runtime.SetFinalizer(p, (*Pulse).Close)
+	}
 	return p, nil
 }
 
 // resolveShards re-resolves the effective shard count against the current
-// slot count and marks the worker pool stale. Registration appends to the
-// per-function slices, which reallocates the headers the shard workers
-// alias; the workers are idle between dispatches, so nothing is torn down
-// here — a burst of registrations costs one rebuild, not one per call.
+// slot count and re-partitions the recorder over the grown per-function
+// state. The pool's goroutines are untouched.
 func (p *Pulse) resolveShards() {
-	shards := p.reqShards
-	if shards == 0 {
-		shards = runtime.NumCPU()
-	}
-	if n := len(p.out); shards > n {
-		shards = n
-	}
-	p.cfg.Shards = shards
-	p.poolStale = true
+	p.cfg.Shards = min(p.reqShards, len(p.out))
+	p.rec.assignment = p.cfg.Assignment
+	p.rec.partition(p.cfg.Shards, len(p.out))
 }
 
-// workers returns the shard pool for a dispatch (nil on a single-shard
-// controller), rebuilding it first if a registration staled it.
-func (p *Pulse) workers() *shardPool {
-	if !p.poolStale {
-		return p.pool
-	}
-	p.poolStale = false
-	if p.pool != nil {
-		runtime.SetFinalizer(p, nil)
-		p.pool.close()
-		p.pool = nil
-	}
-	if p.cfg.Shards > 1 {
-		p.pool = newShardPool(p.cfg, p.cfg.Shards, len(p.out), p.hist, p.plans)
-		// Safety net for callers that drop the controller without Close:
-		// the workers reference only the shard state, never p, so an
-		// unclosed controller still becomes unreachable and its pool is
-		// reclaimed here.
-		runtime.SetFinalizer(p, (*Pulse).Close)
-	}
-	return p.pool
-}
-
-// Close stops the shard worker goroutines. It is idempotent, safe on a
-// serial (single-shard) controller, and must not race with KeepAlive or
+// Close stops the record step's helper goroutines. It is idempotent, safe
+// on a single-worker controller, and must not race with KeepAlive or
 // RecordInvocations; the controller must not be driven afterwards.
 func (p *Pulse) Close() error {
-	if p.pool != nil {
-		runtime.SetFinalizer(p, nil)
-		p.pool.close()
-	}
+	runtime.SetFinalizer(p, nil)
+	p.pool.Close()
 	return nil
 }
 
@@ -286,7 +276,7 @@ func (p *Pulse) KeepAlive(t int) []int {
 		t0 = time.Now()
 	}
 	// Always on the coordinator: the active list is short and already
-	// ascending, so there is nothing for the workers to win.
+	// ascending, so there is nothing for the pool to win.
 	for _, fn32 := range p.active.list {
 		fn := int(fn32)
 		v, prob, ok := p.plans.get(fn, t)
@@ -296,7 +286,11 @@ func (p *Pulse) KeepAlive(t int) []int {
 		p.out[fn] = v
 		p.ip[fn] = prob
 	}
-	p.observeSerialScan(t, len(p.active.list), t0)
+	if p.selfWanted {
+		telemetry.ObserveScan(p.cfg.Observer, telemetry.ScanSample{
+			Minute: t, Shard: -1, Functions: len(p.active.list), Seconds: time.Since(t0).Seconds(),
+		})
+	}
 
 	if !p.cfg.DisableGlobalOpt {
 		kam := p.keptAliveMB()
@@ -403,7 +397,7 @@ func (p *Pulse) ColdVariant(_, fn int) int {
 // minute gets its history updated and a fresh keep-alive plan for the next
 // window minutes, one variant per offset, from the threshold technique.
 //
-// With more than one shard the per-function work fans out to the worker
+// The per-function work runs as one task per shard on the controller's
 // pool; each shard stages its Observer events in a private buffer that is
 // flushed here, in shard order, once the minute barrier is reached — so
 // the audit log sees the exact event sequence a serial controller emits.
@@ -416,7 +410,7 @@ func (p *Pulse) RecordInvocations(t int, counts []int) {
 		}
 		p.invokedBuf = append(p.invokedBuf, int32(fn))
 	}
-	p.recordInvoked(t, len(counts))
+	p.recordInvoked(t)
 }
 
 // RecordInvocationsSparse is the active-set fast path of RecordInvocations:
@@ -439,15 +433,15 @@ func (p *Pulse) RecordInvocationsSparse(t int, counts []int, invoked []int32) {
 		}
 		p.invokedBuf = append(p.invokedBuf, fn)
 	}
-	p.recordInvoked(t, len(p.invokedBuf))
+	p.recordInvoked(t)
 }
 
 // recordInvoked runs the function-centric optimizer for the slots in
 // p.invokedBuf (ascending): plan rows are acquired and the active set
-// updated on the coordinator, then the history/schedule work runs either
-// on the shard pool or serially. scanFns is the slot count a serial
-// ScanSample reports (the dense population for the dense entry point).
-func (p *Pulse) recordInvoked(t, scanFns int) {
+// updated on the coordinator, then the history/schedule work runs as the
+// shards' tasks on the pool, and their errors, scan timings and staged
+// events are reported in shard order after the barrier.
+func (p *Pulse) recordInvoked(t int) {
 	invoked := p.invokedBuf
 	added := false
 	for _, fn32 := range invoked {
@@ -462,72 +456,34 @@ func (p *Pulse) recordInvoked(t, scanFns int) {
 		p.active.sort()
 	}
 
-	if pool := p.workers(); pool != nil {
-		pool.dispatch(shardJob{t: t, invoked: invoked})
-		if p.selfWanted {
-			p.emitScans(t)
+	r := p.rec
+	r.t, r.invoked = t, invoked
+	p.pool.Run(len(r.shards))
+	for i := range r.shards {
+		if err := r.shards[i].err; err != nil {
+			panic("core: " + err.Error())
 		}
-		if obs := p.cfg.Observer; obs != nil {
-			var t0 time.Time
-			if p.selfWanted {
-				t0 = time.Now()
-			}
-			pool.flush(obs)
-			if p.selfWanted {
-				telemetry.ObserveFlush(obs, telemetry.FlushSample{
-					Minute: t, Seconds: time.Since(t0).Seconds(),
-				})
-			}
-		}
+	}
+	obs := p.cfg.Observer
+	if obs == nil {
 		return
 	}
 	var t0 time.Time
 	if p.selfWanted {
-		t0 = time.Now()
-	}
-	for _, fn32 := range invoked {
-		fn := int(fn32)
-		if err := p.hist.record(fn, t); err != nil {
-			panic("core: history record: " + err.Error())
-		}
-		h := History{ar: p.hist, fn: fn}
-		fam := p.cfg.Catalog.Families[p.cfg.Assignment[fn]]
-		probs := h.Probabilities(p.cfg.Window, p.cfg.Blend)
-		sched, err := Schedule(probs, p.cfg.Technique, fam.NumVariants())
-		if err != nil {
-			panic("core: schedule: " + err.Error())
-		}
-		for d := 1; d <= p.cfg.Window; d++ {
-			p.plans.set(fn, t+d, sched[d], probs[d])
-		}
-		if obs := p.cfg.Observer; obs != nil {
-			obs.ObserveSchedule(telemetry.ScheduleSample{
-				Minute:   t,
-				Function: fn,
-				Plan:     sched[1:],
-				Probs:    probs[1:],
+		for i := range r.shards {
+			s := &r.shards[i]
+			telemetry.ObserveScan(obs, telemetry.ScanSample{
+				Minute: t, Shard: i, Functions: s.hi - s.lo, Seconds: s.scanSec,
 			})
 		}
+		t0 = time.Now()
 	}
-	p.observeSerialScan(t, scanFns, t0)
-}
-
-// observeSerialScan reports a coordinator-side scan of fns slots begun at
-// t0 (read only when selfWanted) as the serial shard -1.
-func (p *Pulse) observeSerialScan(t, fns int, t0 time.Time) {
+	for i := range r.shards {
+		r.shards[i].buf.FlushTo(obs)
+	}
 	if p.selfWanted {
-		telemetry.ObserveScan(p.cfg.Observer, telemetry.ScanSample{
-			Minute: t, Shard: -1, Functions: fns, Seconds: time.Since(t0).Seconds(),
-		})
-	}
-}
-
-// emitScans reports each shard's just-completed job duration, in shard
-// order (the coordinator emits so samples stay barrier-serialized).
-func (p *Pulse) emitScans(t int) {
-	for i, s := range p.pool.shards {
-		telemetry.ObserveScan(p.cfg.Observer, telemetry.ScanSample{
-			Minute: t, Shard: i, Functions: s.scanFns, Seconds: s.scanSec,
+		telemetry.ObserveFlush(obs, telemetry.FlushSample{
+			Minute: t, Seconds: time.Since(t0).Seconds(),
 		})
 	}
 }

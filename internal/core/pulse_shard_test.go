@@ -1,6 +1,6 @@
 package core
 
-// Unit tests for the shard pool mechanics themselves: partitioning,
+// Unit tests for the shard mechanics themselves: partitioning,
 // lifecycle, defaulting, and the hot-path allocation guarantee. The
 // semantic equivalence proofs live in the scenario harness
 // (scenario_test.go).
@@ -46,10 +46,6 @@ func TestShardedPartitionCoversAllFunctions(t *testing.T) {
 		{12, 2}, {12, 5}, {12, 12}, {7, 3}, {100, 16}, {5, 64},
 	} {
 		p := newShardedPulse(t, tc.n, tc.shards, nil)
-		pool := p.workers() // built lazily, at the first dispatch
-		if pool == nil {
-			t.Fatalf("n=%d shards=%d: no pool", tc.n, tc.shards)
-		}
 		want := tc.shards
 		if want > tc.n {
 			want = tc.n
@@ -58,7 +54,7 @@ func TestShardedPartitionCoversAllFunctions(t *testing.T) {
 			t.Errorf("n=%d shards=%d: effective %d, want %d", tc.n, tc.shards, got, want)
 		}
 		lo, minSize, maxSize := 0, tc.n, 0
-		for _, s := range pool.shards {
+		for _, s := range p.rec.shards {
 			if s.lo != lo {
 				t.Fatalf("n=%d shards=%d: shard starts at %d, want %d (gap or overlap)", tc.n, tc.shards, s.lo, lo)
 			}
@@ -83,9 +79,9 @@ func TestShardedPartitionCoversAllFunctions(t *testing.T) {
 	}
 }
 
-// TestShardedDefaults: Shards 0 resolves to one shard per CPU (capped at
-// the function count), 1 runs serial with no pool, and negative counts
-// are rejected.
+// TestShardedDefaults: Shards 0 resolves to one shard per GOMAXPROCS
+// (capped at the function count), 1 runs every shard on the caller with no
+// helper goroutine, and negative counts are rejected.
 func TestShardedDefaults(t *testing.T) {
 	cat := models.PaperCatalog()
 	asg := uniformAssignment(cat, 4)
@@ -95,20 +91,20 @@ func TestShardedDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	want := runtime.NumCPU()
-	if want > 4 {
-		want = 4
-	}
+	want := min(runtime.GOMAXPROCS(0), 4)
 	if p.Shards() != want {
-		t.Errorf("default shards = %d, want min(NumCPU, n) = %d", p.Shards(), want)
+		t.Errorf("default shards = %d, want min(GOMAXPROCS, n) = %d", p.Shards(), want)
+	}
+	if got := p.pool.Workers(); got != want {
+		t.Errorf("default workers = %d, want min(GOMAXPROCS, shards) = %d", got, want)
 	}
 
 	serial, err := New(Config{Catalog: cat, Assignment: asg, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.workers() != nil {
-		t.Error("shards=1 built a worker pool")
+	if got := serial.pool.Workers(); got != 1 {
+		t.Errorf("shards=1 runs %d workers, want 1 (the caller)", got)
 	}
 	if serial.Shards() != 1 {
 		t.Errorf("serial Shards() = %d, want 1", serial.Shards())
@@ -119,8 +115,9 @@ func TestShardedDefaults(t *testing.T) {
 	}
 }
 
-// TestShardedCloseIdempotent: Close is safe to call repeatedly, on serial
-// controllers, and actually stops the workers.
+// TestShardedCloseIdempotent: Close is safe to call repeatedly, and on
+// single-worker controllers. That it stops the helpers is asserted in the
+// forkjoin package, which counts them.
 func TestShardedCloseIdempotent(t *testing.T) {
 	cat := models.PaperCatalog()
 	asg := uniformAssignment(cat, 8)
@@ -128,16 +125,10 @@ func TestShardedCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
 		if err := p.Close(); err != nil {
 			t.Fatalf("Close #%d: %v", i+1, err)
 		}
-	}
-	// Workers exit when their job channels close; give the scheduler a
-	// few chances to run them off.
-	for i := 0; i < 100 && runtime.NumGoroutine() >= before; i++ {
-		runtime.Gosched()
 	}
 
 	serial, err := New(Config{Catalog: cat, Assignment: asg, Shards: 1})
@@ -162,8 +153,8 @@ func TestShardedNameStable(t *testing.T) {
 // TestShardedIdleMinuteZeroAllocs extends the controller's hot-path
 // allocation guarantee to the sharded path: once warmed up, a minute with
 // no invocations must not allocate — for serial and sharded controllers,
-// with and without a no-op observer attached. The worker pool is
-// persistent precisely so minute ticks don't spawn goroutines.
+// with and without a no-op observer attached. The pool is persistent
+// precisely so minute ticks don't spawn goroutines.
 func TestShardedIdleMinuteZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

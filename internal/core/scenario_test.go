@@ -75,7 +75,7 @@ import (
 const (
 	prodRef        = "reference"       // the engine over the reference controller
 	prodEngine     = "engine"          // the engine over the controller
-	prodBareEngine = "engine-bare"     // no observer; the engine's scan sharded like the controller
+	prodBareEngine = "engine-bare"     // no observer
 	prodRestored   = "engine-restored" // bare; snapshotted half-way and restored at the row's smallest shard count
 	prodSerial     = "serial"          // the serial runtime, sequential replay
 	prodEpoch      = "epoch"           // the epoch runtime, sequential replay
@@ -454,7 +454,7 @@ func (sc *scenario) run(t *testing.T, tr *trace.Trace, r run, first bool) *outco
 	case prodRef, prodEngine, prodBareEngine, prodRestored:
 		res, err := cluster.Run(cluster.Config{
 			Trace: tr, Catalog: cat, Assignment: asg, Cost: cluster.DefaultCostModel(),
-			Observer: obs, RecordServiceTimes: true, Shards: r.shards,
+			Observer: obs, RecordServiceTimes: true,
 		}, wrapped)
 		if err != nil {
 			t.Fatal(err)

@@ -31,11 +31,6 @@ type Options struct {
 	Runs int
 	// Workers bounds experiment parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Shards sets the shard counts used by the runs: the PULSE controller
-	// shard count (core.Config.Shards, 0 = one per CPU) and the engine's
-	// per-minute scan shards (cluster.Config.Shards, 0 = serial). Results
-	// are identical at every setting; this only tunes parallelism.
-	Shards int
 	// Out receives the rendered table/figure. nil discards output.
 	Out io.Writer
 	// Archetypes overrides the default Azure-like function mix (advanced;
@@ -98,7 +93,6 @@ func (e *env) clusterConfig(measure bool) cluster.Config {
 		Cost:            e.cost,
 		MeasureOverhead: measure,
 		Observer:        e.opts.Observer,
-		Shards:          e.opts.Shards,
 	}
 }
 
@@ -111,9 +105,6 @@ func (e *env) run(p cluster.Policy, measure bool) (*cluster.Result, error) {
 func (e *env) newPulse(cfg core.Config) (*core.Pulse, error) {
 	cfg.Catalog = e.catalog
 	cfg.Assignment = e.asg
-	if cfg.Shards == 0 {
-		cfg.Shards = e.opts.Shards
-	}
 	return core.New(cfg)
 }
 

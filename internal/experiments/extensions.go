@@ -205,7 +205,7 @@ func ExtensionChurn(opts Options) (ChurnPoint, error) {
 				if err != nil {
 					return nil, err
 				}
-				return core.New(core.Config{Catalog: cat, Assignment: init, Names: names, Shards: opts.Shards})
+				return core.New(core.Config{Catalog: cat, Assignment: init, Names: names})
 			},
 		},
 	}

@@ -110,14 +110,14 @@ func ExtensionTournament(opts Options) ([]TournamentCell, error) {
 			return nil, err
 		}
 		pol, err := core.New(core.Config{
-			Catalog: cat, Assignment: polAsg, Names: names, Observer: acct, Shards: opts.Shards,
+			Catalog: cat, Assignment: polAsg, Names: names, Observer: acct,
 		})
 		if err != nil {
 			return nil, err
 		}
 		if _, err := cluster.Run(cluster.Config{
 			Trace: tr, Catalog: cat, Assignment: asg, Cost: cost,
-			Observer: acct, Shards: opts.Shards,
+			Observer: acct,
 		}, pol); err != nil {
 			return nil, fmt.Errorf("experiments: tournament %s: %w", sc.Name, err)
 		}

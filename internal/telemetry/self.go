@@ -25,9 +25,11 @@ type StepSample struct {
 	StripeContention uint64
 }
 
-// ScanSample reports one shard's slice of a per-minute controller scan
-// (gather or record). Shard is -1 for a serial (unsharded) scan; Functions
-// is the number of slots the shard touched.
+// ScanSample reports one shard's slice of a per-minute scan. Shard is the
+// controller's record shard, 0 to S−1 (0 alone on a one-shard controller),
+// or -1 for a scan the coordinator runs itself: the controller's gather and
+// the engine's keep-alive accounting. Functions is the number of slots the
+// scan covered: a record shard's range, the coordinator's visited slots.
 type ScanSample struct {
 	Minute    int
 	Shard     int
@@ -35,8 +37,9 @@ type ScanSample struct {
 	Seconds   float64
 }
 
-// FlushSample reports the duration of one observer flush — the post-scan
-// drain that replays sharded workers' buffered samples in serial order.
+// FlushSample reports the duration of one observer flush — the post-record
+// drain that replays the record shards' buffered samples in shard order,
+// which is the serial order.
 type FlushSample struct {
 	Minute  int
 	Seconds float64

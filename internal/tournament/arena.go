@@ -5,9 +5,9 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/pulse-serverless/pulse/internal/cluster"
+	"github.com/pulse-serverless/pulse/internal/forkjoin"
 	"github.com/pulse-serverless/pulse/internal/models"
 	"github.com/pulse-serverless/pulse/internal/telemetry"
 )
@@ -155,7 +155,8 @@ type Arena struct {
 
 	scratch []float64 // store-row staging, preallocated (zero-alloc pushes)
 
-	pool *walkPool // walks the entrants at every minute boundary
+	walker *walker        // the entrant walk's task state
+	pool   *forkjoin.Pool // walks the entrants at every minute boundary
 }
 
 // boundary is one minute boundary as an entrant's walk sees it: the close
@@ -252,78 +253,18 @@ func (b *boundary) consult(e *entrant, slot int32) (memMB, cost float64, ok bool
 	return fi.memMB[v], fi.costPerMin[v], true
 }
 
-// walkPool walks every entrant through each minute boundary. The goroutine
-// holding the arena joins helpers persistent goroutines; all claim entrants
-// through next, dense ones first (their walks are the long ones), and walk
-// returns once every entrant is done. With no helpers the caller walks
-// everything on the same path. The pool never references its Arena, so an
-// unreachable arena is still finalized, and its finalizer stops the
+// walker is the boundary walk's task state: task i walks the entrant at
+// order[i], dense entrants first (their walks are the long ones, so they
+// are claimed first). The pool's helpers hold the walker, never its Arena,
+// so an unreachable arena is still finalized, and its finalizer stops the
 // helpers.
-type walkPool struct {
+type walker struct {
 	ents  []entrant // the arena's entrants (same backing array)
 	order []int     // entrant indices in claim order: dense first
-	b     boundary  // written before the helpers wake, cleared after the barrier
-
-	next    atomic.Int32
-	helpers int
-	wake    chan struct{} // one token per helper per boundary
-	done    sync.WaitGroup
-	stop    sync.Once
+	b     boundary  // written before the walk, cleared after the barrier
 }
 
-// newWalkPool starts workers−1 helpers over ents.
-func newWalkPool(ents []entrant, workers int) *walkPool {
-	p := &walkPool{ents: ents, helpers: max(workers-1, 0)}
-	for _, rests := range []bool{false, true} {
-		for ei := range ents {
-			if ents[ei].rests == rests {
-				p.order = append(p.order, ei)
-			}
-		}
-	}
-	p.wake = make(chan struct{}, p.helpers)
-	for i := 0; i < p.helpers; i++ {
-		go p.help()
-	}
-	return p
-}
-
-// walk runs b over every entrant and returns after the last walk ends.
-func (p *walkPool) walk(b boundary) {
-	p.b = b
-	p.next.Store(0)
-	p.done.Add(p.helpers)
-	for i := 0; i < p.helpers; i++ {
-		p.wake <- struct{}{}
-	}
-	p.claim()
-	p.done.Wait()
-	p.b = boundary{} // hold no column a registration may since have regrown
-}
-
-// claim walks unclaimed entrants until none is left.
-func (p *walkPool) claim() {
-	for {
-		i := int(p.next.Add(1)) - 1
-		if i >= len(p.order) {
-			return
-		}
-		p.b.walk(&p.ents[p.order[i]])
-	}
-}
-
-// help is a helper's loop: one claim per token, until the pool stops.
-func (p *walkPool) help() {
-	for range p.wake {
-		p.claim()
-		p.done.Done()
-	}
-}
-
-// close stops the helpers. Idempotent.
-func (p *walkPool) close() {
-	p.stop.Do(func() { close(p.wake) })
-}
+func (w *walker) task(i int) { w.b.walk(&w.ents[w.order[i]]) }
 
 // New builds an Arena. The catalog and assignment must match the ones
 // driving the policy under observation. Its minute boundaries walk the
@@ -435,11 +376,20 @@ func newArena(cfg Config, workers int) (*Arena, error) {
 			e.impl.Register(fn, fam, nv)
 		}
 	}
-	a.pool = newWalkPool(a.ents, workers)
-	if a.pool.helpers > 0 {
-		// The helpers reference only the pool, never a, so an arena nobody
-		// holds is still collected; this stops its helpers when it is.
-		runtime.SetFinalizer(a, func(a *Arena) { a.pool.close() })
+	a.walker = &walker{ents: a.ents}
+	for _, rests := range []bool{false, true} {
+		for ei := range a.ents {
+			if a.ents[ei].rests == rests {
+				a.walker.order = append(a.walker.order, ei)
+			}
+		}
+	}
+	a.pool = forkjoin.New(workers, a.walker.task)
+	if a.pool.Workers() > 1 {
+		// The helpers reference only the pool and the walker, never a, so
+		// an arena nobody holds is still collected; this stops its helpers
+		// when it is.
+		runtime.SetFinalizer(a, func(a *Arena) { a.pool.Close() })
 	}
 	return a, nil
 }
@@ -549,11 +499,13 @@ func (a *Arena) advance(m int, closing bool) {
 		a.store.push(a.cur, a.fillRow())
 		slices.Sort(a.touched)
 	}
-	a.pool.walk(boundary{
+	a.walker.b = boundary{
 		m: m, closing: closing,
 		live: a.liveSlots(), inv: a.touched,
 		openCnt: a.openCnt, retired: a.retired, famOf: a.famOf, fams: a.fams,
-	})
+	}
+	a.pool.Run(len(a.walker.order))
+	a.walker.b = boundary{} // hold no column a registration may since have regrown
 	for _, slot := range a.touched {
 		a.openCnt[slot] = 0
 	}
