@@ -12,7 +12,8 @@ verify: build vet test
 
 # Zero-allocation assertions for the hot paths (controller idle minute,
 # including the million-slot pin, runtime Invoke and idle Step with and
-# without the observer chain, telemetry buffers/fan-out and its steady-state
+# without the observer chain, the Step harvesting a minute into it,
+# telemetry buffers/fan-out and its steady-state
 # sample streams, the provenance recorder's holder minute, attribution
 # accountant and ring store). Mirrors the CI "alloc" job.
 alloc:

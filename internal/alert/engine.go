@@ -237,9 +237,8 @@ func (e *Engine) ObserveMinute(s telemetry.MinuteSample) {
 }
 
 // ObserveInvocation implements telemetry.Observer. Samples carrying an
-// older minute (possible under live concurrency, where an invocation's
-// sample can be emitted after the tick advanced) fold into the open
-// minute, mirroring the accountant.
+// older minute (only a malformed feed sends one) fold into the open minute,
+// mirroring the accountant.
 func (e *Engine) ObserveInvocation(s telemetry.InvocationSample) {
 	if e == nil {
 		return

@@ -404,63 +404,62 @@ func accountKeepAlive(cfg *Config, p Policy, w *HolderWalk, t int, alive []int, 
 // into Config.Assignment.
 func serveFunction(cfg *Config, p Policy, res *Result, t, fn, c, vi, famIdx int) error {
 	fam := &cfg.Catalog.Families[famIdx]
+	warm, cold := c, vi == NoVariant
+	if cold {
+		if vi = p.ColdVariant(t, fn); vi < 0 || vi >= fam.NumVariants() {
+			return fmt.Errorf("cluster: policy %q chose invalid cold variant %d of family %q for function %d at minute %d",
+				p.Name(), vi, fam.Name, fn, t)
+		}
+	}
+	v := &fam.Variants[vi]
 	res.Invocations += c
-	if vi != NoVariant {
-		// Warm: the kept-alive variant serves every invocation.
-		v := fam.Variants[vi]
-		res.WarmStarts += c
-		res.TotalServiceSec += float64(c) * v.ExecSec
-		res.AccuracySumPct += float64(c) * v.AccuracyPct
+	if cold {
+		// The first invocation pays the cold start and creates a container
+		// that serves the rest of the minute warm.
+		warm--
+		res.ColdStarts++
+		res.TotalServiceSec += v.ColdServiceSec()
+		res.AccuracySumPct += v.AccuracyPct
 		if cfg.RecordServiceTimes {
-			for i := 0; i < c; i++ {
+			res.ServiceTimesSec = append(res.ServiceTimesSec, v.ColdServiceSec())
+		}
+	}
+	if warm > 0 {
+		res.WarmStarts += warm
+		res.TotalServiceSec += float64(warm) * v.ExecSec
+		res.AccuracySumPct += float64(warm) * v.AccuracyPct
+		if cfg.RecordServiceTimes {
+			for i := 0; i < warm; i++ {
 				res.ServiceTimesSec = append(res.ServiceTimesSec, v.ExecSec)
 			}
 		}
-		if cfg.Observer != nil {
-			cfg.Observer.ObserveInvocation(telemetry.InvocationSample{
-				Minute: t, Function: fn, Variant: v.Name,
-				Count: c, ServiceSec: v.ExecSec, AccuracyPct: v.AccuracyPct,
-			})
-		}
-		return nil
 	}
-	// Cold: the first invocation pays the cold start and creates a
-	// container that serves the rest of the minute warm.
-	cvi := p.ColdVariant(t, fn)
-	if cvi < 0 || cvi >= fam.NumVariants() {
-		return fmt.Errorf("cluster: policy %q chose invalid cold variant %d of family %q for function %d at minute %d",
-			p.Name(), cvi, fam.Name, fn, t)
-	}
-	v := fam.Variants[cvi]
-	res.ColdStarts++
-	res.TotalServiceSec += v.ColdServiceSec()
-	res.AccuracySumPct += v.AccuracyPct
-	if cfg.RecordServiceTimes {
-		res.ServiceTimesSec = append(res.ServiceTimesSec, v.ColdServiceSec())
-	}
-	if cfg.Observer != nil {
-		cfg.Observer.ObserveInvocation(telemetry.InvocationSample{
-			Minute: t, Function: fn, Variant: v.Name, Cold: true,
-			Count: 1, ServiceSec: v.ColdServiceSec(), AccuracyPct: v.AccuracyPct,
-		})
-	}
-	if c > 1 {
-		res.WarmStarts += c - 1
-		res.TotalServiceSec += float64(c-1) * v.ExecSec
-		res.AccuracySumPct += float64(c-1) * v.AccuracyPct
-		if cfg.RecordServiceTimes {
-			for i := 1; i < c; i++ {
-				res.ServiceTimesSec = append(res.ServiceTimesSec, v.ExecSec)
-			}
-		}
-		if cfg.Observer != nil {
-			cfg.Observer.ObserveInvocation(telemetry.InvocationSample{
-				Minute: t, Function: fn, Variant: v.Name,
-				Count: c - 1, ServiceSec: v.ExecSec, AccuracyPct: v.AccuracyPct,
-			})
-		}
-	}
+	ObserveServed(cfg.Observer, t, fn, c, v, cold)
 	return nil
+}
+
+// ObserveServed emits one function-minute's c invocations served on variant v
+// to obs (nil: none): when the minute began cold, one Cold sample of Count 1
+// (ColdServiceSec), then one warm sample (ExecSec) for the rest. It is the
+// only producer of invocation samples — the engine calls it as it serves a
+// minute, the live runtime at the barrier that closes one — so every
+// function-minute reaches observers in the minute its policy recorded it.
+func ObserveServed(obs telemetry.Observer, t, fn, c int, v *models.Variant, cold bool) {
+	if obs == nil {
+		return
+	}
+	for c > 0 {
+		s := telemetry.InvocationSample{
+			Minute: t, Function: fn, Variant: v.Name,
+			Count: c, ServiceSec: v.ExecSec, AccuracyPct: v.AccuracyPct,
+		}
+		if cold {
+			s.Cold, s.Count, s.ServiceSec = true, 1, v.ColdServiceSec()
+			cold = false
+		}
+		obs.ObserveInvocation(s)
+		c -= s.Count
+	}
 }
 
 // IdealCostSeries returns, per minute, the keep-alive cost of the paper's

@@ -20,7 +20,8 @@ package core_test
 //     accountant racing all six tournament entrants, provenance, alerts
 //     publishing to a stalled /stream subscriber) plus a Recorder of the raw
 //     sample stream, and the row's first producer a second arena racing the
-//     same entrants with Rests hidden.
+//     same entrants with Rests hidden. A race is replayed afterwards through
+//     the engine from the counts its policy recorded, as its oracle.
 //   - compare holds each producer to the row's first (a runtime to the row's
 //     first runtime, itself held to the first) on every surface both
 //     expose: decision and candidate-probability vectors, controller
@@ -28,7 +29,7 @@ package core_test
 //     streams, every sample stream, arena snapshots and series (by
 //     Float64bits), attribution reports, provenance rings, tracer counts and
 //     alert transitions. laws checks what each producer owes on its own: the
-//     five-ledger invocation conservation, the sparse KeepAlive contract
+//     six-ledger invocation conservation, the sparse KeepAlive contract
 //     against the dense reference, resting entrants = dense entrants, and the
 //     lifecycle rules.
 //
@@ -84,6 +85,9 @@ const (
 	prodRaceSerial = "race-serial"     // concurrent invokers, stepper and churner
 	prodRace       = "race-epoch"
 )
+
+// raceAssignment gives a race's four functions their families.
+var raceAssignment = models.Assignment{0, 1, 0, 1}
 
 // traceStride is the runtime tracer's 1-in-K sampling period; deliberately
 // not a divisor of anything round.
@@ -183,7 +187,7 @@ func FuzzDifferentialScenario(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{1, 254, 60, 9}, 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := byteSource(data)
-		sc := scenario{name: "fuzz", fuzzed: true, shards: []int{1, 3}, producers: []string{prodRef, prodEngine, prodSerial, prodEpoch, prodParallel}}
+		sc := scenario{name: "fuzz", stream: stream{mix: "idle"}, fuzzed: true, shards: []int{1, 3}, producers: []string{prodRef, prodEngine, prodSerial, prodEpoch, prodParallel}}
 		sc.play(t, idleTrace(&src, 6, 24))
 	})
 }
@@ -206,7 +210,8 @@ func (b *byteSource) Intn(n int) int   { return int(b.next()) % n }
 
 // play runs each of the row's producers as a subtest held to its own laws
 // and to the row's first producer — a runtime to the row's first runtime,
-// which was itself held to the first producer — then the row's own check.
+// which was itself held to the first producer, and a race to the engine
+// replaying what its policy recorded — then the row's own check.
 func (sc *scenario) play(t *testing.T, tr *trace.Trace) []*outcome {
 	var outs []*outcome
 	var firstLive *outcome
@@ -215,7 +220,11 @@ func (sc *scenario) play(t *testing.T, tr *trace.Trace) []*outcome {
 			o := sc.run(t, tr, r, len(outs) == 0)
 			laws(t, sc, o)
 			switch {
-			case o.race || len(outs) == 0:
+			case o.race:
+				if sc.stream.churn == 0 {
+					compare(t, sc.run(t, oracleTrace(o), run{prodEngine, "oracle", r.shards}, false), o)
+				}
+			case len(outs) == 0:
 			case o.live && firstLive != nil:
 				compare(t, firstLive, o)
 			default:
@@ -348,20 +357,23 @@ func (sc *scenario) runs() []run {
 
 // outcome is every surface one producer exposes.
 type outcome struct {
-	label    string
-	tr       *trace.Trace
-	initAsg  models.Assignment // the families of the functions live at minute 0
-	dense    bool              // the policy was walked densely (the reference)
-	live     bool              // a runtime replay: its last minute stays open
-	parallel bool
-	race     bool
-	churned  bool // invokers raced register and deregister
+	label   string
+	tr      *trace.Trace
+	initAsg models.Assignment // the families of the functions live at minute 0
+	dense   bool              // the policy was walked densely (the reference)
+	live    bool              // a runtime replay: its last minute stays open
+	race    bool
 
 	// The policy's side, logged by probe.
-	decisions  [][]int
-	probs      [][]float64
-	recorded   int // invocations the policy was told about
-	pending    int // invocations served in the still-open minute
+	decisions [][]int
+	probs     [][]float64
+	told      []int   // invocations the policy was told about, per minute
+	counts    [][]int // a race's: the count vectors the policy was told
+	// pending is what the last minute served: a live replay leaves that
+	// minute open, so neither its policy nor any observer hears of it, and
+	// an engine run withholds its samples from the chain (its policy still
+	// records it).
+	pending    int
 	controller bool
 	snapshot   core.PulseSnapshot
 	downgrades int
@@ -421,13 +433,12 @@ func (sc *scenario) newPolicy(t *testing.T, kind string, shards int, obs telemet
 func (sc *scenario) run(t *testing.T, tr *trace.Trace, r run, first bool) *outcome {
 	cat := models.PaperCatalog()
 	o := &outcome{label: r.label, tr: tr, dense: r.kind == prodRef}
-	var asg, initAsg models.Assignment
-	var names []string
-	if tr == nil {
-		asg = models.Assignment{0, 1, 0, 1}
-		initAsg, names = asg, identity.DefaultNames(len(asg))
-	} else {
+	asg := raceAssignment
+	if sc.stream.mix != "" {
 		asg = core.UniformAssignment(cat, len(tr.Functions))
+	}
+	initAsg, names := asg, identity.DefaultNames(len(asg))
+	if tr != nil {
 		var err error
 		if names, initAsg, err = cluster.InitialPopulation(tr, asg); err != nil {
 			t.Fatal(err)
@@ -448,10 +459,19 @@ func (sc *scenario) run(t *testing.T, tr *trace.Trace, r run, first bool) *outco
 	if c, ok := pol.(controller); ok {
 		defer c.Close()
 	}
-	wrapped, pr := wrap(pol)
+	wrapped, pr := wrap(pol, r.kind == prodRace)
 
 	switch r.kind {
 	case prodRef, prodEngine, prodBareEngine, prodRestored:
+		last := tr.Horizon - 1
+		for _, f := range tr.Functions {
+			if f.LiveAt(last, tr.Horizon) {
+				o.pending += f.Counts[last]
+			}
+		}
+		if obs != nil {
+			obs = withhold{obs, last}
+		}
 		res, err := cluster.Run(cluster.Config{
 			Trace: tr, Catalog: cat, Assignment: asg, Cost: cluster.DefaultCostModel(),
 			Observer: obs, RecordServiceTimes: true,
@@ -484,12 +504,12 @@ func (sc *scenario) run(t *testing.T, tr *trace.Trace, r run, first bool) *outco
 		if rt.Mode() != mode {
 			t.Fatalf("mode = %q, want %q", rt.Mode(), mode)
 		}
-		o.live, o.parallel = true, r.kind == prodParallel
+		o.live = true
 		if r.kind == prodRaceSerial || r.kind == prodRace {
-			o.race, o.churned = true, sc.stream.churn > 0
-			o.served = race(t, rt, o.churned)
+			o.race = true
+			o.served = race(t, rt, sc.stream.churn > 0)
 		} else {
-			o.streams, o.pending = replay(t, rt, tr, asg, o.parallel, sc.stream.seed)
+			o.streams, o.pending = replay(t, rt, tr, asg, r.kind == prodParallel, sc.stream.seed)
 		}
 		if o.chain != nil {
 			o.finish(t)
@@ -501,7 +521,7 @@ func (sc *scenario) run(t *testing.T, tr *trace.Trace, r run, first bool) *outco
 			o.tracer = &ts
 		}
 	}
-	o.decisions, o.probs, o.recorded = pr.decisions, pr.probs, pr.recorded
+	o.decisions, o.probs, o.told, o.counts = pr.decisions, pr.probs, pr.told, pr.counts
 	if rs != nil {
 		o.restored, o.cutDowngrades = true, rs.downgrades
 	}
@@ -757,14 +777,43 @@ func race(t *testing.T, r *runtime.Runtime, churned bool) int {
 	return total
 }
 
+// oracleTrace is the trace a race's policy recorded: its count vectors, then
+// the minute the race left open, idle.
+func oracleTrace(o *outcome) *trace.Trace {
+	tr := &trace.Trace{Horizon: len(o.counts) + 1}
+	for fn, name := range identity.DefaultNames(len(raceAssignment)) {
+		f := trace.Function{ID: fn, Name: name, Counts: make([]int, tr.Horizon)}
+		for m, counts := range o.counts {
+			f.Counts[m] = counts[fn]
+		}
+		tr.Functions = append(tr.Functions, f)
+	}
+	return tr
+}
+
 // probe sits between a producer and its policy: it logs every decision and
 // candidate-probability vector and counts the invocations the policy is
-// told about.
+// told about each minute, keeping the count vectors themselves when asked.
 type probe struct {
 	cluster.DynamicPolicy
 	decisions [][]int
 	probs     [][]float64
-	recorded  int
+	told      []int
+	keep      bool
+	counts    [][]int
+}
+
+// record logs one minute's counts (every producer zeroes the slots it did
+// not invoke, so a sparse record sums densely too).
+func (p *probe) record(counts []int) {
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	p.told = append(p.told, n)
+	if p.keep {
+		p.counts = append(p.counts, slices.Clone(counts))
+	}
 }
 
 func (p *probe) KeepAlive(t int) []int {
@@ -777,9 +826,7 @@ func (p *probe) KeepAlive(t int) []int {
 }
 
 func (p *probe) RecordInvocations(t int, counts []int) {
-	for _, c := range counts {
-		p.recorded += c
-	}
+	p.record(counts)
 	p.DynamicPolicy.RecordInvocations(t, counts)
 }
 
@@ -791,20 +838,39 @@ type sparseProbe struct {
 }
 
 func (p sparseProbe) RecordInvocationsSparse(t int, counts []int, invoked []int32) {
-	for _, fn := range invoked {
-		p.recorded += counts[fn]
-	}
+	p.record(counts)
 	p.sp.RecordInvocationsSparse(t, counts, invoked)
 }
 
 func (p sparseProbe) ActiveSlots() []int32 { return p.sp.ActiveSlots() }
 
-func wrap(pol cluster.DynamicPolicy) (cluster.DynamicPolicy, *probe) {
-	p := &probe{DynamicPolicy: pol}
+func wrap(pol cluster.DynamicPolicy, keep bool) (cluster.DynamicPolicy, *probe) {
+	p := &probe{DynamicPolicy: pol, keep: keep}
 	if sp, ok := pol.(cluster.ActiveSetPolicy); ok {
 		return sparseProbe{p, sp}, p
 	}
 	return p, p
+}
+
+// withhold keeps one minute's invocation samples from a chain: an engine
+// run's last, which a live replay leaves open and so shows no observer.
+type withhold struct {
+	telemetry.Observer
+	minute int
+}
+
+func (w withhold) ObserveInvocation(s telemetry.InvocationSample) {
+	if s.Minute != w.minute {
+		w.Observer.ObserveInvocation(s)
+	}
+}
+
+func (w withhold) ObserveRegister(s telemetry.RegisterSample) {
+	telemetry.ObserveLifecycle(w.Observer, s)
+}
+
+func (w withhold) ObserveDeregister(s telemetry.DeregisterSample) {
+	telemetry.ObserveLifecycleEnd(w.Observer, s)
 }
 
 // restorer runs a controller up to minute cut, then snapshots it and resumes
@@ -849,6 +915,8 @@ type chain struct {
 	sink    *alert.CollectorSink
 	stalled *alert.Subscription
 	notes   []alert.Notification
+	tap     *alert.Subscription // the /stream, read whole by finish
+	rollups []alert.MinutePoint // the alert engine's minute rollups
 }
 
 // probeRules transition on the harness streams: a cold-rate rule with
@@ -903,6 +971,7 @@ func newChain(t *testing.T, cat *models.Catalog, asg models.Assignment, names []
 	}
 	stream := alert.NewBroadcaster()
 	c.stalled = stream.Subscribe(1)
+	c.tap = stream.Subscribe(1 << 15)
 	// The queue holds every transition a replay produces: a full queue drops
 	// notifications, which a daemon may do and a sequence comparison may not.
 	if c.alerts, err = alert.NewEngine(alert.Config{
@@ -916,7 +985,8 @@ func newChain(t *testing.T, cat *models.Catalog, asg models.Assignment, names []
 	return c
 }
 
-// finish flushes the alert engine's open minute and drains its queue.
+// finish flushes the alert engine's open minute, drains its queue and reads
+// its minute rollups off the stream.
 func (c *chain) finish(t *testing.T) {
 	c.alerts.Flush()
 	if err := c.alerts.Close(); err != nil {
@@ -925,6 +995,20 @@ func (c *chain) finish(t *testing.T) {
 	c.notes = c.sink.Notifications()
 	c.stalled.Close()
 	c.series = seriesBits(c.acct.Arena())
+	c.tap.Close()
+	if n := c.tap.Dropped(); n > 0 {
+		t.Fatalf("the /stream tap dropped %d events", n)
+	}
+	for ev := range c.tap.C() {
+		if ev.Type == alert.StreamMinute {
+			var p alert.MinutePoint
+			if err := json.Unmarshal(ev.Data, &p); err != nil {
+				t.Fatal(err)
+			}
+			c.rollups = append(c.rollups, p)
+		}
+	}
+	c.tap = nil
 }
 
 // restless hides Rests, so the arena consults it at every live slot, and
@@ -970,10 +1054,10 @@ type restlessHindsight struct {
 func (e restlessHindsight) HindsightKeepAlive(m, fn int) int { return e.h.HindsightKeepAlive(m, fn) }
 
 // compare holds got to base on every surface both expose. A live replay and
-// an engine run differ only in when they record: the runtime leaves its last
-// minute open and retires a departing function before the Step that would
-// record its last lived minute, so the surfaces that carry either are
-// compared between runs of one kind only.
+// an engine run differ only in when they record and emit: the runtime leaves
+// its last minute open, and retires a departing function — emitting its
+// samples — before the Step that would record its last lived minute, so the
+// surfaces that carry either are compared between runs of one kind only.
 func compare(t *testing.T, base, got *outcome) {
 	t.Helper()
 	eq := func(surface string, want, have any) {
@@ -1016,23 +1100,10 @@ func compare(t *testing.T, base, got *outcome) {
 		eq("minute samples", b.rec.Minutes, g.rec.Minutes)
 		eq("register samples", b.rec.Registers, g.rec.Registers)
 		eq("deregister samples", b.rec.Deregisters, g.rec.Deregisters)
-		if base.parallel || got.parallel {
-			// Invocation samples interleave across functions; each
-			// function's own order, and so the (minute, function) order,
-			// is fixed.
-			eq("invocation samples (canonical order)", canonical(b.rec.Invocations), canonical(g.rec.Invocations))
-		} else {
-			eq("invocation samples", b.rec.Invocations, g.rec.Invocations)
-		}
+		eq("invocation samples", b.rec.Invocations, g.rec.Invocations)
 	}
 	eq("arena snapshot", b.acct.Arena().Snapshot(), g.acct.Arena().Snapshot())
-	if !base.parallel && !got.parallel {
-		// The oracle is charged on a function-minute's first invocation
-		// batch, so its per-minute float sums follow the order samples
-		// arrive in across functions, which goroutines do not fix. The
-		// snapshot is priced from integer counters and is exact anyway.
-		eq("arena series", b.series, g.series)
-	}
+	eq("arena series", b.series, g.series)
 	eq("attribution report", b.acct.Report(), g.acct.Report())
 	eq("decision rings", b.prov.Rings(), g.prov.Rings())
 	eq("alert transitions", b.notes, g.notes)
@@ -1055,17 +1126,6 @@ func schedules(o, other *outcome) []telemetry.ScheduleSample {
 			out = append(out, s)
 		}
 	}
-	return out
-}
-
-func canonical(s []telemetry.InvocationSample) []telemetry.InvocationSample {
-	out := slices.Clone(s)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Minute != out[j].Minute {
-			return out[i].Minute < out[j].Minute
-		}
-		return out[i].Function < out[j].Function
-	})
 	return out
 }
 
@@ -1105,16 +1165,13 @@ func laws(t *testing.T, sc *scenario, o *outcome) {
 	}
 	// Resting entrants are an iteration-order optimization: the arena racing
 	// them with Rests hidden must agree bit for bit, and must never have
-	// been asked about a retired slot. Concurrent invokers can deliver a
-	// sample to the two arenas in different orders: across functions, which
-	// moves the oracle's float sums, and, in a race, across a Step, which
-	// moves its minute.
+	// been asked about a retired slot.
 	snap := o.acct.Arena().Snapshot()
 	if o.restful != nil {
-		if !o.race && !reflect.DeepEqual(snap, o.restful.Snapshot()) {
+		if !reflect.DeepEqual(snap, o.restful.Snapshot()) {
 			t.Error("the resting and the Rests-hidden arenas' snapshots diverge")
 		}
-		if !o.parallel && !o.race && !slices.Equal(o.series, seriesBits(o.restful)) {
+		if !slices.Equal(o.series, seriesBits(o.restful)) {
 			t.Error("the resting and the Rests-hidden arenas' series diverge")
 		}
 		for _, r := range o.hidden {
@@ -1169,9 +1226,10 @@ func laws(t *testing.T, sc *scenario, o *outcome) {
 }
 
 // conservation: every served invocation lands in exactly one minute of
-// every ledger — the producer's own count, the policy's record (the open
-// minute's still pending), the sample stream, telemetry's per-function
-// counters and the accountant's per-minute series.
+// every ledger, the minute the policy recorded it in — the producer's own
+// count, the policy's record and, minute by minute, the sample stream, the
+// accountant's series and the alert engine's rollups, and telemetry's
+// per-function counters — save the pending last minute's.
 func conservation(t *testing.T, o *outcome) {
 	t.Helper()
 	total := 0
@@ -1184,34 +1242,70 @@ func conservation(t *testing.T, o *outcome) {
 	if o.race && o.served != total {
 		t.Errorf("Stats().Invocations = %d, invokers succeeded %d times", total, o.served)
 	}
-	if o.churned {
-		// A sample racing its function's deregistration can reach a ledger
-		// that already folded the function and be dropped there.
-		return
+	told, unheard := 0, 0
+	for _, n := range o.told {
+		told += n
 	}
-	if o.recorded+o.pending != total {
-		t.Errorf("the policy was told about %d invocations (+%d pending), the producer served %d", o.recorded, o.pending, total)
+	if o.live {
+		unheard = o.pending
+	}
+	if told+unheard != total {
+		t.Errorf("the policy was told about %d invocations (+%d pending), the producer served %d", told, unheard, total)
 	}
 	if o.chain == nil {
 		return
 	}
-	samples := 0
-	for _, s := range o.rec.Invocations {
-		samples += max(s.Count, 1)
+	seen := o.told
+	if !o.live {
+		seen = seen[:len(seen)-1]
 	}
+	owed := 0
+	for _, n := range seen {
+		owed += n
+	}
+	if owed+o.pending != total {
+		t.Errorf("the observers owe %d invocations (+%d pending), the producer served %d", owed, o.pending, total)
+	}
+	ledger := func(name string, perMinute map[int]int) {
+		t.Helper()
+		for m, n := range perMinute {
+			if m >= len(seen) && n != 0 {
+				t.Errorf("%s holds %d invocations at minute %d, which no observer may see", name, n, m)
+				return
+			}
+		}
+		for m, want := range seen {
+			if perMinute[m] != want {
+				t.Errorf("%s holds %d invocations at minute %d, the policy recorded %d", name, perMinute[m], m, want)
+				return
+			}
+		}
+	}
+	samples := map[int]int{}
+	for _, s := range o.rec.Invocations {
+		samples[s.Minute] += max(s.Count, 1)
+	}
+	ledger("the sample stream", samples)
+	rollups := map[int]int{}
+	for _, p := range o.rollups {
+		rollups[p.Minute] += p.Invocations
+	}
+	ledger("the alert engine's rollups", rollups)
 	// The accountant's series keeps a bounded window; a longer run is held to
 	// its arena's cumulative ledger instead.
 	arena := o.acct.Arena()
-	series := float64(arena.Snapshot().Total.Actual.Invocations)
 	if _, ok := o.acct.MetricAt(attribution.MetricInvocations, 0); ok {
-		series = 0
+		series := map[int]int{}
 		for m := 0; m <= arena.Minute(); m++ {
 			v, ok := o.acct.MetricAt(attribution.MetricInvocations, m)
 			if !ok {
 				t.Fatalf("the accountant has no invocations sample for minute %d", m)
 			}
-			series += v
+			series[m] = int(v)
 		}
+		ledger("the accountant's series", series)
+	} else if n := arena.Snapshot().Total.Actual.Invocations; n != owed {
+		t.Errorf("the arena's ledger holds %d invocations, the observers owe %d", n, owed)
 	}
 	var exposition strings.Builder
 	if err := o.tel.Registry().WritePrometheus(&exposition); err != nil {
@@ -1227,9 +1321,8 @@ func conservation(t *testing.T, o *outcome) {
 			counted += v
 		}
 	}
-	if samples != total || int(series) != total || int(counted) != total {
-		t.Errorf("served %d invocations; the sample stream carries %d, the accountant's series %v, telemetry's counters %v",
-			total, samples, series, counted)
+	if int(counted) != owed {
+		t.Errorf("telemetry's counters hold %v invocations, the observers owe %d", counted, owed)
 	}
 }
 
@@ -1248,7 +1341,7 @@ func lifecycleLaws(t *testing.T, o *outcome) {
 	}
 	seen := map[int]bool{}
 	for _, s := range o.rec.Invocations {
-		if from, dead := deadFrom[s.Function]; dead && s.Minute >= from && !o.race {
+		if from, dead := deadFrom[s.Function]; dead && s.Minute >= from {
 			t.Fatalf("slot %d retired from minute %d but served at minute %d", s.Function, from, s.Minute)
 		}
 		reg, late := registered[s.Function]

@@ -211,8 +211,7 @@ type RecorderConfig struct {
 // input it consumes is emitted inside the producers' minute write windows,
 // so its rings are deterministic — identical across the serial and epoch
 // runtimes (the differential harness pins DeepEqual equality).
-// Invocation samples, the only stream that interleaves, are deliberately
-// ignored.
+// Invocation samples are deliberately ignored.
 type Recorder struct {
 	mu      sync.Mutex
 	cat     *models.Catalog
@@ -319,10 +318,10 @@ func (r *Recorder) liveEntry(fn, minute int) *fnProv {
 	return nil
 }
 
-// ObserveInvocation implements telemetry.Observer as a deliberate no-op:
-// invocation samples arrive outside every runtime lock and interleave
-// non-deterministically across modes, so consuming them would break the
-// cross-mode DeepEqual guarantee (and put a mutex on the Invoke hot path).
+// ObserveInvocation implements telemetry.Observer as a deliberate no-op: a
+// decision's provenance is the plan and the keep-alive outcome, which the
+// schedule and keep-alive samples carry; what the minute served is the
+// arena's and telemetry's to count.
 func (r *Recorder) ObserveInvocation(telemetry.InvocationSample) {}
 
 // ObserveSchedule implements telemetry.Observer: the plan mirror records,

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/pulse-serverless/pulse/internal/attribution"
@@ -31,6 +32,15 @@ func TestRoundTripSimVersusLiveRuntime(t *testing.T) {
 		asg[i] = i % len(cat.Families)
 	}
 	cost := cluster.DefaultCostModel()
+	// The live replay closes every trace minute, since an open minute reaches
+	// no observer; the engine runs one idle minute more, so both end with the
+	// same minute open.
+	sim := *tr
+	sim.Horizon++
+	sim.Functions = slices.Clone(tr.Functions)
+	for i := range sim.Functions {
+		sim.Functions[i].Counts = append(slices.Clone(tr.Functions[i].Counts), 0)
+	}
 	newAcct := func() *attribution.Accountant {
 		a, err := attribution.New(attribution.Config{Catalog: cat, Assignment: asg, Cost: cost})
 		if err != nil {
@@ -56,15 +66,14 @@ func TestRoundTripSimVersusLiveRuntime(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, err := cluster.Run(cluster.Config{
-				Trace: tr, Catalog: cat, Assignment: asg, Cost: cost, Observer: simAcct,
+				Trace: &sim, Catalog: cat, Assignment: asg, Cost: cost, Observer: simAcct,
 			}, p); err != nil {
 				t.Fatal(err)
 			}
 
 			// Online: a live runtime replays the identical invocation feed.
-			// The trace has minutes 0..h-1; h-1 Steps leave minute h-1 open,
-			// exactly like the engine, so both accountants finish with the
-			// same open minute.
+			// The trace has minutes 0..h-1; h Steps leave minute h open, like
+			// the engine's idle last minute.
 			liveAcct := newAcct()
 			lp, err := mk()
 			if err != nil {
@@ -90,8 +99,8 @@ func TestRoundTripSimVersusLiveRuntime(t *testing.T) {
 						}
 					}
 				}
-				if m < tr.Horizon-1 {
-					rt.Step()
+				if err := rt.Step(); err != nil {
+					t.Fatal(err)
 				}
 			}
 
@@ -105,8 +114,8 @@ func TestRoundTripSimVersusLiveRuntime(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sSim := simAcct.Series(m, tr.Horizon, false)
-				sLive := liveAcct.Series(m, tr.Horizon, false)
+				sSim := simAcct.Series(m, sim.Horizon, false)
+				sLive := liveAcct.Series(m, sim.Horizon, false)
 				if !reflect.DeepEqual(sSim, sLive) {
 					t.Errorf("series %s diverged between sim and live", name)
 				}

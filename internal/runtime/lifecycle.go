@@ -104,6 +104,11 @@ func (r *Runtime) Deregister(name string) error {
 		return fmt.Errorf("runtime: registry out of sync with policy: %w", err)
 	}
 	st := r.fns[slot]
+	// The slot's open minute reaches observers now, before the sample that
+	// closes its ledgers; the harvest skips inactive slots.
+	if st.count > 0 {
+		r.observeServed(st, slot, st.count)
+	}
 	st.active = false
 	st.alive = cluster.NoVariant
 	st.coldPod = cluster.NoVariant

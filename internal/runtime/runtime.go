@@ -32,9 +32,8 @@ var ErrUnknownFunction = errors.New("runtime: unknown function")
 var ErrDeregistered = errors.New("runtime: function deregistered")
 
 // Serving-path concurrency modes. ModeEpoch is the production path and the
-// default: the runtime's own Invoke path takes no global lock — one seqlock
-// read, one stripe lock, one seqlock re-check (what the Observer it then
-// calls takes is the Observer's; see Invoke). ModeSerial is the
+// default: Invoke takes no global lock — one seqlock read, one stripe lock,
+// one seqlock re-check — and calls no Observer. ModeSerial is the
 // single-global-lock oracle that the differential harness and the bench/
 // scale100k workload's bit-for-bit check compare it against.
 const (
@@ -77,17 +76,16 @@ type Config struct {
 	Cost cluster.CostModel
 	// Observer, when non-nil, receives invocation and keep-alive samples
 	// (per-function and per-variant) — attach a *telemetry.Telemetry to
-	// expose labeled metrics and the decision log over the HTTP API. nil
-	// disables instrumentation at zero cost on the invocation hot path.
+	// expose labeled metrics and the decision log over the HTTP API.
 	// Attaching one never changes which path Step runs: keep-alive samples
 	// follow the sparse contract (telemetry.KeepAliveSample), so the minute
 	// step stays O(active set) with the full chain listening.
 	//
-	// Delivery ordering: keep-alive and minute samples are emitted inside
-	// the minute write window and never interleave with each other;
-	// invocation samples are emitted outside every lock and may interleave
-	// freely (implementations must be concurrency-safe, see
-	// telemetry.Observer).
+	// Delivery ordering: every sample is emitted inside a write window.
+	// Invoke emits nothing; the Step closing a minute emits its invocations
+	// (ascending slot order) before the policy records them, and Deregister
+	// a departing slot's before its DeregisterSample. The minute still open
+	// at Close reaches Stats but no Observer, as it reaches no policy.
 	Observer telemetry.Observer
 	// Tracer, when non-nil, samples 1-in-K invocations into span-shaped
 	// trace records (see provenance.Tracer). With sampling disabled the
@@ -198,8 +196,8 @@ const fnChunk = 1024
 // (or advanced) seq and retries — so after the drain the writer
 // owns all stripe and global state with no invocation body in flight,
 // exactly the exclusion the old RWMutex minute barrier provided. Policy
-// calls and Observer minute/keep-alive samples therefore keep their
-// serialized ordering contracts unchanged. Global totals are derived by
+// calls and every Observer sample therefore keep their serialized ordering
+// contracts unchanged. Global totals are derived by
 // summing the per-function accumulators in function order, which keeps
 // float sums bit-identical across both modes. See DESIGN.md §6.6 for the
 // memory-ordering argument.
@@ -692,13 +690,11 @@ func (r *Runtime) invokeSerial(fn int) (Invocation, error) {
 // Invoke is safe for arbitrary concurrency: in the default epoch mode the
 // runtime itself takes no global lock — invocations of different functions
 // share nothing but a read of the epoch counter, and invocations of the same
-// function serialize on that function's stripe. The ObserveInvocation call
-// that follows is outside those locks and costs what the chain costs: with
-// pulsed's default chain (telemetry + provenance) it takes no lock either
-// once the function's series exist — telemetry's hit path is atomic loads,
-// the provenance recorder ignores invocations — while -attribution adds the
-// tournament arena's mutex and -alerts the alert engine's, one global lock
-// each per invocation (ROADMAP item 2b). Every invocation lands in exactly
+// function serialize on that function's stripe. Invoke does no observer
+// work: the stripe counts the minute's invocations and remembers a cold
+// start, and the Step that closes the minute hands them to the Observer —
+// one cold sample and one warm batch per function-minute, as the cluster
+// engine emits them. Every invocation lands in exactly
 // one minute (the seqlock re-check retries any invocation that straddles a
 // minute rollover). Invoking a deregistered function returns an error
 // wrapping ErrDeregistered — the tombstone flag is read under the stripe
@@ -742,20 +738,6 @@ func (r *Runtime) Invoke(fn int) (Invocation, error) {
 	}
 	if err != nil {
 		return Invocation{}, err
-	}
-
-	// Instrument outside the locks: the observer serializes internally and
-	// must not extend the runtime's critical section.
-	if r.obs != nil {
-		r.obs.ObserveInvocation(telemetry.InvocationSample{
-			Minute:      inv.Minute,
-			Function:    fn,
-			Variant:     inv.Variant,
-			Cold:        inv.Cold,
-			Count:       1,
-			ServiceSec:  inv.ServiceSec,
-			AccuracyPct: inv.AccuracyPct,
-		})
 	}
 
 	// Model the execution latency outside the locks so concurrent
@@ -807,14 +789,22 @@ func (r *Runtime) Step() error {
 			r.invokedBuf = append(r.invokedBuf, h)
 			st.count = 0
 		}
-		st.coldPod = cluster.NoVariant
 		st.dirtyMark = false
 		next := st.dirtyNext
 		st.mu.Unlock()
 		h = next
 	}
+	// Emit every invoked live slot's minute, ascending, before the policy
+	// records it (a departed slot's went out with its Deregister).
+	slices.Sort(r.invokedBuf)
+	for _, fn := range r.invokedBuf {
+		st := r.fns[fn]
+		if st.active {
+			r.observeServed(st, int(fn), r.countsBuf[fn])
+		}
+		st.coldPod = cluster.NoVariant
+	}
 	if r.asp != nil {
-		slices.Sort(r.invokedBuf)
 		r.asp.RecordInvocationsSparse(r.minute, r.countsBuf, r.invokedBuf)
 	} else {
 		r.cfg.Policy.RecordInvocations(r.minute, r.countsBuf)
@@ -840,6 +830,18 @@ func (r *Runtime) Step() error {
 	}
 	r.endWrite()
 	return nil
+}
+
+// observeServed emits slot fn's count invocations of the open minute: a cold
+// start on coldPod and count−1 warm ones on it when coldPod is set, else
+// count warm ones on alive. Requires an open write window.
+func (r *Runtime) observeServed(st *fnState, fn, count int) {
+	cold := st.coldPod != cluster.NoVariant
+	vi := st.alive
+	if cold {
+		vi = st.coldPod
+	}
+	cluster.ObserveServed(r.obs, r.minute, fn, count, &r.cfg.Catalog.Families[st.family].Variants[vi], cold)
 }
 
 // SeqlockRetries returns the cumulative number of epoch-mode Invoke

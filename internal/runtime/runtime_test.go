@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -89,6 +90,74 @@ func TestColdThenWarmWithinMinute(t *testing.T) {
 	}
 	if inv2.ServiceSec != gpt.Highest().ExecSec {
 		t.Errorf("warm service = %v, want exec only", inv2.ServiceSec)
+	}
+}
+
+// TestInvocationSamplesAtMinuteBarrier pins the one invocation feed: Invoke
+// delivers nothing, and the Step closing a minute — or the Deregister of a
+// slot invoked in it — delivers each function-minute as the engine does, a
+// cold sample of Count 1 first when the minute began cold, then one warm
+// sample for the rest, in ascending slot order.
+func TestInvocationSamplesAtMinuteBarrier(t *testing.T) {
+	for _, mode := range []string{ModeSerial, ModeEpoch} {
+		t.Run(mode, func(t *testing.T) {
+			cat, asg := testSetup(t)
+			rec := &telemetry.Recorder{}
+			p, err := policy.NewFixed(cat, asg, 10, policy.QualityHighest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := New(Config{Catalog: cat, Assignment: asg, Policy: p, Clock: NewManualClock(time.Unix(0, 0)), Observer: rec, Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			sample := func(m, fn int, cold bool, n int) telemetry.InvocationSample {
+				v := cat.Families[asg[fn]].Highest()
+				s := telemetry.InvocationSample{Minute: m, Function: fn, Variant: v.Name, Cold: cold, Count: n, ServiceSec: v.ExecSec, AccuracyPct: v.AccuracyPct}
+				if cold {
+					s.ServiceSec = v.ColdServiceSec()
+				}
+				return s
+			}
+			invoke := func(fn, n int) {
+				for i := 0; i < n; i++ {
+					if _, err := r.Invoke(fn); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			expect := func(when string, want ...telemetry.InvocationSample) {
+				t.Helper()
+				if !reflect.DeepEqual(rec.Invocations, want) {
+					t.Fatalf("%s: invocation samples\n%+v\nwant\n%+v", when, rec.Invocations, want)
+				}
+			}
+			invoke(2, 3)
+			invoke(0, 1)
+			expect("after minute 0's Invokes")
+			if err := r.Step(); err != nil {
+				t.Fatal(err)
+			}
+			m0 := []telemetry.InvocationSample{sample(0, 0, true, 1), sample(0, 2, true, 1), sample(0, 2, false, 2)}
+			expect("after minute 0's Step", m0...)
+
+			invoke(0, 4) // kept alive since minute 0
+			invoke(1, 2)
+			expect("after minute 1's Invokes", m0...)
+			if err := r.Deregister(r.FunctionName(1)); err != nil {
+				t.Fatal(err)
+			}
+			m1 := append(m0, sample(1, 1, true, 1), sample(1, 1, false, 1))
+			expect("after Deregister", m1...)
+			if len(rec.Deregisters) != 1 {
+				t.Fatalf("%d deregister samples, want 1", len(rec.Deregisters))
+			}
+			if err := r.Step(); err != nil {
+				t.Fatal(err)
+			}
+			expect("after minute 1's Step", append(m1, sample(1, 0, false, 4))...)
+		})
 	}
 }
 

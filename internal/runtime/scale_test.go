@@ -8,12 +8,16 @@ import (
 	"testing"
 	"time"
 
+	"github.com/pulse-serverless/pulse/internal/alert"
+	"github.com/pulse-serverless/pulse/internal/attribution"
 	"github.com/pulse-serverless/pulse/internal/cluster"
 	"github.com/pulse-serverless/pulse/internal/core"
 	"github.com/pulse-serverless/pulse/internal/identity"
 	"github.com/pulse-serverless/pulse/internal/models"
+	"github.com/pulse-serverless/pulse/internal/policy"
 	"github.com/pulse-serverless/pulse/internal/provenance"
 	"github.com/pulse-serverless/pulse/internal/telemetry"
+	"github.com/pulse-serverless/pulse/internal/tournament/roster"
 )
 
 // newScaleRuntime builds a PULSE-managed runtime of the given population —
@@ -292,6 +296,127 @@ func TestFullChainIdleStepNoAllocs(t *testing.T) {
 	}
 	if counter.n != sent {
 		t.Errorf("idle Steps delivered %d keep-alive samples, want 0", counter.n-sent)
+	}
+}
+
+// servedCounter counts the invocations a chain's samples carry.
+type servedCounter struct {
+	telemetry.Nop
+	served int
+}
+
+func (c *servedCounter) ObserveInvocation(s telemetry.InvocationSample) { c.served += s.Count }
+
+// fullChainRuntime builds a runtime over asg with pulsed's full observer chain
+// attached — telemetry, the accountant racing every roster entrant,
+// provenance and alerts, in pulsed's order — plus a servedCounter. Its policy
+// keeps every function's highest variant for ten minutes: a record path that
+// allocates nothing, so an allocation pin on Step measures the chain.
+func fullChainRuntime(t *testing.T, cat *models.Catalog, asg models.Assignment) (*Runtime, *servedCounter) {
+	t.Helper()
+	cost := cluster.DefaultCostModel()
+	tel, err := telemetry.New(telemetry.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := roster.Build(roster.Names(), cat, cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acct, err := attribution.New(attribution.Config{Catalog: cat, Assignment: asg, Cost: cost, Entrants: ents})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prov, err := provenance.NewRecorder(provenance.RecorderConfig{
+		Catalog: cat, Assignment: asg, Names: identity.DefaultNames(len(asg)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alerts, err := alert.NewEngine(alert.Config{Rules: alert.DefaultRules(true), Attribution: acct, Stream: alert.NewBroadcaster()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { alerts.Close() })
+	counter := &servedCounter{}
+	obs := telemetry.Multi(tel, acct, prov, alerts, counter)
+	p, err := policy.NewFixed(cat, asg, cluster.DefaultKeepAliveWindow, policy.QualityHighest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(Config{Catalog: cat, Assignment: asg, Policy: p, Clock: NewManualClock(time.Unix(0, 0)), Cost: cost, Observer: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r, counter
+}
+
+// TestFullChainInvokeZeroAllocs pins the serving path's independence from
+// the observer chain: with pulsed's full chain attached, a warm Invoke
+// allocates nothing and delivers no sample — its minute reaches the chain at
+// the Step that closes it. Run by the CI alloc job.
+func TestFullChainInvokeZeroAllocs(t *testing.T) {
+	cat, asg := testSetup(t)
+	r, counter := fullChainRuntime(t, cat, asg)
+	for fn := range asg {
+		if _, err := r.Invoke(fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Step(); err != nil {
+		t.Fatal(err)
+	}
+	sent := counter.served
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := r.Invoke(0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Invoke with the full chain attached allocates %v/op, want 0", allocs)
+	}
+	if counter.served != sent {
+		t.Fatalf("Invoke delivered %d invocations to the chain, want 0", counter.served-sent)
+	}
+	if err := r.Step(); err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun adds one warm-up call to the runs it measures.
+	if got := counter.served - sent; got != 1001 {
+		t.Errorf("the Step delivered %d invocations, want the 1001 served", got)
+	}
+}
+
+// TestFullChainHarvestStepNoAllocs pins the barrier's invocation feed: once
+// every invoked function's series exist, a Step that harvests a minute of
+// invocations into pulsed's full chain allocates nothing and delivers
+// exactly the invocations served. Run by the CI alloc job.
+func TestFullChainHarvestStepNoAllocs(t *testing.T) {
+	cat, asg := testSetup(t)
+	r, counter := fullChainRuntime(t, cat, asg)
+	minute := func() {
+		for fn := range asg {
+			for i := 0; i <= fn; i++ {
+				if _, err := r.Invoke(fn); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := r.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for m := 0; m < 30; m++ {
+		minute()
+	}
+	sent := counter.served
+	if allocs := testing.AllocsPerRun(100, minute); allocs != 0 {
+		t.Errorf("a harvesting Step with the full chain attached allocates %v/op, want 0", allocs)
+	}
+	perMinute := len(asg) * (len(asg) + 1) / 2
+	if got := counter.served - sent; got != 101*perMinute {
+		t.Errorf("101 Steps (one the warm-up) delivered %d invocations, want %d", got, 101*perMinute)
 	}
 }
 

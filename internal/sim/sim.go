@@ -53,9 +53,6 @@ type ExperimentConfig struct {
 	// attribution.Accountant pulsed serves live — to every run, and
 	// aggregates each policy's savings versus the shadow baselines.
 	Attribution bool
-	// AttributionWindow is the fixed-baseline window in minutes
-	// (default cluster.DefaultKeepAliveWindow).
-	AttributionWindow int
 }
 
 func (c *ExperimentConfig) validate() error {
@@ -257,7 +254,6 @@ func RunExperiment(cfg ExperimentConfig, factories []NamedFactory) ([]*Aggregate
 							Catalog:    cfg.Catalog,
 							Assignment: asg,
 							Cost:       cfg.Cost,
-							Window:     cfg.AttributionWindow,
 						})
 						if err != nil {
 							fail(fmt.Errorf("sim: run %d policy %q: %w", run, f.Name, err))

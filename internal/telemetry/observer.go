@@ -2,9 +2,10 @@ package telemetry
 
 import "sync"
 
-// InvocationSample reports served invocations. The runtime emits one sample
-// per invocation (Count 1); the cluster engine batches a minute's identical
-// invocations into one sample with Count > 1.
+// InvocationSample reports Count identical invocations of one function-minute.
+// Every producer emits them through cluster.ObserveServed at its minute
+// barrier: a cold Count-1 sample first when the minute began cold, then one
+// warm sample for the rest.
 type InvocationSample struct {
 	Minute      int
 	Function    int
@@ -81,15 +82,15 @@ type DowngradeSample struct {
 func (d DowngradeSample) Uv() float64 { return d.Ai + d.Pr + d.Ip }
 
 // Observer receives instrumentation events from the core optimizers, the
-// cluster engine, and the live runtime. Implementations must be
-// concurrency-safe and cheap: samples arrive on invocation hot paths, and
-// the lock-striped live runtime delivers them from many goroutines at
-// once. Delivery ordering from that runtime: keep-alive and minute
-// samples are emitted under its minute barrier, so their order is
-// deterministic and identical across locking modes; invocation samples
-// are emitted outside all runtime locks and may interleave across
-// functions (each function's own samples remain in invocation order, and
-// a stable sort by (Minute, Function) reconstructs the serial stream).
+// cluster engine, and the live runtime. Every producer delivers from its
+// minute barrier, never from the invocation path: the live runtime emits
+// a minute's invocation samples in the Step that closes it, in ascending
+// function order before the next minute's keep-alive and minute samples —
+// the cluster engine's order — so one producer's stream is deterministic
+// and identical across locking modes. Implementations must still be
+// concurrency-safe: a chain shared by concurrent producers (simulation
+// runs on a worker pool, say) is called from several goroutines, and the
+// HTTP API reads it while the barrier writes.
 //
 // Per-minute cost contract: a minute delivers one ObserveMinute and one
 // ObserveKeepAlive per holder or release edge (see KeepAliveSample) — work

@@ -140,7 +140,7 @@ func (t *Telemetry) ObserveStep(s StepSample) {
 }
 
 // ObserveScan implements SelfObserver: scan duration feeds the per-shard
-// scan histogram (shard "-1" is the serial scan).
+// scan histogram (shard "-1" is the coordinator's own scan).
 func (t *Telemetry) ObserveScan(s ScanSample) {
 	t.mu.Lock()
 	h := t.scanCache[s.Shard]

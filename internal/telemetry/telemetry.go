@@ -15,9 +15,6 @@ type Config struct {
 	// EventSink, when non-nil, receives every decision event as one JSON
 	// line (an audit trail that outlives the ring).
 	EventSink io.Writer
-	// ServiceTimeBuckets overrides the service-time histogram buckets
-	// (nil selects DefServiceTimeBuckets).
-	ServiceTimeBuckets []float64
 }
 
 // Telemetry is the full observability pipeline: an Observer that feeds a
@@ -68,7 +65,7 @@ func New(cfg Config) (*Telemetry, error) {
 	}
 	if t.service, err = t.reg.NewHistogramVec("pulse_function_service_seconds",
 		"Per-invocation service time (cold start included on cold starts).",
-		cfg.ServiceTimeBuckets, "function"); err != nil {
+		DefServiceTimeBuckets(), "function"); err != nil {
 		return nil, err
 	}
 	if t.keepalive, err = t.reg.NewGaugeVec("pulse_function_keepalive_mb",
@@ -118,7 +115,7 @@ func New(cfg Config) (*Telemetry, error) {
 	}
 	t.stepDur = stepVec.With()
 	if t.scanDur, err = t.reg.NewHistogramVec("pulse_shard_scan_duration_seconds",
-		"Per-minute controller scan duration, by shard (-1 = serial scan).",
+		"Per-minute scan duration, by controller record shard (-1 = the coordinator's own scan).",
 		DefEngineDurationBuckets(), "shard"); err != nil {
 		return nil, err
 	}

@@ -442,9 +442,9 @@ func (a *Arena) LedgersReleased(fn int) bool {
 }
 
 // roll advances the open minute to m, closing every minute in between.
-// Minutes only move forward; a sample carrying an older minute (possible
-// under live concurrent traffic, where an invocation's sample can be
-// emitted after the tick advanced) is folded into the open minute.
+// Minutes only move forward; a sample carrying an older minute (only a
+// malformed feed sends one: producers emit at their barriers, in minute
+// order) is folded into the open minute.
 func (a *Arena) roll(m int) {
 	if a.cur < 0 {
 		a.advance(max(m, 0), false)
@@ -576,11 +576,12 @@ func (a *Arena) ObserveKeepAlive(s telemetry.KeepAliveSample) {
 }
 
 // ObserveInvocation implements telemetry.Observer: one batch of served
-// invocations. Warm/cold attribution for every entrant happens here; the
-// first sample of a function-minute marks the minute invoked (the cold
-// slot for entrants holding nothing, the hindsight entrants' retroactive
-// keep-alive charge). The batch also accumulates into the open minute's
-// barrier count, delivered to entrants at close.
+// invocations (a function-minute arrives as at most two, cold first).
+// Warm/cold attribution for every entrant happens here; the first sample of
+// a function-minute marks the minute invoked (the cold slot for entrants
+// holding nothing, the hindsight entrants' retroactive keep-alive charge).
+// The batch also accumulates into the open minute's barrier count,
+// delivered to entrants at close.
 func (a *Arena) ObserveInvocation(s telemetry.InvocationSample) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
