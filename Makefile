@@ -24,6 +24,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	gofmt -l . | tee /dev/stderr | wc -l | grep -q '^0$$'
 
 test:

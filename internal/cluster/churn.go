@@ -2,26 +2,24 @@ package cluster
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"github.com/pulse-serverless/pulse/internal/models"
 	"github.com/pulse-serverless/pulse/internal/telemetry"
 	"github.com/pulse-serverless/pulse/internal/trace"
 )
 
-// This file is the lifecycle-aware engine path: when the trace carries
-// function churn (trace.Trace.HasChurn), Run dispatches here. The churn
-// engine is serial, like the static one: its value is a deterministic,
-// auditable event stream.
+// This file is the engine's function lifecycle: the slot table and the
+// per-minute arrivals and departures Run's one minute loop replays. Only a
+// trace with function churn (trace.Trace.HasChurn) schedules any, and only
+// it requires a DynamicPolicy. The engine is serial: its value is a
+// deterministic, auditable event stream.
 //
 // The slot model mirrors the identity registry everywhere else in the
 // stack: the engine and the policy agree on dense, append-only function
 // slots. Slots 0..k-1 are the trace functions live at minute 0, in trace
 // order (InitialPopulation); each later arrival gets the next slot, in
 // trace order within its minute; a departure tombstones its slot forever.
-// Each minute proceeds lifecycle → KeepAlive → accounting → serve →
-// RecordInvocations, the exact order the live runtime replays, so
-// attribution reports from both paths are comparable sample for sample.
 
 // DynamicPolicy is a Policy that supports online function registration and
 // deregistration. RegisterFunction must issue dense append-only slots (the
@@ -57,162 +55,91 @@ func InitialPopulation(tr *trace.Trace, asg models.Assignment) ([]string, models
 	return names, initial, nil
 }
 
-// churnSlot is the engine's view of one issued function slot.
+// churnSlot is the engine's view of one function slot.
 type churnSlot struct {
-	traceIdx int  // index into cfg.Trace.Functions
-	fam      int  // family index (frozen at registration)
-	live     bool // false once tombstoned
+	fn   *trace.Function
+	fam  int  // family index (frozen at registration)
+	live bool // false once tombstoned
 }
 
-// runChurn replays a churn trace against a DynamicPolicy.
-func runChurn(cfg Config, p Policy) (*Result, error) {
+// lifecycle is a run's slot table and its lifecycle schedule, built once:
+// every slot the trace will issue, in slot order, so each minute's arrivals
+// are the next run of unissued slots, and per minute the slots departing at
+// it. A minute's lifecycle step touches only the slots that arrive or
+// depart in it, and a static trace has no schedule at all.
+type lifecycle struct {
+	dp      DynamicPolicy // nil unless the trace has churn
+	obs     telemetry.Observer
+	slots   []churnSlot
+	issued  int       // slots [0, issued) are registered
+	departs [][]int32 // per minute, the slots departing at it, ascending
+}
+
+// newLifecycle builds p's schedule for cfg.Trace. The policy was constructed
+// with the minute-0 population (InitialPopulation), so those slots are
+// mirrored as issued without registering them.
+func newLifecycle(cfg *Config, p Policy) (*lifecycle, error) {
+	tr := cfg.Trace
+	lc := &lifecycle{obs: cfg.Observer}
+	for ti := range tr.Functions {
+		f := &tr.Functions[ti]
+		lc.slots = append(lc.slots, churnSlot{fn: f, fam: cfg.Assignment[ti], live: true})
+		if f.Start == 0 {
+			lc.issued++
+		}
+	}
+	if !tr.HasChurn() {
+		return lc, nil
+	}
 	dp, ok := p.(DynamicPolicy)
 	if !ok {
 		return nil, fmt.Errorf("cluster: trace has function churn but policy %q does not support online registration", p.Name())
 	}
-	tr := cfg.Trace
-	res := &Result{
-		Policy:           p.Name(),
-		Horizon:          tr.Horizon,
-		PerMinuteKaMMB:   make([]float64, tr.Horizon),
-		PerMinuteCostUSD: make([]float64, tr.Horizon),
+	lc.dp = dp
+	slices.SortStableFunc(lc.slots, func(a, b churnSlot) int { return a.fn.Start - b.fn.Start })
+	lc.departs = make([][]int32, tr.Horizon)
+	for si, s := range lc.slots {
+		if end := s.fn.EndMinute(tr.Horizon); end < tr.Horizon {
+			lc.departs[end] = append(lc.departs[end], int32(si))
+		}
 	}
+	return lc, nil
+}
 
-	var slots []churnSlot
-	var counts []int
-
-	// Idle-skip (see Run): an ActiveSetPolicy's accounting visits only the
-	// slots that can hold a decision or owe a release sample, and the record
-	// fan-in hands the policy the minute's ascending invoked list. The
-	// tombstone cross-check still runs for every slot that decides a variant.
-	asp, sparse := p.(ActiveSetPolicy)
-	var invoked []int32
-	var walk HolderWalk
-	famOf := func(fn int) (int, bool) { return slots[fn].fam, slots[fn].live }
-	register := func(t, ti int) error {
-		name := tr.Functions[ti].Name
-		fam := cfg.Assignment[ti]
-		slot, err := dp.RegisterFunction(name, fam)
-		if err != nil {
-			return fmt.Errorf("cluster: registering %q at minute %d: %w", name, t, err)
-		}
-		if slot != len(slots) {
-			return fmt.Errorf("cluster: policy %q issued slot %d for %q at minute %d, engine expected %d",
-				p.Name(), slot, name, t, len(slots))
-		}
-		slots = append(slots, churnSlot{traceIdx: ti, fam: fam, live: true})
-		counts = append(counts, 0)
-		if cfg.Observer != nil {
-			telemetry.ObserveLifecycle(cfg.Observer, telemetry.RegisterSample{
-				Minute: t, Function: slot, Name: name, Family: fam,
-			})
-		}
+// step is minute t's lifecycle barrier: departures first, then arrivals,
+// each in slot order — the order the runtime replay uses between minutes.
+func (lc *lifecycle) step(t int) error {
+	if lc.dp == nil {
 		return nil
 	}
-
-	// The policy was constructed with the minute-0 population
-	// (InitialPopulation): mirror those slots without re-registering.
-	for ti := range tr.Functions {
-		if tr.Functions[ti].Start == 0 {
-			slots = append(slots, churnSlot{traceIdx: ti, fam: cfg.Assignment[ti], live: true})
-			counts = append(counts, 0)
+	for _, si := range lc.departs[t] {
+		s := &lc.slots[si]
+		if err := lc.dp.DeregisterFunction(s.fn.Name); err != nil {
+			return fmt.Errorf("cluster: deregistering %q at minute %d: %w", s.fn.Name, t, err)
+		}
+		s.live = false
+		if lc.obs != nil {
+			// The sample carries the function's last lived minute (t-1, like
+			// the live runtime's Deregister does), so observers that fold
+			// departures into their minute ledgers — the attribution
+			// accountant — see both feeds identically even when several
+			// functions depart in the same minute.
+			telemetry.ObserveLifecycleEnd(lc.obs, telemetry.DeregisterSample{Minute: t - 1, Function: int(si), Name: s.fn.Name})
 		}
 	}
-
-	for t := 0; t < tr.Horizon; t++ {
-		// Lifecycle barrier: departures first, then arrivals, each in slot /
-		// trace order — the order the runtime replay uses between minutes.
-		for si := range slots {
-			s := &slots[si]
-			if !s.live || tr.Functions[s.traceIdx].EndMinute(tr.Horizon) != t {
-				continue
-			}
-			name := tr.Functions[s.traceIdx].Name
-			if err := dp.DeregisterFunction(name); err != nil {
-				return nil, fmt.Errorf("cluster: deregistering %q at minute %d: %w", name, t, err)
-			}
-			s.live = false
-			if cfg.Observer != nil {
-				// The sample carries the function's last lived minute (t-1,
-				// like the live runtime's Deregister does), so observers that
-				// fold departures into their minute ledgers — the attribution
-				// accountant — see both feeds identically even when several
-				// functions depart in the same minute.
-				telemetry.ObserveLifecycleEnd(cfg.Observer, telemetry.DeregisterSample{
-					Minute: t - 1, Function: si, Name: name,
-				})
-			}
-		}
-		if t > 0 {
-			for ti := range tr.Functions {
-				if tr.Functions[ti].Start == t {
-					if err := register(t, ti); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-
-		var start time.Time
-		if cfg.MeasureOverhead {
-			start = time.Now()
-		}
-		alive := p.KeepAlive(t)
-		if cfg.MeasureOverhead {
-			res.PolicyOverheadSec += time.Since(start).Seconds()
-			res.PolicyCalls++
-		}
-		if len(alive) != len(slots) {
-			return nil, fmt.Errorf("cluster: policy %q returned %d decisions for %d slots at minute %d",
-				p.Name(), len(alive), len(slots), t)
-		}
-
-		// Keep-alive accounting. Tombstoned slots must decide NoVariant; a
-		// slot deregistered while holding a variant still gets its release
-		// sample this minute (the contract is a function of the decision
-		// vectors alone), after which it rests like any idle slot.
-		kamMB, costUSD, err := accountKeepAlive(&cfg, p, &walk, t, alive, famOf)
+	for ; lc.issued < len(lc.slots) && lc.slots[lc.issued].fn.Start == t; lc.issued++ {
+		s := &lc.slots[lc.issued]
+		slot, err := lc.dp.RegisterFunction(s.fn.Name, s.fam)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("cluster: registering %q at minute %d: %w", s.fn.Name, t, err)
 		}
-		res.PerMinuteKaMMB[t] = kamMB
-		res.PerMinuteCostUSD[t] = costUSD
-		res.KeepAliveCostUSD += costUSD
-		if cfg.Observer != nil {
-			cfg.Observer.ObserveMinute(telemetry.MinuteSample{Minute: t, KeepAliveMB: kamMB, CostUSD: costUSD})
+		if slot != lc.issued {
+			return fmt.Errorf("cluster: policy %q issued slot %d for %q at minute %d, engine expected %d",
+				lc.dp.Name(), slot, s.fn.Name, t, lc.issued)
 		}
-
-		// Serve this minute's invocations.
-		invoked = invoked[:0]
-		for fn := range slots {
-			s := &slots[fn]
-			c := 0
-			if s.live {
-				c = tr.Functions[s.traceIdx].Counts[t]
-			}
-			counts[fn] = c
-			if c == 0 {
-				continue
-			}
-			if sparse {
-				invoked = append(invoked, int32(fn))
-			}
-			if err := serveFunction(&cfg, p, res, t, fn, c, alive[fn], s.fam); err != nil {
-				return nil, err
-			}
-		}
-
-		if cfg.MeasureOverhead {
-			start = time.Now()
-		}
-		if sparse {
-			asp.RecordInvocationsSparse(t, counts, invoked)
-		} else {
-			p.RecordInvocations(t, counts)
-		}
-		if cfg.MeasureOverhead {
-			res.PolicyOverheadSec += time.Since(start).Seconds()
+		if lc.obs != nil {
+			telemetry.ObserveLifecycle(lc.obs, telemetry.RegisterSample{Minute: t, Function: slot, Name: s.fn.Name, Family: s.fam})
 		}
 	}
-	return res, nil
+	return nil
 }

@@ -118,6 +118,10 @@ func (w *HolderWalk) Slots(p Policy, n int) []int32 {
 	return w.all[:n]
 }
 
+// Held returns last minute's holders, strictly ascending — after a Visit,
+// the holders it named. It aliases walk state until the next Visit.
+func (w *HolderWalk) Held() []int32 { return w.held }
+
 // Visit calls visit(fn, wasHeld) once for every slot in the ascending union
 // of last minute's holders and slots (strictly ascending, a superset of the
 // slots deciding anything but NoVariant). visit reports whether fn holds a
@@ -244,7 +248,12 @@ func (r *Result) OverheadPerServiceTime() float64 {
 	return r.PolicyOverheadSec / r.TotalServiceSec
 }
 
-// Run simulates the whole trace under the given policy.
+// Run simulates the whole trace under the given policy. Every trace runs
+// through one minute loop — lifecycle → KeepAlive → accounting → serve →
+// record, the exact order the live runtime replays, so attribution reports
+// from both paths are comparable sample for sample. A static trace has an
+// empty lifecycle schedule; only a trace with churn requires a
+// DynamicPolicy (churn.go).
 func Run(cfg Config, p Policy) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -252,32 +261,36 @@ func Run(cfg Config, p Policy) (*Result, error) {
 	if p == nil {
 		return nil, fmt.Errorf("cluster: nil policy")
 	}
-	if cfg.Trace.HasChurn() {
-		// Functions register and deregister mid-trace: the lifecycle-aware
-		// serial engine (churn.go) drives the run.
-		return runChurn(cfg, p)
-	}
 	tr := cfg.Trace
-	nFn := len(tr.Functions)
+	lc, err := newLifecycle(&cfg, p)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{
 		Policy:           p.Name(),
 		Horizon:          tr.Horizon,
 		PerMinuteKaMMB:   make([]float64, tr.Horizon),
 		PerMinuteCostUSD: make([]float64, tr.Horizon),
 	}
-	counts := make([]int, nFn)
+	counts := make([]int, len(lc.slots))
 
 	// Idle-skip: when the policy tracks its active set, the accounting walk
-	// (accountKeepAlive) visits only the slots that can hold a decision or
-	// owe a release sample, and the record fan-in hands the policy a
-	// pre-built invoked list. Both iterate ascending, so every float
-	// accumulates in dense-scan order — results are bit-identical.
-	asp, sparse := p.(ActiveSetPolicy)
+	// visits only the slots that can hold a decision or owe a release
+	// sample, and the record fan-in hands the policy the minute's ascending
+	// invoked list. Both iterate ascending, so every float accumulates in
+	// dense-scan order — results are bit-identical.
 	var invoked []int32
 	var walk HolderWalk
-	famOf := func(fn int) (int, bool) { return cfg.Assignment[fn], true }
+	famOf := func(fn int) (int, bool) { return lc.slots[fn].fam, lc.slots[fn].live }
+	obs := cfg.Observer
+	timing := telemetry.WantsSelf(obs)
 
 	for t := 0; t < tr.Horizon; t++ {
+		if err := lc.step(t); err != nil {
+			return nil, err
+		}
+		n := lc.issued
+
 		var start time.Time
 		if cfg.MeasureOverhead {
 			start = time.Now()
@@ -287,34 +300,44 @@ func Run(cfg Config, p Policy) (*Result, error) {
 			res.PolicyOverheadSec += time.Since(start).Seconds()
 			res.PolicyCalls++
 		}
-		if len(alive) != nFn {
-			return nil, fmt.Errorf("cluster: policy %q returned %d decisions for %d functions at minute %d",
-				p.Name(), len(alive), nFn, t)
+		if len(alive) != n {
+			return nil, fmt.Errorf("cluster: policy %q returned %d decisions for %d slots at minute %d",
+				p.Name(), len(alive), n, t)
 		}
 
-		kamMB, costUSD, err := accountKeepAlive(&cfg, p, &walk, t, alive, famOf)
+		// Keep-alive accounting. A slot deregistered while holding a variant
+		// still gets its release sample this minute (the contract is a
+		// function of the decision vectors alone), after which it rests like
+		// any idle slot.
+		var scan0 time.Time
+		if timing {
+			scan0 = time.Now()
+		}
+		kamMB, costUSD, err := AccountKeepAlive(cfg.Catalog, cfg.Cost, obs, p, &walk, t, alive, famOf)
 		if err != nil {
 			return nil, err
+		}
+		if timing {
+			telemetry.ObserveScan(obs, telemetry.ScanSample{
+				Minute: t, Shard: -1, Functions: len(walk.Slots(p, n)), Seconds: time.Since(scan0).Seconds(),
+			})
 		}
 		res.PerMinuteKaMMB[t] = kamMB
 		res.PerMinuteCostUSD[t] = costUSD
 		res.KeepAliveCostUSD += costUSD
-		if cfg.Observer != nil {
-			cfg.Observer.ObserveMinute(telemetry.MinuteSample{Minute: t, KeepAliveMB: kamMB, CostUSD: costUSD})
-		}
 
-		// Serve this minute's invocations.
+		// Serve this minute's invocations (a validated trace counts none
+		// outside a function's lifetime).
 		invoked = invoked[:0]
-		for fn := 0; fn < nFn; fn++ {
-			c := tr.Functions[fn].Counts[t]
+		for fn := 0; fn < n; fn++ {
+			s := &lc.slots[fn]
+			c := s.fn.Counts[t]
 			counts[fn] = c
 			if c == 0 {
 				continue
 			}
-			if sparse {
-				invoked = append(invoked, int32(fn))
-			}
-			if err := serveFunction(&cfg, p, res, t, fn, c, alive[fn], cfg.Assignment[fn]); err != nil {
+			invoked = append(invoked, int32(fn))
+			if err := serveFunction(&cfg, p, res, t, fn, c, alive[fn], s.fam); err != nil {
 				return nil, err
 			}
 		}
@@ -322,11 +345,7 @@ func Run(cfg Config, p Policy) (*Result, error) {
 		if cfg.MeasureOverhead {
 			start = time.Now()
 		}
-		if sparse {
-			asp.RecordInvocationsSparse(t, counts, invoked)
-		} else {
-			p.RecordInvocations(t, counts)
-		}
+		Record(p, t, counts[:n], invoked)
 		if cfg.MeasureOverhead {
 			res.PolicyOverheadSec += time.Since(start).Seconds()
 		}
@@ -334,24 +353,31 @@ func Run(cfg Config, p Policy) (*Result, error) {
 	return res, nil
 }
 
-// accountKeepAlive is the serial keep-alive accounting for minute t, shared
-// by the static and churn engines: it validates the decisions, sums memory
-// and cost in ascending slot order, and emits KeepAlive samples under the
-// sparse contract — one per holder, one per release edge, none for a slot
-// resting at NoVariant. Only the HolderWalk's slots are visited, so the work
-// is O(active) under an ActiveSetPolicy and the sums still associate exactly
-// as a dense scan's would (every skipped slot contributes nothing). famOf
-// maps a slot to its family and liveness; a tombstoned slot must decide
-// NoVariant.
-func accountKeepAlive(cfg *Config, p Policy, w *HolderWalk, t int, alive []int, famOf func(fn int) (fam int, live bool)) (kamMB, costUSD float64, err error) {
-	obs := cfg.Observer
-	timing := telemetry.WantsSelf(obs)
-	var scan0 time.Time
-	if timing {
-		scan0 = time.Now()
+// Record reports minute t's counts (one entry per issued slot) to p: through
+// invoked, the ascending list of slots with counts[fn] > 0, when p tracks an
+// active set, otherwise through the dense vector. It is the one record
+// fan-in — the engine calls it as a minute closes, the live runtime at the
+// barrier that closes one.
+func Record(p Policy, t int, counts []int, invoked []int32) {
+	if asp, ok := p.(ActiveSetPolicy); ok {
+		asp.RecordInvocationsSparse(t, counts, invoked)
+		return
 	}
-	slots := w.Slots(p, len(alive))
-	w.Visit(slots, func(fn int, wasHeld bool) bool {
+	p.RecordInvocations(t, counts)
+}
+
+// AccountKeepAlive is the keep-alive accounting for minute t, shared by the
+// engine and the live runtime: it validates p's decisions alive, sums memory
+// and cost in ascending slot order, and emits obs's KeepAlive samples under
+// the sparse contract — one per holder, one per release edge, none for a
+// slot resting at NoVariant — then the minute's MinuteSample. Only w's slots
+// are visited, so the work is O(active) under an ActiveSetPolicy and the
+// sums still associate exactly as a dense scan's would (every skipped slot
+// contributes nothing). famOf maps a slot to its family and liveness; a
+// tombstoned slot must decide NoVariant. On return w.Held lists the
+// minute's holders. A non-nil error leaves the walk and the stream partial.
+func AccountKeepAlive(cat *models.Catalog, cost CostModel, obs telemetry.Observer, p Policy, w *HolderWalk, t int, alive []int, famOf func(fn int) (fam int, live bool)) (kamMB, costUSD float64, err error) {
+	w.Visit(w.Slots(p, len(alive)), func(fn int, wasHeld bool) bool {
 		if err != nil {
 			return false
 		}
@@ -368,7 +394,7 @@ func accountKeepAlive(cfg *Config, p Policy, w *HolderWalk, t int, alive []int, 
 				p.Name(), vi, fn, t)
 			return false
 		}
-		fam := &cfg.Catalog.Families[famIdx]
+		fam := &cat.Families[famIdx]
 		if vi < 0 || vi >= fam.NumVariants() {
 			err = fmt.Errorf("cluster: policy %q kept invalid variant %d of family %q alive for function %d at minute %d",
 				p.Name(), vi, fam.Name, fn, t)
@@ -376,7 +402,7 @@ func accountKeepAlive(cfg *Config, p Policy, w *HolderWalk, t int, alive []int, 
 		}
 		mem := fam.Variants[vi].MemoryMB
 		kamMB += mem
-		costUSD += cfg.Cost.KeepAliveUSDPerMinute(mem)
+		costUSD += cost.KeepAliveUSDPerMinute(mem)
 		if obs != nil {
 			obs.ObserveKeepAlive(telemetry.KeepAliveSample{
 				Minute:      t,
@@ -388,20 +414,17 @@ func accountKeepAlive(cfg *Config, p Policy, w *HolderWalk, t int, alive []int, 
 		}
 		return true
 	})
-	if timing {
-		telemetry.ObserveScan(obs, telemetry.ScanSample{
-			Minute: t, Shard: -1, Functions: len(slots), Seconds: time.Since(scan0).Seconds(),
-		})
+	if err == nil && obs != nil {
+		obs.ObserveMinute(telemetry.MinuteSample{Minute: t, KeepAliveMB: kamMB, CostUSD: costUSD})
 	}
 	return kamMB, costUSD, err
 }
 
 // serveFunction attributes one invoked function's minute: warm service on
 // the kept-alive variant, or a cold start on the policy's cold variant
-// with the remainder of the minute served warm. Shared by the static and
-// churn scans so their accounting cannot drift. famIdx is
-// passed explicitly because under churn the function slot is not an index
-// into Config.Assignment.
+// with the remainder of the minute served warm. famIdx is passed
+// explicitly because under churn the function slot is not an index into
+// Config.Assignment.
 func serveFunction(cfg *Config, p Policy, res *Result, t, fn, c, vi, famIdx int) error {
 	fam := &cfg.Catalog.Families[famIdx]
 	warm, cold := c, vi == NoVariant

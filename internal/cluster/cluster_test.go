@@ -284,7 +284,7 @@ func (b *badVariantPolicy) ColdVariant(t, fn int) int {
 }
 
 // TestRunReportsInvalidVariants: an out-of-range kept-alive or cold variant
-// fails the run, on the static and the churn engine alike, with an error
+// fails the run, on a static and a churn trace alike, with an error
 // naming the policy, the variant, the function and the minute.
 func TestRunReportsInvalidVariants(t *testing.T) {
 	static := &trace.Trace{Horizon: 4, Functions: []trace.Function{

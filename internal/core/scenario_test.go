@@ -143,16 +143,19 @@ func scenarios() []scenario {
 		scenario{name: "race-churn", stream: stream{churn: 1}, producers: []string{prodRaceSerial, prodRace}},
 	)
 	for _, c := range []struct {
-		name string
-		cfg  core.Config
+		name      string
+		cfg       core.Config
+		producers []string
 	}{
-		{"T2-evict", core.Config{Technique: core.TechniqueT2{}, Step: core.StepByOneEvict}},
-		{"tight-KM-T", core.Config{KaMThreshold: 0.05, LocalWindow: 30}},
-		{"random-victim", core.Config{RandomDowngradeSeed: 99}},
+		{"T2-evict", core.Config{Technique: core.TechniqueT2{}, Step: core.StepByOneEvict}, []string{prodRef, prodEngine, prodRestored}},
+		{"tight-KM-T", core.Config{KaMThreshold: 0.05, LocalWindow: 30}, []string{prodRef, prodEngine, prodRestored}},
+		// No restored producer: Restore reseeds the victim generator, and a
+		// snapshot does not carry its position, so a resumed run picks
+		// different victims from the cut on.
+		{"random-victim", core.Config{RandomDowngradeSeed: 99}, []string{prodRef, prodEngine}},
 	} {
 		for _, w := range traces {
-			rows = append(rows, scenario{name: c.name + "/" + w.name, stream: w.s, cfg: c.cfg,
-				producers: []string{prodRef, prodEngine}})
+			rows = append(rows, scenario{name: c.name + "/" + w.name, stream: w.s, cfg: c.cfg, producers: c.producers})
 		}
 	}
 	return rows
@@ -1058,6 +1061,8 @@ func (e restlessHindsight) HindsightKeepAlive(m, fn int) int { return e.h.Hindsi
 // its last minute open, and retires a departing function — emitting its
 // samples — before the Step that would record its last lived minute, so the
 // surfaces that carry either are compared between runs of one kind only.
+// Minute samples carry neither — both price each minute through one
+// accounting as it opens — so they are compared across kinds.
 func compare(t *testing.T, base, got *outcome) {
 	t.Helper()
 	eq := func(surface string, want, have any) {
@@ -1096,8 +1101,8 @@ func compare(t *testing.T, base, got *outcome) {
 	eq("peak samples", b.rec.Peaks, g.rec.Peaks)
 	eq("downgrade samples", b.rec.Downgrades, g.rec.Downgrades)
 	eq("schedule samples", schedules(base, got), schedules(got, base))
+	eq("minute samples", b.rec.Minutes, g.rec.Minutes)
 	if same {
-		eq("minute samples", b.rec.Minutes, g.rec.Minutes)
 		eq("register samples", b.rec.Registers, g.rec.Registers)
 		eq("deregister samples", b.rec.Deregisters, g.rec.Deregisters)
 		eq("invocation samples", b.rec.Invocations, g.rec.Invocations)

@@ -169,7 +169,7 @@ type ChurnPoint struct {
 // mid-run. Each run constructs its policies from the minute-0 population
 // only — later arrivals reach them exclusively through the lifecycle API,
 // starting with cold histories by construction — and the engine replays
-// the churn path (cluster.Run dispatches on trace.HasChurn). The headline
+// the lifecycle events between minutes (cluster.Run). The headline
 // is the same cost/service/accuracy improvement as Figure 6a: the
 // mixed-quality win must not depend on knowing the population up front.
 func ExtensionChurn(opts Options) (ChurnPoint, error) {

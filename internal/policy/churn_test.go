@@ -26,7 +26,7 @@ func churnTestTrace(t *testing.T) (*trace.Trace, models.Assignment) {
 	return tr, models.Assignment{0, 1, 0, 1}
 }
 
-// TestChurnBaselines runs every baseline policy through the churn engine
+// TestChurnBaselines runs every baseline policy through the engine on a churn trace
 // and checks the lifecycle contract holds: the run completes, deregistered
 // slots decide NoVariant forever, and a rerun is bit-identical (the
 // baselines stay deterministic under churn).

@@ -14,6 +14,7 @@ import (
 	goruntime "runtime"
 	"testing"
 
+	"github.com/pulse-serverless/pulse/internal/cluster"
 	"github.com/pulse-serverless/pulse/internal/core"
 	"github.com/pulse-serverless/pulse/internal/models"
 )
@@ -43,7 +44,7 @@ func TestChurnSoakBoundedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	if rt.asp == nil {
+	if _, ok := any(p).(cluster.ActiveSetPolicy); !ok {
 		t.Fatal("sparse serving path not engaged; the soak must cover it")
 	}
 

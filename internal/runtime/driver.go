@@ -3,14 +3,19 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/pulse-serverless/pulse/internal/trace"
 )
 
-// validateReplay checks the preconditions shared by the replay drivers.
-func validateReplay(r *Runtime, tr *trace.Trace) error {
+// ReplayTrace drives a recorded trace through a live runtime: for each
+// simulated minute it issues the trace's invocations, then Steps. It is the
+// bridge between the offline workload tooling and the live runtime, and a
+// cross-check that both execution paths agree (see runtime tests).
+//
+// The context cancels a long replay early; the runtime is left at the
+// minute boundary reached.
+func ReplayTrace(ctx context.Context, r *Runtime, tr *trace.Trace) error {
 	if r == nil {
 		return fmt.Errorf("runtime: nil runtime")
 	}
@@ -22,20 +27,6 @@ func validateReplay(r *Runtime, tr *trace.Trace) error {
 	}
 	if len(tr.Functions) != r.NumFunctions() {
 		return fmt.Errorf("runtime: trace has %d functions, runtime %d", len(tr.Functions), r.NumFunctions())
-	}
-	return nil
-}
-
-// ReplayTrace drives a recorded trace through a live runtime: for each
-// simulated minute it issues the trace's invocations, then Steps. It is the
-// bridge between the offline workload tooling and the live runtime, and a
-// cross-check that both execution paths agree (see runtime tests).
-//
-// The context cancels a long replay early; the runtime is left at the
-// minute boundary reached.
-func ReplayTrace(ctx context.Context, r *Runtime, tr *trace.Trace) error {
-	if err := validateReplay(r, tr); err != nil {
-		return err
 	}
 	for t := 0; t < tr.Horizon; t++ {
 		select {
@@ -49,63 +40,6 @@ func ReplayTrace(ctx context.Context, r *Runtime, tr *trace.Trace) error {
 					return fmt.Errorf("runtime: replay minute %d fn %d: %w", t, fn, err)
 				}
 			}
-		}
-		if err := r.Step(); err != nil {
-			return fmt.Errorf("runtime: replay minute %d: %w", t, err)
-		}
-	}
-	return nil
-}
-
-// ReplayTraceParallel replays a trace like ReplayTrace but issues each
-// minute's invocations from one goroutine per function, exercising the
-// runtime's striped hot path with real concurrency. Outcomes stay
-// deterministic: each function's invocations remain ordered (one goroutine
-// owns each function) and the per-minute Step barrier keeps every
-// invocation in its trace minute, so per-function invocation streams and
-// final Stats are identical to a sequential ReplayTrace — the property the
-// differential harness asserts.
-func ReplayTraceParallel(ctx context.Context, r *Runtime, tr *trace.Trace) error {
-	if err := validateReplay(r, tr); err != nil {
-		return err
-	}
-	var (
-		errMu    sync.Mutex
-		firstErr error
-	)
-	record := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	for t := 0; t < tr.Horizon; t++ {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		default:
-		}
-		var wg sync.WaitGroup
-		for fn := range tr.Functions {
-			n := tr.Functions[fn].Counts[t]
-			if n == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(t, fn, n int) {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					if _, err := r.Invoke(fn); err != nil {
-						record(fmt.Errorf("runtime: replay minute %d fn %d: %w", t, fn, err))
-						return
-					}
-				}
-			}(t, fn, n)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return firstErr
 		}
 		if err := r.Step(); err != nil {
 			return fmt.Errorf("runtime: replay minute %d: %w", t, err)

@@ -2,20 +2,17 @@ package runtime
 
 // Serving-path checks outside the scenario harness (internal/core's
 // scenario_test.go, which holds the runtime to the engine and the serial
-// mode to the epoch one): the retired-function failure mode and the
-// exported replay drivers.
+// mode to the epoch one): the retired-function failure mode.
 
 import (
-	"bytes"
-	"context"
 	"errors"
-	"reflect"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/pulse-serverless/pulse/internal/core"
 	"github.com/pulse-serverless/pulse/internal/models"
-	"github.com/pulse-serverless/pulse/internal/trace"
 )
 
 // TestChurnInvokeDeregistered pins the failure mode of serving a retired
@@ -70,45 +67,33 @@ func TestChurnInvokeDeregistered(t *testing.T) {
 	}
 }
 
-// TestDifferentialReplayDrivers cross-checks the exported drivers: ReplayTrace
-// and ReplayTraceParallel over the same trace and policy must land on
-// identical Stats. The trace is a synthetic day round-tripped through the
-// Azure Functions CSV format, the path a replay of the real dataset takes.
-func TestDifferentialReplayDrivers(t *testing.T) {
+// undeadPolicy keeps every slot alive, retired ones included: it breaks
+// DynamicPolicy's rule that a tombstoned slot decides NoVariant.
+type undeadPolicy struct{ parityPolicy }
+
+func (p *undeadPolicy) RegisterFunction(string, int) (int, error) {
+	return 0, errors.New("undead: no registration")
+}
+func (p *undeadPolicy) DeregisterFunction(string) error { return nil }
+
+// TestStepRejectsKeptAliveTombstone: the runtime holds its policy to the
+// engine's tombstone check. Keeping a deregistered slot alive is a policy
+// bug, so the Step that applies it panics naming the slot, where the
+// engine returns the same error.
+func TestStepRejectsKeptAliveTombstone(t *testing.T) {
 	cat := models.PaperCatalog()
-	seed, err := trace.Generate(trace.GeneratorConfig{Seed: 23, Horizon: trace.MinutesPerDay})
+	asg := models.Assignment{0, 1}
+	r, err := New(Config{Catalog: cat, Assignment: asg, Policy: &undeadPolicy{parityPolicy{cat: cat, asg: asg}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var day bytes.Buffer
-	if err := trace.WriteAzureCSV(seed, &day); err != nil {
+	if err := r.Deregister("fn-0"); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.ReadAzureCSV(trace.AzureReadOptions{}, &day)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asg := make(models.Assignment, len(tr.Functions))
-	for i := range asg {
-		asg[i] = i % len(cat.Families)
-	}
-	run := func(drive func(context.Context, *Runtime, *trace.Trace) error) Stats {
-		p, err := core.New(core.Config{Catalog: cat, Assignment: asg})
-		if err != nil {
-			t.Fatal(err)
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "alive for deregistered function 0 ") {
+			t.Errorf("Step panicked with %q, want the tombstone check", msg)
 		}
-		r, err := New(Config{Catalog: cat, Assignment: asg, Policy: p, Clock: NewManualClock(time.Unix(0, 0))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		if err := drive(context.Background(), r, tr); err != nil {
-			t.Fatal(err)
-		}
-		return r.Stats()
-	}
-	sequential, parallel := run(ReplayTrace), run(ReplayTraceParallel)
-	if sequential.Invocations == 0 || !reflect.DeepEqual(sequential, parallel) {
-		t.Errorf("driver stats diverge:\nsequential: %+v\nparallel:   %+v", sequential, parallel)
-	}
+	}()
+	_ = r.Step()
 }

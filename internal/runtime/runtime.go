@@ -251,10 +251,8 @@ type Runtime struct {
 	// into the dirty list, so Step harvests the minute's counts from the
 	// chain instead of scanning every stripe, and decisions are applied over
 	// the union of last minute's holders and the policy's candidate slots
-	// (holders) — its active set when it tracks one (asp != nil), every slot
-	// otherwise. All are writer-owned except dirtyHead (pushed by the
-	// serving paths).
-	asp        cluster.ActiveSetPolicy // nil when the policy has no active set
+	// (holders) — its active set when it tracks one, every slot otherwise.
+	// All are writer-owned except dirtyHead (pushed by the serving paths).
 	holders    cluster.HolderWalk
 	dirtyHead  atomic.Int32 // top of the dirty chain; -1 when empty
 	invokedBuf []int32      // reused: this minute's invoked slots, sorted
@@ -325,7 +323,6 @@ func New(cfg Config) (*Runtime, error) {
 		reg:        reg,
 	}
 	r.dirtyHead.Store(-1)
-	r.asp, _ = cfg.Policy.(cluster.ActiveSetPolicy)
 	for i := range cfg.Assignment {
 		r.addSlot(cfg.Assignment[i], cfg.Names[i])
 	}
@@ -420,53 +417,36 @@ func (r *Runtime) startLocked() {
 }
 
 // applyDecisionsLocked requires an open write window (beginWrite): it
-// writes the minute's alive variants and keep-alive cost and emits the
-// keep-alive and minute samples. Only the union of last minute's holders and
-// the policy's candidate slots is visited — every other slot's decision is
-// NoVariant and its stripe already rests at NoVariant, so a dense walk would
-// write the same values and owe no sample (the sparse KeepAlive contract);
-// the union iterates ascending, keeping the keep-alive memory sum
-// bit-identical to a dense accumulation. Plain stripe writes are safe: the
-// window is open, so no invocation body is in flight, and endWrite's release
-// publishes them to the fast path's acquire loads.
+// writes the minute's alive variants and runs the engine's keep-alive
+// accounting (cluster.AccountKeepAlive), which prices the minute and emits
+// its keep-alive and minute samples. Only last minute's holders and this
+// minute's are written: every other slot decided NoVariant and its stripe
+// already rests there. Plain stripe writes are safe: the window is open, so
+// no invocation body is in flight, and endWrite's release publishes them to
+// the fast path's acquire loads.
 func (r *Runtime) applyDecisionsLocked(decisions []int) {
 	if len(decisions) != len(r.fns) {
 		panic(fmt.Sprintf("runtime: policy returned %d decisions for %d functions", len(decisions), len(r.fns)))
 	}
-	var kam float64
-	r.holders.Visit(r.holders.Slots(r.cfg.Policy, len(r.fns)), func(fn int, wasHeld bool) bool {
-		st := r.fns[fn]
-		vi := decisions[fn]
-		st.alive = vi
-		if vi == cluster.NoVariant {
-			if wasHeld && r.obs != nil {
-				r.obs.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: r.minute, Function: fn, Variant: cluster.NoVariant})
-			}
-			return false
-		}
-		fam := &r.cfg.Catalog.Families[st.family]
-		if vi < 0 || vi >= fam.NumVariants() {
-			panic(fmt.Sprintf("runtime: policy kept invalid variant %d for function %d", vi, fn))
-		}
-		mem := fam.Variants[vi].MemoryMB
-		kam += mem
-		if r.obs != nil {
-			r.obs.ObserveKeepAlive(telemetry.KeepAliveSample{
-				Minute:      r.minute,
-				Function:    fn,
-				Variant:     vi,
-				VariantName: fam.Variants[vi].Name,
-				MemMB:       mem,
-			})
-		}
-		return true
-	})
-	cost := r.cfg.Cost.KeepAliveUSDPerMinute(kam)
+	for _, fn := range r.holders.Held() {
+		r.fns[fn].alive = cluster.NoVariant
+	}
+	kam, cost, err := cluster.AccountKeepAlive(r.cfg.Catalog, r.cfg.Cost, r.obs, r.cfg.Policy, &r.holders, r.minute, decisions, r.famOf)
+	if err != nil {
+		panic(err.Error())
+	}
+	for _, fn := range r.holders.Held() {
+		r.fns[fn].alive = decisions[fn]
+	}
 	r.kaMMB = kam
 	r.kaCostUSD += cost
-	if r.obs != nil {
-		r.obs.ObserveMinute(telemetry.MinuteSample{Minute: r.minute, KeepAliveMB: kam, CostUSD: cost})
-	}
+}
+
+// famOf is cluster.AccountKeepAlive's view of slot fn: its family and
+// whether it is still registered. Requires an open write window.
+func (r *Runtime) famOf(fn int) (int, bool) {
+	st := r.fns[fn]
+	return st.family, st.active
 }
 
 // Close marks the runtime closed and releases resources owned by its
@@ -804,11 +784,7 @@ func (r *Runtime) Step() error {
 		}
 		st.coldPod = cluster.NoVariant
 	}
-	if r.asp != nil {
-		r.asp.RecordInvocationsSparse(r.minute, r.countsBuf, r.invokedBuf)
-	} else {
-		r.cfg.Policy.RecordInvocations(r.minute, r.countsBuf)
-	}
+	cluster.Record(r.cfg.Policy, r.minute, r.countsBuf, r.invokedBuf)
 	for _, fn := range r.invokedBuf {
 		r.countsBuf[fn] = 0
 	}

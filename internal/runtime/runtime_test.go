@@ -685,33 +685,6 @@ func TestConcurrentInvokeStepStats(t *testing.T) {
 	}
 }
 
-// TestReplayTraceParallelValidation mirrors ReplayTrace's precondition
-// checks on the parallel driver.
-func TestReplayTraceParallelValidation(t *testing.T) {
-	cat, asg := testSetup(t)
-	r := newFixedRuntime(t, cat, asg)
-	ctx := context.Background()
-	if err := ReplayTraceParallel(ctx, nil, &trace.Trace{}); err == nil {
-		t.Error("nil runtime accepted")
-	}
-	if err := ReplayTraceParallel(ctx, r, nil); err == nil {
-		t.Error("nil trace accepted")
-	}
-	bad := &trace.Trace{Horizon: 5, Functions: []trace.Function{{ID: 0, Counts: make([]int, 5)}}}
-	if err := ReplayTraceParallel(ctx, r, bad); err == nil {
-		t.Error("function-count mismatch accepted")
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ok := &trace.Trace{Horizon: 2, Functions: []trace.Function{
-		{ID: 0, Counts: []int{1, 0}}, {ID: 1, Counts: []int{0, 0}}, {ID: 2, Counts: []int{0, 0}},
-	}}
-	if err := ReplayTraceParallel(ctx, r, ok); !errors.Is(err, ErrClosed) {
-		t.Errorf("replay against closed runtime err = %v, want ErrClosed", err)
-	}
-}
-
 // TestWallClockSlowMotion: Compression in (0, 1) stretches simulated time
 // rather than silently running in real time, and negative values fall back
 // to real time as documented.

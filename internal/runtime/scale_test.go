@@ -129,7 +129,7 @@ func TestSparseIdleStepZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			if r.asp == nil {
+			if _, ok := any(p).(cluster.ActiveSetPolicy); !ok {
 				t.Fatal("sparse path not engaged")
 			}
 			window := p.Config().Window

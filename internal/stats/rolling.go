@@ -3,14 +3,16 @@ package stats
 import "fmt"
 
 // RollingWindow is a fixed-capacity ring buffer over float64 samples with
-// O(1) push and O(1) mean. The PULSE peak detector uses it for the
-// "average keep-alive memory over the last local_window minutes" term of
-// Algorithm 1, where one sample is pushed per simulated minute.
+// O(1) push. The PULSE peak detector uses it for the "average keep-alive
+// memory over the last local_window minutes" term of Algorithm 1, where one
+// sample is pushed per simulated minute. Sum and Mean add the held samples
+// oldest-first on every call — O(window), but exact: the result depends
+// only on the samples held, never on what was pushed and evicted before, so
+// a window rebuilt from its Values sums identically.
 type RollingWindow struct {
 	buf  []float64
 	head int // index of the oldest sample
 	n    int // number of valid samples
-	sum  float64
 }
 
 // NewRollingWindow returns a window holding at most capacity samples.
@@ -25,14 +27,12 @@ func NewRollingWindow(capacity int) *RollingWindow {
 // Push appends a sample, evicting the oldest when the window is full.
 func (w *RollingWindow) Push(x float64) {
 	if w.n == len(w.buf) {
-		w.sum -= w.buf[w.head]
 		w.buf[w.head] = x
 		w.head = (w.head + 1) % len(w.buf)
 	} else {
 		w.buf[(w.head+w.n)%len(w.buf)] = x
 		w.n++
 	}
-	w.sum += x
 }
 
 // Len returns the number of samples currently held.
@@ -49,11 +49,17 @@ func (w *RollingWindow) Mean() float64 {
 	if w.n == 0 {
 		return 0
 	}
-	return w.sum / float64(w.n)
+	return w.Sum() / float64(w.n)
 }
 
-// Sum returns the sum of the held samples.
-func (w *RollingWindow) Sum() float64 { return w.sum }
+// Sum returns the sum of the held samples, added oldest-first.
+func (w *RollingWindow) Sum() float64 {
+	sum := 0.0
+	for i := 0; i < w.n; i++ {
+		sum += w.At(i)
+	}
+	return sum
+}
 
 // Last returns the most recently pushed sample, or 0 when empty.
 func (w *RollingWindow) Last() float64 {
@@ -83,5 +89,5 @@ func (w *RollingWindow) Values() []float64 {
 
 // Reset discards all samples while keeping capacity.
 func (w *RollingWindow) Reset() {
-	w.head, w.n, w.sum = 0, 0, 0
+	w.head, w.n = 0, 0
 }

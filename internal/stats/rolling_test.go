@@ -82,8 +82,8 @@ func TestRollingWindowReset(t *testing.T) {
 	}
 }
 
-// Property: the window mean always equals the mean of its Values(), and the
-// values are the last min(cap, pushed) samples in order.
+// Property: the window mean always equals the mean of its Values() exactly,
+// and the values are the last min(cap, pushed) samples in order.
 func TestRollingWindowMatchesNaive(t *testing.T) {
 	f := func(raw []float64, capSeed uint8) bool {
 		capacity := int(capSeed)%8 + 1
@@ -91,7 +91,7 @@ func TestRollingWindowMatchesNaive(t *testing.T) {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				raw[i] = 1
 			}
-			// Keep magnitudes small so the incremental sum stays exact enough.
+			// Keep sums finite: Inf - Inf is NaN, which equals nothing.
 			raw[i] = math.Mod(raw[i], 1000)
 		}
 		w := NewRollingWindow(capacity)
@@ -112,7 +112,7 @@ func TestRollingWindowMatchesNaive(t *testing.T) {
 			}
 		}
 		if len(expect) > 0 {
-			if math.Abs(w.Mean()-Mean(expect)) > 1e-6 {
+			if w.Mean() != Mean(expect) {
 				return false
 			}
 		}
@@ -120,6 +120,22 @@ func TestRollingWindowMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRollingWindowNoDrift pins the sum to the samples held: once every
+// sample that was pushed has been evicted by zeros, the sum is exactly 0,
+// where a running sum would keep the rounding of every add and subtract.
+func TestRollingWindowNoDrift(t *testing.T) {
+	w := NewRollingWindow(4)
+	for _, x := range []float64{0.1, 0.2, 0.3, 1e17, 0.7} {
+		w.Push(x)
+	}
+	for i := 0; i < w.Cap(); i++ {
+		w.Push(0)
+	}
+	if w.Sum() != 0 || w.Mean() != 0 {
+		t.Errorf("window of zeros: sum %v, mean %v; want 0", w.Sum(), w.Mean())
 	}
 }
 
