@@ -47,7 +47,8 @@ lint:
 
 # Sharded-controller equivalence proof: the differential harness and every
 # controller shard test under the race detector, plus short fuzz smoke runs
-# over the optimizer invariants. Mirrors the CI "sharded" job.
+# over the optimizer invariants and the two readers of user files (the
+# trace CSV and the model catalog). Mirrors the CI "sharded" job.
 test-parallel:
 	$(GO) test -race ./... -run 'Differential|Sharded'
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzPeakDetector$$' -fuzztime=10s
@@ -56,6 +57,8 @@ test-parallel:
 	$(GO) test ./internal/metastore -run '^$$' -fuzz '^FuzzFunctionName$$' -fuzztime=10s
 	$(GO) test ./internal/runtime -run '^$$' -fuzz '^FuzzInvokeStepSchedule$$' -fuzztime=10s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzDifferentialScenario$$' -fuzztime=10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime=10s
+	$(GO) test ./internal/models -run '^$$' -fuzz '^FuzzReadCatalog$$' -fuzztime=10s
 
 # Seqlock/epoch stress battery: the runtime package's concurrency tests
 # (torn-read, lifecycle, soak, parking), the scenario harness (serial vs

@@ -27,7 +27,8 @@
 //
 // With -debug, the Go pprof and expvar surfaces are mounted under
 // /debug/pprof/ and /debug/vars. With -eventlog FILE, every controller
-// decision event is appended to FILE as JSON lines.
+// decision event is appended to FILE as JSON lines; if a write fails, the
+// log stops there and the daemon exits non-zero at shutdown.
 //
 // With -attribution, an online counterfactual accountant shadows the live
 // policy against the paper's fixed keep-alive baseline (window set by
@@ -399,6 +400,11 @@ func run() error {
 			return fmt.Errorf("saving state: %w", err)
 		}
 		log.Printf("pulsed: saved PULSE state to %s", *stateDir)
+	}
+	// A failed sink stops the JSONL log while the daemon keeps serving;
+	// the exit status is where a truncated -eventlog file shows.
+	if err := tel.Events().SinkErr(); err != nil {
+		return fmt.Errorf("event log %s stopped early: %w", *eventLog, err)
 	}
 	return nil
 }

@@ -155,18 +155,6 @@ func (e *Engine) Close() error {
 	return nil
 }
 
-// Rules returns a copy of the configured rules. nil-safe.
-func (e *Engine) Rules() []Rule {
-	if e == nil {
-		return nil
-	}
-	out := make([]Rule, len(e.rules))
-	for i := range e.rules {
-		out[i] = e.rules[i].rule
-	}
-	return out
-}
-
 // RecordDeregisteredInvoke counts one invocation attempt against a
 // deregistered function into the open minute's dereg_invokes metric.
 // Safe from any goroutine; nil-safe.

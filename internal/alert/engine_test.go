@@ -169,9 +169,6 @@ func TestEngineNilSafe(t *testing.T) {
 	if st.Enabled || st.Firing == nil {
 		t.Errorf("nil engine status %+v", st)
 	}
-	if e.Rules() != nil {
-		t.Error("nil engine has rules")
-	}
 }
 
 // Steady state — rules configured but nothing transitioning, no stream

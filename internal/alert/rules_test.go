@@ -1,6 +1,7 @@
 package alert
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -97,5 +98,38 @@ func TestDefaultRulesValidate(t *testing.T) {
 		if hasSavings != withSavings {
 			t.Errorf("withSavings=%v: savings rule present=%v", withSavings, hasSavings)
 		}
+	}
+}
+
+// Validate guards rules built in code as well as parsed ones, so it checks
+// the fields the parser cannot produce out of range: metric, operator and
+// a non-finite threshold.
+func TestRuleValidateRejects(t *testing.T) {
+	ok := Rule{Name: "r1", Metric: MetricKaMMB, Op: OpBelow, Threshold: 1, For: 1}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid rule %+v rejected: %v", ok, err)
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func(*Rule)
+	}{
+		{"empty name", func(r *Rule) { r.Name = "" }},
+		{"name with space", func(r *Rule) { r.Name = "cold spike" }},
+		{"name with tab", func(r *Rule) { r.Name = "cold\tspike" }},
+		{"negative metric", func(r *Rule) { r.Metric = -1 }},
+		{"metric past the last", func(r *Rule) { r.Metric = numMetrics }},
+		{"unknown operator", func(r *Rule) { r.Op = OpBelow + 1 }},
+		{"NaN threshold", func(r *Rule) { r.Threshold = math.NaN() }},
+		{"infinite threshold", func(r *Rule) { r.Threshold = math.Inf(-1) }},
+		{"zero for", func(r *Rule) { r.For = 0 }},
+		{"negative cooldown", func(r *Rule) { r.Cooldown = -1 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := ok
+			c.mutate(&r)
+			if err := r.Validate(); err == nil {
+				t.Errorf("Validate accepted %+v", r)
+			}
+		})
 	}
 }

@@ -38,14 +38,13 @@ const (
 // downgraded again — the unbiasedness mechanism.
 type Priority struct {
 	counts []float64
-	norm   []float64 // Normalize's reused result; nil until first asked for
 
 	// Incremental min/max bookkeeping so a single model's normalized
-	// priority can be read without the O(N) scan Normalize performs. The
-	// values are exact small integers, so the tracked extrema are
-	// bit-identical to stats.Min/stats.Max over the counts; the counts of
-	// witnesses (minCnt/maxCnt) tell us when a retire invalidates an
-	// extremum and a rare O(N) rescan is needed.
+	// priority can be read without an O(N) scan of the counts. The values
+	// are exact small integers, so the tracked extrema are bit-identical to
+	// a min/max scan over the counts; the counts of witnesses
+	// (minCnt/maxCnt) tell us when a retire invalidates an extremum and a
+	// rare O(N) rescan is needed.
 	minVal, maxVal float64
 	minCnt, maxCnt int
 }
@@ -108,8 +107,11 @@ func (p *Priority) rescanMax() {
 	}
 }
 
-// normAt returns model m's min–max normalized priority — the value
-// Normalize()[m] would compute, without touching the other models.
+// normAt returns model m's min–max normalized priority (Equation 1):
+//
+//	(count[m] - min) / (max - min), and 0 when max == min,
+//
+// without touching the other models.
 func (p *Priority) normAt(m int) float64 {
 	if p.maxVal == p.minVal {
 		return 0
@@ -123,14 +125,6 @@ func (p *Priority) Count(m int) float64 {
 		return 0
 	}
 	return p.counts[m]
-}
-
-// Normalize recomputes and returns the normalized priorities (Equation 1)
-// over all models. The returned slice is reused across calls.
-func (p *Priority) Normalize() []float64 {
-	p.norm = append(p.norm[:0], p.counts...)
-	stats.MinMaxNormalizeInPlace(p.norm)
-	return p.norm
 }
 
 // grow appends one zero-count slot (a freshly registered model).

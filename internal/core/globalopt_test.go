@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/pulse-serverless/pulse/internal/models"
@@ -124,7 +125,7 @@ func TestPriorityStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All zeros: degenerate normalization (Equation 1) gives all zeros.
-	for _, v := range p.Normalize() {
+	for _, v := range normalize(p) {
 		if v != 0 {
 			t.Error("fresh priority should normalize to zeros")
 		}
@@ -132,7 +133,7 @@ func TestPriorityStructure(t *testing.T) {
 	_ = p.Bump(1)
 	_ = p.Bump(1)
 	_ = p.Bump(2)
-	norm := p.Normalize()
+	norm := normalize(p)
 	if norm[0] != 0 || norm[1] != 1 || math.Abs(norm[2]-0.5) > 1e-12 {
 		t.Errorf("normalized = %v, want [0 1 0.5]", norm)
 	}
@@ -144,6 +145,59 @@ func TestPriorityStructure(t *testing.T) {
 	}
 	if err := p.Bump(7); err == nil {
 		t.Error("out-of-range bump accepted")
+	}
+}
+
+// normalize is the O(N) oracle for Equation 1 over every model's count:
+// x' = (x - min) / (max - min), and all zeros when max == min.
+func normalize(p *Priority) []float64 {
+	lo, hi := p.counts[0], p.counts[0]
+	for _, c := range p.counts {
+		lo, hi = math.Min(lo, c), math.Max(hi, c)
+	}
+	out := make([]float64, len(p.counts))
+	if hi == lo {
+		return out
+	}
+	for m, c := range p.counts {
+		out[m] = (c - lo) / (hi - lo)
+	}
+	return out
+}
+
+// TestPriorityNormAtMatchesEquation1 holds the incremental normAt to the
+// O(N) oracle after every bump, registration and retire of a random
+// sequence, and checks Equation 1's range and order laws on the way.
+func TestPriorityNormAtMatchesEquation1(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	p, err := NewPriority(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 2000; step++ {
+		switch r := rng.Intn(10); {
+		case r < 7:
+			_ = p.Bump(rng.Intn(len(p.counts)))
+		case r < 8:
+			p.grow()
+		default:
+			p.retire(rng.Intn(len(p.counts)))
+		}
+		want := normalize(p)
+		for m := range p.counts {
+			got := p.normAt(m)
+			if got != want[m] {
+				t.Fatalf("step %d: normAt(%d) = %v, oracle %v (counts %v)", step, m, got, want[m], p.counts)
+			}
+			if got < 0 || got > 1 {
+				t.Fatalf("step %d: normAt(%d) = %v outside [0, 1]", step, m, got)
+			}
+			for o := range p.counts {
+				if p.counts[m] < p.counts[o] && got > p.normAt(o) {
+					t.Fatalf("step %d: normAt does not preserve the counts' order", step)
+				}
+			}
+		}
 	}
 }
 

@@ -70,18 +70,4 @@ func (p *Pulse) DeregisterFunction(name string) error {
 	return nil
 }
 
-// NumFunctions returns the total number of slots ever issued (active and
-// tombstoned) — the length of the decision vector KeepAlive returns.
-func (p *Pulse) NumFunctions() int { return len(p.out) }
-
-// NumActive returns the number of currently registered functions.
-func (p *Pulse) NumActive() int { return p.reg.NumActive() }
-
-// FunctionName returns the name that owns (or owned) the slot; "" when out
-// of range.
-func (p *Pulse) FunctionName(fn int) string { return p.reg.Name(fn) }
-
-// FunctionActive reports whether the slot is currently registered.
-func (p *Pulse) FunctionActive(fn int) bool { return p.reg.Active(fn) }
-
 var _ cluster.DynamicPolicy = (*Pulse)(nil)

@@ -60,9 +60,6 @@ func NewPeakDetector(threshold float64, localWindow int, mode PriorMode) (*PeakD
 	}, nil
 }
 
-// Threshold returns KM_T.
-func (p *PeakDetector) Threshold() float64 { return p.threshold }
-
 // PriorKaM returns the prior keep-alive memory to compare the current
 // minute against, per Algorithm 1.
 func (p *PeakDetector) PriorKaM() float64 {

@@ -497,9 +497,6 @@ func (p *Pulse) History(fn int) *History {
 	return &History{ar: p.hist, fn: fn}
 }
 
-// Detector exposes the peak detector (for reports/tests).
-func (p *Pulse) Detector() *PeakDetector { return p.detector }
-
 // PriorityCount returns function fn's downgrade count from Algorithm 2's
 // priority structure — how often its model has been downgraded during
 // peaks.

@@ -258,9 +258,6 @@ func TestPulseAccessors(t *testing.T) {
 	if p.History(-1) != nil || p.History(2) != nil {
 		t.Error("out-of-range history should be nil")
 	}
-	if p.Detector() == nil {
-		t.Error("detector missing")
-	}
 	if got := p.ColdVariant(0, 0); got != cat.Families[0].NumVariants()-1 {
 		t.Errorf("cold variant = %d, want highest", got)
 	}

@@ -260,13 +260,13 @@ func generate(t testing.TB, s stream) *trace.Trace {
 		t.Fatal(err)
 	}
 	if s.mix == "csv" {
-		// Round-trip through the Azure Functions CSV day format, the path a
-		// replay of the real dataset takes.
-		var day bytes.Buffer
-		if err := trace.WriteAzureCSV(tr, &day); err != nil {
+		// Round-trip through the repository's trace CSV, the path a replay
+		// with pulsesim -trace takes.
+		var file bytes.Buffer
+		if err := trace.WriteCSV(&file, tr); err != nil {
 			t.Fatal(err)
 		}
-		if tr, err = trace.ReadAzureCSV(trace.AzureReadOptions{}, &day); err != nil {
+		if tr, err = trace.ReadCSV(&file); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -1454,7 +1454,7 @@ func checkChurn(t *testing.T, outs []*outcome) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	api, err := runtime.NewAPI(rt)
+	api, err := runtime.NewInstrumentedAPI(rt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,19 +52,6 @@ func (h *History) Snapshot() HistorySnapshot {
 	return s
 }
 
-// restoreHistory rebuilds a standalone (single-slot-arena) History from a
-// snapshot.
-func restoreHistory(localWindow int, s HistorySnapshot) (*History, error) {
-	h, err := NewHistory(localWindow)
-	if err != nil {
-		return nil, err
-	}
-	if err := restoreHistoryInto(h.ar, h.fn, s); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
 // restoreHistoryInto rebuilds one arena slot's history from a snapshot. The
 // slot must be empty (fresh or released).
 func restoreHistoryInto(ar *histArena, fn int, s HistorySnapshot) error {

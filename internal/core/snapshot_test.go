@@ -315,3 +315,16 @@ func TestDifferentialShardedSnapshot(t *testing.T) {
 		t.Error("no downgrade after the cut: the resumed runs prove little")
 	}
 }
+
+// restoreHistory rebuilds a standalone (single-slot-arena) History from a
+// snapshot.
+func restoreHistory(localWindow int, s HistorySnapshot) (*History, error) {
+	h, err := NewHistory(localWindow)
+	if err != nil {
+		return nil, err
+	}
+	if err := restoreHistoryInto(h.ar, h.fn, s); err != nil {
+		return nil, err
+	}
+	return h, nil
+}

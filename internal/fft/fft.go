@@ -4,12 +4,11 @@
 //
 //   - an iterative radix-2 Cooley–Tukey transform for power-of-two lengths,
 //   - Bluestein's chirp-z algorithm for arbitrary lengths,
-//   - real-input helpers and harmonic analysis (dominant frequencies,
-//     band-limited reconstruction) on top.
+//   - real-input harmonic analysis (dominant frequencies, band-limited
+//     extrapolation) on top.
 //
-// All transforms use the unnormalized forward convention
-// X[k] = Σ x[n]·exp(-2πi·kn/N); the inverse divides by N, so
-// Inverse(Forward(x)) == x up to floating-point error.
+// The transform uses the unnormalized forward convention
+// X[k] = Σ x[n]·exp(-2πi·kn/N).
 package fft
 
 import (
@@ -40,16 +39,6 @@ func NextPowerOfTwo(n int) int {
 	return p
 }
 
-// Forward computes the discrete Fourier transform of x and returns a new
-// slice. Arbitrary lengths are supported (radix-2 fast path, Bluestein
-// otherwise). A nil or empty input returns an empty slice.
-func Forward(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	ForwardInPlace(out)
-	return out
-}
-
 // ForwardInPlace computes the DFT of x in place. Non-power-of-two lengths
 // fall back to Bluestein (which internally allocates).
 func ForwardInPlace(x []complex128) {
@@ -60,34 +49,7 @@ func ForwardInPlace(x []complex128) {
 	case IsPowerOfTwo(n):
 		radix2(x, false)
 	default:
-		bluestein(x, false)
-	}
-}
-
-// Inverse computes the inverse DFT of X (with 1/N normalization) and
-// returns a new slice.
-func Inverse(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	InverseInPlace(out)
-	return out
-}
-
-// InverseInPlace computes the inverse DFT of x in place, applying the 1/N
-// normalization.
-func InverseInPlace(x []complex128) {
-	n := len(x)
-	if n <= 1 {
-		return
-	}
-	if IsPowerOfTwo(n) {
-		radix2(x, true)
-	} else {
-		bluestein(x, true)
-	}
-	inv := complex(1/float64(n), 0)
-	for i := range x {
-		x[i] *= inv
+		bluestein(x)
 	}
 }
 
@@ -100,18 +62,6 @@ func ForwardReal(x []float64) []complex128 {
 	}
 	ForwardInPlace(cx)
 	return cx
-}
-
-// InverseReal inverts a spectrum and returns the real parts of the result.
-// For spectra of real-valued series the imaginary residue is floating-point
-// noise and is discarded.
-func InverseReal(spectrum []complex128) []float64 {
-	cx := Inverse(spectrum)
-	out := make([]float64, len(cx))
-	for i, v := range cx {
-		out[i] = real(v)
-	}
-	return out
 }
 
 // radix2 runs an iterative in-place Cooley–Tukey transform. inverse selects
@@ -147,20 +97,16 @@ func radix2(x []complex128, inverse bool) {
 	}
 }
 
-// bluestein computes an arbitrary-length DFT as a convolution evaluated
-// through power-of-two FFTs (the chirp-z transform).
-func bluestein(x []complex128, inverse bool) {
+// bluestein computes an arbitrary-length forward DFT as a convolution
+// evaluated through power-of-two FFTs (the chirp-z transform).
+func bluestein(x []complex128) {
 	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// Chirp factors w[k] = exp(sign·iπ·k²/n). Using k² mod 2n keeps the
-	// angle argument small and the chirp numerically exact for large k.
+	// Chirp factors w[k] = exp(-iπ·k²/n). Using k² mod 2n keeps the angle
+	// argument small and the chirp numerically exact for large k.
 	w := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		kk := (int64(k) * int64(k)) % int64(2*n)
-		ang := sign * math.Pi * float64(kk) / float64(n)
+		ang := -math.Pi * float64(kk) / float64(n)
 		w[k] = cmplx.Exp(complex(0, ang))
 	}
 	m := NextPowerOfTwo(2*n - 1)
@@ -184,18 +130,4 @@ func bluestein(x []complex128, inverse bool) {
 	for k := 0; k < n; k++ {
 		x[k] = a[k] * scale * w[k]
 	}
-}
-
-// Convolve returns the circular convolution of a and b, which must have the
-// same length. It returns an error on length mismatch or empty input.
-func Convolve(a, b []float64) ([]float64, error) {
-	if len(a) == 0 || len(a) != len(b) {
-		return nil, fmt.Errorf("fft: Convolve needs equal non-empty lengths, got %d and %d", len(a), len(b))
-	}
-	fa := ForwardReal(a)
-	fb := ForwardReal(b)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	return InverseReal(fa), nil
 }

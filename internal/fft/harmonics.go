@@ -81,41 +81,3 @@ func Extrapolate(mean float64, harmonics []Harmonic, seriesLen, horizon, topK in
 	}
 	return out, nil
 }
-
-// Reconstruct evaluates the truncated harmonic model over the original
-// sample positions 0..seriesLen-1, useful for measuring in-sample fit.
-func Reconstruct(mean float64, harmonics []Harmonic, seriesLen, topK int) ([]float64, error) {
-	if seriesLen <= 0 {
-		return nil, fmt.Errorf("fft: Reconstruct: seriesLen must be positive, got %d", seriesLen)
-	}
-	use := harmonics
-	if topK > 0 && topK < len(harmonics) {
-		use = harmonics[:topK]
-	}
-	out := make([]float64, seriesLen)
-	for i := 0; i < seriesLen; i++ {
-		v := mean
-		for _, h := range use {
-			omega := 2 * math.Pi * float64(h.Index) / float64(seriesLen)
-			v += h.Amplitude * math.Cos(omega*float64(i)+h.Phase)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// DominantPeriod returns the period (in samples) of the strongest harmonic,
-// or 0 when the series has no oscillatory component (empty spectrum or all
-// amplitudes ~0). A tolerance relative to the mean filters numerical noise.
-func DominantPeriod(x []float64) float64 {
-	mean, hs := Spectrum(x)
-	if len(hs) == 0 {
-		return 0
-	}
-	top := hs[0]
-	noise := 1e-9 * (math.Abs(mean) + 1)
-	if top.Amplitude <= noise {
-		return 0
-	}
-	return top.Period
-}

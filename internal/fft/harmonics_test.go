@@ -98,41 +98,6 @@ func TestExtrapolateErrors(t *testing.T) {
 	}
 }
 
-func TestReconstructFitsInSample(t *testing.T) {
-	const n = 64
-	x := sineSeries(n, 1, 0.5, 16, 0)
-	mean, hs := Spectrum(x)
-	rec, err := Reconstruct(mean, hs, n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if math.Abs(rec[i]-x[i]) > 1e-8 {
-			t.Fatalf("reconstruct[%d] = %v, want %v", i, rec[i], x[i])
-		}
-	}
-	if _, err := Reconstruct(0, nil, 0, 1); err == nil {
-		t.Error("seriesLen 0 should fail")
-	}
-}
-
-func TestDominantPeriod(t *testing.T) {
-	x := sineSeries(100, 0, 1, 20, 0)
-	if got := DominantPeriod(x); math.Abs(got-20) > 1e-9 {
-		t.Errorf("DominantPeriod = %v, want 20", got)
-	}
-	flat := make([]float64, 50)
-	for i := range flat {
-		flat[i] = 3
-	}
-	if got := DominantPeriod(flat); got != 0 {
-		t.Errorf("DominantPeriod of constant = %v, want 0", got)
-	}
-	if got := DominantPeriod(nil); got != 0 {
-		t.Errorf("DominantPeriod(nil) = %v, want 0", got)
-	}
-}
-
 func BenchmarkSpectrum1440(b *testing.B) {
 	// One simulated day at minute resolution.
 	x := sineSeries(1440, 10, 4, 240, 0.3)

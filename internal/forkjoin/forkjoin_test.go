@@ -132,11 +132,10 @@ func newController(t *testing.T, nFn int) *core.Pulse {
 
 // stepController drives one minute with every function invoked.
 func stepController(p *core.Pulse, minute int) {
-	counts := make([]int, p.NumFunctions())
+	counts := make([]int, len(p.KeepAlive(minute)))
 	for i := range counts {
 		counts[i] = 1
 	}
-	p.KeepAlive(minute)
 	p.RecordInvocations(minute, counts)
 }
 

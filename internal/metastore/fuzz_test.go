@@ -1,6 +1,7 @@
 package metastore
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -33,12 +34,14 @@ func FuzzFunctionName(f *testing.F) {
 		if (vErr == nil) != (sErr == nil) {
 			t.Fatalf("validator and store disagree on %q: validator err %v, store err %v", name, vErr, sErr)
 		}
-		_, eErr := s.Exists(name)
-		if vErr == nil && eErr != nil {
-			t.Fatalf("valid name %q unusable by Exists: %v", name, eErr)
+		// Nothing is saved, so a valid name loads as "not found" and an
+		// invalid one fails before the store touches the disk.
+		_, lErr := s.Load(name)
+		if vErr == nil && !os.IsNotExist(lErr) {
+			t.Fatalf("valid name %q unusable by Load: %v", name, lErr)
 		}
-		if vErr != nil && eErr == nil {
-			t.Fatalf("invalid name %q accepted by Exists", name)
+		if vErr != nil && (lErr == nil || os.IsNotExist(lErr)) {
+			t.Fatalf("invalid name %q accepted by Load: %v", name, lErr)
 		}
 		reg, err := identity.NewRegistry(nil)
 		if err != nil {

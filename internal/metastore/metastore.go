@@ -152,53 +152,6 @@ func (s *Store) Load(name string) (core.PulseSnapshot, error) {
 	return snap, nil
 }
 
-// Exists reports whether a snapshot with the name is stored.
-func (s *Store) Exists(name string) (bool, error) {
-	p, err := s.path(name)
-	if err != nil {
-		return false, err
-	}
-	if _, err := os.Stat(p); err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, err
-	}
-	return true, nil
-}
-
-// Delete removes a snapshot; deleting a missing snapshot is not an error.
-func (s *Store) Delete(name string) error {
-	p, err := s.path(name)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("metastore: %w", err)
-	}
-	return nil
-}
-
-// List returns the stored snapshot names in lexical order.
-func (s *Store) List() ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("metastore: %w", err)
-	}
-	var names []string
-	const suffix = ".snapshot.json"
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		n := e.Name()
-		if len(n) > len(suffix) && n[len(n)-len(suffix):] == suffix {
-			names = append(names, n[:len(n)-len(suffix)])
-		}
-	}
-	return names, nil
-}
-
 // SaveController snapshots a live PULSE controller under the name.
 func (s *Store) SaveController(name string, p *core.Pulse) error {
 	if p == nil {

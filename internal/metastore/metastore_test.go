@@ -81,10 +81,6 @@ func TestLoadMissing(t *testing.T) {
 	if _, err := s.Load("nope"); !os.IsNotExist(err) {
 		t.Errorf("missing snapshot err = %v, want IsNotExist", err)
 	}
-	ok, err := s.Exists("nope")
-	if err != nil || ok {
-		t.Errorf("Exists(missing) = %v, %v", ok, err)
-	}
 }
 
 func TestNameValidation(t *testing.T) {
@@ -157,43 +153,6 @@ func TestCorruptionDetected(t *testing.T) {
 	}
 }
 
-func TestListAndDelete(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _ := newController(t)
-	for _, name := range []string{"b", "a"} {
-		if err := s.SaveController(name, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	names, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("List = %v", names)
-	}
-	if err := s.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("a"); err != nil {
-		t.Errorf("double delete errored: %v", err)
-	}
-	names, err = s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0] != "b" {
-		t.Errorf("after delete: %v", names)
-	}
-	ok, err := s.Exists("b")
-	if err != nil || !ok {
-		t.Errorf("Exists(b) = %v, %v", ok, err)
-	}
-}
-
 func TestStoreIOErrorPaths(t *testing.T) {
 	dir := t.TempDir()
 	// Open where a file occupies the path.
@@ -204,7 +163,7 @@ func TestStoreIOErrorPaths(t *testing.T) {
 	if _, err := Open(blocked); err == nil {
 		t.Error("Open over a regular file accepted")
 	}
-	// List on a store whose directory disappeared.
+	// A store whose directory disappeared.
 	gone := filepath.Join(dir, "gone")
 	s, err := Open(gone)
 	if err != nil {
@@ -213,23 +172,14 @@ func TestStoreIOErrorPaths(t *testing.T) {
 	if err := os.RemoveAll(gone); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.List(); err == nil {
-		t.Error("List on removed directory accepted")
-	}
 	// Save into the removed directory fails at temp-file creation.
 	p, _ := newController(t)
 	if err := s.SaveController("x", p); err == nil {
 		t.Error("Save into removed directory accepted")
 	}
-	// Load/Exists/Delete with invalid names.
+	// Load with an invalid name.
 	if _, err := s.Load("../x"); err == nil {
 		t.Error("Load with traversal name accepted")
-	}
-	if _, err := s.Exists("a b"); err == nil {
-		t.Error("Exists with invalid name accepted")
-	}
-	if err := s.Delete("a/b"); err == nil {
-		t.Error("Delete with invalid name accepted")
 	}
 }
 

@@ -7,24 +7,6 @@ import (
 	"github.com/pulse-serverless/pulse/internal/milp"
 )
 
-// ExampleSolve picks one variant per model under a memory budget — the
-// optimization problem the paper's MILP comparator solves each minute.
-func ExampleSolve() {
-	groups := []milp.Group{
-		// GPT: (value, memory MB) per variant, low → high quality.
-		{Items: []milp.Item{{Value: 0.88, Weight: 982}, {Value: 0.05, Weight: 1894}, {Value: 0.01, Weight: 3500}}},
-		// BERT.
-		{Items: []milp.Item{{Value: 0.80, Weight: 369}, {Value: 0.03, Weight: 514}}},
-	}
-	sol, err := milp.Solve(groups, 1400)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("choice %v, value %.2f, weight %.0f MB\n", sol.Choice, sol.Value, sol.Weight)
-	// Output:
-	// choice [0 0], value 1.68, weight 1351 MB
-}
-
 // ExampleSolveGeneric solves the same program through the generic
 // simplex-based branch and bound, which returns identical optima at the
 // cost profile of real MILP machinery.

@@ -7,12 +7,14 @@ import (
 	"github.com/pulse-serverless/pulse/internal/lp"
 )
 
-// SolveGeneric solves the same multiple-choice knapsack as Solve, but the
-// way a generic MILP toolchain does: a 0/1 integer program whose relaxation
-// is solved by the dense simplex in internal/lp at every branch-and-bound
-// node. It returns the same optimal values as Solve (cross-checked in
-// tests) at the cost profile of real MILP machinery — which is precisely
-// the overhead asymmetry the paper's Figure 9 measures PULSE against.
+// SolveGeneric maximizes total value subject to total weight ≤ budget,
+// selecting at most one item per group, the way a generic MILP toolchain
+// does: a 0/1 integer program whose relaxation is solved by the dense
+// simplex in internal/lp at every branch-and-bound node. Weights and the
+// budget must be non-negative. It returns the optimum a specialized
+// combinatorial solver finds (cross-checked in tests) at the cost profile
+// of real MILP machinery — which is precisely the overhead asymmetry the
+// paper's Figure 9 measures PULSE against.
 //
 // Formulation, per node's free variables x_{g,i} ∈ [0,1]:
 //

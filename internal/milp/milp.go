@@ -4,17 +4,14 @@
 // evaluating "all selected models and their variants" simultaneously.
 //
 // The PULSE instance of that program is exactly a multiple-choice knapsack
-// (each model picks at most one variant; memory is the single resource), so
-// this package provides an exact branch-and-bound MCKP solver with an
-// admissible value bound, plus a cluster policy that re-solves the program
-// every minute. Exactness means the solver reproduces both sides of the
-// paper's comparison: the optimizer's answers and its overhead.
+// (each model picks at most one variant; memory is the single resource).
+// This package solves it exactly the way a generic MILP toolchain does
+// (SolveGeneric: branch and bound over simplex relaxations), and provides a
+// cluster policy that re-solves the program every minute. Exactness means
+// the solver reproduces both sides of the paper's comparison: the
+// optimizer's answers and its overhead. The tests hold it to a specialized
+// combinatorial solver and to exhaustive enumeration.
 package milp
-
-import (
-	"fmt"
-	"math"
-)
 
 // Item is one selectable option within a group: choosing it yields Value
 // and consumes Weight of the budget.
@@ -29,7 +26,7 @@ type Group struct {
 	Items []Item
 }
 
-// Solution is the optimal assignment found by Solve.
+// Solution is the optimal assignment found by SolveGeneric.
 type Solution struct {
 	// Choice holds the selected item index per group, -1 for none.
 	Choice []int
@@ -37,146 +34,6 @@ type Solution struct {
 	Weight float64
 	// Nodes counts branch-and-bound nodes explored (overhead proxy).
 	Nodes int
-	// LPIterations counts simplex iterations spent in relaxations
-	// (SolveGeneric only; zero for the combinatorial Solve).
+	// LPIterations counts simplex iterations spent in relaxations.
 	LPIterations int
-}
-
-// Solve maximizes total value subject to total weight ≤ budget, selecting
-// at most one item per group. Weights and the budget must be non-negative;
-// values may be anything (negative-value items are simply never chosen, as
-// "none" dominates them).
-func Solve(groups []Group, budget float64) (Solution, error) {
-	if budget < 0 {
-		return Solution{}, fmt.Errorf("milp: negative budget %v", budget)
-	}
-	for gi, g := range groups {
-		for ii, it := range g.Items {
-			if it.Weight < 0 {
-				return Solution{}, fmt.Errorf("milp: group %d item %d has negative weight %v", gi, ii, it.Weight)
-			}
-			if math.IsNaN(it.Value) || math.IsNaN(it.Weight) {
-				return Solution{}, fmt.Errorf("milp: group %d item %d has NaN", gi, ii)
-			}
-		}
-	}
-	s := &solver{groups: groups, budget: budget}
-	s.prepare()
-	s.best.Choice = make([]int, len(groups))
-	for i := range s.best.Choice {
-		s.best.Choice[i] = -1
-	}
-	s.current = make([]int, len(groups))
-	for i := range s.current {
-		s.current[i] = -1
-	}
-	// The all-none assignment (value 0, weight 0) is always feasible and is
-	// the initial incumbent; branches that cannot strictly beat it prune.
-	s.branch(0, 0, 0)
-	return s.best, nil
-}
-
-type solver struct {
-	groups  []Group
-	budget  float64
-	suffix  []float64 // suffix[i] = Σ_{g ≥ i} max(0, max value in g): admissible bound
-	order   [][]int   // per group: item indices sorted by descending value
-	current []int
-	best    Solution
-}
-
-func (s *solver) prepare() {
-	n := len(s.groups)
-	s.suffix = make([]float64, n+1)
-	s.order = make([][]int, n)
-	for i := n - 1; i >= 0; i-- {
-		best := 0.0 // "none" contributes 0
-		items := s.groups[i].Items
-		order := make([]int, len(items))
-		for j := range order {
-			order[j] = j
-		}
-		// Descending by value (stable on index for determinism): trying
-		// high-value items first finds strong incumbents early, which the
-		// suffix bound then prunes against.
-		for a := 1; a < len(order); a++ {
-			for b := a; b > 0 && items[order[b]].Value > items[order[b-1]].Value; b-- {
-				order[b], order[b-1] = order[b-1], order[b]
-			}
-		}
-		s.order[i] = order
-		for _, it := range items {
-			if it.Value > best {
-				best = it.Value
-			}
-		}
-		s.suffix[i] = s.suffix[i+1] + best
-	}
-}
-
-// branch explores group gi with accumulated value/weight.
-func (s *solver) branch(gi int, value, weight float64) {
-	s.best.Nodes++
-	if value+s.suffix[gi] <= s.best.Value {
-		return // even the optimistic completion cannot beat the incumbent
-	}
-	if gi == len(s.groups) {
-		// Strictly better than the incumbent (guaranteed by the bound
-		// check above, since suffix[n] == 0).
-		s.best.Value = value
-		s.best.Weight = weight
-		copy(s.best.Choice, s.current)
-		return
-	}
-	// Try each item, best value first for tighter early incumbents.
-	for _, ii := range s.order[gi] {
-		it := s.groups[gi].Items[ii]
-		if it.Value <= 0 {
-			continue // dominated by "none"
-		}
-		if weight+it.Weight > s.budget {
-			continue
-		}
-		s.current[gi] = ii
-		s.branch(gi+1, value+it.Value, weight+it.Weight)
-	}
-	// And the "none" branch.
-	s.current[gi] = -1
-	s.branch(gi+1, value, weight)
-}
-
-// BruteForce exhaustively enumerates all assignments; exponential, only for
-// validating Solve on small instances.
-func BruteForce(groups []Group, budget float64) (Solution, error) {
-	if budget < 0 {
-		return Solution{}, fmt.Errorf("milp: negative budget %v", budget)
-	}
-	n := len(groups)
-	best := Solution{Choice: make([]int, n)}
-	for i := range best.Choice {
-		best.Choice[i] = -1
-	}
-	current := make([]int, n)
-	var rec func(gi int, value, weight float64)
-	rec = func(gi int, value, weight float64) {
-		if gi == n {
-			if value > best.Value {
-				best.Value = value
-				best.Weight = weight
-				copy(best.Choice, current)
-			}
-			return
-		}
-		current[gi] = -1
-		rec(gi+1, value, weight)
-		for ii, it := range groups[gi].Items {
-			if weight+it.Weight <= budget {
-				current[gi] = ii
-				rec(gi+1, value+it.Value, weight+it.Weight)
-			}
-		}
-		current[gi] = -1
-	}
-	rec(0, 0, 0)
-	return best, nil
 }

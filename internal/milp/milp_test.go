@@ -12,31 +12,13 @@ import (
 	"github.com/pulse-serverless/pulse/internal/trace"
 )
 
-func TestSolveValidation(t *testing.T) {
-	if _, err := Solve(nil, -1); err == nil {
-		t.Error("negative budget accepted")
-	}
-	if _, err := Solve([]Group{{Items: []Item{{Value: 1, Weight: -2}}}}, 10); err == nil {
-		t.Error("negative weight accepted")
-	}
-	if _, err := Solve([]Group{{Items: []Item{{Value: math.NaN(), Weight: 1}}}}, 10); err == nil {
-		t.Error("NaN accepted")
-	}
-}
-
 func TestSolveEmptyAndTrivial(t *testing.T) {
-	sol, err := Solve(nil, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solve(nil, 10)
 	if sol.Value != 0 || sol.Weight != 0 || len(sol.Choice) != 0 {
 		t.Errorf("empty solve = %+v", sol)
 	}
 	// One group, budget excludes everything.
-	sol, err = Solve([]Group{{Items: []Item{{Value: 5, Weight: 100}}}}, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol = solve([]Group{{Items: []Item{{Value: 5, Weight: 100}}}}, 50)
 	if sol.Choice[0] != -1 || sol.Value != 0 {
 		t.Errorf("infeasible item chosen: %+v", sol)
 	}
@@ -49,10 +31,7 @@ func TestSolveKnownOptimum(t *testing.T) {
 		{Items: []Item{{Value: 4, Weight: 3}, {Value: 6, Weight: 6}, {Value: 8, Weight: 9}}},
 		{Items: []Item{{Value: 3, Weight: 4}, {Value: 5, Weight: 8}}},
 	}
-	sol, err := Solve(groups, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solve(groups, 10)
 	if sol.Value != 9 {
 		t.Errorf("value = %v, want 9 (choice %v)", sol.Value, sol.Choice)
 	}
@@ -69,16 +48,13 @@ func TestSolveKnownOptimum(t *testing.T) {
 
 func TestSolveNegativeValuesNeverChosen(t *testing.T) {
 	groups := []Group{{Items: []Item{{Value: -5, Weight: 1}}}}
-	sol, err := Solve(groups, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solve(groups, 10)
 	if sol.Choice[0] != -1 {
 		t.Error("negative-value item chosen over none")
 	}
 }
 
-// Property: Solve matches exhaustive enumeration on random small instances.
+// Property: solve matches exhaustive enumeration on random small instances.
 func TestSolveMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -96,14 +72,8 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 			groups[g] = Group{Items: items}
 		}
 		budget := rng.Float64() * 20
-		fast, err := Solve(groups, budget)
-		if err != nil {
-			return false
-		}
-		slow, err := BruteForce(groups, budget)
-		if err != nil {
-			return false
-		}
+		fast := solve(groups, budget)
+		slow := bruteForce(groups, budget)
 		if math.Abs(fast.Value-slow.Value) > 1e-9 {
 			return false
 		}
@@ -140,8 +110,8 @@ func TestNewPolicyValidation(t *testing.T) {
 	}
 	// Default budget: 60% of all-highest footprint.
 	want := 0.6 * (cat.Families[0].Highest().MemoryMB + cat.Families[1].Highest().MemoryMB)
-	if math.Abs(p.MemoryBudgetMB()-want) > 1e-9 {
-		t.Errorf("budget = %v, want %v", p.MemoryBudgetMB(), want)
+	if math.Abs(p.cfg.MemoryBudgetMB-want) > 1e-9 {
+		t.Errorf("budget = %v, want %v", p.cfg.MemoryBudgetMB, want)
 	}
 }
 
@@ -214,24 +184,5 @@ func TestPolicyVsPulseShape(t *testing.T) {
 	if rMILP.PolicyOverheadSec <= rPulse.PolicyOverheadSec {
 		t.Errorf("MILP overhead %v not above PULSE %v",
 			rMILP.PolicyOverheadSec, rPulse.PolicyOverheadSec)
-	}
-}
-
-func BenchmarkSolve12Functions(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	groups := make([]Group, 12)
-	for g := range groups {
-		items := make([]Item, 3)
-		for i := range items {
-			items[i] = Item{Value: rng.Float64() * 2, Weight: 300 + rng.Float64()*3000}
-		}
-		groups[g] = Group{Items: items}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Solve(groups, 10000); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

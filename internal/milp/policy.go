@@ -22,12 +22,6 @@ type PolicyConfig struct {
 	MemoryBudgetMB float64
 	// Blend selects the probability history mix (default: both, as PULSE).
 	Blend core.HistoryBlend
-	// UseFastSolver swaps the generic simplex-based branch-and-bound for
-	// the specialized combinatorial solver. The default (false) is the
-	// faithful Figure 9 comparator: generic MILP machinery and its
-	// overhead. Both solvers return identical optima (cross-checked in
-	// tests).
-	UseFastSolver bool
 }
 
 // Policy is the MILP alternative to PULSE: every minute it solves, exactly,
@@ -90,9 +84,6 @@ func NewPolicy(cfg PolicyConfig) (*Policy, error) {
 // Name implements cluster.Policy.
 func (p *Policy) Name() string { return "milp" }
 
-// MemoryBudgetMB returns the effective budget.
-func (p *Policy) MemoryBudgetMB() float64 { return p.cfg.MemoryBudgetMB }
-
 // KeepAlive implements cluster.Policy by solving the per-minute MCKP.
 func (p *Policy) KeepAlive(t int) []int {
 	p.groups = p.groups[:0]
@@ -120,13 +111,9 @@ func (p *Policy) KeepAlive(t int) []int {
 	if len(p.groups) == 0 {
 		return p.out
 	}
-	var sol Solution
-	var err error
-	if p.cfg.UseFastSolver {
-		sol, err = Solve(p.groups, p.cfg.MemoryBudgetMB)
-	} else {
-		sol, err = SolveGeneric(p.groups, p.cfg.MemoryBudgetMB)
-	}
+	// Generic MILP machinery and its overhead: the faithful Figure 9
+	// comparator.
+	sol, err := SolveGeneric(p.groups, p.cfg.MemoryBudgetMB)
 	if err != nil {
 		panic("milp: solve: " + err.Error())
 	}

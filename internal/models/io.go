@@ -6,9 +6,9 @@ import (
 	"io"
 )
 
-// The model repository (Figure 3) as a file artifact: catalogs serialize to
-// JSON so deployments can describe their own model families and variants
-// without recompiling.
+// The model repository (Figure 3) as a file artifact: a JSON catalog lets
+// a deployment describe its own model families and variants without
+// recompiling (pulsesim -catalog).
 //
 //	{
 //	  "families": [
@@ -39,36 +39,8 @@ type variantJSON struct {
 	MemoryMB     float64 `json:"memoryMB"`
 }
 
-// WriteCatalog serializes a validated catalog as indented JSON.
-func WriteCatalog(w io.Writer, c *Catalog) error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	out := catalogJSON{Families: make([]familyJSON, len(c.Families))}
-	for i, f := range c.Families {
-		fj := familyJSON{Name: f.Name, Task: f.Task, Dataset: f.Dataset,
-			Variants: make([]variantJSON, len(f.Variants))}
-		for j, v := range f.Variants {
-			fj.Variants[j] = variantJSON{
-				Name:         v.Name,
-				AccuracyPct:  v.AccuracyPct,
-				ExecSec:      v.ExecSec,
-				ColdStartSec: v.ColdStartSec,
-				MemoryMB:     v.MemoryMB,
-			}
-		}
-		out.Families[i] = fj
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		return fmt.Errorf("models: encode catalog: %w", err)
-	}
-	return nil
-}
-
-// ReadCatalog parses and validates a catalog written by WriteCatalog (or
-// authored by hand). Unknown fields are rejected to catch typos.
+// ReadCatalog parses and validates a catalog file in the layout above.
+// Unknown fields are rejected to catch typos.
 func ReadCatalog(r io.Reader) (*Catalog, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()

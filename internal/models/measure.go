@@ -70,13 +70,6 @@ func (l *LambdaSim) SetMemorySize(mb float64) error {
 // MemorySize returns the configured memory size in MB.
 func (l *LambdaSim) MemorySize() float64 { return l.memorySize }
 
-// Warm reports whether a container is currently alive.
-func (l *LambdaSim) Warm() bool { return l.warm }
-
-// Expire tears the container down, as the platform does after the
-// keep-alive period lapses.
-func (l *LambdaSim) Expire() { l.warm = false }
-
 func (l *LambdaSim) noise() float64 {
 	if l.noiseSigma == 0 {
 		return 1

@@ -11,7 +11,7 @@ func TestLambdaSimColdWarmCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.Warm() {
+	if sim.warm {
 		t.Error("fresh simulator should be cold")
 	}
 	s, cold := sim.Invoke()
@@ -41,10 +41,6 @@ func TestLambdaSimColdWarmCycle(t *testing.T) {
 	}
 	if _, cold := sim.Invoke(); cold {
 		t.Error("unchanged memory size should not force cold start")
-	}
-	sim.Expire()
-	if _, cold := sim.Invoke(); !cold {
-		t.Error("expired container should cold start")
 	}
 }
 

@@ -143,16 +143,6 @@ func (c *Catalog) Validate() error {
 	return nil
 }
 
-// FamilyByName returns the named family, or nil.
-func (c *Catalog) FamilyByName(name string) *Family {
-	for i := range c.Families {
-		if c.Families[i].Name == name {
-			return &c.Families[i]
-		}
-	}
-	return nil
-}
-
 // Assignment maps function index → family index within a catalog: which
 // model each serverless function serves. The paper's simulation performs
 // 1000 runs, "each presenting a unique combination of model-to-function

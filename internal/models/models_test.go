@@ -111,7 +111,7 @@ func TestPaperCatalogValid(t *testing.T) {
 		t.Errorf("families = %d, want 5 (Table IV)", len(c.Families))
 	}
 	// Spot-check Table I numbers.
-	gpt := c.FamilyByName("GPT")
+	gpt := family(c, "GPT")
 	if gpt == nil {
 		t.Fatal("no GPT family")
 	}
@@ -136,12 +136,9 @@ func TestPaperCatalogValid(t *testing.T) {
 			}
 		}
 	}
-	yolo := c.FamilyByName("YOLO")
+	yolo := family(c, "YOLO")
 	if yolo.Lowest().AccuracyPct != 56.80 {
 		t.Errorf("YOLO lowest accuracy = %v, want 56.80 (quoted in paper §III-B)", yolo.Lowest().AccuracyPct)
-	}
-	if c.FamilyByName("nope") != nil {
-		t.Error("FamilyByName of absent family should be nil")
 	}
 }
 
@@ -166,7 +163,7 @@ func TestTwoVariantCatalog(t *testing.T) {
 		}
 	}
 	// BERT already has two variants and must be preserved.
-	if c.FamilyByName("BERT").NumVariants() != 2 {
+	if family(c, "BERT").NumVariants() != 2 {
 		t.Error("BERT lost a variant")
 	}
 	// Collapse must not alias the source catalog.

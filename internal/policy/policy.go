@@ -30,10 +30,6 @@ type base struct {
 	out        []int // reused decision buffer
 }
 
-func newBase(cat *models.Catalog, asg models.Assignment, window int) (*base, error) {
-	return newBaseNamed(cat, asg, window, nil)
-}
-
 // newBaseNamed builds the shared baseline state with explicit function
 // names (nil selects fn-0 … fn-{n-1}).
 func newBaseNamed(cat *models.Catalog, asg models.Assignment, window int, names []string) (*base, error) {

@@ -89,8 +89,6 @@ type IntegratedPolicy struct {
 	global     *core.GlobalOptimizer
 	out        []int
 	ip         []float64
-
-	totalDowngrades int
 }
 
 // IntegratedConfig parameterizes the PULSE side of the integration. Zero
@@ -162,9 +160,6 @@ func NewIntegratedPolicy(w Warmer, cat *models.Catalog, asg models.Assignment, c
 // Name implements cluster.Policy.
 func (p *IntegratedPolicy) Name() string { return p.warmer.Name() + "+pulse" }
 
-// TotalDowngrades returns Algorithm 2 downgrades applied so far.
-func (p *IntegratedPolicy) TotalDowngrades() int { return p.totalDowngrades }
-
 // KeepAlive implements cluster.Policy: the warmer gates which functions are
 // warm; PULSE's probability thresholds choose the variant; Algorithm 1+2
 // flatten memory peaks.
@@ -189,11 +184,9 @@ func (p *IntegratedPolicy) KeepAlive(t int) []int {
 		panic("predict: invalid integrated decisions: " + err.Error())
 	}
 	if p.detector.IsPeak(kam) {
-		downs, err := p.global.Flatten(p.out, p.ip, p.detector.FlattenTarget())
-		if err != nil {
+		if _, err := p.global.Flatten(p.out, p.ip, p.detector.FlattenTarget()); err != nil {
 			panic("predict: flatten: " + err.Error())
 		}
-		p.totalDowngrades += len(downs)
 		if kam, err = p.global.KeptAliveMemoryMB(p.out); err != nil {
 			panic("predict: post-flatten memory: " + err.Error())
 		}

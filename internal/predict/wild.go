@@ -224,12 +224,3 @@ func (w *Wild) WantWarm(t, fn int) bool {
 	}
 	return t >= w.warmLo[fn] && t <= w.warmHi[fn]
 }
-
-// WindowFor exposes the current warm window of fn (for tests/reports);
-// ok is false before the function's first invocation.
-func (w *Wild) WindowFor(fn int) (lo, hi int, ok bool) {
-	if fn < 0 || fn >= len(w.warmLo) || w.warmLo[fn] < 0 {
-		return 0, 0, false
-	}
-	return w.warmLo[fn], w.warmHi[fn], true
-}

@@ -291,9 +291,6 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 	return r, nil
 }
 
-// Window returns the per-function decision-ring capacity.
-func (r *Recorder) Window() int { return r.window }
-
 // entryFor returns the entry currently owning slot fn, nil when the slot
 // is unknown or the entry has moved to a newer slot (stale alias after a
 // re-registration). Callers hold r.mu.
@@ -691,17 +688,6 @@ func (r *Recorder) ExplainMinute(name string, minute int) (Explanation, error) {
 		return ex, nil
 	}
 	return Explanation{}, fmt.Errorf("provenance: no recorded decision for %q at minute %d (ring keeps the last %d non-resting decisions)", name, minute, r.window)
-}
-
-// Names returns every identity the recorder knows, registration order.
-func (r *Recorder) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.entries))
-	for i, e := range r.entries {
-		out[i] = e.name
-	}
-	return out
 }
 
 // Rings returns a deep copy of every function's decision ring, oldest

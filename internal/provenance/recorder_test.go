@@ -48,8 +48,8 @@ func TestNewRecorderValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Window() != DefaultWindow {
-		t.Errorf("default window %d, want %d", rec.Window(), DefaultWindow)
+	if rec.window != DefaultWindow {
+		t.Errorf("default window %d, want %d", rec.window, DefaultWindow)
 	}
 }
 
@@ -369,8 +369,12 @@ func TestRecorderChurnKeepsIdentity(t *testing.T) {
 	if d := ex.Decisions[1]; d.PlannedAt != -1 || d.Slot != 2 {
 		t.Errorf("new incarnation decision %+v, want cleared plan mirror and slot 2", d)
 	}
-	if got := rec.Names(); !reflect.DeepEqual(got, []string{"fn-0", "fn-1"}) {
-		t.Errorf("Names() = %v", got)
+	var names []string
+	for _, e := range rec.entries {
+		names = append(names, e.name)
+	}
+	if !reflect.DeepEqual(names, []string{"fn-0", "fn-1"}) {
+		t.Errorf("recorded identities = %v", names)
 	}
 }
 

@@ -54,8 +54,7 @@ type TracerStats struct {
 
 // TracerConfig parameterizes a Tracer.
 type TracerConfig struct {
-	// Stride enables 1-in-Stride sampling; <= 0 constructs the tracer
-	// disabled (it can be enabled later with SetStride).
+	// Stride enables 1-in-Stride sampling; <= 0 disables the tracer.
 	Stride int64
 	// Capacity bounds the retained-trace ring (0 selects
 	// DefaultTraceCapacity).
@@ -63,7 +62,7 @@ type TracerConfig struct {
 }
 
 // Tracer is the sampled per-invocation tracer. The fast path is
-// Sample(): with sampling disabled it is a single atomic load, allocates
+// Sample(): with sampling disabled it is a single field read, allocates
 // nothing, and takes no lock — the pinned cost of carrying a tracer on the
 // runtime's Invoke path. When enabled, every Invoke increments one shared
 // counter and every Stride-th call is recorded.
@@ -75,7 +74,7 @@ type TracerConfig struct {
 // land on the stride boundary does vary with goroutine interleaving, so
 // trace *contents* are compared only per-mode, never across modes.
 type Tracer struct {
-	stride atomic.Int64  // K; <= 0 disabled
+	stride int64         // K; <= 0 disabled; fixed at construction
 	count  atomic.Uint64 // Invoke attempts while enabled
 
 	mu      sync.Mutex
@@ -90,40 +89,18 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	if c <= 0 {
 		c = DefaultTraceCapacity
 	}
-	t := &Tracer{ring: make([]Trace, c)}
-	t.stride.Store(cfg.Stride)
-	return t
-}
-
-// SetStride replaces the sampling period: stride <= 0 disables sampling.
-// Safe to call concurrently with Sample.
-func (t *Tracer) SetStride(stride int64) {
-	if t == nil {
-		return
-	}
-	t.stride.Store(stride)
-}
-
-// Stride returns the current sampling period (0 when disabled).
-func (t *Tracer) Stride() int64 {
-	if t == nil {
-		return 0
-	}
-	if k := t.stride.Load(); k > 0 {
-		return k
-	}
-	return 0
+	return &Tracer{stride: cfg.Stride, ring: make([]Trace, c)}
 }
 
 // Sample reports whether the caller should record this invocation. It is
 // nil-safe (a nil tracer never samples) and, when sampling is disabled,
-// costs exactly one atomic load with zero allocations — the fast-path
+// costs one read of the fixed stride with zero allocations — the fast-path
 // contract pinned by the runtime's AllocsPerRun tests.
 func (t *Tracer) Sample() bool {
 	if t == nil {
 		return false
 	}
-	k := t.stride.Load()
+	k := t.stride
 	if k <= 0 {
 		return false
 	}
@@ -193,7 +170,7 @@ func (t *Tracer) Stats() TracerStats {
 	sampled := t.n
 	capacity := len(t.ring)
 	t.mu.Unlock()
-	stride := t.stride.Load()
+	stride := t.stride
 	if stride < 0 {
 		stride = 0
 	}

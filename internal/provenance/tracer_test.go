@@ -9,7 +9,6 @@ func TestTracerDisabledAndNil(t *testing.T) {
 	if nilTracer.Sample() {
 		t.Error("nil tracer sampled")
 	}
-	nilTracer.SetStride(3) // must not panic
 	nilTracer.Tap(nil)
 	nilTracer.Record(Trace{})
 	if got := nilTracer.Snapshot(0); got != nil {
@@ -25,9 +24,6 @@ func TestTracerDisabledAndNil(t *testing.T) {
 	}
 	if st := tr.Stats(); st.Enabled || st.Attempts != 0 || st.Capacity != DefaultTraceCapacity {
 		t.Errorf("disabled Stats = %+v", st)
-	}
-	if tr.Stride() != 0 {
-		t.Errorf("disabled Stride = %d", tr.Stride())
 	}
 }
 
@@ -48,15 +44,6 @@ func TestTracerStrideSampling(t *testing.T) {
 	st := tr.Stats()
 	if st.Attempts != 10 || st.Sampled != 3 || !st.Enabled || st.Stride != 3 {
 		t.Errorf("Stats = %+v", st)
-	}
-
-	// SetStride(0) disables: further attempts neither count nor sample.
-	tr.SetStride(0)
-	if tr.Sample() {
-		t.Error("sampled after disable")
-	}
-	if got := tr.Stats().Attempts; got != 10 {
-		t.Errorf("attempts after disable = %d, want 10", got)
 	}
 }
 

@@ -83,24 +83,6 @@ func F4(v float64) string { return fmt.Sprintf("%.4f", v) }
 // Pct formats a percentage with sign.
 func Pct(v float64) string { return fmt.Sprintf("%+.1f%%", v) }
 
-// Series writes a named numeric series as "name: v0 v1 v2 …" with an
-// optional downsampling stride, used for the figure reproductions (memory
-// timelines, error series).
-func Series(w io.Writer, name string, xs []float64, stride int) error {
-	if stride <= 0 {
-		stride = 1
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteString(":")
-	for i := 0; i < len(xs); i += stride {
-		fmt.Fprintf(&b, " %.1f", xs[i])
-	}
-	b.WriteByte('\n')
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 // Sparkline renders a series as a compact unicode bar chart, one character
 // per bucket (max over the bucket), for eyeballing memory timelines in
 // terminal output.
@@ -139,28 +121,4 @@ func Sparkline(xs []float64, width int) string {
 		b.WriteRune(ticks[idx])
 	}
 	return b.String()
-}
-
-// Comparison is one paper-vs-measured record for EXPERIMENTS.md.
-type Comparison struct {
-	Experiment string // e.g. "Figure 6a"
-	Metric     string
-	Paper      string
-	Measured   string
-	ShapeHolds bool
-}
-
-// RenderComparisons writes a paper-vs-measured table.
-func RenderComparisons(w io.Writer, title string, cs []Comparison) error {
-	t := NewTable(title, "experiment", "metric", "paper", "measured", "shape holds")
-	for _, c := range cs {
-		holds := "yes"
-		if !c.ShapeHolds {
-			holds = "NO"
-		}
-		if err := t.AddRow(c.Experiment, c.Metric, c.Paper, c.Measured, holds); err != nil {
-			return err
-		}
-	}
-	return t.Render(w)
 }

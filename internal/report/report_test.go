@@ -47,23 +47,6 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	var sb strings.Builder
-	if err := Series(&sb, "kam", []float64{1, 2, 3, 4}, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := sb.String(); got != "kam: 1.0 3.0\n" {
-		t.Errorf("series = %q", got)
-	}
-	sb.Reset()
-	if err := Series(&sb, "x", []float64{5}, 0); err != nil { // stride clamps to 1
-		t.Fatal(err)
-	}
-	if got := sb.String(); got != "x: 5.0\n" {
-		t.Errorf("series = %q", got)
-	}
-}
-
 func TestSparkline(t *testing.T) {
 	if got := Sparkline(nil, 10); got != "" {
 		t.Errorf("empty sparkline = %q", got)
@@ -87,20 +70,5 @@ func TestSparkline(t *testing.T) {
 	wide := Sparkline([]float64{0, 9, 0, 0}, 2)
 	if []rune(wide)[0] != '█' {
 		t.Errorf("bucketed sparkline lost the max: %q", wide)
-	}
-}
-
-func TestRenderComparisons(t *testing.T) {
-	var sb strings.Builder
-	err := RenderComparisons(&sb, "Paper vs measured", []Comparison{
-		{Experiment: "Fig 6a", Metric: "cost", Paper: "-39.5%", Measured: "-41.2%", ShapeHolds: true},
-		{Experiment: "Fig 9b", Metric: "accuracy", Paper: "MILP < PULSE", Measured: "equal", ShapeHolds: false},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "yes") || !strings.Contains(out, "NO") {
-		t.Errorf("comparison flags missing:\n%s", out)
 	}
 }

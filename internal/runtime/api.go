@@ -82,13 +82,6 @@ func Endpoints() []Endpoint {
 	}
 }
 
-// NewAPI wraps a runtime in an HTTP handler without telemetry: /metrics
-// serves the global runtime counters only, and the decision endpoints
-// report telemetry as disabled.
-func NewAPI(rt *Runtime) (*API, error) {
-	return NewInstrumentedAPI(rt, nil)
-}
-
 // NewInstrumentedAPI wraps a runtime and its telemetry pipeline in an HTTP
 // handler. The telemetry instance should be the same one attached to the
 // runtime (and controller) as Observer, so /metrics exposes the labeled

@@ -38,7 +38,7 @@ func newAttributedAPI(t *testing.T) (*API, *Runtime) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	api, err := NewAPI(rt)
+	api, err := NewInstrumentedAPI(rt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,8 @@ func TestEndpointsTableMatchesMux(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(Config{Catalog: cat, Assignment: asg, Policy: p, Clock: NewManualClock(time.Unix(0, 0)), Observer: tel})
+	rt, err := New(Config{Catalog: cat, Assignment: asg, Policy: p, Clock: NewManualClock(time.Unix(0, 0)), Observer: tel,
+		Tracer: provenance.NewTracer(provenance.TracerConfig{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestEndpointsTableMatchesMux(t *testing.T) {
 		}
 	}
 	// Likewise /why and /traces: gated on their pipelines, served once the
-	// recorder and tracer are attached.
+	// recorder is attached and the runtime carries a tracer.
 	prov, err := provenance.NewRecorder(provenance.RecorderConfig{
 		Catalog: cat, Assignment: asg, Names: identity.DefaultNames(len(asg)),
 	})
@@ -257,7 +258,6 @@ func TestEndpointsTableMatchesMux(t *testing.T) {
 		t.Fatal(err)
 	}
 	tapi.AttachProvenance(prov)
-	tapi.AttachTracer(provenance.NewTracer(provenance.TracerConfig{}))
 	for _, target := range []string{"/why?fn=fn-0", "/traces"} {
 		rec := httptest.NewRecorder()
 		tapi.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))

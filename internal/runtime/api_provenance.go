@@ -18,15 +18,6 @@ func (a *API) AttachProvenance(rec *provenance.Recorder) {
 	a.prov = rec
 }
 
-// AttachTracer connects the sampled invocation tracer to the API, enabling
-// GET /traces. Pass the same tracer the runtime was built with
-// (Config.Tracer); rt.Tracer() is attached automatically when set, so this
-// is only needed for a tracer created after the API. nil leaves /traces
-// answering 404.
-func (a *API) AttachTracer(tr *provenance.Tracer) {
-	a.tracer = tr
-}
-
 // whyDefaultN bounds GET /why responses when no n parameter is given.
 const whyDefaultN = 16
 

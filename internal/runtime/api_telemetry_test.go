@@ -90,7 +90,7 @@ func TestMetricsContentType(t *testing.T) {
 }
 
 func TestEventsWithoutTelemetry(t *testing.T) {
-	api, _ := newTestAPI(t) // NewAPI: no telemetry attached
+	api, _ := newTestAPI(t) // no telemetry attached
 	for _, path := range []string{"/events", "/decisions"} {
 		rec := get(t, api, path)
 		if rec.Code != http.StatusNotFound {

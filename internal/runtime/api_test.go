@@ -13,7 +13,7 @@ func newTestAPI(t *testing.T) (*API, *Runtime) {
 	t.Helper()
 	cat, asg := testSetup(t)
 	rt := newFixedRuntime(t, cat, asg)
-	api, err := NewAPI(rt)
+	api, err := NewInstrumentedAPI(rt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func newTestAPI(t *testing.T) (*API, *Runtime) {
 }
 
 func TestNewAPIValidation(t *testing.T) {
-	if _, err := NewAPI(nil); err == nil {
+	if _, err := NewInstrumentedAPI(nil, nil); err == nil {
 		t.Error("nil runtime accepted")
 	}
 }

@@ -44,7 +44,7 @@ func newTournamentAPI(t *testing.T) (*API, *Runtime) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	api, err := NewAPI(rt)
+	api, err := NewInstrumentedAPI(rt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,8 @@ import (
 	"time"
 )
 
-// Clock abstracts time for the runtime: Now for latency stamps and Sleep
-// for simulated execution delays.
+// Clock abstracts the runtime's simulated execution delays.
 type Clock interface {
-	Now() time.Time
 	Sleep(d time.Duration)
 }
 
@@ -33,9 +31,6 @@ type WallClock struct {
 	// Negative values are treated as unset (real time).
 	Compression float64
 }
-
-// Now implements Clock.
-func (w WallClock) Now() time.Time { return time.Now() }
 
 // Sleep implements Clock.
 func (w WallClock) Sleep(d time.Duration) {
@@ -55,13 +50,6 @@ type ManualClock struct {
 // NewManualClock starts a manual clock at the given instant.
 func NewManualClock(start time.Time) *ManualClock {
 	return &ManualClock{now: start}
-}
-
-// Now implements Clock.
-func (m *ManualClock) Now() time.Time {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.now
 }
 
 // Sleep implements Clock by advancing the clock without blocking.

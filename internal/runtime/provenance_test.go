@@ -15,7 +15,7 @@ import (
 
 // TestInvokeTracerDisabledZeroAllocs pins the cost of *carrying* a tracer:
 // with sampling disabled (stride 0), Invoke must stay allocation-free in
-// every mode — the disabled check is one atomic load. Run by the CI alloc
+// every mode — the disabled check is one field read. Run by the CI alloc
 // job.
 func TestInvokeTracerDisabledZeroAllocs(t *testing.T) {
 	cat, asg := testSetup(t)

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -89,7 +90,7 @@ type Config struct {
 	Observer telemetry.Observer
 	// Tracer, when non-nil, samples 1-in-K invocations into span-shaped
 	// trace records (see provenance.Tracer). With sampling disabled the
-	// Invoke fast path pays exactly one atomic load and allocates nothing
+	// Invoke fast path pays one field read and allocates nothing
 	// (pinned by TestInvokeTracerDisabledZeroAllocs); a nil Tracer pays a
 	// nil check.
 	Tracer *provenance.Tracer
@@ -685,7 +686,7 @@ func (r *Runtime) Invoke(fn int) (Invocation, error) {
 	// Tracer sampling is decided up front, before the outcome is known, so
 	// the number of recorded traces depends only on how many Invoke calls
 	// arrived — identical across modes by construction. With sampling
-	// disabled Sample is a single atomic load.
+	// disabled Sample is a single field read.
 	sampled := r.tracer.Sample()
 	var t0 time.Time
 	if sampled {
@@ -886,4 +887,29 @@ func (r *Runtime) AliveVariant(fn int) (int, error) {
 	v := st.alive
 	st.mu.Unlock()
 	return v, nil
+}
+
+// Ticker advances the runtime once per interval until the context is
+// cancelled — the production driver cmd/pulsed uses, with the interval set
+// to one (possibly compressed) minute. It returns ErrClosed when the
+// runtime is closed underneath it.
+func Ticker(ctx context.Context, r *Runtime, interval time.Duration) error {
+	if r == nil {
+		return fmt.Errorf("runtime: nil runtime")
+	}
+	if interval <= 0 {
+		return fmt.Errorf("runtime: non-positive tick interval %v", interval)
+	}
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-tick.C:
+			if err := r.Step(); err != nil {
+				return err
+			}
+		}
+	}
 }

@@ -451,24 +451,48 @@ func TestShardedControllerRegistrationBurst(t *testing.T) {
 	if testing.Short() {
 		registrations = 2_000
 	}
-	stop := make(chan struct{})
-	var counted atomic.Int64
+	// The invokers run in rounds, one per registration, so they race every
+	// Register without starving it: in round i each invoker makes one call
+	// while registration i runs and one after it returns, and registration
+	// i+1 waits for both. Every gap between consecutive registrations thus
+	// holds a completed Invoke from each invoker.
+	const invokers = 4
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	stop := make(chan struct{})
+	defer func() {
+		select {
+		case <-stop:
+		default:
+			close(stop)
+		}
+		wg.Wait()
+	}()
+	var rounds [invokers]chan chan struct{} // each round's "registered" signal
+	acks := make(chan struct{}, invokers)
+	var counted atomic.Int64
+	for w := 0; w < invokers; w++ {
+		rounds[w] = make(chan chan struct{}, 1)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			invoke := func(i int) {
 				if _, err := r.Invoke((w + i) % initial); err != nil {
 					t.Error(err)
 					return
 				}
 				counted.Add(1)
+			}
+			for i := 0; ; i += 2 {
+				var registered chan struct{}
+				select {
+				case <-stop:
+					return
+				case registered = <-rounds[w]:
+				}
+				invoke(i)
+				<-registered
+				invoke(i + 1)
+				acks <- struct{}{}
 			}
 		}(w)
 	}
@@ -489,13 +513,23 @@ func TestShardedControllerRegistrationBurst(t *testing.T) {
 		}
 	}()
 
-	for i := 0; i < registrations; i++ {
+	minGap := int64(-1)
+	last := counted.Load()
+	for i := 0; i < registrations && !t.Failed(); i++ {
+		registered := make(chan struct{})
+		for w := range rounds {
+			rounds[w] <- registered
+		}
 		slot, err := r.Register(fmt.Sprintf("burst-%d", i), i%len(cat.Families))
+		close(registered)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if slot != initial+i {
 			t.Fatalf("registration %d got slot %d, want %d", i, slot, initial+i)
+		}
+		for range rounds {
+			<-acks
 		}
 		if i%257 == 0 {
 			// A registrant is servable the moment Register returns.
@@ -504,11 +538,20 @@ func TestShardedControllerRegistrationBurst(t *testing.T) {
 			}
 			counted.Add(1)
 		}
+		if n := counted.Load(); minGap < 0 || n-last < minGap {
+			minGap = n - last
+		}
+		last = counted.Load()
 	}
 	close(stop)
 	wg.Wait()
 	if t.Failed() {
 		t.FailNow()
+	}
+	t.Logf("%d invokes, %.1f per registration, at least %d per registration round",
+		counted.Load(), float64(counted.Load())/float64(registrations), minGap)
+	if minGap < 2*invokers {
+		t.Errorf("a registration round held %d invokes, want at least %d (two per invoker)", minGap, 2*invokers)
 	}
 	if err := r.Step(); err != nil { // flush the open minute to the policy
 		t.Fatal(err)

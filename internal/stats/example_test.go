@@ -6,18 +6,8 @@ import (
 	"github.com/pulse-serverless/pulse/internal/stats"
 )
 
-// ExampleMinMaxNormalize shows the paper's Equation 1, including its
-// degenerate all-equal branch.
-func ExampleMinMaxNormalize() {
-	fmt.Println(stats.MinMaxNormalize([]float64{2, 4, 6}))
-	fmt.Println(stats.MinMaxNormalize([]float64{7, 7, 7}))
-	// Output:
-	// [0 0.5 1]
-	// [0 0 0]
-}
-
-// ExampleIntHistogram computes the inter-arrival probabilities PULSE's
-// function-centric optimizer is built on.
+// ExampleIntHistogram summarizes inter-arrival gaps the way the Wild
+// predictor and the trace analysis read them.
 func ExampleIntHistogram() {
 	h := stats.NewIntHistogram()
 	for _, gap := range []int{2, 2, 2, 5} {
@@ -25,13 +15,12 @@ func ExampleIntHistogram() {
 			panic(err)
 		}
 	}
-	fmt.Printf("P(gap=2) = %.2f\n", h.Probability(2))
-	fmt.Printf("P(gap=5) = %.2f\n", h.Probability(5))
-	fmt.Printf("P(gap=9) = %.2f\n", h.Probability(9))
+	p75, _ := h.Percentile(75)
+	fmt.Println(h)
+	fmt.Printf("mean %.2f, p75 %d\n", h.Mean(), p75)
 	// Output:
-	// P(gap=2) = 0.75
-	// P(gap=5) = 0.25
-	// P(gap=9) = 0.00
+	// IntHistogram{2:3, 5:1}
+	// mean 2.75, p75 2
 }
 
 // ExampleRollingWindow shows the sliding average behind Algorithm 1's

@@ -7,9 +7,9 @@ import (
 	"strings"
 )
 
-// IntHistogram counts occurrences of small non-negative integers. PULSE uses
-// it for inter-arrival times measured in minutes: the paper computes, for
-// each inter-arrival value k, the probability count(k)/total.
+// IntHistogram counts occurrences of small non-negative integers: the
+// inter-arrival times, in minutes, that the Wild predictor and the trace
+// statistics summarize by mean, CV and percentiles.
 //
 // The zero value is ready to use.
 type IntHistogram struct {
@@ -36,37 +36,8 @@ func (h *IntHistogram) Add(v int) error {
 	return nil
 }
 
-// Remove erases one previously recorded observation of v, used by sliding
-// windows when an observation ages out. Removing a value that was never
-// added is an error.
-func (h *IntHistogram) Remove(v int) error {
-	if h.counts[v] <= 0 {
-		return fmt.Errorf("stats: IntHistogram.Remove(%d): value not present", v)
-	}
-	h.counts[v]--
-	if h.counts[v] == 0 {
-		delete(h.counts, v)
-	}
-	h.total--
-	return nil
-}
-
-// Count returns the number of observations of v.
-func (h *IntHistogram) Count(v int) int { return h.counts[v] }
-
 // Total returns the total number of observations.
 func (h *IntHistogram) Total() int { return h.total }
-
-// Probability returns count(v)/total, the empirical probability the paper
-// uses ("when the inter-arrival time of 2 appears 10 times, we compute the
-// probability of 2 as 10 divided by the total number of inter-arrival
-// times"). It returns 0 when the histogram is empty.
-func (h *IntHistogram) Probability(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[v]) / float64(h.total)
-}
 
 // Values returns the distinct observed values in ascending order.
 func (h *IntHistogram) Values() []int {
@@ -134,22 +105,6 @@ func (h *IntHistogram) Percentile(p float64) (int, error) {
 	return vs[len(vs)-1], nil
 }
 
-// Clone returns a deep copy of the histogram.
-func (h *IntHistogram) Clone() *IntHistogram {
-	c := NewIntHistogram()
-	for v, n := range h.counts {
-		c.counts[v] = n
-	}
-	c.total = h.total
-	return c
-}
-
-// Reset discards all observations.
-func (h *IntHistogram) Reset() {
-	h.counts = make(map[int]int)
-	h.total = 0
-}
-
 // String renders a compact "value:count" listing for debugging.
 func (h *IntHistogram) String() string {
 	var b strings.Builder
@@ -163,71 +118,3 @@ func (h *IntHistogram) String() string {
 	b.WriteString("}")
 	return b.String()
 }
-
-// BinnedHistogram is a fixed-width binned histogram over float64 samples.
-// The experiment harness uses it to reproduce Figure 9(a), the distribution
-// of per-decision overhead across simulation runs.
-type BinnedHistogram struct {
-	lo, hi  float64
-	binW    float64
-	bins    []int
-	under   int
-	over    int
-	samples int
-}
-
-// NewBinnedHistogram creates a histogram over [lo, hi) with n equal bins.
-// It returns an error for invalid bounds or non-positive n.
-func NewBinnedHistogram(lo, hi float64, n int) (*BinnedHistogram, error) {
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: invalid histogram bounds [%v, %v)", lo, hi)
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs positive bin count, got %d", n)
-	}
-	return &BinnedHistogram{
-		lo:   lo,
-		hi:   hi,
-		binW: (hi - lo) / float64(n),
-		bins: make([]int, n),
-	}, nil
-}
-
-// Add records a sample. Out-of-range samples are tallied in the underflow or
-// overflow counters rather than dropped.
-func (h *BinnedHistogram) Add(x float64) {
-	h.samples++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / h.binW)
-		if i >= len(h.bins) { // guard against floating-point edge at hi
-			i = len(h.bins) - 1
-		}
-		h.bins[i]++
-	}
-}
-
-// Bins returns a copy of the per-bin counts.
-func (h *BinnedHistogram) Bins() []int {
-	out := make([]int, len(h.bins))
-	copy(out, h.bins)
-	return out
-}
-
-// BinCenter returns the center value of bin i.
-func (h *BinnedHistogram) BinCenter(i int) float64 {
-	return h.lo + (float64(i)+0.5)*h.binW
-}
-
-// Underflow and Overflow return the out-of-range tallies.
-func (h *BinnedHistogram) Underflow() int { return h.under }
-
-// Overflow returns the count of samples at or above the upper bound.
-func (h *BinnedHistogram) Overflow() int { return h.over }
-
-// Samples returns the total number of Add calls.
-func (h *BinnedHistogram) Samples() int { return h.samples }

@@ -35,15 +35,6 @@ func (w *RollingWindow) Push(x float64) {
 	}
 }
 
-// Len returns the number of samples currently held.
-func (w *RollingWindow) Len() int { return w.n }
-
-// Cap returns the window capacity.
-func (w *RollingWindow) Cap() int { return len(w.buf) }
-
-// Full reports whether the window holds capacity samples.
-func (w *RollingWindow) Full() bool { return w.n == len(w.buf) }
-
 // Mean returns the mean of the held samples, or 0 when empty.
 func (w *RollingWindow) Mean() float64 {
 	if w.n == 0 {
@@ -59,14 +50,6 @@ func (w *RollingWindow) Sum() float64 {
 		sum += w.At(i)
 	}
 	return sum
-}
-
-// Last returns the most recently pushed sample, or 0 when empty.
-func (w *RollingWindow) Last() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.buf[(w.head+w.n-1)%len(w.buf)]
 }
 
 // At returns the i-th oldest sample (0 = oldest). It panics on an
@@ -85,9 +68,4 @@ func (w *RollingWindow) Values() []float64 {
 		out[i] = w.At(i)
 	}
 	return out
-}
-
-// Reset discards all samples while keeping capacity.
-func (w *RollingWindow) Reset() {
-	w.head, w.n = 0, 0
 }

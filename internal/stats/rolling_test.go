@@ -9,24 +9,18 @@ import (
 
 func TestRollingWindowBasics(t *testing.T) {
 	w := NewRollingWindow(3)
-	if w.Len() != 0 || w.Cap() != 3 || w.Full() {
-		t.Fatalf("fresh window: len=%d cap=%d full=%v", w.Len(), w.Cap(), w.Full())
-	}
-	if w.Mean() != 0 || w.Last() != 0 {
-		t.Error("empty window Mean/Last should be 0")
+	if len(w.Values()) != 0 || w.Mean() != 0 || w.Sum() != 0 {
+		t.Fatalf("fresh window: values=%v mean=%v", w.Values(), w.Mean())
 	}
 	w.Push(1)
 	w.Push(2)
-	if w.Mean() != 1.5 || w.Last() != 2 {
-		t.Errorf("mean=%v last=%v", w.Mean(), w.Last())
+	if w.Mean() != 1.5 {
+		t.Errorf("mean=%v", w.Mean())
 	}
 	w.Push(3)
-	if !w.Full() {
-		t.Error("window should be full")
-	}
 	w.Push(4) // evicts 1
-	if w.Len() != 3 {
-		t.Errorf("Len = %d, want 3", w.Len())
+	if len(w.Values()) != 3 {
+		t.Errorf("len(Values) = %d, want 3", len(w.Values()))
 	}
 	if w.Mean() != 3 { // (2+3+4)/3
 		t.Errorf("Mean = %v, want 3", w.Mean())
@@ -68,20 +62,6 @@ func TestRollingWindowPanics(t *testing.T) {
 	w.At(1)
 }
 
-func TestRollingWindowReset(t *testing.T) {
-	w := NewRollingWindow(2)
-	w.Push(5)
-	w.Push(6)
-	w.Reset()
-	if w.Len() != 0 || w.Sum() != 0 || w.Mean() != 0 {
-		t.Error("Reset did not clear window")
-	}
-	w.Push(9)
-	if w.Mean() != 9 {
-		t.Errorf("window unusable after Reset: mean=%v", w.Mean())
-	}
-}
-
 // Property: the window mean always equals the mean of its Values() exactly,
 // and the values are the last min(cap, pushed) samples in order.
 func TestRollingWindowMatchesNaive(t *testing.T) {
@@ -103,7 +83,7 @@ func TestRollingWindowMatchesNaive(t *testing.T) {
 			start = 0
 		}
 		expect := raw[start:]
-		if w.Len() != len(expect) {
+		if len(w.Values()) != len(expect) {
 			return false
 		}
 		for i, want := range expect {
@@ -131,7 +111,7 @@ func TestRollingWindowNoDrift(t *testing.T) {
 	for _, x := range []float64{0.1, 0.2, 0.3, 1e17, 0.7} {
 		w.Push(x)
 	}
-	for i := 0; i < w.Cap(); i++ {
+	for i := 0; i < 4; i++ {
 		w.Push(0)
 	}
 	if w.Sum() != 0 || w.Mean() != 0 {

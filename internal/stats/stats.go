@@ -1,6 +1,7 @@
 // Package stats provides the small statistical substrate PULSE is built on:
-// descriptive statistics, the paper's min–max normalization (Equation 1),
-// integer and binned histograms, and rolling windows.
+// descriptive statistics, an integer histogram, and rolling windows. The
+// paper's min–max normalization (Equation 1) lives with its one user,
+// core's priority structure, which maintains it incrementally.
 //
 // Everything in this package is deterministic and allocation-conscious; the
 // simulation engine calls into it on every simulated minute.
@@ -32,65 +33,6 @@ func Mean(xs []float64) float64 {
 	return Sum(xs) / float64(len(xs))
 }
 
-// Variance returns the population variance of xs, or 0 if len(xs) < 2.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n)
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
-// CV returns the coefficient of variation (stddev / mean) of xs.
-// It returns 0 when the mean is zero, which in PULSE's usage (inter-arrival
-// times, always positive when present) only happens on empty input.
-func CV(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return StdDev(xs) / m
-}
-
-// Min returns the minimum of xs. It returns ErrEmpty when xs is empty.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the maximum of xs. It returns ErrEmpty when xs is empty.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
 // interpolation between closest ranks. The input is not modified.
 // It returns ErrEmpty when xs is empty and an error for p outside [0,100].
@@ -117,33 +59,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) (float64, error) {
-	return Percentile(xs, 50)
-}
-
-// Autocorrelation returns the lag-k autocorrelation of xs, in [-1, 1].
-// It returns 0 when the series is too short or has zero variance.
-func Autocorrelation(xs []float64, lag int) float64 {
-	n := len(xs)
-	if lag <= 0 || lag >= n {
-		return 0
-	}
-	m := Mean(xs)
-	var num, den float64
-	for i := 0; i < n; i++ {
-		d := xs[i] - m
-		den += d * d
-	}
-	if den == 0 {
-		return 0
-	}
-	for i := 0; i < n-lag; i++ {
-		num += (xs[i] - m) * (xs[i+lag] - m)
-	}
-	return num / den
-}
-
 // Clamp01 clamps x into the closed interval [0, 1].
 func Clamp01(x float64) float64 {
 	switch {
@@ -156,96 +71,4 @@ func Clamp01(x float64) float64 {
 	default:
 		return x
 	}
-}
-
-// Clamp clamps x into [lo, hi]. It panics if lo > hi, which indicates a
-// programming error at the call site.
-func Clamp(x, lo, hi float64) float64 {
-	if lo > hi {
-		panic("stats: Clamp with lo > hi")
-	}
-	switch {
-	case x < lo:
-		return lo
-	case x > hi:
-		return hi
-	default:
-		return x
-	}
-}
-
-// MinMaxNormalize implements the paper's Equation 1. It rescales xs into
-// [0, 1] in place-free fashion: the returned slice is freshly allocated.
-//
-//	x' = (x - min) / (max - min)   when max != min
-//	x' = (x - min)                 when max == min (i.e. all zeros)
-//
-// The degenerate branch matches the paper exactly: when every value is
-// equal, every normalized value is 0.
-func MinMaxNormalize(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	lo, _ := Min(xs)
-	hi, _ := Max(xs)
-	if hi == lo {
-		// x - min == 0 for every element.
-		return out
-	}
-	span := hi - lo
-	for i, x := range xs {
-		out[i] = (x - lo) / span
-	}
-	return out
-}
-
-// MinMaxNormalizeInPlace is MinMaxNormalize without the allocation; xs is
-// overwritten with its normalized values.
-func MinMaxNormalizeInPlace(xs []float64) {
-	if len(xs) == 0 {
-		return
-	}
-	lo, _ := Min(xs)
-	hi, _ := Max(xs)
-	if hi == lo {
-		for i := range xs {
-			xs[i] = 0
-		}
-		return
-	}
-	span := hi - lo
-	for i, x := range xs {
-		xs[i] = (x - lo) / span
-	}
-}
-
-// ArgMin returns the index of the smallest element, breaking ties toward
-// the lowest index. It returns -1 for empty input.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(xs); i++ {
-		if xs[i] < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMax returns the index of the largest element, breaking ties toward the
-// lowest index. It returns -1 for empty input.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i := 1; i < len(xs); i++ {
-		if xs[i] > xs[best] {
-			best = i
-		}
-	}
-	return best
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, eps float64) bool {
@@ -32,50 +31,6 @@ func TestSumMean(t *testing.T) {
 				t.Errorf("Mean = %v, want %v", got, c.mean)
 			}
 		})
-	}
-}
-
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEqual(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if got := Variance([]float64{5}); got != 0 {
-		t.Errorf("Variance of singleton = %v, want 0", got)
-	}
-}
-
-func TestCV(t *testing.T) {
-	if got := CV([]float64{5, 5, 5}); got != 0 {
-		t.Errorf("CV of constants = %v, want 0", got)
-	}
-	if got := CV(nil); got != 0 {
-		t.Errorf("CV of empty = %v, want 0", got)
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9} // mean 5, std 2
-	if got := CV(xs); !almostEqual(got, 0.4, 1e-12) {
-		t.Errorf("CV = %v, want 0.4", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Errorf("Min(nil) err = %v, want ErrEmpty", err)
-	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Errorf("Max(nil) err = %v, want ErrEmpty", err)
-	}
-	xs := []float64{3, -1, 7, 0}
-	lo, err := Min(xs)
-	if err != nil || lo != -1 {
-		t.Errorf("Min = %v, %v; want -1, nil", lo, err)
-	}
-	hi, err := Max(xs)
-	if err != nil || hi != 7 {
-		t.Errorf("Max = %v, %v; want 7, nil", hi, err)
 	}
 }
 
@@ -114,36 +69,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	got, err := Median([]float64{1, 3, 2})
-	if err != nil || got != 2 {
-		t.Errorf("Median = %v, %v; want 2, nil", got, err)
-	}
-}
-
-func TestAutocorrelation(t *testing.T) {
-	// A perfectly periodic series has autocorrelation ~1 at its period.
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = math.Sin(2 * math.Pi * float64(i) / 10)
-	}
-	if got := Autocorrelation(xs, 10); got < 0.9 {
-		t.Errorf("lag-10 autocorrelation of period-10 sine = %v, want >0.9", got)
-	}
-	if got := Autocorrelation(xs, 5); got > -0.9 {
-		t.Errorf("lag-5 autocorrelation of period-10 sine = %v, want < -0.9", got)
-	}
-	if got := Autocorrelation([]float64{1, 1, 1}, 1); got != 0 {
-		t.Errorf("autocorrelation of constants = %v, want 0", got)
-	}
-	if got := Autocorrelation(xs, 0); got != 0 {
-		t.Errorf("lag-0 should return 0 sentinel, got %v", got)
-	}
-	if got := Autocorrelation(xs, len(xs)); got != 0 {
-		t.Errorf("lag >= len should return 0, got %v", got)
-	}
-}
-
 func TestClamp01(t *testing.T) {
 	for _, c := range []struct{ in, want float64 }{
 		{-0.5, 0}, {0, 0}, {0.5, 0.5}, {1, 1}, {1.5, 1}, {math.NaN(), 0},
@@ -151,104 +76,6 @@ func TestClamp01(t *testing.T) {
 		if got := Clamp01(c.in); got != c.want {
 			t.Errorf("Clamp01(%v) = %v, want %v", c.in, got, c.want)
 		}
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if got := Clamp(5, 0, 3); got != 3 {
-		t.Errorf("Clamp(5,0,3) = %v, want 3", got)
-	}
-	if got := Clamp(-5, 0, 3); got != 0 {
-		t.Errorf("Clamp(-5,0,3) = %v, want 0", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Clamp with lo > hi should panic")
-		}
-	}()
-	Clamp(1, 3, 0)
-}
-
-func TestMinMaxNormalize(t *testing.T) {
-	got := MinMaxNormalize([]float64{2, 4, 6})
-	want := []float64{0, 0.5, 1}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Errorf("normalize[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Degenerate branch of Equation 1: all-equal input maps to all zeros.
-	got = MinMaxNormalize([]float64{7, 7, 7})
-	for i, v := range got {
-		if v != 0 {
-			t.Errorf("degenerate normalize[%d] = %v, want 0", i, v)
-		}
-	}
-	if got := MinMaxNormalize(nil); len(got) != 0 {
-		t.Errorf("normalize(nil) len = %d, want 0", len(got))
-	}
-}
-
-// Property: normalization output is always within [0,1] and preserves order.
-func TestMinMaxNormalizeProperties(t *testing.T) {
-	f := func(xs []float64) bool {
-		// Replace NaN/Inf inputs: Equation 1 is only defined on finite data.
-		for i, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				xs[i] = 0
-			}
-		}
-		out := MinMaxNormalize(xs)
-		if len(out) != len(xs) {
-			return false
-		}
-		for i, v := range out {
-			if v < 0 || v > 1 {
-				return false
-			}
-			for j := range out {
-				if xs[i] < xs[j] && out[i] > out[j] {
-					return false // order must be preserved
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMinMaxNormalizeInPlace(t *testing.T) {
-	xs := []float64{10, 20, 30}
-	MinMaxNormalizeInPlace(xs)
-	want := []float64{0, 0.5, 1}
-	for i := range want {
-		if !almostEqual(xs[i], want[i], 1e-12) {
-			t.Errorf("in-place normalize[%d] = %v, want %v", i, xs[i], want[i])
-		}
-	}
-	ys := []float64{4, 4}
-	MinMaxNormalizeInPlace(ys)
-	if ys[0] != 0 || ys[1] != 0 {
-		t.Errorf("degenerate in-place normalize = %v, want zeros", ys)
-	}
-	MinMaxNormalizeInPlace(nil) // must not panic
-}
-
-func TestArgMinArgMax(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5}
-	if got := ArgMin(xs); got != 1 {
-		t.Errorf("ArgMin = %d, want 1 (first of ties)", got)
-	}
-	if got := ArgMax(xs); got != 4 {
-		t.Errorf("ArgMax = %d, want 4", got)
-	}
-	if got := ArgMin(nil); got != -1 {
-		t.Errorf("ArgMin(nil) = %d, want -1", got)
-	}
-	if got := ArgMax(nil); got != -1 {
-		t.Errorf("ArgMax(nil) = %d, want -1", got)
 	}
 }
 
@@ -269,18 +96,5 @@ func TestPercentileMonotone(t *testing.T) {
 			t.Fatalf("Percentile not monotone at p=%v: %v < %v", p, v, prev)
 		}
 		prev = v
-	}
-}
-
-func BenchmarkMinMaxNormalizeInPlace(b *testing.B) {
-	xs := make([]float64, 1024)
-	rng := rand.New(rand.NewSource(1))
-	for i := range xs {
-		xs[i] = rng.Float64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MinMaxNormalizeInPlace(xs)
 	}
 }

@@ -215,28 +215,11 @@ type Counter struct{ s *series }
 // Inc adds one.
 func (c *Counter) Inc() { c.s.add(1) }
 
-// Add adds v, which must not be negative (counters only go up).
-func (c *Counter) Add(v float64) {
-	if v < 0 {
-		panic(fmt.Sprintf("telemetry: counter decreased by %v", v))
-	}
-	c.s.add(v)
-}
-
-// Value returns the current count.
-func (c *Counter) Value() float64 { return c.s.value() }
-
 // Gauge is a series handle for a value that can go up and down.
 type Gauge struct{ s *series }
 
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.s.set(v) }
-
-// Add adds v (negative to subtract).
-func (g *Gauge) Add(v float64) { g.s.add(v) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.s.value() }
 
 // Histogram is a fixed-bucket distribution series handle.
 type Histogram struct {
@@ -265,12 +248,6 @@ func (s *series) observe(buckets []float64, v float64, n uint64) {
 	atomic.AddUint64(&s.count, n)
 	s.add(v * float64(n))
 }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 { return h.s.value() }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return atomic.LoadUint64(&h.s.count) }
 
 // CounterVec is a labeled counter family.
 type CounterVec struct{ f *family }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -243,7 +244,7 @@ func TestTelemetryConcurrentInvocations(t *testing.T) {
 				}
 			}
 		}
-		if hist := (&Histogram{s: set.svc}).Count(); n != workers*rounds || hist != workers*rounds {
+		if hist := atomic.LoadUint64(&set.svc.count); n != workers*rounds || hist != workers*rounds {
 			t.Fatalf("function %d: counters sum to %v, histogram holds %d, want %d", fn, n, hist, workers*rounds)
 		}
 	}

@@ -88,20 +88,3 @@ func SummarizeAll(tr *Trace) []FunctionSummary {
 	}
 	return out
 }
-
-// DayRange returns the minute range [from, to) covering days [firstDay,
-// firstDay+nDays) of the trace, clamped to the horizon. Days are 0-based.
-func (tr *Trace) DayRange(firstDay, nDays int) (from, to int) {
-	from = firstDay * MinutesPerDay
-	to = (firstDay + nDays) * MinutesPerDay
-	if from < 0 {
-		from = 0
-	}
-	if to > tr.Horizon {
-		to = tr.Horizon
-	}
-	if from > to {
-		from = to
-	}
-	return from, to
-}

@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -14,141 +13,12 @@ import (
 //	HashOwner,HashApp,HashFunction,Trigger,1,2,...,1440
 //
 // where columns 1..1440 are invocation counts per minute of the day. This
-// file implements a reader for that format (so users holding the real
-// trace can replay it through this repository) and a writer (so synthetic
-// traces interoperate with tooling built for the Azure format).
+// file implements a writer for that format, so synthetic traces
+// interoperate with tooling built for it (tracegen -azure). The real trace
+// is not in the repository, and nothing here reads it.
 
 // azureHeaderPrefix is the fixed leading columns of the Azure format.
 var azureHeaderPrefix = []string{"HashOwner", "HashApp", "HashFunction", "Trigger"}
-
-// AzureReadOptions controls ReadAzureCSV.
-type AzureReadOptions struct {
-	// TopN keeps only the N most-invoked functions (the paper selects 12).
-	// ≤ 0 keeps all.
-	TopN int
-	// MinInvocations drops functions with fewer total invocations.
-	MinInvocations int
-}
-
-// ReadAzureCSV parses one or more consecutive day files of the Azure
-// Functions trace format into a Trace. Functions are matched across days by
-// their (owner, app, function) hash triple; a function absent from a day
-// contributes zeros for that day.
-func ReadAzureCSV(opts AzureReadOptions, days ...io.Reader) (*Trace, error) {
-	if len(days) == 0 {
-		return nil, fmt.Errorf("trace: no day files")
-	}
-	type fnKey struct{ owner, app, fn string }
-	counts := make(map[fnKey][]int)
-	triggers := make(map[fnKey]string)
-	horizon := len(days) * MinutesPerDay
-
-	for day, r := range days {
-		cr := csv.NewReader(r)
-		cr.FieldsPerRecord = -1
-		header, err := cr.Read()
-		if err != nil {
-			return nil, fmt.Errorf("trace: azure day %d header: %w", day, err)
-		}
-		if len(header) < len(azureHeaderPrefix)+1 {
-			return nil, fmt.Errorf("trace: azure day %d: header has %d columns", day, len(header))
-		}
-		for i, want := range azureHeaderPrefix {
-			if header[i] != want {
-				return nil, fmt.Errorf("trace: azure day %d: header column %d is %q, want %q", day, i, header[i], want)
-			}
-		}
-		nMinutes := len(header) - len(azureHeaderPrefix)
-		if nMinutes > MinutesPerDay {
-			return nil, fmt.Errorf("trace: azure day %d: %d minute columns exceed a day", day, nMinutes)
-		}
-		for {
-			rec, err := cr.Read()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("trace: azure day %d: %w", day, err)
-			}
-			if len(rec) != len(header) {
-				return nil, fmt.Errorf("trace: azure day %d: row has %d fields, header %d", day, len(rec), len(header))
-			}
-			key := fnKey{owner: rec[0], app: rec[1], fn: rec[2]}
-			if _, ok := counts[key]; !ok {
-				counts[key] = make([]int, horizon)
-				triggers[key] = rec[3]
-			}
-			base := day * MinutesPerDay
-			for m := 0; m < nMinutes; m++ {
-				c, err := strconv.Atoi(rec[len(azureHeaderPrefix)+m])
-				if err != nil {
-					return nil, fmt.Errorf("trace: azure day %d fn %s minute %d: bad count %q",
-						day, rec[2], m+1, rec[len(azureHeaderPrefix)+m])
-				}
-				if c < 0 {
-					return nil, fmt.Errorf("trace: azure day %d fn %s minute %d: negative count", day, rec[2], m+1)
-				}
-				counts[key][base+m] = c
-			}
-		}
-	}
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("trace: azure files contain no functions")
-	}
-
-	// Order by total invocations descending (deterministic tie-break on
-	// the hash triple) and apply the selection options.
-	type ranked struct {
-		key   fnKey
-		total int
-	}
-	all := make([]ranked, 0, len(counts))
-	for k, c := range counts {
-		total := 0
-		for _, v := range c {
-			total += v
-		}
-		all = append(all, ranked{key: k, total: total})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].total != all[j].total {
-			return all[i].total > all[j].total
-		}
-		a, b := all[i].key, all[j].key
-		if a.owner != b.owner {
-			return a.owner < b.owner
-		}
-		if a.app != b.app {
-			return a.app < b.app
-		}
-		return a.fn < b.fn
-	})
-
-	tr := &Trace{Horizon: horizon}
-	for _, r := range all {
-		if opts.MinInvocations > 0 && r.total < opts.MinInvocations {
-			continue
-		}
-		if opts.TopN > 0 && len(tr.Functions) >= opts.TopN {
-			break
-		}
-		id := len(tr.Functions)
-		name := r.key.fn
-		if len(name) > 12 {
-			name = name[:12]
-		}
-		tr.Functions = append(tr.Functions, Function{
-			ID:        id,
-			Name:      fmt.Sprintf("azure-%s", name),
-			Archetype: "azure:" + triggers[r.key],
-			Counts:    counts[r.key],
-		})
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
 
 // WriteAzureCSV exports the trace in the Azure Functions day-file format,
 // one writer per day. The trace horizon must be a whole number of days and

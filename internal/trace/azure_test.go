@@ -3,180 +3,37 @@ package trace
 import (
 	"bytes"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// miniAzureDay builds a tiny Azure-format day file with the given function
-// rows; each row maps minute→count pairs onto a 1440-column line.
-func miniAzureDay(t *testing.T, rows map[string]map[int]int) string {
-	t.Helper()
-	var sb strings.Builder
-	sb.WriteString("HashOwner,HashApp,HashFunction,Trigger")
+// TestWriteAzureCSVBytes pins the writer's exact output on a small fixed
+// one-day trace: the header, then one row per function with its synthetic
+// hashes, its archetype as the trigger, and all 1440 minute counts.
+func TestWriteAzureCSVBytes(t *testing.T) {
+	f0 := make([]int, MinutesPerDay)
+	f0[0], f0[MinutesPerDay-1] = 3, 1
+	f1 := make([]int, MinutesPerDay)
+	f1[99] = 12
+	tr := &Trace{Horizon: MinutesPerDay, Functions: []Function{
+		{ID: 0, Name: "f0", Archetype: "periodic", Counts: f0},
+		{ID: 7, Name: "f1", Archetype: "bursty", Counts: f1},
+	}}
+	var got bytes.Buffer
+	if err := WriteAzureCSV(tr, &got); err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	want.WriteString("HashOwner,HashApp,HashFunction,Trigger")
 	for m := 1; m <= MinutesPerDay; m++ {
-		sb.WriteString(",")
-		sb.WriteString(itoa(m))
+		want.WriteString("," + strconv.Itoa(m))
 	}
-	sb.WriteString("\n")
-	for fn, counts := range rows {
-		sb.WriteString("o1,a1," + fn + ",http")
-		for m := 1; m <= MinutesPerDay; m++ {
-			sb.WriteString(",")
-			sb.WriteString(itoa(counts[m]))
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var digits []byte
-	for v > 0 {
-		digits = append([]byte{byte('0' + v%10)}, digits...)
-		v /= 10
-	}
-	return string(digits)
-}
-
-func TestReadAzureCSVBasic(t *testing.T) {
-	day := miniAzureDay(t, map[string]map[int]int{
-		"busy":  {1: 3, 2: 1, 100: 2},
-		"quiet": {500: 1},
-	})
-	tr, err := ReadAzureCSV(AzureReadOptions{}, strings.NewReader(day))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Horizon != MinutesPerDay {
-		t.Errorf("horizon = %d", tr.Horizon)
-	}
-	if len(tr.Functions) != 2 {
-		t.Fatalf("functions = %d", len(tr.Functions))
-	}
-	// Ordered by invocation volume descending.
-	if tr.Functions[0].TotalInvocations() != 6 || tr.Functions[1].TotalInvocations() != 1 {
-		t.Errorf("ordering/totals wrong: %d, %d",
-			tr.Functions[0].TotalInvocations(), tr.Functions[1].TotalInvocations())
-	}
-	// Column "1" is minute index 0.
-	if tr.Functions[0].Counts[0] != 3 || tr.Functions[0].Counts[99] != 2 {
-		t.Errorf("minute alignment wrong: %v %v", tr.Functions[0].Counts[0], tr.Functions[0].Counts[99])
-	}
-	if tr.Functions[0].Archetype != "azure:http" {
-		t.Errorf("trigger lost: %q", tr.Functions[0].Archetype)
-	}
-}
-
-func TestReadAzureCSVMultiDay(t *testing.T) {
-	day1 := miniAzureDay(t, map[string]map[int]int{"f": {1: 1}})
-	day2 := miniAzureDay(t, map[string]map[int]int{"f": {10: 2}, "g": {5: 7}})
-	tr, err := ReadAzureCSV(AzureReadOptions{}, strings.NewReader(day1), strings.NewReader(day2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Horizon != 2*MinutesPerDay {
-		t.Errorf("horizon = %d", tr.Horizon)
-	}
-	f := tr.Functions[1] // "f" has 3 total, "g" has 7 → g first
-	g := tr.Functions[0]
-	if g.TotalInvocations() != 7 || f.TotalInvocations() != 3 {
-		t.Fatalf("totals: g=%d f=%d", g.TotalInvocations(), f.TotalInvocations())
-	}
-	if f.Counts[0] != 1 || f.Counts[MinutesPerDay+9] != 2 {
-		t.Errorf("multi-day alignment wrong")
-	}
-	// g absent on day 1: zeros.
-	for m := 0; m < MinutesPerDay; m++ {
-		if g.Counts[m] != 0 {
-			t.Fatalf("g has day-1 counts at %d", m)
-		}
-	}
-}
-
-func TestReadAzureCSVSelection(t *testing.T) {
-	day := miniAzureDay(t, map[string]map[int]int{
-		"a": {1: 10}, "b": {1: 5}, "c": {1: 1},
-	})
-	tr, err := ReadAzureCSV(AzureReadOptions{TopN: 2}, strings.NewReader(day))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Functions) != 2 {
-		t.Errorf("TopN: functions = %d", len(tr.Functions))
-	}
-	tr, err = ReadAzureCSV(AzureReadOptions{MinInvocations: 5}, strings.NewReader(day))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Functions) != 2 {
-		t.Errorf("MinInvocations: functions = %d", len(tr.Functions))
-	}
-}
-
-func TestReadAzureCSVErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		in   string
-	}{
-		{"empty", ""},
-		{"wrong header", "x,y,z\n"},
-		{"short header", "HashOwner,HashApp\n"},
-		{"bad count", "HashOwner,HashApp,HashFunction,Trigger,1\no,a,f,http,xx\n"},
-		{"negative count", "HashOwner,HashApp,HashFunction,Trigger,1\no,a,f,http,-1\n"},
-		{"ragged row", "HashOwner,HashApp,HashFunction,Trigger,1,2\no,a,f,http,1\n"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if _, err := ReadAzureCSV(AzureReadOptions{}, strings.NewReader(c.in)); err == nil {
-				t.Errorf("ReadAzureCSV(%q) should fail", c.name)
-			}
-		})
-	}
-	if _, err := ReadAzureCSV(AzureReadOptions{}); err == nil {
-		t.Error("no day files accepted")
-	}
-	// A file with only a header has no functions.
-	onlyHeader := "HashOwner,HashApp,HashFunction,Trigger,1\n"
-	if _, err := ReadAzureCSV(AzureReadOptions{}, strings.NewReader(onlyHeader)); err == nil {
-		t.Error("empty trace accepted")
-	}
-}
-
-func TestAzureRoundTrip(t *testing.T) {
-	orig, err := Generate(GeneratorConfig{Seed: 2, Horizon: 2 * MinutesPerDay})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var day1, day2 bytes.Buffer
-	if err := WriteAzureCSV(orig, &day1, &day2); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadAzureCSV(AzureReadOptions{}, &day1, &day2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Horizon != orig.Horizon || len(back.Functions) != len(orig.Functions) {
-		t.Fatalf("shape: %d/%d vs %d/%d", back.Horizon, len(back.Functions), orig.Horizon, len(orig.Functions))
-	}
-	// Functions come back volume-ordered; match by totals instead of IDs.
-	origTotals := map[int]bool{}
-	backTotal := 0
-	origTotal := 0
-	for i := range orig.Functions {
-		origTotals[orig.Functions[i].TotalInvocations()] = true
-		origTotal += orig.Functions[i].TotalInvocations()
-	}
-	for i := range back.Functions {
-		if !origTotals[back.Functions[i].TotalInvocations()] {
-			t.Errorf("function with unexpected total %d", back.Functions[i].TotalInvocations())
-		}
-		backTotal += back.Functions[i].TotalInvocations()
-	}
-	if backTotal != origTotal {
-		t.Errorf("total invocations: %d vs %d", backTotal, origTotal)
+	want.WriteString("\n")
+	want.WriteString("owner-0000,app-0000,f0,periodic,3" + strings.Repeat(",0", MinutesPerDay-2) + ",1\n")
+	want.WriteString("owner-0007,app-0007,f1,bursty" + strings.Repeat(",0", 99) + ",12" + strings.Repeat(",0", MinutesPerDay-100) + "\n")
+	if got.String() != want.String() {
+		t.Errorf("WriteAzureCSV output differs from the pinned bytes:\n got %.200q...\nwant %.200q...", got.String(), want.String())
 	}
 }
 

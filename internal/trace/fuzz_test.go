@@ -21,6 +21,9 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("id,name,archetype,horizon\n0,f,a,10,1,1\n")
 	f.Add("")
 	f.Add("id,name,archetype,horizon\n0,f,a,10,1\n")
+	f.Add("id,name,archetype,horizon\n0,f,a,-1\n")
+	f.Add("id,name,archetype,horizon\n0,f,a,9223372036854775807\n")
+	f.Add("id,name,archetype,horizon\n" + strings.Repeat("0,f,a,1048576\n", 1000))
 	f.Fuzz(func(t *testing.T, in string) {
 		parsed, err := ReadCSV(strings.NewReader(in))
 		if err != nil {
@@ -40,24 +43,6 @@ func FuzzReadCSV(f *testing.F) {
 		if back.TotalInvocations() != parsed.TotalInvocations() {
 			t.Fatalf("round trip changed invocations: %d vs %d",
 				back.TotalInvocations(), parsed.TotalInvocations())
-		}
-	})
-}
-
-// FuzzReadAzureCSV: arbitrary Azure-format input must never panic, and
-// anything accepted must validate.
-func FuzzReadAzureCSV(f *testing.F) {
-	f.Add("HashOwner,HashApp,HashFunction,Trigger,1,2\no,a,fn,http,3,0\n")
-	f.Add("HashOwner,HashApp,HashFunction,Trigger,1\no,a,fn,http,-1\n")
-	f.Add("")
-	f.Add("x\n")
-	f.Fuzz(func(t *testing.T, in string) {
-		parsed, err := ReadAzureCSV(AzureReadOptions{}, strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		if verr := parsed.Validate(); verr != nil {
-			t.Fatalf("ReadAzureCSV accepted invalid trace: %v", verr)
 		}
 	})
 }

@@ -313,6 +313,9 @@ func Generate(cfg GeneratorConfig) (*Trace, error) {
 	if cfg.Churn < 0 || cfg.Churn > 1 {
 		return nil, fmt.Errorf("trace: churn probability %v outside [0, 1]", cfg.Churn)
 	}
+	if horizon > maxCells/len(arch) {
+		return nil, fmt.Errorf("trace: %d functions of horizon %d exceed %d counts", len(arch), horizon, maxCells)
+	}
 	tr := &Trace{Horizon: horizon, Functions: make([]Function, len(arch))}
 	for i, a := range arch {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*1_000_003))

@@ -44,6 +44,14 @@ func WriteCSV(w io.Writer, tr *Trace) error {
 	return cw.Error()
 }
 
+// maxCells bounds a trace's size in per-minute counts, horizon × functions
+// (2^24 counts, 128 MiB: two weeks of 832 functions, or 970 days of the
+// default 12). ReadCSV checks the bound before it allocates any dense
+// counts, so a file of short rows claiming long horizons cannot demand more
+// memory than that; Generate refuses the same sizes, so every trace it
+// makes round-trips through WriteCSV and ReadCSV.
+const maxCells = 1 << 24
+
 // ReadCSV parses a trace written by WriteCSV.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
@@ -55,7 +63,10 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	if len(header) < 4 || header[0] != "id" {
 		return nil, fmt.Errorf("trace: unrecognized header %v", header)
 	}
+	// Rows stay sparse until the whole file is read: dense counts are
+	// allocated only once the trace's size is known to be within maxCells.
 	tr := &Trace{}
+	var pairs [][]int // per function: minute, count, minute, count, ...
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -75,12 +86,15 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: bad horizon %q: %w", rec[3], err)
 		}
+		if horizon <= 0 {
+			return nil, fmt.Errorf("trace: non-positive horizon %d", horizon)
+		}
 		if tr.Horizon == 0 {
 			tr.Horizon = horizon
 		} else if tr.Horizon != horizon {
 			return nil, fmt.Errorf("trace: inconsistent horizons %d and %d", tr.Horizon, horizon)
 		}
-		f := Function{ID: id, Name: rec[1], Archetype: rec[2], Counts: make([]int, horizon)}
+		p := make([]int, 0, len(rec)-4)
 		for i := 4; i < len(rec); i += 2 {
 			t, err := strconv.Atoi(rec[i])
 			if err != nil {
@@ -93,9 +107,20 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 			if t < 0 || t >= horizon {
 				return nil, fmt.Errorf("trace: minute %d outside horizon %d", t, horizon)
 			}
-			f.Counts[t] = c
+			p = append(p, t, c)
 		}
-		tr.Functions = append(tr.Functions, f)
+		tr.Functions = append(tr.Functions, Function{ID: id, Name: rec[1], Archetype: rec[2]})
+		pairs = append(pairs, p)
+	}
+	if n := len(tr.Functions); n > 0 && tr.Horizon > maxCells/n {
+		return nil, fmt.Errorf("trace: %d functions of horizon %d exceed %d counts", n, tr.Horizon, maxCells)
+	}
+	for i, p := range pairs {
+		counts := make([]int, tr.Horizon)
+		for j := 0; j < len(p); j += 2 {
+			counts[p[j]] = p[j+1]
+		}
+		tr.Functions[i].Counts = counts
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err

@@ -179,16 +179,6 @@ func (tr *Trace) HasChurn() bool {
 	return false
 }
 
-// FunctionByID returns the function with the given ID, or nil.
-func (tr *Trace) FunctionByID(id int) *Function {
-	for i := range tr.Functions {
-		if tr.Functions[i].ID == id {
-			return &tr.Functions[i]
-		}
-	}
-	return nil
-}
-
 // AggregateCounts returns, per minute, the total invocations across all
 // functions — the series in which the paper identifies "numerous peaks in
 // invocations (cumulative for all concurrent functions)".

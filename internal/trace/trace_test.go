@@ -99,18 +99,6 @@ func TestAggregateAndTotal(t *testing.T) {
 	}
 }
 
-func TestFunctionByID(t *testing.T) {
-	tr := &Trace{Horizon: 1, Functions: []Function{
-		{ID: 3, Name: "x", Counts: []int{0}},
-	}}
-	if f := tr.FunctionByID(3); f == nil || f.Name != "x" {
-		t.Errorf("FunctionByID(3) = %v", f)
-	}
-	if f := tr.FunctionByID(99); f != nil {
-		t.Errorf("FunctionByID(99) = %v, want nil", f)
-	}
-}
-
 func TestSlice(t *testing.T) {
 	tr := &Trace{Horizon: 5, Functions: []Function{mkFunc(0, []int{1, 2, 3, 4, 5})}}
 	sub, err := tr.Slice(1, 4)
@@ -169,22 +157,6 @@ func TestTopPeaksNegativeGap(t *testing.T) {
 	peaks := tr.TopPeaks(2, -5)
 	if len(peaks) != 2 || peaks[0].Minute != 3 || peaks[1].Minute != 2 {
 		t.Errorf("peaks with negative gap = %v", peaks)
-	}
-}
-
-func TestDayRange(t *testing.T) {
-	tr := &Trace{Horizon: 14 * MinutesPerDay, Functions: []Function{mkFunc(0, make([]int, 14*MinutesPerDay))}}
-	from, to := tr.DayRange(0, 4)
-	if from != 0 || to != 4*MinutesPerDay {
-		t.Errorf("DayRange(0,4) = %d,%d", from, to)
-	}
-	from, to = tr.DayRange(12, 4)
-	if from != 12*MinutesPerDay || to != tr.Horizon {
-		t.Errorf("DayRange(12,4) = %d,%d (should clamp to horizon)", from, to)
-	}
-	from, to = tr.DayRange(99, 1)
-	if from != to {
-		t.Errorf("out-of-range DayRange = %d,%d, want empty", from, to)
 	}
 }
 
