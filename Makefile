@@ -12,15 +12,18 @@ verify: build vet test
 
 # Zero-allocation assertions for the hot paths (controller idle minute,
 # including the million-slot pin, runtime Invoke and idle Step with and
-# without the observer chain, the Step harvesting a minute into it,
-# telemetry buffers/fan-out and its steady-state
-# sample streams, the provenance recorder's holder minute, attribution
-# accountant and ring store). Mirrors the CI "alloc" job.
+# without the observer chain, the Step harvesting a minute into it, a
+# runtime Stats read (TestStatsZeroAllocs), telemetry buffers/fan-out and
+# its steady-state sample streams, the provenance recorder's holder minute,
+# attribution accountant and ring store). Mirrors the CI "alloc" job.
 alloc:
 	$(GO) test ./... -run 'ZeroAllocs|DoesNotAllocate|NoAllocs|NoSteadyStateAllocs' -count=1
 
+# bench/ is a module of its own, and its pulsebench command shares its
+# directory's name, so it is built to /dev/null rather than beside it.
 build:
 	$(GO) build ./...
+	cd bench && $(GO) build -o /dev/null ./...
 
 vet:
 	$(GO) vet ./...

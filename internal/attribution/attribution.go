@@ -206,7 +206,7 @@ func (a *Accountant) ObserveDowngrade(s telemetry.DowngradeSample) { a.arena.Obs
 func (a *Accountant) ObserveRegister(s telemetry.RegisterSample) { a.arena.ObserveRegister(s) }
 
 // ObserveDeregister implements telemetry.LifecycleObserver: the slot's
-// ledgers are folded into fixed-size retired sums and released.
+// ledgers are priced once into fixed-size totals and released.
 func (a *Accountant) ObserveDeregister(s telemetry.DeregisterSample) { a.arena.ObserveDeregister(s) }
 
 var (

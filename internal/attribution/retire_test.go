@@ -1,10 +1,10 @@
 package attribution
 
-// Deregistration folding: retiring a function folds its per-variant
-// ledgers into four fixed-size sums — in the same variant order the report
-// path uses, so the folded report is bit-identical to the live one — and
-// then drops the ledger slices, leaving the retired slot a constant-size
-// tombstone no matter how many variants its family had.
+// Deregistration pricing: retiring a function prices each of its ledgers
+// once — by the same Ledger.Price the report path uses, so the retired
+// report is bit-identical to the live one — and then drops the ledger
+// slices, leaving the retired slot a constant-size tombstone no matter how
+// many variants its family had.
 
 import (
 	"reflect"

@@ -273,12 +273,14 @@ func Run(cfg Config, p Policy) (*Result, error) {
 		PerMinuteCostUSD: make([]float64, tr.Horizon),
 	}
 	counts := make([]int, len(lc.slots))
+	// The run's totals are counted, then priced once when it ends.
+	led := NewLedgers(cfg.Catalog)
 
 	// Idle-skip: when the policy tracks its active set, the accounting walk
 	// visits only the slots that can hold a decision or owe a release
 	// sample, and the record fan-in hands the policy the minute's ascending
-	// invoked list. Both iterate ascending, so every float accumulates in
-	// dense-scan order — results are bit-identical.
+	// invoked list. Both iterate ascending, so every per-minute float
+	// accumulates in dense-scan order — results are bit-identical.
 	var invoked []int32
 	var walk HolderWalk
 	famOf := func(fn int) (int, bool) { return lc.slots[fn].fam, lc.slots[fn].live }
@@ -313,7 +315,7 @@ func Run(cfg Config, p Policy) (*Result, error) {
 		if timing {
 			scan0 = time.Now()
 		}
-		kamMB, costUSD, err := AccountKeepAlive(cfg.Catalog, cfg.Cost, obs, p, &walk, t, alive, famOf)
+		kamMB, costUSD, err := AccountKeepAlive(cfg.Catalog, cfg.Cost, obs, p, &walk, t, alive, famOf, led)
 		if err != nil {
 			return nil, err
 		}
@@ -324,7 +326,6 @@ func Run(cfg Config, p Policy) (*Result, error) {
 		}
 		res.PerMinuteKaMMB[t] = kamMB
 		res.PerMinuteCostUSD[t] = costUSD
-		res.KeepAliveCostUSD += costUSD
 
 		// Serve this minute's invocations (a validated trace counts none
 		// outside a function's lifetime).
@@ -337,7 +338,7 @@ func Run(cfg Config, p Policy) (*Result, error) {
 				continue
 			}
 			invoked = append(invoked, int32(fn))
-			if err := serveFunction(&cfg, p, res, t, fn, c, alive[fn], s.fam); err != nil {
+			if err := serveFunction(&cfg, p, res, led[s.fam], t, fn, c, alive[fn], s.fam); err != nil {
 				return nil, err
 			}
 		}
@@ -350,6 +351,9 @@ func Run(cfg Config, p Policy) (*Result, error) {
 			res.PolicyOverheadSec += time.Since(start).Seconds()
 		}
 	}
+	tot := led.Price(cfg.Catalog, cfg.Cost)
+	res.Invocations, res.WarmStarts, res.ColdStarts = tot.Invocations, tot.WarmStarts, tot.ColdStarts
+	res.TotalServiceSec, res.AccuracySumPct, res.KeepAliveCostUSD = tot.ServiceSec, tot.AccuracySumPct, tot.KeepAliveCostUSD
 	return res, nil
 }
 
@@ -367,7 +371,8 @@ func Record(p Policy, t int, counts []int, invoked []int32) {
 }
 
 // AccountKeepAlive is the keep-alive accounting for minute t, shared by the
-// engine and the live runtime: it validates p's decisions alive, sums memory
+// engine and the live runtime: it validates p's decisions alive, counts each
+// holder's minute into led (one ledger per family), sums the minute's memory
 // and cost in ascending slot order, and emits obs's KeepAlive samples under
 // the sparse contract — one per holder, one per release edge, none for a
 // slot resting at NoVariant — then the minute's MinuteSample. Only w's slots
@@ -375,8 +380,9 @@ func Record(p Policy, t int, counts []int, invoked []int32) {
 // sums still associate exactly as a dense scan's would (every skipped slot
 // contributes nothing). famOf maps a slot to its family and liveness; a
 // tombstoned slot must decide NoVariant. On return w.Held lists the
-// minute's holders. A non-nil error leaves the walk and the stream partial.
-func AccountKeepAlive(cat *models.Catalog, cost CostModel, obs telemetry.Observer, p Policy, w *HolderWalk, t int, alive []int, famOf func(fn int) (fam int, live bool)) (kamMB, costUSD float64, err error) {
+// minute's holders. A non-nil error leaves the walk, led and the stream
+// partial.
+func AccountKeepAlive(cat *models.Catalog, cost CostModel, obs telemetry.Observer, p Policy, w *HolderWalk, t int, alive []int, famOf func(fn int) (fam int, live bool), led Ledgers) (kamMB, costUSD float64, err error) {
 	w.Visit(w.Slots(p, len(alive)), func(fn int, wasHeld bool) bool {
 		if err != nil {
 			return false
@@ -400,6 +406,7 @@ func AccountKeepAlive(cat *models.Catalog, cost CostModel, obs telemetry.Observe
 				p.Name(), vi, fam.Name, fn, t)
 			return false
 		}
+		led[famIdx].Hold(vi)
 		mem := fam.Variants[vi].MemoryMB
 		kamMB += mem
 		costUSD += cost.KeepAliveUSDPerMinute(mem)
@@ -420,14 +427,15 @@ func AccountKeepAlive(cat *models.Catalog, cost CostModel, obs telemetry.Observe
 	return kamMB, costUSD, err
 }
 
-// serveFunction attributes one invoked function's minute: warm service on
-// the kept-alive variant, or a cold start on the policy's cold variant
-// with the remainder of the minute served warm. famIdx is passed
+// serveFunction serves one invoked function's minute: warm on the
+// kept-alive variant, or a cold start on the policy's cold variant with the
+// remainder of the minute served warm. It counts the minute into led (the
+// function's family's ledger) and emits its samples. famIdx is passed
 // explicitly because under churn the function slot is not an index into
 // Config.Assignment.
-func serveFunction(cfg *Config, p Policy, res *Result, t, fn, c, vi, famIdx int) error {
+func serveFunction(cfg *Config, p Policy, res *Result, led Ledger, t, fn, c, vi, famIdx int) error {
 	fam := &cfg.Catalog.Families[famIdx]
-	warm, cold := c, vi == NoVariant
+	cold := vi == NoVariant
 	if cold {
 		if vi = p.ColdVariant(t, fn); vi < 0 || vi >= fam.NumVariants() {
 			return fmt.Errorf("cluster: policy %q chose invalid cold variant %d of family %q for function %d at minute %d",
@@ -435,26 +443,17 @@ func serveFunction(cfg *Config, p Policy, res *Result, t, fn, c, vi, famIdx int)
 		}
 	}
 	v := &fam.Variants[vi]
-	res.Invocations += c
-	if cold {
+	led.ServeMinute(vi, c, cold)
+	if cfg.RecordServiceTimes {
 		// The first invocation pays the cold start and creates a container
 		// that serves the rest of the minute warm.
-		warm--
-		res.ColdStarts++
-		res.TotalServiceSec += v.ColdServiceSec()
-		res.AccuracySumPct += v.AccuracyPct
-		if cfg.RecordServiceTimes {
+		warm := c
+		if cold {
 			res.ServiceTimesSec = append(res.ServiceTimesSec, v.ColdServiceSec())
+			warm--
 		}
-	}
-	if warm > 0 {
-		res.WarmStarts += warm
-		res.TotalServiceSec += float64(warm) * v.ExecSec
-		res.AccuracySumPct += float64(warm) * v.AccuracyPct
-		if cfg.RecordServiceTimes {
-			for i := 0; i < warm; i++ {
-				res.ServiceTimesSec = append(res.ServiceTimesSec, v.ExecSec)
-			}
+		for i := 0; i < warm; i++ {
+			res.ServiceTimesSec = append(res.ServiceTimesSec, v.ExecSec)
 		}
 	}
 	ObserveServed(cfg.Observer, t, fn, c, v, cold)

@@ -25,8 +25,8 @@ package core_test
 //   - compare holds each producer to the row's first (a runtime to the row's
 //     first runtime, itself held to the first) on every surface both
 //     expose: decision and candidate-probability vectors, controller
-//     snapshots, engine results, runtime Stats and per-slot invocation
-//     streams, every sample stream, arena snapshots and series (by
+//     snapshots, engine results, runtime Stats (and a replay's Stats totals
+//     against the engine's) and per-slot invocation streams, every sample stream, arena snapshots and series (by
 //     Float64bits), attribution reports, provenance rings, tracer counts and
 //     alert transitions. laws checks what each producer owes on its own: the
 //     six-ledger invocation conservation, the sparse KeepAlive contract
@@ -1090,6 +1090,18 @@ func compare(t *testing.T, base, got *outcome) {
 		eq("Stats", *base.stats, *got.stats)
 		eq("per-slot invocation streams", base.streams, got.streams)
 	}
+	if r, s := base.result, got.stats; r != nil && s != nil && !got.race {
+		// Both count one ledger shape and price it in one order, so a replay
+		// of the row's trace owes the engine its totals bit for bit (its open
+		// last minute included).
+		type totals struct {
+			Invocations, WarmStarts, ColdStarts int
+			ServiceSec, AccuracySumPct          float64
+		}
+		eq("engine totals in Stats",
+			totals{r.Invocations, r.WarmStarts, r.ColdStarts, r.TotalServiceSec, r.AccuracySumPct},
+			totals{s.Invocations, s.WarmStarts, s.ColdStarts, s.TotalServiceSec, s.AccuracySumPct})
+	}
 	if base.tracer != nil && got.tracer != nil {
 		eq("tracer counts", [2]uint64{base.tracer.Attempts, base.tracer.Sampled}, [2]uint64{got.tracer.Attempts, got.tracer.Sampled})
 	}
@@ -1301,7 +1313,7 @@ func conservation(t *testing.T, o *outcome) {
 	arena := o.acct.Arena()
 	if _, ok := o.acct.MetricAt(attribution.MetricInvocations, 0); ok {
 		series := map[int]int{}
-		for m := 0; m <= arena.Minute(); m++ {
+		for m, open := 0, arena.Snapshot().Minute; m <= open; m++ {
 			v, ok := o.acct.MetricAt(attribution.MetricInvocations, m)
 			if !ok {
 				t.Fatalf("the accountant has no invocations sample for minute %d", m)

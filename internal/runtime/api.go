@@ -141,11 +141,11 @@ func NewInstrumentedAPI(rt *Runtime, tel *telemetry.Telemetry) (*API, error) {
 }
 
 // registerStatsMetrics bridges the runtime's global counters into the
-// registry as scrape-time funcs. Stats() opens a population-wide write
-// window, so a render takes it once: the registry renders families in
-// registration order, and the first of these funcs snapshots Stats for the
-// seven after it. A scrape racing another may take some of the eight values
-// from the other's snapshot.
+// registry as scrape-time funcs. Stats() opens a write window (over the
+// slots invoked this minute, not the population), so a render takes it
+// once: the registry renders families in registration order, and the first
+// of these funcs snapshots Stats for the seven after it. A scrape racing
+// another may take some of the eight values from the other's snapshot.
 func registerStatsMetrics(reg *telemetry.Registry, rt *Runtime) error {
 	type metric struct {
 		name, help string

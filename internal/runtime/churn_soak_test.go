@@ -3,7 +3,7 @@ package runtime
 // Churn soak: a runtime that registers, drives, and deregisters functions
 // forever must reach a bounded steady-state heap cost per departed slot.
 // Slots are never reused, so some per-slot cost is permanent by design —
-// the registry tombstone, the 128-byte fnState, the controller's zeroed
+// the registry tombstone, the 64-byte fnState, the controller's zeroed
 // slab row — but the heavy learned state (histograms, spill lists, local
 // queues, plan rows, attribution ledgers) must be released at deregister.
 // Before the release rule existed, every departed function kept its full
@@ -21,7 +21,7 @@ import (
 
 // soakHeapBudgetBytes bounds the steady-state retained heap per departed
 // function. The permanent tombstone cost is roughly: runtime fnState
-// (128 B) + fns pointer (8 B) + countsBuf (8 B) + two registry entries with
+// (64 B) + fns pointer (8 B) + countsBuf (8 B) + two registry entries with
 // the name string (~150 B) + controller slab cells (lastInv, buckets,
 // totals, row/expiry, decision/prob ≈ 230 B) + empty slice headers (~70 B).
 // The budget leaves ~2× headroom over that sum for allocator rounding and

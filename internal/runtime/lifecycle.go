@@ -78,8 +78,8 @@ func (r *Runtime) Register(name string, family int) (int, error) {
 
 // Deregister retires the named function: its slot is tombstoned in the
 // policy and the runtime, any warm container is torn down, and subsequent
-// Invokes of the slot return ErrDeregistered. Counters already accumulated
-// for the function remain part of Stats. The slot is never reused; a later
+// Invokes of the slot return ErrDeregistered. Its invocations, the open
+// minute's included, remain part of Stats. The slot is never reused; a later
 // Register of the same name gets a fresh slot with cold state.
 func (r *Runtime) Deregister(name string) error {
 	r.barrier.Lock()
@@ -104,10 +104,11 @@ func (r *Runtime) Deregister(name string) error {
 		return fmt.Errorf("runtime: registry out of sync with policy: %w", err)
 	}
 	st := r.fns[slot]
-	// The slot's open minute reaches observers now, before the sample that
-	// closes its ledgers; the harvest skips inactive slots.
+	// The slot's open minute closes now — into the ledger and to observers,
+	// before the sample that closes theirs; the harvest and Stats skip
+	// inactive slots.
 	if st.count > 0 {
-		r.observeServed(st, slot, st.count)
+		r.closeServed(st, slot, st.count)
 	}
 	st.active = false
 	st.alive = cluster.NoVariant

@@ -131,15 +131,16 @@ func (s Stats) MeanAccuracyPct() float64 {
 	return s.AccuracySumPct / float64(s.Invocations)
 }
 
-// fnState is one function's serving state and counters, guarded by its own
-// lock so invocations of different functions never contend. Stripes live in
-// fixed-size slabs (Runtime.chunks) and are reached through a pointer
-// slice: growing the population appends into the current slab (or starts a
-// new one), never moves a stripe, so an epoch-mode reader holding
+// fnState is one function's serving state for the open minute, guarded by
+// its own lock so invocations of different functions never contend. Stripes
+// live in fixed-size slabs (Runtime.chunks) and are reached through a
+// pointer slice: growing the population appends into the current slab (or
+// starts a new one), never moves a stripe, so an epoch-mode reader holding
 // yesterday's slice still mutates today's stripe — and a million-slot
 // runtime costs one allocation per slab instead of one per function. The
-// struct is padded to two cache lines to keep neighbouring stripes' locks
-// off each other's lines under heavy cross-core traffic.
+// struct fills one cache line (TestFnStateIsOneCacheLine), keeping
+// neighbouring stripes' locks off each other's lines; closed minutes live
+// in the runtime's ledger.
 type fnState struct {
 	mu sync.Mutex
 
@@ -164,16 +165,21 @@ type fnState struct {
 	dirtyMark bool
 	dirtyNext int32
 
-	// Minute-scoped serving state and cumulative counters, guarded by mu.
-	alive       int // variant kept alive this minute, NoVariant if none
-	coldPod     int // variant cold-started earlier this minute, NoVariant if none
-	count       int // invocations observed this minute
-	invocations int
-	warm        int
-	cold        int
-	serviceSec  float64
-	accuracySum float64
-	_           [24]byte
+	// Minute-scoped serving state, guarded by mu.
+	alive   int // variant kept alive this minute, NoVariant if none
+	coldPod int // variant cold-started earlier this minute, NoVariant if none
+	count   int // invocations observed this minute
+}
+
+// served names the variant st's open-minute invocations run on and whether
+// the minute began cold: a cold start sets coldPod (only when nothing is
+// alive), and every later invocation that minute runs warm on it; otherwise
+// all run warm on alive (NoVariant before the first cold start).
+func (st *fnState) served() (vi int, cold bool) {
+	if st.coldPod != cluster.NoVariant {
+		return st.coldPod, true
+	}
+	return st.alive, false
 }
 
 // fnChunk is the slab size for fnState storage: slabs are allocated at full
@@ -198,9 +204,10 @@ const fnChunk = 1024
 // owns all stripe and global state with no invocation body in flight,
 // exactly the exclusion the old RWMutex minute barrier provided. Policy
 // calls and every Observer sample therefore keep their serialized ordering
-// contracts unchanged. Global totals are derived by
-// summing the per-function accumulators in function order, which keeps
-// float sums bit-identical across both modes. See DESIGN.md §6.6 for the
+// contracts unchanged. Totals are integer counts in one ledger per family
+// (cluster.Ledger), counted inside write windows as each function-minute
+// closes and priced only when Stats reads them, so they are bit-identical
+// across both modes and to the cluster engine's. See DESIGN.md §6.6 for the
 // memory-ordering argument.
 //
 // ModeSerial (every Invoke takes the barrier exclusively) is the oracle;
@@ -246,7 +253,11 @@ type Runtime struct {
 	fnsA      atomic.Pointer[[]*fnState] // epoch readers' view of fns
 	countsBuf []int                      // reused Step scratch, reported to the policy
 	kaMMB     float64
-	kaCostUSD float64
+
+	// ledgers counts every held minute and closed function-minute, one per
+	// family; statsBuf is Stats' copy with the open minute added. Both are
+	// writer-owned.
+	ledgers, statsBuf cluster.Ledgers
 
 	// Idle-skip state. Every serving path chains the stripes it touches
 	// into the dirty list, so Step harvests the minute's counts from the
@@ -321,6 +332,8 @@ func New(cfg Config) (*Runtime, error) {
 		selfWanted: telemetry.WantsSelf(cfg.Observer),
 		fns:        make([]*fnState, 0, len(cfg.Assignment)),
 		countsBuf:  make([]int, len(cfg.Assignment)),
+		ledgers:    cluster.NewLedgers(cfg.Catalog),
+		statsBuf:   cluster.NewLedgers(cfg.Catalog),
 		reg:        reg,
 	}
 	r.dirtyHead.Store(-1)
@@ -419,9 +432,9 @@ func (r *Runtime) startLocked() {
 
 // applyDecisionsLocked requires an open write window (beginWrite): it
 // writes the minute's alive variants and runs the engine's keep-alive
-// accounting (cluster.AccountKeepAlive), which prices the minute and emits
-// its keep-alive and minute samples. Only last minute's holders and this
-// minute's are written: every other slot decided NoVariant and its stripe
+// accounting (cluster.AccountKeepAlive), which counts the minute's holders
+// into the ledger and emits its keep-alive and minute samples. Only last
+// minute's holders and this minute's are written: every other slot decided NoVariant and its stripe
 // already rests there. Plain stripe writes are safe: the window is open, so
 // no invocation body is in flight, and endWrite's release publishes them to
 // the fast path's acquire loads.
@@ -432,7 +445,7 @@ func (r *Runtime) applyDecisionsLocked(decisions []int) {
 	for _, fn := range r.holders.Held() {
 		r.fns[fn].alive = cluster.NoVariant
 	}
-	kam, cost, err := cluster.AccountKeepAlive(r.cfg.Catalog, r.cfg.Cost, r.obs, r.cfg.Policy, &r.holders, r.minute, decisions, r.famOf)
+	kam, _, err := cluster.AccountKeepAlive(r.cfg.Catalog, r.cfg.Cost, r.obs, r.cfg.Policy, &r.holders, r.minute, decisions, r.famOf, r.ledgers)
 	if err != nil {
 		panic(err.Error())
 	}
@@ -440,7 +453,6 @@ func (r *Runtime) applyDecisionsLocked(decisions []int) {
 		r.fns[fn].alive = decisions[fn]
 	}
 	r.kaMMB = kam
-	r.kaCostUSD += cost
 }
 
 // famOf is cluster.AccountKeepAlive's view of slot fn: its family and
@@ -521,42 +533,28 @@ func (r *Runtime) LookupFunction(name string) (int, bool) {
 }
 
 // serveLocked executes the invocation body for minute `minute` with st.mu
-// held: tombstone check, warm/cold decision, counter updates. It is the
+// held: tombstone check, warm/cold decision, the minute's count. It is the
 // single body shared by both modes, so behavioural equivalence is by
 // construction.
 func (r *Runtime) serveLocked(st *fnState, fn, minute int) (Invocation, error) {
 	if !st.active {
 		return Invocation{}, fmt.Errorf("%w: %q (function %d)", ErrDeregistered, st.name, fn)
 	}
-	fam := r.cfg.Catalog.Families[st.family]
-	inv := Invocation{Function: fn, Minute: minute}
-	vi := st.alive
-	if vi == cluster.NoVariant {
-		vi = st.coldPod
-	}
-	if vi != cluster.NoVariant {
-		v := fam.Variants[vi]
-		inv.Variant = v.Name
-		inv.AccuracyPct = v.AccuracyPct
-		inv.ServiceSec = v.ExecSec
-		st.warm++
-	} else {
-		cvi := r.cfg.Policy.ColdVariant(minute, fn)
-		if cvi < 0 || cvi >= fam.NumVariants() {
-			return Invocation{}, fmt.Errorf("runtime: policy chose invalid cold variant %d for function %d", cvi, fn)
+	fam := &r.cfg.Catalog.Families[st.family]
+	vi, _ := st.served()
+	cold := vi == cluster.NoVariant
+	if cold {
+		if vi = r.cfg.Policy.ColdVariant(minute, fn); vi < 0 || vi >= fam.NumVariants() {
+			return Invocation{}, fmt.Errorf("runtime: policy chose invalid cold variant %d for function %d", vi, fn)
 		}
-		v := fam.Variants[cvi]
-		inv.Variant = v.Name
-		inv.AccuracyPct = v.AccuracyPct
+		st.coldPod = vi
+	}
+	v := &fam.Variants[vi]
+	inv := Invocation{Function: fn, Minute: minute, Variant: v.Name, AccuracyPct: v.AccuracyPct, ServiceSec: v.ExecSec, Cold: cold}
+	if cold {
 		inv.ServiceSec = v.ColdServiceSec()
-		inv.Cold = true
-		st.coldPod = cvi
-		st.cold++
 	}
 	st.count++
-	st.invocations++
-	st.serviceSec += inv.ServiceSec
-	st.accuracySum += inv.AccuracyPct
 	return inv, nil
 }
 
@@ -775,13 +773,13 @@ func (r *Runtime) Step() error {
 		st.mu.Unlock()
 		h = next
 	}
-	// Emit every invoked live slot's minute, ascending, before the policy
-	// records it (a departed slot's went out with its Deregister).
+	// Count and emit every invoked live slot's minute, ascending, before
+	// the policy records it (a departed slot's closed with its Deregister).
 	slices.Sort(r.invokedBuf)
 	for _, fn := range r.invokedBuf {
 		st := r.fns[fn]
 		if st.active {
-			r.observeServed(st, int(fn), r.countsBuf[fn])
+			r.closeServed(st, int(fn), r.countsBuf[fn])
 		}
 		st.coldPod = cluster.NoVariant
 	}
@@ -809,15 +807,12 @@ func (r *Runtime) Step() error {
 	return nil
 }
 
-// observeServed emits slot fn's count invocations of the open minute: a cold
-// start on coldPod and count−1 warm ones on it when coldPod is set, else
-// count warm ones on alive. Requires an open write window.
-func (r *Runtime) observeServed(st *fnState, fn, count int) {
-	cold := st.coldPod != cluster.NoVariant
-	vi := st.alive
-	if cold {
-		vi = st.coldPod
-	}
+// closeServed closes slot fn's open minute of count invocations: it counts
+// them into the ledger and emits them to the Observer. Requires an open
+// write window.
+func (r *Runtime) closeServed(st *fnState, fn, count int) {
+	vi, cold := st.served()
+	r.ledgers[st.family].ServeMinute(vi, count, cold)
 	cluster.ObserveServed(r.obs, r.minute, fn, count, &r.cfg.Catalog.Families[st.family].Variants[vi], cold)
 }
 
@@ -843,34 +838,43 @@ func (r *Runtime) Minute() int {
 	return r.minute
 }
 
-// Stats returns a consistent snapshot of the runtime counters: it opens a
-// write window (so no invocation is mid-body anywhere) and sums the
-// per-function accumulators in function order, which keeps float totals
-// identical across the serial and epoch modes. It remains available after
-// Close.
+// Stats returns a consistent snapshot of the runtime counters: the ledger
+// plus the open minute, priced. The open minute is read off the dirty
+// chain inside a write window, so a read costs O(slots invoked this minute),
+// not O(population), and no invocation is mid-body while it is counted; a
+// slot deregistered this minute was counted into the ledger then. It
+// remains available after Close, open minute included.
 func (r *Runtime) Stats() Stats {
 	r.barrier.Lock()
 	defer r.barrier.Unlock()
-	s := Stats{
-		Minute:           r.minute,
-		KeepAliveCostUSD: r.kaCostUSD,
-		CurrentKaMMB:     r.kaMMB,
+	for f, l := range r.ledgers {
+		copy(r.statsBuf[f], l)
 	}
-	// The summing pass is the drain: locking stripe i waits out its last
-	// in-flight invocation, and the odd seq keeps every stripe read below
-	// consistent with the ones already taken.
+	// The chain walk is the drain: locking a stripe waits out its in-flight
+	// invocation, and the odd seq fails every later one's re-check.
 	r.seq.Add(1)
-	for _, st := range r.fns {
+	for h := r.dirtyHead.Load(); h >= 0; {
+		st := r.fns[h]
 		st.mu.Lock()
-		s.Invocations += st.invocations
-		s.WarmStarts += st.warm
-		s.ColdStarts += st.cold
-		s.TotalServiceSec += st.serviceSec
-		s.AccuracySumPct += st.accuracySum
+		if st.count > 0 && st.active {
+			vi, cold := st.served()
+			r.statsBuf[st.family].ServeMinute(vi, st.count, cold)
+		}
+		h = st.dirtyNext
 		st.mu.Unlock()
 	}
 	r.endWrite()
-	return s
+	t := r.statsBuf.Price(r.cfg.Catalog, r.cfg.Cost)
+	return Stats{
+		Minute:           r.minute,
+		Invocations:      t.Invocations,
+		WarmStarts:       t.WarmStarts,
+		ColdStarts:       t.ColdStarts,
+		TotalServiceSec:  t.ServiceSec,
+		AccuracySumPct:   t.AccuracySumPct,
+		KeepAliveCostUSD: t.KeepAliveCostUSD,
+		CurrentKaMMB:     r.kaMMB,
+	}
 }
 
 // AliveVariant reports which variant of fn is currently kept alive

@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"errors"
-	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -276,7 +275,8 @@ func TestExecScaleSleeps(t *testing.T) {
 
 // The live runtime and the offline simulator must agree: replaying the same
 // trace through both with the same (deterministic) policy yields identical
-// warm/cold/service/accuracy accounting.
+// warm/cold/service/accuracy accounting — bit for bit, since both count into
+// one ledger shape and price it in one order.
 func TestReplayMatchesOfflineSimulator(t *testing.T) {
 	tr, err := trace.Generate(trace.GeneratorConfig{Seed: 15, Horizon: 6 * 60})
 	if err != nil {
@@ -321,20 +321,14 @@ func TestReplayMatchesOfflineSimulator(t *testing.T) {
 	}
 	live := r.Stats()
 
-	if live.Invocations != offline.Invocations {
-		t.Errorf("invocations: live %d vs offline %d", live.Invocations, offline.Invocations)
+	type totals struct {
+		Invocations, WarmStarts, ColdStarts int
+		ServiceSec, AccuracySumPct          float64
 	}
-	if live.WarmStarts != offline.WarmStarts || live.ColdStarts != offline.ColdStarts {
-		t.Errorf("starts: live %d/%d vs offline %d/%d",
-			live.WarmStarts, live.ColdStarts, offline.WarmStarts, offline.ColdStarts)
-	}
-	// The engine multiplies per-minute counts while the runtime adds per
-	// invocation, so sums agree only up to float association order.
-	if math.Abs(live.TotalServiceSec-offline.TotalServiceSec) > 1e-6 {
-		t.Errorf("service: live %v vs offline %v", live.TotalServiceSec, offline.TotalServiceSec)
-	}
-	if math.Abs(live.AccuracySumPct-offline.AccuracySumPct) > 1e-6 {
-		t.Errorf("accuracy sum: live %v vs offline %v", live.AccuracySumPct, offline.AccuracySumPct)
+	got := totals{live.Invocations, live.WarmStarts, live.ColdStarts, live.TotalServiceSec, live.AccuracySumPct}
+	want := totals{offline.Invocations, offline.WarmStarts, offline.ColdStarts, offline.TotalServiceSec, offline.AccuracySumPct}
+	if got != want {
+		t.Errorf("live totals %+v, offline %+v", got, want)
 	}
 	// The replay charges one extra minute (the Step after the final trace
 	// minute opens minute `horizon`); costs otherwise match.

@@ -31,53 +31,43 @@ type Config struct {
 // famInfo caches the per-variant characteristics of one model family in
 // the form the hot path needs: no catalog traversal per sample.
 type famInfo struct {
-	name       string
+	fam        *models.Family // what the report prices ledgers against
 	byName     map[string]int
 	memMB      []float64
-	accPct     []float64
 	costPerMin []float64
 	highest    int
 }
 
-// fnShared is one function's shared (live-policy) state: the integer
-// counters the report's Actual tally derives from. Keeping counts rather
-// than running float sums makes reports independent of how the feed
-// fragments a minute's invocations into samples. Only samples naming the
-// function touch it; what every minute boundary reads for every function
-// lives in the Arena's columns instead.
-type fnShared struct {
-	lastInv    int // minute of the last invocation, -1 before any
-	seenMinute int // minute of the last invocation sample, -1 before any
-
-	invocations int
-	actualCold  int
-	downgrades  int
-
-	aliveMin     []int // actual kept-alive minutes, by variant index (nil once retired)
-	invByVariant []int // actual invocations, by variant index (nil once retired)
-
-	// Folded per-variant sums, computed once at retirement — in the same
-	// variant order the report uses, so reports stay bit-identical — after
-	// which aliveMin and invByVariant are released. This is what bounds a
-	// churning arena's steady-state heap: a departed slot keeps only
-	// fixed-size state, not its per-variant ledgers.
-	foldedKaMBMin float64
-	foldedKaCost  float64
-	foldedAccMin  float64
-	foldedAccSum  float64
+// account is one policy's account of one function: the integer ledger the
+// report prices, so reports do not depend on how the feed batches samples.
+// Retirement prices it for good, in place, and releases it: a departed slot
+// keeps fixed-size state, and retiring one allocates nothing.
+type account struct {
+	led    cluster.Ledger // nil once retired
+	priced cluster.Totals // the ledger's price once retired
 }
 
-// entLedger is one entrant's account of one function.
-type entLedger struct {
-	aliveMin []int // kept-alive minutes, by variant index (nil once retired)
-	served   []int // invocations served, by variant index (nil once retired)
-	cold     int   // cold function-minutes
+// totals prices the account (fi is its function's family).
+func (ac *account) totals(fi *famInfo, cost cluster.CostModel) cluster.Totals {
+	t := ac.priced
+	if ac.led != nil {
+		ac.led.Price(&t, fi.fam, cost)
+	}
+	return t
+}
 
-	// Folded at retirement, mirroring fnShared's discipline.
-	foldedKaMBMin float64
-	foldedKaCost  float64
-	foldedAccMin  float64
-	foldedAccSum  float64
+// retire prices the ledger for good and releases it.
+func (ac *account) retire(fi *famInfo, cost cluster.CostModel) {
+	ac.priced, ac.led = ac.totals(fi, cost), nil
+}
+
+// fnShared is one function's shared state: the live policy's account plus
+// the counters only samples naming the function touch. What every minute
+// boundary reads for every function lives in the Arena's columns instead.
+type fnShared struct {
+	account
+	seenMinute int // minute of the last invocation sample, -1 before any
+	downgrades int
 }
 
 // entrant is one raced policy plus its arena-side bookkeeping.
@@ -85,8 +75,8 @@ type entrant struct {
 	impl ShadowEntrant
 	hind HindsightEntrant // non-nil when impl has hindsight
 
-	open []int       // variant held in the open minute per fn, NoVariant when none
-	led  []entLedger // per-function account
+	open []int     // variant held in the open minute per fn, NoVariant when none
+	led  []account // per-function account
 
 	// rests marks a RestingEntrant whose Rests() held at construction. Only
 	// for those, held lists the slots holding a variant in the open minute,
@@ -134,7 +124,7 @@ type Arena struct {
 	// through fnShared.
 	famOf   []int
 	retired []bool // slot deregistered; ledger closed, counters frozen
-	openCnt []int  // invocations folded into the open minute (barrier feed)
+	openCnt []int  // invocations counted into the open minute (barrier feed)
 
 	// live lists the slots a minute boundary walks, ascending. A deregister
 	// only marks it stale; the next minute boundary drops the retired slots
@@ -249,7 +239,7 @@ func (b *boundary) consult(e *entrant, slot int32) (memMB, cost float64, ok bool
 		v = fi.highest
 	}
 	e.open[fn] = v
-	e.led[fn].aliveMin[v]++
+	e.led[fn].led.Hold(v)
 	return fi.memMB[v], fi.costPerMin[v], true
 }
 
@@ -313,14 +303,15 @@ func newArena(cfg Config, workers int) (*Arena, error) {
 		seen[n] = true
 		names[i] = n
 	}
+	n := len(cfg.Assignment)
 	a := &Arena{
 		cost:    cfg.Cost,
 		fams:    make([]famInfo, len(cfg.Catalog.Families)),
-		famOf:   make([]int, len(cfg.Assignment)),
-		fns:     make([]fnShared, len(cfg.Assignment)),
-		retired: make([]bool, len(cfg.Assignment)),
-		openCnt: make([]int, len(cfg.Assignment)),
-		live:    make([]int32, len(cfg.Assignment)),
+		famOf:   make([]int, 0, n),
+		fns:     make([]fnShared, 0, n),
+		retired: make([]bool, 0, n),
+		openCnt: make([]int, 0, n),
+		live:    make([]int32, 0, n),
 		ents:    make([]entrant, len(cfg.Entrants)),
 		names:   names,
 		cur:     -1,
@@ -330,17 +321,15 @@ func newArena(cfg Config, workers int) (*Arena, error) {
 	for i := range cfg.Catalog.Families {
 		fam := &cfg.Catalog.Families[i]
 		fi := famInfo{
-			name:       fam.Name,
+			fam:        fam,
 			byName:     make(map[string]int, fam.NumVariants()),
 			memMB:      make([]float64, fam.NumVariants()),
-			accPct:     make([]float64, fam.NumVariants()),
 			costPerMin: make([]float64, fam.NumVariants()),
 			highest:    fam.NumVariants() - 1,
 		}
 		for vi, v := range fam.Variants {
 			fi.byName[v.Name] = vi
 			fi.memMB[vi] = v.MemoryMB
-			fi.accPct[vi] = v.AccuracyPct
 			fi.costPerMin[vi] = cfg.Cost.KeepAliveUSDPerMinute(v.MemoryMB)
 		}
 		a.fams[i] = fi
@@ -352,29 +341,11 @@ func newArena(cfg Config, workers int) (*Arena, error) {
 		if r, ok := cfg.Entrants[ei].(RestingEntrant); ok {
 			e.rests = r.Rests()
 		}
-		e.open = make([]int, len(cfg.Assignment))
-		e.led = make([]entLedger, len(cfg.Assignment))
+		e.open = make([]int, 0, n)
+		e.led = make([]account, 0, n)
 	}
-	for fn := range cfg.Assignment {
-		fam := cfg.Assignment[fn]
-		a.famOf[fn] = fam
-		a.live[fn] = int32(fn)
-		nv := cfg.Catalog.Families[fam].NumVariants()
-		a.fns[fn] = fnShared{
-			lastInv:      -1,
-			seenMinute:   -1,
-			aliveMin:     make([]int, nv),
-			invByVariant: make([]int, nv),
-		}
-		for ei := range a.ents {
-			e := &a.ents[ei]
-			e.open[fn] = NoVariant
-			e.led[fn] = entLedger{
-				aliveMin: make([]int, nv),
-				served:   make([]int, nv),
-			}
-			e.impl.Register(fn, fam, nv)
-		}
+	for _, fam := range cfg.Assignment {
+		a.addSlot(fam)
 	}
 	a.walker = &walker{ents: a.ents}
 	for _, rests := range []bool{false, true} {
@@ -411,40 +382,44 @@ func (a *Arena) EntrantIndex(name string) (int, bool) {
 	return 0, false
 }
 
-// Minute returns the open (still accumulating) minute, -1 before any
-// sample.
-func (a *Arena) Minute() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.cur
-}
-
-// LedgersReleased reports whether slot fn's per-variant ledgers — shared
-// and per-entrant — have been folded and released (true only after
+// LedgersReleased reports whether slot fn's ledgers — shared and
+// per-entrant — have been priced and released (true only after
 // retirement). It exists for memory-retention tests.
 func (a *Arena) LedgersReleased(fn int) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if fn < 0 || fn >= len(a.fns) {
-		return false
-	}
-	f := &a.fns[fn]
-	if !a.retired[fn] || f.aliveMin != nil || f.invByVariant != nil {
+	if fn < 0 || fn >= len(a.fns) || !a.retired[fn] || a.fns[fn].led != nil {
 		return false
 	}
 	for ei := range a.ents {
-		led := &a.ents[ei].led[fn]
-		if led.aliveMin != nil || led.served != nil {
+		if a.ents[ei].led[fn].led != nil {
 			return false
 		}
 	}
 	return true
 }
 
+// addSlot opens the next slot, of family fam: a fresh shared account, and
+// one per entrant, each of which registers it.
+func (a *Arena) addSlot(fam int) {
+	fi, fn := &a.fams[fam], len(a.fns)
+	a.famOf = append(a.famOf, fam)
+	a.retired = append(a.retired, false)
+	a.openCnt = append(a.openCnt, 0)
+	a.live = append(a.live, int32(fn))
+	a.fns = append(a.fns, fnShared{account: account{led: cluster.NewLedger(fi.fam)}, seenMinute: -1})
+	for ei := range a.ents {
+		e := &a.ents[ei]
+		e.open = append(e.open, NoVariant)
+		e.led = append(e.led, account{led: cluster.NewLedger(fi.fam)})
+		e.impl.Register(fn, fam, fi.fam.NumVariants())
+	}
+}
+
 // roll advances the open minute to m, closing every minute in between.
 // Minutes only move forward; a sample carrying an older minute (only a
 // malformed feed sends one: producers emit at their barriers, in minute
-// order) is folded into the open minute.
+// order) is counted into the open minute.
 func (a *Arena) roll(m int) {
 	if a.cur < 0 {
 		a.advance(max(m, 0), false)
@@ -570,7 +545,7 @@ func (a *Arena) ObserveKeepAlive(s telemetry.KeepAliveSample) {
 	if s.Variant < 0 || s.Variant >= len(fi.memMB) {
 		return
 	}
-	a.fns[s.Function].aliveMin[s.Variant]++
+	a.fns[s.Function].led.Hold(s.Variant)
 	a.minActualKaM += fi.memMB[s.Variant]
 	a.minActualCost += fi.costPerMin[s.Variant]
 }
@@ -601,7 +576,6 @@ func (a *Arena) ObserveInvocation(s telemetry.InvocationSample) {
 	if first && s.Minute > f.seenMinute {
 		f.seenMinute = s.Minute
 	}
-	f.invocations += n
 	if a.openCnt[s.Function] == 0 {
 		a.touched = append(a.touched, int32(s.Function))
 	}
@@ -613,43 +587,36 @@ func (a *Arena) ObserveInvocation(s telemetry.InvocationSample) {
 		// the highest variant rather than dropping the invocations.
 		vi = fi.highest
 	}
-	f.invByVariant[vi] += n
 	if s.Cold {
-		f.actualCold += n
+		f.led.Serve(vi, 0, n)
 		a.minActualCold += n
+	} else {
+		f.led.Serve(vi, n, 0)
 	}
 	for ei := range a.ents {
 		e := &a.ents[ei]
-		if first {
-			if e.hind != nil {
-				// Hindsight: charged on the minute's first batch, never
-				// cached — a stale-minute "first" charges again, exactly
-				// like the pre-refactor oracle.
-				hv := e.hind.HindsightKeepAlive(s.Minute, s.Function)
-				if hv > fi.highest {
-					hv = fi.highest
-				}
-				if hv >= 0 {
-					e.led[s.Function].aliveMin[hv]++
-					e.minKaM += fi.memMB[hv]
-					e.minCost += fi.costPerMin[hv]
-				} else {
-					e.led[s.Function].cold++
-					e.minCold++
-				}
-			} else if e.open[s.Function] < 0 {
-				e.led[s.Function].cold++
-				e.minCold++
+		cold := first && e.hind == nil && e.open[s.Function] < 0
+		if first && e.hind != nil {
+			// Hindsight: charged on the minute's first batch, never cached —
+			// a stale-minute "first" charges again, exactly like the
+			// pre-refactor oracle.
+			hv := min(e.hind.HindsightKeepAlive(s.Minute, s.Function), fi.highest)
+			if cold = hv < 0; !cold {
+				e.led[s.Function].led.Hold(hv)
+				e.minKaM += fi.memMB[hv]
+				e.minCost += fi.costPerMin[hv]
 			}
+		}
+		if cold {
+			e.minCold++
 		}
 		sv := e.open[s.Function]
 		if sv < 0 {
 			sv = fi.highest
 		}
-		e.led[s.Function].served[sv] += n
-	}
-	if s.Minute > f.lastInv {
-		f.lastInv = s.Minute
+		// An entrant's cold start is one per function-minute, whatever the
+		// feed's batching: the batch that marks the minute carries it.
+		e.led[s.Function].led.ServeMinute(sv, n, cold)
 	}
 }
 
@@ -701,29 +668,8 @@ func (a *Arena) ObserveDowngrade(s telemetry.DowngradeSample) {
 func (a *Arena) ObserveRegister(s telemetry.RegisterSample) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if s.Family < 0 || s.Family >= len(a.fams) || s.Function != len(a.fns) {
-		return
-	}
-	nv := len(a.fams[s.Family].memMB)
-	a.famOf = append(a.famOf, s.Family)
-	a.retired = append(a.retired, false)
-	a.openCnt = append(a.openCnt, 0)
-	a.live = append(a.live, int32(s.Function))
-	a.fns = append(a.fns, fnShared{
-		lastInv:      -1,
-		seenMinute:   -1,
-		aliveMin:     make([]int, nv),
-		invByVariant: make([]int, nv),
-	})
-	fn := len(a.fns) - 1
-	for ei := range a.ents {
-		e := &a.ents[ei]
-		e.open = append(e.open, NoVariant)
-		e.led = append(e.led, entLedger{
-			aliveMin: make([]int, nv),
-			served:   make([]int, nv),
-		})
-		e.impl.Register(fn, s.Family, nv)
+	if s.Family >= 0 && s.Family < len(a.fams) && s.Function == len(a.fns) {
+		a.addSlot(s.Family)
 	}
 }
 
@@ -733,39 +679,23 @@ func (a *Arena) ObserveRegister(s telemetry.RegisterSample) {
 // sample's minute on (a deleted function would not have been kept alive
 // by any baseline either). Retirement is applied before the clock
 // advances so the minute the sample names is the first one entrants skip.
-// The per-variant ledgers are folded into the fixed-size retired sums (in
-// variant order, matching the report's loop, so the floats are identical
-// either way) and released: a retired slot cannot accumulate further
-// kept-alive minutes or invocations, so the fold is final.
+// Every ledger of the slot is priced and released (account.retire): a
+// retired slot cannot accumulate further kept-alive minutes or invocations,
+// and pricing is a function of the counts alone, so the report reads the
+// same either way.
 func (a *Arena) ObserveDeregister(s telemetry.DeregisterSample) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if s.Function < 0 || s.Function >= len(a.fns) {
 		return
 	}
-	f := &a.fns[s.Function]
 	if !a.retired[s.Function] {
 		a.retired[s.Function], a.liveStale = true, true
 		fi := &a.fams[a.famOf[s.Function]]
-		for v := 0; v < len(fi.memMB); v++ {
-			m := float64(f.aliveMin[v])
-			f.foldedKaMBMin += m * fi.memMB[v]
-			f.foldedKaCost += m * fi.costPerMin[v]
-			f.foldedAccMin += m * fi.accPct[v]
-			f.foldedAccSum += float64(f.invByVariant[v]) * fi.accPct[v]
-		}
-		f.aliveMin, f.invByVariant = nil, nil
+		a.fns[s.Function].retire(fi, a.cost)
 		for ei := range a.ents {
 			e := &a.ents[ei]
-			led := &e.led[s.Function]
-			for v := 0; v < len(fi.memMB); v++ {
-				m := float64(led.aliveMin[v])
-				led.foldedKaMBMin += m * fi.memMB[v]
-				led.foldedKaCost += m * fi.costPerMin[v]
-				led.foldedAccMin += m * fi.accPct[v]
-				led.foldedAccSum += float64(led.served[v]) * fi.accPct[v]
-			}
-			led.aliveMin, led.served = nil, nil
+			e.led[s.Function].retire(fi, a.cost)
 			e.open[s.Function] = NoVariant
 			e.impl.Retire(s.Function)
 		}

@@ -1,9 +1,12 @@
 package tournament
 
-// Snapshot() prices the arena. Every float in a Snapshot is computed here,
-// at snapshot time, from the integer counters the stream accumulated — in
-// a fixed order (variants within a function, functions within the total)
-// — so two arenas that saw equivalent streams produce bit-identical
+import "github.com/pulse-serverless/pulse/internal/cluster"
+
+// Snapshot() prices the arena. Every float in a Snapshot is computed at
+// snapshot time (or, for a retired slot, once at its retirement) from the
+// integer ledgers the stream accumulated — by cluster.Ledger.Price, in a
+// fixed order (variants within a function, functions within the total) —
+// so two arenas that saw equivalent streams produce bit-identical
 // snapshots no matter how the feeds fragmented or batched their samples.
 
 // Tally is one policy's account of one function (or, in the totals row,
@@ -94,75 +97,39 @@ func (a *Arena) Snapshot() Snapshot {
 	return r
 }
 
-// functionLedger derives one function's account from its counters. Called
-// with a.mu held.
+// functionLedger prices one function's accounts: the live policy's and,
+// in registration order, every entrant's. Called with a.mu held.
 func (a *Arena) functionLedger(fn int) FunctionLedger {
 	f := &a.fns[fn]
 	fi := &a.fams[a.famOf[fn]]
 	fr := FunctionLedger{
 		Function:   fn,
-		Family:     fi.name,
+		Family:     fi.fam.Name,
 		Downgrades: f.downgrades,
+		Actual:     tally(f.totals(fi, a.cost)),
 		Shadows:    make([]Tally, len(a.ents)),
 		Savings:    make([]Savings, len(a.ents)),
 	}
-
-	// Live policy: kept-alive minutes per variant × that variant's memory,
-	// cost, and accuracy; invocation accuracy weighted per variant. A
-	// retired slot's ledgers were folded (in this same variant order) into
-	// the fixed-size sums at deregistration, so the values — and the float
-	// rounding — are identical either way.
-	if a.retired[fn] && f.aliveMin == nil {
-		fr.Actual.KeepAliveMBMinutes = f.foldedKaMBMin
-		fr.Actual.KeepAliveCostUSD = f.foldedKaCost
-		fr.Actual.AccuracyMinutesPct = f.foldedAccMin
-		fr.Actual.MeanAccuracyPct = f.foldedAccSum
-	} else {
-		for v := 0; v < len(fi.memMB); v++ {
-			m := float64(f.aliveMin[v])
-			fr.Actual.KeepAliveMBMinutes += m * fi.memMB[v]
-			fr.Actual.KeepAliveCostUSD += m * fi.costPerMin[v]
-			fr.Actual.AccuracyMinutesPct += m * fi.accPct[v]
-			fr.Actual.MeanAccuracyPct += float64(f.invByVariant[v]) * fi.accPct[v]
-		}
-	}
-	fr.Actual.Invocations = f.invocations
-	fr.Actual.ColdStarts = f.actualCold
-	fr.Actual.WarmStarts = f.invocations - f.actualCold
-
-	// Entrants: the same per-variant pricing over each entrant's ledger.
-	// The packaged baselines only ever hold the highest variant, so their
-	// sums have a single nonzero term and reproduce the pre-refactor
-	// single-product shadow tallies bit-for-bit (adding +0.0 terms is
-	// exact in IEEE 754).
 	for ei := range a.ents {
-		led := &a.ents[ei].led[fn]
-		t := &fr.Shadows[ei]
-		if a.retired[fn] && led.aliveMin == nil {
-			t.KeepAliveMBMinutes = led.foldedKaMBMin
-			t.KeepAliveCostUSD = led.foldedKaCost
-			t.AccuracyMinutesPct = led.foldedAccMin
-			t.MeanAccuracyPct = led.foldedAccSum
-		} else {
-			for v := 0; v < len(fi.memMB); v++ {
-				m := float64(led.aliveMin[v])
-				t.KeepAliveMBMinutes += m * fi.memMB[v]
-				t.KeepAliveCostUSD += m * fi.costPerMin[v]
-				t.AccuracyMinutesPct += m * fi.accPct[v]
-				t.MeanAccuracyPct += float64(led.served[v]) * fi.accPct[v]
-			}
-		}
-		t.Invocations = f.invocations
-		t.ColdStarts = led.cold
-		t.WarmStarts = f.invocations - led.cold
-	}
-
-	finishTally(&fr.Actual)
-	for ei := range a.ents {
-		finishTally(&fr.Shadows[ei])
+		fr.Shadows[ei] = tally(a.ents[ei].led[fn].totals(fi, a.cost))
 	}
 	finishFunctionLedger(&fr)
 	return fr
+}
+
+// tally is a priced account in the wire format.
+func tally(t cluster.Totals) Tally {
+	out := Tally{
+		Invocations:        t.Invocations,
+		WarmStarts:         t.WarmStarts,
+		ColdStarts:         t.ColdStarts,
+		KeepAliveMBMinutes: t.KeepAliveMBMinutes,
+		KeepAliveCostUSD:   t.KeepAliveCostUSD,
+		MeanAccuracyPct:    t.AccuracySumPct,
+		AccuracyMinutesPct: t.AccuracyMinutesPct,
+	}
+	finishTally(&out)
+	return out
 }
 
 // addTally folds src's additive fields into dst. src.MeanAccuracyPct is

@@ -95,7 +95,7 @@ type store struct {
 
 	hourStamps []int // hour (minute/60) stored in each rollup slot
 	hourVals   [][]float64
-	hourCnt    []int // minutes folded into the open rollup
+	hourCnt    []int // minutes summed into the open rollup
 }
 
 func newStore(window, nEntrants int) *store {

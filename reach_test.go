@@ -4,27 +4,31 @@ package pulse_test
 // must be referenced by non-test code — the main module, its commands and
 // examples, or the bench/ harness. Code that only tests reach is either a
 // test oracle (it belongs in a _test.go file of its package) or dead, and
-// both keep growing unless something fails when they appear. The scan uses
-// go/parser and go/ast alone, so it is conservative rather than exact:
-//   - a package-level function is reached by an unqualified identifier of
-//     its name in its own package, or by pkg.Name through an import of its
-//     package;
-//   - a method is reached by any selector .Name anywhere, whatever the
-//     receiver, which covers interface dispatch and embedding;
+// both keep growing unless something fails when they appear. The scan
+// type-checks every non-test package from source with go/parser, go/build
+// and go/types alone (the standard library's declarations included, its
+// function bodies skipped), so a reference is what the compiler resolves:
+//   - a function or a concrete method is reached by an identifier or
+//     selector that resolves to it — a call, a method value or expression,
+//     or a method promoted through embedding;
+//   - a call through an interface resolves to no one declaration, so it
+//     reaches every method of that name, whatever the receiver;
 //   - a reference inside the symbol's own declaration (recursion) does not
 //     count;
 //   - methods the standard library calls implicitly count as reached.
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -33,6 +37,7 @@ import (
 // tests reach but that stay in non-test code, each with its reason. Keep it
 // to at most ten entries.
 var reachAllowlist = map[string]string{
+	"internal/alert.Subscription.C":             "the scenario harness in internal/core reads its /stream tap through it; the broadcaster's own ServeHTTP reads the channel field",
 	"internal/provenance.Recorder.Rings":        "oracle of the scenario harness in internal/core, a package other than its own",
 	"internal/runtime.NewManualClock":           "test clock of the runtime's tests and of the scenario harness in internal/core; it goes with the Clock interface once bench/ stops setting runtime.Config.Clock",
 	"internal/tournament.Arena.LedgersReleased": "memory-retention oracle of internal/attribution's retire and allocation tests, which drive the arena through the accountant",
@@ -128,6 +133,19 @@ func TestReachabilityAnalysis(t *testing.T) {
 		},
 		want: []string{"internal/a.T.Idle"},
 	}, {
+		name: "same method name on another type",
+		files: map[string]string{
+			"internal/a/a.go": "package a\ntype T struct{}\nfunc (T) Idle() {}\ntype U struct{}\nfunc (U) Idle() {}\nfunc Used() { U{}.Idle() }\n",
+			"main.go":         use,
+		},
+		want: []string{"internal/a.T.Idle"},
+	}, {
+		name: "method promoted through embedding",
+		files: map[string]string{
+			"internal/a/a.go": "package a\ntype B struct{}\nfunc (*B) Reset() {}\ntype A struct{ B }\nfunc Used() { var a A; a.Reset() }\n",
+			"main.go":         use,
+		},
+	}, {
 		name: "recursion is not a reference",
 		files: map[string]string{
 			"internal/a/a.go": "package a\nfunc Used() {}\nfunc Fact(n int) int { if n == 0 { return 1 }; return n * Fact(n-1) }\n",
@@ -200,111 +218,102 @@ func TestReachabilityAnalysis(t *testing.T) {
 // reachDecl is one function or method declared under internal/.
 type reachDecl struct {
 	key      string // module-relative: internal/pkg.Func or internal/pkg.Type.Method
-	pkg      string // import path
 	name     string
 	method   bool
 	pos, end token.Pos // positions are unique across the scan's FileSet
 }
 
-// findUnreached parses every non-test .go file under root (the module whose
-// go.mod sits there, nested modules such as bench/ included) and returns the
-// sorted module-relative names of the internal/ functions and methods that
-// no non-test code references.
+// findUnreached type-checks every non-test package under root (the module
+// whose go.mod sits there, nested modules such as bench/ included) and
+// returns the sorted module-relative names of the internal/ functions and
+// methods that no non-test code references.
 func findUnreached(root string) ([]string, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	var decls []reachDecl
-	funcRefs := map[string][]token.Pos{}   // import path + "." + name
-	methodRefs := map[string][]token.Pos{} // name
+	l := &reachLoader{fset: token.NewFileSet(), ctx: build.Default, dirs: map[string]string{}, pkgs: map[string]*types.Package{}}
+	// The pure-Go standard library: type-checking needs no C toolchain.
+	l.ctx.CgoEnabled = false
 	err = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, p)
 		if err != nil {
 			return err
 		}
-		name := d.Name()
-		if d.IsDir() {
-			if p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(p))
-		if err != nil {
-			return err
-		}
-		pkg := modPath
-		if rel != "." {
-			pkg = path.Join(modPath, filepath.ToSlash(rel))
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		imports := map[string]string{}
-		for _, imp := range f.Imports {
-			ip, _ := strconv.Unquote(imp.Path.Value)
-			local := path.Base(ip)
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			imports[local] = ip
-		}
-		internal := strings.HasPrefix(pkg+"/", modPath+"/internal/")
-		for _, dl := range f.Decls {
-			fd, ok := dl.(*ast.FuncDecl)
-			if !ok || !internal {
-				continue
-			}
-			d := reachDecl{pkg: pkg, name: fd.Name.Name, pos: fd.Pos(), end: fd.End()}
-			d.key = strings.TrimPrefix(pkg, modPath+"/") + "." + d.name
-			if fd.Recv != nil && len(fd.Recv.List) == 1 {
-				d.method = true
-				d.key = strings.TrimPrefix(pkg, modPath+"/") + "." + recvName(fd.Recv.List[0].Type) + "." + d.name
-			}
-			decls = append(decls, d)
-		}
-		v := refVisitor{pkg, imports, funcRefs, methodRefs}
-		for _, dl := range f.Decls {
-			if fd, ok := dl.(*ast.FuncDecl); ok {
-				// Skip fd.Name: a declaration is not a reference to itself.
-				if fd.Recv != nil {
-					ast.Walk(v, fd.Recv)
-				}
-				ast.Walk(v, fd.Type)
-				if fd.Body != nil {
-					ast.Walk(v, fd.Body)
-				}
-				continue
-			}
-			ast.Walk(v, dl)
-		}
+		l.dirs[path.Join(modPath, filepath.ToSlash(rel))] = p
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	paths := make([]string, 0, len(l.dirs))
+	for ip := range l.dirs {
+		paths = append(paths, ip)
+	}
+	sort.Strings(paths)
+	for _, ip := range paths {
+		var noGo *build.NoGoError
+		if _, err := l.Import(ip); err != nil && !errors.As(err, &noGo) {
+			return nil, err
+		}
+	}
+
+	var decls []reachDecl
+	refs := map[string][]token.Pos{}      // by funcKey: concrete functions and methods
+	ifaceRefs := map[string][]token.Pos{} // by method name: calls through an interface
+	for _, p := range l.mods {
+		for id, obj := range p.info.Uses {
+			if f, ok := obj.(*types.Func); ok {
+				if key, iface := funcKey(f); iface {
+					ifaceRefs[f.Name()] = append(ifaceRefs[f.Name()], id.Pos())
+				} else if key != "" {
+					refs[key] = append(refs[key], id.Pos())
+				}
+			}
+		}
+		if !strings.HasPrefix(p.path+"/", modPath+"/internal/") {
+			continue
+		}
+		for _, file := range p.files {
+			for _, dl := range file.Decls {
+				fd, ok := dl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				f, ok := p.info.Defs[fd.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				key, _ := funcKey(f)
+				decls = append(decls, reachDecl{
+					key: strings.TrimPrefix(key, modPath+"/"), name: f.Name(), method: fd.Recv != nil,
+					pos: fd.Pos(), end: fd.End(),
+				})
+			}
+		}
 	}
 	var out []string
 	for _, d := range decls {
 		if d.name == "init" || d.name == "main" || d.name == "_" || (d.method && implicitMethods[d.name]) {
 			continue
 		}
-		refs := funcRefs[d.pkg+"."+d.name]
-		if d.method {
-			refs = methodRefs[d.name]
-		}
-		reached := false
-		for _, r := range refs {
-			if r < d.pos || r >= d.end {
-				reached = true
-				break
+		// A reference inside the declaration itself (recursion) does not
+		// count.
+		outside := func(ps []token.Pos) bool {
+			for _, r := range ps {
+				if r < d.pos || r >= d.end {
+					return true
+				}
 			}
+			return false
 		}
-		if !reached {
+		if !outside(refs[modPath+"/"+d.key]) && !(d.method && outside(ifaceRefs[d.name])) {
 			out = append(out, d.key)
 		}
 	}
@@ -312,50 +321,100 @@ func findUnreached(root string) ([]string, error) {
 	return out, nil
 }
 
-// refVisitor records, for one file, every identifier that may name a
-// function (unqualified in its own package, or through an import) and every
-// selector that may name a method.
-type refVisitor struct {
-	pkg        string
-	imports    map[string]string
-	funcRefs   map[string][]token.Pos
-	methodRefs map[string][]token.Pos
+// funcKey names f as the scan does: import path + "." + name for a
+// function, import path + ".Type." + name for a concrete method (of the
+// generic origin, for an instantiated one). A method called through an
+// interface has no one declaration: iface reports it, and the scan matches
+// it by name. Methods of the universe (error.Error) have no key.
+func funcKey(f *types.Func) (key string, iface bool) {
+	f = f.Origin()
+	if f.Pkg() == nil {
+		return "", false
+	}
+	recv := f.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return f.Pkg().Path() + "." + f.Name(), false
+	}
+	t := types.Unalias(recv.Type())
+	if p, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(p.Elem())
+	}
+	if types.IsInterface(t) {
+		return "", true
+	}
+	n, ok := t.(*types.Named)
+	if !ok {
+		return "", false
+	}
+	return f.Pkg().Path() + "." + n.Origin().Obj().Name() + "." + f.Name(), false
 }
 
-func (v refVisitor) Visit(n ast.Node) ast.Visitor {
-	switch n := n.(type) {
-	case *ast.SelectorExpr:
-		if x, ok := n.X.(*ast.Ident); ok {
-			if ip, ok := v.imports[x.Name]; ok {
-				v.funcRefs[ip+"."+n.Sel.Name] = append(v.funcRefs[ip+"."+n.Sel.Name], n.Sel.Pos())
-				return nil
-			}
-		}
-		v.methodRefs[n.Sel.Name] = append(v.methodRefs[n.Sel.Name], n.Sel.Pos())
-		ast.Walk(v, n.X)
-		return nil
-	case *ast.Ident:
-		v.funcRefs[v.pkg+"."+n.Name] = append(v.funcRefs[v.pkg+"."+n.Name], n.Pos())
-	}
-	return v
+// reachLoader type-checks packages from source: the scanned directories in
+// full, recording what every identifier refers to, and the standard
+// library's declarations only (function bodies skipped).
+type reachLoader struct {
+	fset *token.FileSet
+	ctx  build.Context
+	dirs map[string]string         // scanned import path → directory
+	pkgs map[string]*types.Package // checked, by import path
+	mods []reachPkg                // the scanned packages checked so far
 }
 
-// recvName returns the type name of a method receiver: T, *T, T[P] or *T[P].
-func recvName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
-		}
+// reachPkg is one scanned package's syntax and resolved identifiers.
+type reachPkg struct {
+	path  string
+	files []*ast.File
+	info  *types.Info
+}
+
+func (l *reachLoader) Import(ip string) (*types.Package, error) { return l.ImportFrom(ip, "", 0) }
+
+// ImportFrom implements types.ImporterFrom.
+func (l *reachLoader) ImportFrom(ip, srcDir string, _ types.ImportMode) (*types.Package, error) {
+	if ip == "unsafe" {
+		return types.Unsafe, nil
 	}
+	if p, ok := l.pkgs[ip]; ok {
+		return p, nil
+	}
+	dir, scanned := l.dirs[ip]
+	if !scanned {
+		// The standard library, vendored packages under its own path.
+		bp, err := l.ctx.Import(ip, srcDir, build.FindOnly)
+		if err != nil {
+			return nil, err
+		}
+		if p, ok := l.pkgs[bp.ImportPath]; ok {
+			return p, nil
+		}
+		ip, dir = bp.ImportPath, bp.Dir
+	}
+	bp, err := l.ctx.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: l, IgnoreFuncBodies: !scanned, Sizes: types.SizesFor("gc", l.ctx.GOARCH)}
+	var info *types.Info
+	if scanned {
+		info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	}
+	p, err := conf.Check(ip, l.fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[ip] = p
+	if scanned {
+		l.mods = append(l.mods, reachPkg{ip, files, info})
+	}
+	return p, nil
 }
 
 // modulePath reads the module line of a go.mod file.
