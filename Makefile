@@ -15,7 +15,10 @@ verify: build vet test
 # without the observer chain, the Step harvesting a minute into it, a
 # runtime Stats read (TestStatsZeroAllocs), telemetry buffers/fan-out and
 # its steady-state sample streams, the provenance recorder's holder minute,
-# attribution accountant and ring store). Mirrors the CI "alloc" job.
+# attribution accountant and ring store, and the six-entrant tournament arena
+# idle and with a rotating 1 % cohort invoked —
+# TestTournamentIdleMinuteSixEntrantsNoSteadyStateAllocs and
+# TestTournamentInvokedMinuteNoSteadyStateAllocs). Mirrors the CI "alloc" job.
 alloc:
 	$(GO) test ./... -run 'ZeroAllocs|DoesNotAllocate|NoAllocs|NoSteadyStateAllocs' -count=1
 

@@ -326,11 +326,23 @@ func TestDowngradeAdvancesMinute(t *testing.T) {
 // New must reject broken configurations.
 func TestNewValidation(t *testing.T) {
 	cat := testCatalog(t)
+	// A family of 129 variants: valid as a catalog, but the arena keeps each
+	// entrant's held variant in an int8.
+	wide := &models.Catalog{Families: []models.Family{{Name: "wide", Task: "test"}}}
+	for v := 0; v < 129; v++ {
+		wide.Families[0].Variants = append(wide.Families[0].Variants, models.Variant{
+			Name: fmt.Sprintf("wide-%d", v), AccuracyPct: 50 + float64(v)/10, ExecSec: 1, ColdStartSec: 2, MemoryMB: 100 + float64(v),
+		})
+	}
+	if err := wide.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	cases := []Config{
 		{},             // nil catalog
 		{Catalog: cat}, // empty assignment
 		{Catalog: cat, Assignment: models.Assignment{7}}, // family out of range
 		{Catalog: cat, Assignment: models.Assignment{0}, Cost: cluster.CostModel{USDPerGBSecond: -1}},
+		{Catalog: wide, Assignment: models.Assignment{0}}, // too many variants
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

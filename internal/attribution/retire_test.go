@@ -1,10 +1,10 @@
 package attribution
 
-// Deregistration pricing: retiring a function prices each of its ledgers
-// once — by the same Ledger.Price the report path uses, so the retired
-// report is bit-identical to the live one — and then drops the ledger
-// slices, leaving the retired slot a constant-size tombstone no matter how
-// many variants its family had.
+// Deregistration: retiring a function closes its ledgers — the live
+// policy's and every entrant's — where they stand. The slot's counts stop
+// moving and pricing is a function of the counts alone, so the retired
+// function reads the same at retirement and at every later report, and
+// retiring one allocates nothing.
 
 import (
 	"reflect"
@@ -19,7 +19,7 @@ func TestDeregisterFoldPreservesReport(t *testing.T) {
 	asg := uniform(cat, 4)
 	acct := newAccountant(t, Config{Catalog: cat, Assignment: asg, Cost: cluster.DefaultCostModel()})
 
-	for m := 0; m < 12; m++ {
+	minute := func(m int) {
 		for fn := 0; fn < 4; fn++ {
 			fam := cat.Families[asg[fn]]
 			acct.ObserveKeepAlive(telemetry.KeepAliveSample{
@@ -35,31 +35,60 @@ func TestDeregisterFoldPreservesReport(t *testing.T) {
 		}
 		acct.ObserveMinute(telemetry.MinuteSample{Minute: m})
 	}
+	for m := 0; m < 12; m++ {
+		minute(m)
+	}
 
 	before := acct.Report()
 	acct.ObserveDeregister(telemetry.DeregisterSample{Minute: 11, Function: 1})
 	after := acct.Report()
 	if !reflect.DeepEqual(before.Functions[1], after.Functions[1]) {
-		t.Errorf("folding changed the retired function's report:\nbefore %+v\nafter  %+v",
+		t.Errorf("retiring changed the function's report:\nbefore %+v\nafter  %+v",
 			before.Functions[1], after.Functions[1])
 	}
 	if !reflect.DeepEqual(before.Total, after.Total) {
-		t.Errorf("folding changed the total report")
-	}
-	if !acct.Arena().LedgersReleased(1) {
-		t.Error("retired slot still holds per-variant ledgers")
+		t.Errorf("retiring changed the total report")
 	}
 
 	// A second deregister sample for the same slot must be a no-op, and
-	// foreign-feed samples for the retired slot must be dropped, not
-	// attributed or crash on the released ledgers.
+	// every later sample naming the retired slot — the foreign-feed keep-
+	// alives and invocations the minutes below send it — must be dropped,
+	// not attributed: fifty minutes on, its report is the one it retired
+	// with.
 	acct.ObserveDeregister(telemetry.DeregisterSample{Minute: 11, Function: 1})
-	acct.ObserveKeepAlive(telemetry.KeepAliveSample{Minute: 11, Function: 1, Variant: 0})
-	acct.ObserveInvocation(telemetry.InvocationSample{
-		Minute: 11, Function: 1, Variant: cat.Families[asg[1]].Variants[0].Name, Count: 3,
-	})
-	again := acct.Report()
-	if !reflect.DeepEqual(after.Functions[1], again.Functions[1]) {
-		t.Error("post-retirement samples changed the retired function's account")
+	for m := 12; m < 62; m++ {
+		minute(m)
+	}
+	later := acct.Report()
+	if !reflect.DeepEqual(after.Functions[1], later.Functions[1]) {
+		t.Errorf("the retired function's report moved in the 50 minutes after retirement:\nat retirement %+v\n50 min later  %+v",
+			after.Functions[1], later.Functions[1])
+	}
+	if reflect.DeepEqual(after.Functions[0], later.Functions[0]) {
+		t.Error("a live function's report did not move either; the minutes above fed nothing")
+	}
+}
+
+// Retiring a slot allocates nothing: its ledger rows stay where they are,
+// and the entrants' Retire calls reset fixed-size state.
+func TestDeregisterDoesNotAllocate(t *testing.T) {
+	cat := testCatalog(t)
+	const slots = 64
+	asg := uniform(cat, slots)
+	acct := newAccountant(t, Config{Catalog: cat, Assignment: asg, Entrants: rosterEntrants(t, cat)})
+	for m := 0; m < 5; m++ {
+		for fn := 0; fn < slots; fn++ {
+			acct.ObserveInvocation(telemetry.InvocationSample{
+				Minute: m, Function: fn, Variant: cat.Families[asg[fn]].Variants[0].Name, Count: 1,
+			})
+		}
+		acct.ObserveMinute(telemetry.MinuteSample{Minute: m})
+	}
+	victim := slots
+	if avg := testing.AllocsPerRun(slots-1, func() {
+		victim--
+		acct.ObserveDeregister(telemetry.DeregisterSample{Minute: 5, Function: victim})
+	}); avg != 0 {
+		t.Errorf("ObserveDeregister allocates %v times, want 0", avg)
 	}
 }

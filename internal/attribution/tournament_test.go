@@ -107,14 +107,15 @@ func TestTournamentExtrasDoNotPerturbClassicReport(t *testing.T) {
 	}
 }
 
-// Retiring a slot folds every entrant's per-variant ledgers — not just the
-// shared ones — into fixed-size sums with bit-identical snapshot output.
+// Retiring a slot closes every entrant's ledger for it — not just the
+// shared one — where it stands: the priced ledger is the same at retirement
+// and fifty minutes later, while the live slots' ledgers keep moving.
 func TestTournamentEntrantLedgerFoldAtRetire(t *testing.T) {
 	cat := testCatalog(t)
 	asg := uniform(cat, 4)
 	acct := newAccountant(t, Config{Catalog: cat, Assignment: asg, Entrants: rosterEntrants(t, cat)})
 
-	for m := 0; m < 20; m++ {
+	minute := func(m int) {
 		for fn := range asg {
 			fam := cat.Families[asg[fn]]
 			acct.ObserveInvocation(telemetry.InvocationSample{
@@ -125,22 +126,30 @@ func TestTournamentEntrantLedgerFoldAtRetire(t *testing.T) {
 		}
 		acct.ObserveMinute(telemetry.MinuteSample{Minute: m})
 	}
+	for m := 0; m < 20; m++ {
+		minute(m)
+	}
 
 	before := acct.Arena().Snapshot()
 	acct.ObserveDeregister(telemetry.DeregisterSample{Minute: 19, Function: 2})
 	after := acct.Arena().Snapshot()
 	if !reflect.DeepEqual(before.Functions[2], after.Functions[2]) {
-		t.Errorf("folding changed the retired function's ledger:\nbefore %+v\nafter  %+v",
+		t.Errorf("retiring changed the function's ledger:\nbefore %+v\nafter  %+v",
 			before.Functions[2], after.Functions[2])
 	}
 	if !reflect.DeepEqual(before.Total, after.Total) {
-		t.Error("folding changed the total ledger")
+		t.Error("retiring changed the total ledger")
 	}
-	if !acct.Arena().LedgersReleased(2) {
-		t.Error("retired slot still holds per-variant ledgers")
+	for m := 20; m < 70; m++ {
+		minute(m)
 	}
-	if acct.Arena().LedgersReleased(0) {
-		t.Error("live slot reported as released")
+	later := acct.Arena().Snapshot()
+	if !reflect.DeepEqual(after.Functions[2], later.Functions[2]) {
+		t.Errorf("the retired function's ledger moved in the 50 minutes after retirement:\nat retirement %+v\n50 min later  %+v",
+			after.Functions[2], later.Functions[2])
+	}
+	if reflect.DeepEqual(after.Functions[0], later.Functions[0]) {
+		t.Error("a live function's ledger did not move either; the minutes above fed nothing")
 	}
 }
 
@@ -233,7 +242,14 @@ func TestTournamentIdleMinuteSixEntrantsNoSteadyStateAllocs(t *testing.T) {
 			if avg := testing.AllocsPerRun(churnRuns, deregisterThenMinute); avg != 0 {
 				t.Errorf("minute after a deregister allocates %v times, want 0", avg)
 			}
-			if !a.Arena().LedgersReleased(victim) || a.Arena().LedgersReleased(3) {
+			// observeMinute sends a keep-alive sample to every slot, the
+			// retired ones included: only the live ones may count it.
+			held := func(fn int) float64 {
+				return a.Arena().Snapshot().Functions[fn].Actual.KeepAliveMBMinutes
+			}
+			victimHeld, liveHeld := held(victim), held(3)
+			observeMinute()
+			if held(victim) != victimHeld || held(3) == liveHeld {
 				t.Error("the deregisters above did not retire the slots they named")
 			}
 		})

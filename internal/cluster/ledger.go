@@ -13,8 +13,11 @@ type Ledger []int
 // ledgerCols is the per-variant stride: held minutes, warm, cold.
 const ledgerCols = 3
 
+// LedgerLen is the length of the ledger of a family of numVariants variants.
+func LedgerLen(numVariants int) int { return ledgerCols * numVariants }
+
 // NewLedger returns an empty ledger for fam.
-func NewLedger(fam *models.Family) Ledger { return make(Ledger, ledgerCols*fam.NumVariants()) }
+func NewLedger(fam *models.Family) Ledger { return make(Ledger, LedgerLen(fam.NumVariants())) }
 
 // Hold counts one minute of a variant-v container kept alive.
 func (l Ledger) Hold(v int) { l[ledgerCols*v]++ }

@@ -22,8 +22,8 @@ type HoltWinters struct {
 	level   []float64
 	trend   []float64
 	season  [][]float64 // season[fn/hwBlock][si*hwBlock + fn%hwBlock], si the minute of the season
-	seen    []int       // samples observed per function
-	lastInv []int
+	seen    []bool      // function observed at least once
+	lastInv []int32     // minute of the last invoked observation, -1 before any
 }
 
 // hwBlock is how many functions share one season block. A row of a block is
@@ -42,7 +42,7 @@ func (hw *HoltWinters) grow() {
 	}
 	hw.level = append(hw.level, 0)
 	hw.trend = append(hw.trend, 0)
-	hw.seen = append(hw.seen, 0)
+	hw.seen = append(hw.seen, false)
 	hw.lastInv = append(hw.lastInv, -1)
 }
 
@@ -123,14 +123,14 @@ func (hw *HoltWinters) Record(t, fn, count int) {
 		return
 	}
 	if count > 0 {
-		hw.lastInv[fn] = t
+		hw.lastInv[fn] = int32(t)
 	}
 	x := float64(count)
 	cell := hw.cell(fn, t%hw.cfg.SeasonLength)
-	if hw.seen[fn] == 0 {
+	if !hw.seen[fn] {
 		hw.level[fn] = x
 		*cell = 0
-		hw.seen[fn]++
+		hw.seen[fn] = true
 		return
 	}
 	prevLevel := hw.level[fn]
@@ -138,14 +138,13 @@ func (hw *HoltWinters) Record(t, fn, count int) {
 	hw.level[fn] = hw.cfg.Alpha*(x-seas) + (1-hw.cfg.Alpha)*(prevLevel+hw.trend[fn])
 	hw.trend[fn] = hw.cfg.Beta*(hw.level[fn]-prevLevel) + (1-hw.cfg.Beta)*hw.trend[fn]
 	*cell = hw.cfg.Gamma*(x-hw.level[fn]) + (1-hw.cfg.Gamma)*seas
-	hw.seen[fn]++
 }
 
 // Forecast returns the expected invocation count of fn at absolute minute
 // t (clamped at zero), assuming observations have been recorded up to some
 // minute before t.
 func (hw *HoltWinters) Forecast(t, fn int) float64 {
-	if fn < 0 || fn >= len(hw.level) || hw.seen[fn] == 0 {
+	if fn < 0 || fn >= len(hw.level) || !hw.seen[fn] {
 		return 0
 	}
 	v := hw.level[fn] + hw.trend[fn] + *hw.cell(fn, t%hw.cfg.SeasonLength)
@@ -157,7 +156,7 @@ func (hw *HoltWinters) WantWarm(t, fn int) bool {
 	if fn < 0 || fn >= len(hw.level) {
 		return false
 	}
-	if last := hw.lastInv[fn]; last >= 0 && t > last && t-last <= hw.cfg.PostInvocationWindow {
+	if last := int(hw.lastInv[fn]); last >= 0 && t > last && t-last <= hw.cfg.PostInvocationWindow {
 		return true
 	}
 	return hw.Forecast(t, fn) >= hw.cfg.ActivationThreshold

@@ -215,7 +215,7 @@ func TestMPCLayoutDifferential(t *testing.T) {
 				e.Retire(fn)
 				ref.retire(fn)
 				retired[fn] = true
-				if e.hw.seen[fn] != 0 || e.hw.lastInv[fn] != -1 {
+				if e.hw.seen[fn] || e.hw.lastInv[fn] != -1 {
 					t.Fatalf("retired slot %d not reset", fn)
 				}
 				compareSlot(t, e.hw, ref, m+1, fn)
@@ -281,8 +281,8 @@ func TestHoltWintersIdleFixedPoint(t *testing.T) {
 				}
 			}
 		}
-		if e.hw.lastInv[idle] >= 0 || e.hw.seen[idle] == 0 {
-			t.Fatalf("trial %d: idle slot bookkeeping: lastInv %d seen %d", trial, e.hw.lastInv[idle], e.hw.seen[idle])
+		if e.hw.lastInv[idle] >= 0 || !e.hw.seen[idle] {
+			t.Fatalf("trial %d: idle slot bookkeeping: lastInv %d seen %v", trial, e.hw.lastInv[idle], e.hw.seen[idle])
 		}
 	}
 }

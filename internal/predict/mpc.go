@@ -95,7 +95,7 @@ func (e *MPCEntrant) Register(fn, fam, numVariants int) {
 func (e *MPCEntrant) Retire(fn int) {
 	e.hw.level[fn] = 0
 	e.hw.trend[fn] = 0
-	e.hw.seen[fn] = 0
+	e.hw.seen[fn] = false
 	e.hw.lastInv[fn] = -1
 }
 

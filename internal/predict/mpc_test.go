@@ -58,7 +58,7 @@ func TestMPCRetireResetsForecaster(t *testing.T) {
 	if v := e.KeepAlive(120, 0); v != cluster.NoVariant {
 		t.Errorf("retired slot still warm: %d", v)
 	}
-	if e.hw.seen[0] != 0 || e.hw.lastInv[0] != -1 {
+	if e.hw.seen[0] || e.hw.lastInv[0] != -1 {
 		t.Error("retired forecaster slot not reset")
 	}
 }

@@ -2,6 +2,7 @@ package tournament
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -38,34 +39,24 @@ type famInfo struct {
 	highest    int
 }
 
-// account is one policy's account of one function: the integer ledger the
+// A ledger table is one policy's account of every function: one flat []int
+// whose row fn is slot fn's integer ledger (cluster.Ledger), the counts the
 // report prices, so reports do not depend on how the feed batches samples.
-// Retirement prices it for good, in place, and releases it: a departed slot
-// keeps fixed-size state, and retiring one allocates nothing.
-type account struct {
-	led    cluster.Ledger // nil once retired
-	priced cluster.Totals // the ledger's price once retired
+// Every row is stride ints wide, the ledger of the catalog's widest family;
+// a narrower family's ledger is its row's prefix, the only part Price reads.
+// A retired slot's row simply stops counting: pricing is a function of the
+// counts alone, so the report reads the same at retirement and after.
+
+// row returns slot fn's ledger in the ledger table tab.
+func row(tab []int, fn, stride int) cluster.Ledger {
+	off := fn * stride
+	return cluster.Ledger(tab[off : off+stride : off+stride])
 }
 
-// totals prices the account (fi is its function's family).
-func (ac *account) totals(fi *famInfo, cost cluster.CostModel) cluster.Totals {
-	t := ac.priced
-	if ac.led != nil {
-		ac.led.Price(&t, fi.fam, cost)
-	}
-	return t
-}
-
-// retire prices the ledger for good and releases it.
-func (ac *account) retire(fi *famInfo, cost cluster.CostModel) {
-	ac.priced, ac.led = ac.totals(fi, cost), nil
-}
-
-// fnShared is one function's shared state: the live policy's account plus
-// the counters only samples naming the function touch. What every minute
-// boundary reads for every function lives in the Arena's columns instead.
+// fnShared holds the counters only samples naming one function touch. What
+// every minute boundary reads for every function lives in the Arena's
+// columns instead.
 type fnShared struct {
-	account
 	seenMinute int // minute of the last invocation sample, -1 before any
 	downgrades int
 }
@@ -75,8 +66,8 @@ type entrant struct {
 	impl ShadowEntrant
 	hind HindsightEntrant // non-nil when impl has hindsight
 
-	open []int     // variant held in the open minute per fn, NoVariant when none
-	led  []account // per-function account
+	open []int8 // variant held in the open minute per fn, NoVariant when none
+	led  []int  // ledger table, one row per function
 
 	// rests marks a RestingEntrant whose Rests() held at construction. Only
 	// for those, held lists the slots holding a variant in the open minute,
@@ -118,6 +109,9 @@ type Arena struct {
 	fns   []fnShared
 	ents  []entrant
 	names []string
+
+	stride int   // ledger table row width (see row)
+	led    []int // the live policy's ledger table
 
 	// Per-slot columns, indexed like fns: the fields every minute boundary
 	// reads, kept dense so the walks stream them instead of striding
@@ -161,6 +155,7 @@ type boundary struct {
 	retired []bool
 	famOf   []int
 	fams    []famInfo
+	stride  int
 }
 
 // walk runs e through the boundary. Closing, e receives every live
@@ -238,8 +233,8 @@ func (b *boundary) consult(e *entrant, slot int32) (memMB, cost float64, ok bool
 	if v > fi.highest {
 		v = fi.highest
 	}
-	e.open[fn] = v
-	e.led[fn].led.Hold(v)
+	e.open[fn] = int8(v)
+	row(e.led, fn, b.stride).Hold(v)
 	return fi.memMB[v], fi.costPerMin[v], true
 }
 
@@ -303,7 +298,14 @@ func newArena(cfg Config, workers int) (*Arena, error) {
 		seen[n] = true
 		names[i] = n
 	}
-	n := len(cfg.Assignment)
+	n, widest := len(cfg.Assignment), 0
+	for i := range cfg.Catalog.Families {
+		widest = max(widest, cfg.Catalog.Families[i].NumVariants())
+	}
+	if widest > math.MaxInt8+1 {
+		return nil, fmt.Errorf("tournament: a family has %d variants, more than %d", widest, math.MaxInt8+1)
+	}
+	stride := cluster.LedgerLen(widest)
 	a := &Arena{
 		cost:    cfg.Cost,
 		fams:    make([]famInfo, len(cfg.Catalog.Families)),
@@ -314,6 +316,8 @@ func newArena(cfg Config, workers int) (*Arena, error) {
 		live:    make([]int32, 0, n),
 		ents:    make([]entrant, len(cfg.Entrants)),
 		names:   names,
+		stride:  stride,
+		led:     make([]int, 0, n*stride),
 		cur:     -1,
 		store:   newStore(cfg.SeriesWindow, len(cfg.Entrants)),
 		scratch: make([]float64, rowWidth(len(cfg.Entrants))),
@@ -341,8 +345,8 @@ func newArena(cfg Config, workers int) (*Arena, error) {
 		if r, ok := cfg.Entrants[ei].(RestingEntrant); ok {
 			e.rests = r.Rests()
 		}
-		e.open = make([]int, 0, n)
-		e.led = make([]account, 0, n)
+		e.open = make([]int8, 0, n)
+		e.led = make([]int, 0, n*stride)
 	}
 	for _, fam := range cfg.Assignment {
 		a.addSlot(fam)
@@ -382,37 +386,21 @@ func (a *Arena) EntrantIndex(name string) (int, bool) {
 	return 0, false
 }
 
-// LedgersReleased reports whether slot fn's ledgers — shared and
-// per-entrant — have been priced and released (true only after
-// retirement). It exists for memory-retention tests.
-func (a *Arena) LedgersReleased(fn int) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if fn < 0 || fn >= len(a.fns) || !a.retired[fn] || a.fns[fn].led != nil {
-		return false
-	}
-	for ei := range a.ents {
-		if a.ents[ei].led[fn].led != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// addSlot opens the next slot, of family fam: a fresh shared account, and
-// one per entrant, each of which registers it.
+// addSlot opens the next slot, of family fam: an empty row in every ledger
+// table, the live policy's and each entrant's, and each entrant registers it.
 func (a *Arena) addSlot(fam int) {
-	fi, fn := &a.fams[fam], len(a.fns)
+	fn := len(a.fns)
 	a.famOf = append(a.famOf, fam)
 	a.retired = append(a.retired, false)
 	a.openCnt = append(a.openCnt, 0)
 	a.live = append(a.live, int32(fn))
-	a.fns = append(a.fns, fnShared{account: account{led: cluster.NewLedger(fi.fam)}, seenMinute: -1})
+	a.fns = append(a.fns, fnShared{seenMinute: -1})
+	a.led = append(a.led, make([]int, a.stride)...)
 	for ei := range a.ents {
 		e := &a.ents[ei]
 		e.open = append(e.open, NoVariant)
-		e.led = append(e.led, account{led: cluster.NewLedger(fi.fam)})
-		e.impl.Register(fn, fam, fi.fam.NumVariants())
+		e.led = append(e.led, make([]int, a.stride)...)
+		e.impl.Register(fn, fam, a.fams[fam].fam.NumVariants())
 	}
 }
 
@@ -478,6 +466,7 @@ func (a *Arena) advance(m int, closing bool) {
 		m: m, closing: closing,
 		live: a.liveSlots(), inv: a.touched,
 		openCnt: a.openCnt, retired: a.retired, famOf: a.famOf, fams: a.fams,
+		stride: a.stride,
 	}
 	a.pool.Run(len(a.walker.order))
 	a.walker.b = boundary{} // hold no column a registration may since have regrown
@@ -538,14 +527,14 @@ func (a *Arena) ObserveKeepAlive(s telemetry.KeepAliveSample) {
 	a.roll(s.Minute)
 	if s.Function < 0 || s.Function >= len(a.fns) || a.retired[s.Function] {
 		// Retired slots are pinned to NoVariant by every well-formed feed;
-		// a contrary sample is foreign and is dropped (the ledger is gone).
+		// a contrary sample is foreign and is dropped (the ledger is closed).
 		return
 	}
 	fi := &a.fams[a.famOf[s.Function]]
 	if s.Variant < 0 || s.Variant >= len(fi.memMB) {
 		return
 	}
-	a.fns[s.Function].led.Hold(s.Variant)
+	row(a.led, s.Function, a.stride).Hold(s.Variant)
 	a.minActualKaM += fi.memMB[s.Variant]
 	a.minActualCost += fi.costPerMin[s.Variant]
 }
@@ -563,7 +552,7 @@ func (a *Arena) ObserveInvocation(s telemetry.InvocationSample) {
 	a.roll(s.Minute)
 	if s.Function < 0 || s.Function >= len(a.fns) || a.retired[s.Function] {
 		// A retired function cannot be invoked; a contrary sample is a
-		// foreign feed and is dropped (the per-variant ledger is gone).
+		// foreign feed and is dropped (the per-variant ledger is closed).
 		return
 	}
 	n := s.Count
@@ -588,10 +577,10 @@ func (a *Arena) ObserveInvocation(s telemetry.InvocationSample) {
 		vi = fi.highest
 	}
 	if s.Cold {
-		f.led.Serve(vi, 0, n)
+		row(a.led, s.Function, a.stride).Serve(vi, 0, n)
 		a.minActualCold += n
 	} else {
-		f.led.Serve(vi, n, 0)
+		row(a.led, s.Function, a.stride).Serve(vi, n, 0)
 	}
 	for ei := range a.ents {
 		e := &a.ents[ei]
@@ -602,7 +591,7 @@ func (a *Arena) ObserveInvocation(s telemetry.InvocationSample) {
 			// pre-refactor oracle.
 			hv := min(e.hind.HindsightKeepAlive(s.Minute, s.Function), fi.highest)
 			if cold = hv < 0; !cold {
-				e.led[s.Function].led.Hold(hv)
+				row(e.led, s.Function, a.stride).Hold(hv)
 				e.minKaM += fi.memMB[hv]
 				e.minCost += fi.costPerMin[hv]
 			}
@@ -610,13 +599,13 @@ func (a *Arena) ObserveInvocation(s telemetry.InvocationSample) {
 		if cold {
 			e.minCold++
 		}
-		sv := e.open[s.Function]
+		sv := int(e.open[s.Function])
 		if sv < 0 {
 			sv = fi.highest
 		}
 		// An entrant's cold start is one per function-minute, whatever the
 		// feed's batching: the batch that marks the minute carries it.
-		e.led[s.Function].led.ServeMinute(sv, n, cold)
+		row(e.led, s.Function, a.stride).ServeMinute(sv, n, cold)
 	}
 }
 
@@ -650,7 +639,7 @@ func (a *Arena) ObserveDowngrade(s telemetry.DowngradeSample) {
 }
 
 // ObserveRegister implements telemetry.LifecycleObserver: a new function
-// slot opens a fresh shared ledger plus one ledger per entrant. The
+// slot opens an empty row in the shared ledger table and in each entrant's. The
 // sample must carry the next dense slot index (lifecycle events are
 // emitted in slot order by both the cluster engine and the live runtime);
 // anything else is a foreign feed and is dropped rather than corrupting
@@ -679,10 +668,8 @@ func (a *Arena) ObserveRegister(s telemetry.RegisterSample) {
 // sample's minute on (a deleted function would not have been kept alive
 // by any baseline either). Retirement is applied before the clock
 // advances so the minute the sample names is the first one entrants skip.
-// Every ledger of the slot is priced and released (account.retire): a
-// retired slot cannot accumulate further kept-alive minutes or invocations,
-// and pricing is a function of the counts alone, so the report reads the
-// same either way.
+// A retired slot's rows count nothing more: no walk visits it and every
+// sample naming it is dropped, so its report is fixed from here on.
 func (a *Arena) ObserveDeregister(s telemetry.DeregisterSample) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -691,11 +678,8 @@ func (a *Arena) ObserveDeregister(s telemetry.DeregisterSample) {
 	}
 	if !a.retired[s.Function] {
 		a.retired[s.Function], a.liveStale = true, true
-		fi := &a.fams[a.famOf[s.Function]]
-		a.fns[s.Function].retire(fi, a.cost)
 		for ei := range a.ents {
 			e := &a.ents[ei]
-			e.led[s.Function].retire(fi, a.cost)
 			e.open[s.Function] = NoVariant
 			e.impl.Retire(s.Function)
 		}

@@ -16,8 +16,10 @@ import (
 // then feeds no invocations, "invoked1pct" a rotating 1 % cohort per minute.
 // Before timing, the minute pattern itself runs long enough for every hold
 // left by that warm-up to expire (fixed-high's 10-minute window, the Hawkes
-// tail of one invocation, about 9 minutes), so the resting entrants' held
-// lists are in their steady state whatever -benchtime is. ns/slot is the
+// tail of one invocation, about 9 minutes, the Q-learner's longest option,
+// 30 minutes from the minute after the last warm-up invocation), so the
+// resting entrants' held lists are in their steady state whatever
+// -benchtime is. ns/slot is the
 // per-slot cost of the whole boundary.
 func BenchmarkArenaMinute(b *testing.B) {
 	const (

@@ -3,11 +3,11 @@ package tournament
 import "github.com/pulse-serverless/pulse/internal/cluster"
 
 // Snapshot() prices the arena. Every float in a Snapshot is computed at
-// snapshot time (or, for a retired slot, once at its retirement) from the
-// integer ledgers the stream accumulated — by cluster.Ledger.Price, in a
-// fixed order (variants within a function, functions within the total) —
-// so two arenas that saw equivalent streams produce bit-identical
-// snapshots no matter how the feeds fragmented or batched their samples.
+// snapshot time from the integer ledgers the stream accumulated — by
+// cluster.Ledger.Price, in a fixed order (variants within a function,
+// functions within the total) — so two arenas that saw equivalent streams
+// produce bit-identical snapshots no matter how the feeds fragmented or
+// batched their samples.
 
 // Tally is one policy's account of one function (or, in the totals row,
 // the whole cluster). The attribution package aliases this type, so the
@@ -100,25 +100,27 @@ func (a *Arena) Snapshot() Snapshot {
 // functionLedger prices one function's accounts: the live policy's and,
 // in registration order, every entrant's. Called with a.mu held.
 func (a *Arena) functionLedger(fn int) FunctionLedger {
-	f := &a.fns[fn]
-	fi := &a.fams[a.famOf[fn]]
+	fam := a.fams[a.famOf[fn]].fam
 	fr := FunctionLedger{
 		Function:   fn,
-		Family:     fi.fam.Name,
-		Downgrades: f.downgrades,
-		Actual:     tally(f.totals(fi, a.cost)),
+		Family:     fam.Name,
+		Downgrades: a.fns[fn].downgrades,
+		Actual:     a.tally(a.led, fn),
 		Shadows:    make([]Tally, len(a.ents)),
 		Savings:    make([]Savings, len(a.ents)),
 	}
 	for ei := range a.ents {
-		fr.Shadows[ei] = tally(a.ents[ei].led[fn].totals(fi, a.cost))
+		fr.Shadows[ei] = a.tally(a.ents[ei].led, fn)
 	}
 	finishFunctionLedger(&fr)
 	return fr
 }
 
-// tally is a priced account in the wire format.
-func tally(t cluster.Totals) Tally {
+// tally prices slot fn's row of the ledger table tab into the wire format.
+// Called with a.mu held.
+func (a *Arena) tally(tab []int, fn int) Tally {
+	var t cluster.Totals
+	row(tab, fn, a.stride).Price(&t, a.fams[a.famOf[fn]].fam, a.cost)
 	out := Tally{
 		Invocations:        t.Invocations,
 		WarmStarts:         t.WarmStarts,

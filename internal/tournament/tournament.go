@@ -84,8 +84,8 @@ type ShadowEntrant interface {
 // The Arena then consults KeepAlive only for the slots the entrant held in
 // m−1 plus the slots invoked in m−1, ascending, and calls Record only with a
 // positive count. Every skipped call has a known answer, so the ledgers are
-// exactly those of the full walk. Entrants that must see the zeros — a
-// smoother, a learner's shared table — do not rest.
+// exactly those of the full walk. Entrants that must see the zeros, such
+// as a smoother updated every minute, do not rest.
 type RestingEntrant interface {
 	ShadowEntrant
 	Rests() bool

@@ -37,10 +37,9 @@ import (
 // tests reach but that stay in non-test code, each with its reason. Keep it
 // to at most ten entries.
 var reachAllowlist = map[string]string{
-	"internal/alert.Subscription.C":             "the scenario harness in internal/core reads its /stream tap through it; the broadcaster's own ServeHTTP reads the channel field",
-	"internal/provenance.Recorder.Rings":        "oracle of the scenario harness in internal/core, a package other than its own",
-	"internal/runtime.NewManualClock":           "test clock of the runtime's tests and of the scenario harness in internal/core; it goes with the Clock interface once bench/ stops setting runtime.Config.Clock",
-	"internal/tournament.Arena.LedgersReleased": "memory-retention oracle of internal/attribution's retire and allocation tests, which drive the arena through the accountant",
+	"internal/alert.Subscription.C":      "the scenario harness in internal/core reads its /stream tap through it; the broadcaster's own ServeHTTP reads the channel field",
+	"internal/provenance.Recorder.Rings": "oracle of the scenario harness in internal/core, a package other than its own",
+	"internal/runtime.NewManualClock":    "test clock of the runtime's tests and of the scenario harness in internal/core; it goes with the Clock interface once bench/ stops setting runtime.Config.Clock",
 }
 
 // implicitMethods are called by the standard library through an interface
