@@ -13,8 +13,10 @@ verify: build vet test
 # Zero-allocation assertions for the hot paths (controller idle minute,
 # including the million-slot pin, runtime Invoke and idle Step with and
 # without the observer chain, the Step harvesting a minute into it, a
-# runtime Stats read (TestStatsZeroAllocs), telemetry buffers/fan-out and
-# its steady-state sample streams, the provenance recorder's holder minute,
+# runtime Stats read (TestStatsZeroAllocs), telemetry buffers/fan-out, its
+# steady-state sample streams and a first sample naming a slot of an
+# allocated chunk (TestTelemetryFirstTouchDoesNotAllocate), the provenance
+# recorder's holder minute,
 # attribution accountant and ring store, and the six-entrant tournament arena
 # idle and with a rotating 1 % cohort invoked —
 # TestTournamentIdleMinuteSixEntrantsNoSteadyStateAllocs and
@@ -119,9 +121,10 @@ bench-arena:
 	$(GO) test ./internal/tournament -run '^$$' -bench '^BenchmarkArenaMinute$$' -benchtime 20x
 
 # Per-sample cost of one minute of the barrier-serialized sample stream into
-# each of pulsed's default observers (telemetry, then the provenance recorder
-# with growing and with full rings): 100k slots, 12k holders, 1k schedules,
-# reported as ns/sample with allocations. Runs in the CI "bench-scale" job.
+# each of pulsed's default observers (telemetry steady and with its slot
+# table filling, then the provenance recorder with growing and with full
+# rings): 100k slots, 12k holders, 1k schedules, reported as ns/sample with
+# allocations. Runs in the CI "bench-scale" job.
 bench-observers:
 	$(GO) test ./internal/telemetry ./internal/provenance -run '^$$' -bench '^BenchmarkObserverMinute$$' -benchtime 20x
 

@@ -115,8 +115,9 @@ type Pulse struct {
 
 	// rec is the record step's task state and pool runs its shard tasks.
 	// The pool is sized once, in New; registration only re-partitions rec.
-	rec  *recorder
-	pool *forkjoin.Pool
+	rec   *recorder
+	pool  *forkjoin.Pool
+	guard *forkjoin.Guard // closes pool when the controller is collected
 	// selfWanted caches telemetry.WantsSelf(cfg.Observer): whether the
 	// per-minute scans should read the clock and emit scan/flush duration
 	// samples. False keeps the scan paths free of clock reads.
@@ -196,8 +197,6 @@ func New(cfg Config) (*Pulse, error) {
 		p.reqShards = runtime.GOMAXPROCS(0)
 	}
 	p.rec = &recorder{
-		hist:      p.hist,
-		plans:     p.plans,
 		catalog:   cfg.Catalog,
 		window:    cfg.Window,
 		blend:     cfg.Blend,
@@ -212,9 +211,9 @@ func New(cfg Config) (*Pulse, error) {
 	if p.pool.Workers() > 1 {
 		// Safety net for callers that drop the controller without Close:
 		// the helpers reference only the pool and the recorder, never p,
-		// so an unclosed controller still becomes unreachable and its
-		// helpers are stopped here.
-		runtime.SetFinalizer(p, (*Pulse).Close)
+		// so an unclosed controller still becomes unreachable, and its
+		// guard stops the helpers once it is collected.
+		p.guard = forkjoin.NewGuard(p.pool)
 	}
 	return p, nil
 }
@@ -224,7 +223,6 @@ func New(cfg Config) (*Pulse, error) {
 // state. The pool's goroutines are untouched.
 func (p *Pulse) resolveShards() {
 	p.cfg.Shards = min(p.reqShards, len(p.out))
-	p.rec.assignment = p.cfg.Assignment
 	p.rec.partition(p.cfg.Shards, len(p.out))
 }
 
@@ -232,7 +230,6 @@ func (p *Pulse) resolveShards() {
 // on a single-worker controller, and must not race with KeepAlive or
 // RecordInvocations; the controller must not be driven afterwards.
 func (p *Pulse) Close() error {
-	runtime.SetFinalizer(p, nil)
 	p.pool.Close()
 	return nil
 }
@@ -458,7 +455,11 @@ func (p *Pulse) recordInvoked(t int) {
 
 	r := p.rec
 	r.t, r.invoked = t, invoked
+	r.hist, r.plans, r.assignment = p.hist, p.plans, p.cfg.Assignment
 	p.pool.Run(len(r.shards))
+	// The helpers outlive the controller when it is dropped unclosed: hold
+	// none of its state between runs.
+	r.invoked, r.hist, r.plans, r.assignment = nil, nil, nil, nil
 	for i := range r.shards {
 		if err := r.shards[i].err; err != nil {
 			panic("core: " + err.Error())

@@ -52,21 +52,24 @@ type shard struct {
 // frees arena storage), and the coordinator only reads them after the
 // barrier.
 //
-// A recorder never references its *Pulse: the pool's helpers hold the
-// recorder, and must not keep the controller reachable, so an unclosed
-// controller can still be finalized.
+// A recorder never references its *Pulse, and points at the controller's
+// arenas only for the length of a run: the pool's helpers hold the recorder,
+// and must not keep an unclosed controller's state reachable once the
+// controller is.
 type recorder struct {
 	t       int
 	invoked []int32 // coordinator-owned ascending invoked slots
 	shards  []shard
 
+	// Set for the length of a run.
 	hist       *histArena
 	plans      *planStore
-	catalog    *models.Catalog
-	assignment models.Assignment // re-read from the controller on registration
-	window     int
-	blend      HistoryBlend
-	technique  ThresholdTechnique
+	assignment models.Assignment
+
+	catalog   *models.Catalog
+	window    int
+	blend     HistoryBlend
+	technique ThresholdTechnique
 
 	// observe mirrors Observer != nil; timing mirrors
 	// telemetry.WantsSelf(Observer).

@@ -9,11 +9,13 @@
 // A Run allocates nothing: the helpers are parked on a buffered channel
 // between runs and woken with one token each. The helpers reference only
 // the pool and its task function, so an owner that keeps its task state in
-// a separate object (never in the closure's receiver) stays collectable;
-// its finalizer can then Close the pool.
+// a separate object (never in the closure's receiver), and points that
+// state at its own data only for the length of a Run, stays collectable;
+// a Guard it references then closes the pool once it is collected.
 package forkjoin
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -85,4 +87,18 @@ func (p *Pool) help() {
 // Close stops the helpers. It is idempotent.
 func (p *Pool) Close() {
 	p.stop.Do(func() { close(p.wake) })
+}
+
+// Guard is the sentinel an owner of a Pool references so that collecting
+// the owner closes the pool: the guard becomes unreachable with its owner,
+// and its finalizer stops the helpers. The finalizer sits on the guard, not
+// the owner, because an object with a finalizer keeps everything it
+// references alive through one more collection.
+type Guard struct{ p *Pool }
+
+// NewGuard returns a guard that closes p when it is collected.
+func NewGuard(p *Pool) *Guard {
+	g := &Guard{p}
+	runtime.SetFinalizer(g, func(g *Guard) { g.p.Close() })
+	return g
 }

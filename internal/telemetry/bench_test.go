@@ -53,26 +53,23 @@ func TestBufferSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// Steady-state metric updates must not allocate either: series handles are
-// resolved once and then updated with atomics.
+// The engine's self samples and peak transitions do not allocate either,
+// once a shard's scan histogram exists.
 func TestSeriesUpdateZeroAllocs(t *testing.T) {
-	r := NewRegistry()
-	cv, err := r.NewCounterVec("c_total", "c", "l")
+	tel, err := New(Config{EventCapacity: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hv, err := r.NewHistogramVec("h_seconds", "h", nil, "l")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := cv.With("x")
-	h := hv.With("x")
+	tel.ObserveScan(ScanSample{Shard: 3, Seconds: 1e-4})
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		h.Observe(0.3)
+		tel.ObserveStep(StepSample{Seconds: 2e-3})
+		tel.ObserveScan(ScanSample{Shard: 3, Seconds: 1e-4})
+		tel.ObserveScan(ScanSample{Shard: -1, Seconds: 1e-5})
+		tel.ObserveFlush(FlushSample{Seconds: 1e-6})
+		tel.ObservePeak(PeakSample{Enter: true})
 	})
 	if allocs != 0 {
-		t.Errorf("resolved series update allocates %v per run, want 0", allocs)
+		t.Errorf("series update allocates %v per run, want 0", allocs)
 	}
 }
 
@@ -112,6 +109,39 @@ func TestTelemetrySteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// A sample naming a never-seen slot allocates nothing when the slot's chunk
+// exists — no series object, label string or map entry is made per function
+// — and a sample opening a chunk costs O(1) allocations. Run by the CI alloc
+// job.
+func TestTelemetryFirstTouchDoesNotAllocate(t *testing.T) {
+	tel, err := New(Config{EventCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, probs := []int{2, 1, 0}, []float64{0.9, 0.5, 0.1}
+	touch := func(fn int) {
+		tel.ObserveInvocation(InvocationSample{Function: fn, Variant: "hi", Cold: true, Count: 1, ServiceSec: 1.5})
+		tel.ObserveInvocation(InvocationSample{Function: fn, Variant: "lo", Count: 3, ServiceSec: 0.2})
+		tel.ObserveKeepAlive(KeepAliveSample{Function: fn, Variant: 1, VariantName: "hi", MemMB: 640})
+		tel.ObserveKeepAlive(KeepAliveSample{Function: fn, Variant: 0, VariantName: "lo", MemMB: 64})
+		tel.ObserveSchedule(ScheduleSample{Function: fn, Plan: plan, Probs: probs})
+		tel.ObserveDowngrade(DowngradeSample{Function: fn, FromVariant: 1, ToVariant: 0})
+	}
+	for i := 0; i < 8; i++ { // open chunk 0, intern both names, fill the log's ring storage
+		touch(0)
+	}
+	fn := 1
+	if allocs := testing.AllocsPerRun(chunkSlots-2, func() { touch(fn); fn++ }); allocs != 0 {
+		t.Errorf("first touch of a slot in an allocated chunk allocates %v, want 0", allocs)
+	}
+	if fn != chunkSlots {
+		t.Fatalf("touched up to slot %d, want the whole first chunk", fn)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { touch(fn); fn += chunkSlots }); allocs > 2 {
+		t.Errorf("first touch opening a chunk allocates %v, want at most 2 (the chunk, the directory's growth)", allocs)
+	}
+}
+
 func BenchmarkNopObserver(b *testing.B) {
 	var obs Observer = Nop{}
 	b.ReportAllocs()
@@ -132,29 +162,14 @@ func BenchmarkTelemetryObserveInvocation(b *testing.B) {
 	}
 }
 
-func BenchmarkCounterAdd(b *testing.B) {
-	r := NewRegistry()
-	cv, err := r.NewCounterVec("c_total", "c", "l")
+func BenchmarkTelemetryObserveStep(b *testing.B) {
+	tel, err := New(Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := cv.With("x")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkHistogramObserve(b *testing.B) {
-	r := NewRegistry()
-	hv, err := r.NewHistogramVec("h_seconds", "h", nil, "l")
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := hv.With("x")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(float64(i%100) / 10)
+		tel.ObserveStep(StepSample{Seconds: float64(i%100) / 1e4})
 	}
 }
 
@@ -184,25 +199,34 @@ func BenchmarkEventLogAppendJSONLSink(b *testing.B) {
 // stream into a Telemetry at the shape the scale benchmark steps: 100 000
 // slots, 12 000 holders (1 000 of them new this minute, 1 000 switching
 // variant, the rest unchanged) plus 1 000 release edges, and 1 000 functions
-// invoked and re-planned. Every slot has been through a whole rotation before
-// the timed minutes, so no sample is a first touch. ns/sample is the mean cost
-// of one sample of the minute, invocations included.
+// invoked and re-planned. In "steady" every slot has been through a whole
+// rotation before the timed minutes, so no sample is a first touch; in
+// "growing" the timed minutes start from an empty Telemetry, so each of the
+// first feed.cycle() of them first-touches the slots it invokes. ns/sample
+// is the mean cost of one sample of the minute, invocations included.
 func BenchmarkObserverMinute(b *testing.B) {
-	tel, err := New(Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
 	feed := newMinuteFeed()
-	for m := 0; m < 2*feed.cycle(); m++ {
-		feed.minute(tel, m)
+	for _, bc := range []struct {
+		name   string
+		warmup int // minutes before the timed ones
+	}{{"steady", 2 * feed.cycle()}, {"growing", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			tel, err := New(Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for m := 0; m < bc.warmup; m++ {
+				feed.minute(tel, m)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			samples := 0
+			for i := 0; i < b.N; i++ {
+				samples += feed.minute(tel, bc.warmup+i)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(samples), "ns/sample")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	samples := 0
-	for i := 0; i < b.N; i++ {
-		samples += feed.minute(tel, 2*feed.cycle()+i)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(samples), "ns/sample")
 }
 
 // minuteFeed generates BenchmarkObserverMinute's stream: a seeded permutation

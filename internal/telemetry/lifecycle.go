@@ -95,7 +95,9 @@ func (m multi) ObserveDeregister(s DeregisterSample) {
 // ObserveRegister implements LifecycleObserver: registrations are counted
 // and logged with the function's name.
 func (t *Telemetry) ObserveRegister(s RegisterSample) {
-	t.registers.Inc()
+	t.mu.Lock()
+	t.registers++
+	t.mu.Unlock()
 	t.log.Append(Event{
 		Minute:   s.Minute,
 		Kind:     KindRegister,
@@ -108,15 +110,12 @@ func (t *Telemetry) ObserveRegister(s RegisterSample) {
 // keep-alive gauge is zeroed so the exposition never shows memory for a
 // function that no longer exists.
 func (t *Telemetry) ObserveDeregister(s DeregisterSample) {
-	t.deregisters.Inc()
-	if fs := t.lookup(s.Function); fs != nil {
-		t.mu.Lock()
-		if fs.held.gauge != nil {
-			fs.held.gauge.set(0)
-			fs.held = kaSeries{}
-		}
-		t.mu.Unlock()
+	t.mu.Lock()
+	t.deregisters++
+	if c, i := t.at(s.Function, false); c != nil {
+		c.held[i].name = 0
 	}
+	t.mu.Unlock()
 	t.log.Append(Event{
 		Minute:   s.Minute,
 		Kind:     KindDeregister,

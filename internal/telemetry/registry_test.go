@@ -1,128 +1,104 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
 func TestRegistryValidation(t *testing.T) {
 	r := NewRegistry()
-	if _, err := r.NewCounterVec("", "empty"); err == nil {
-		t.Error("empty name accepted")
+	one := func() float64 { return 1 }
+	for _, name := range []string{"", "9starts_with_digit", "has space"} {
+		if err := r.NewCounterFunc(name, "bad", one); err == nil {
+			t.Errorf("name %q accepted", name)
+		}
 	}
-	if _, err := r.NewCounterVec("9starts_with_digit", "bad"); err == nil {
-		t.Error("leading digit accepted")
-	}
-	if _, err := r.NewCounterVec("has space", "bad"); err == nil {
-		t.Error("space in name accepted")
-	}
-	if _, err := r.NewCounterVec("ok_total", "ok", "bad-label"); err == nil {
-		t.Error("bad label name accepted")
-	}
-	if _, err := r.NewCounterVec("ok_total", "ok"); err != nil {
+	if err := r.NewCounterFunc("ok_total", "ok", one); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.NewGaugeVec("ok_total", "dup"); err == nil {
+	if err := r.NewGaugeFunc("ok_total", "dup", one); err == nil {
 		t.Error("duplicate name accepted")
-	}
-	if _, err := r.NewHistogramVec("h", "le reserved", nil, "le"); err == nil {
-		t.Error("histogram le label accepted")
-	}
-	if _, err := r.NewHistogramVec("h", "bad buckets", []float64{1, 1}); err == nil {
-		t.Error("non-increasing buckets accepted")
 	}
 	if err := r.NewGaugeFunc("f", "nil fn", nil); err == nil {
 		t.Error("nil func accepted")
 	}
+	if _, err := New(Config{}); err != nil {
+		t.Fatalf("telemetry's own families rejected: %v", err)
+	}
 }
 
+// Telemetry's unlabeled series: the peak counter and gauge, the lifecycle
+// counters, and a duration histogram with an observation past its last
+// bound (+Inf only).
 func TestCounterGaugeHistogram(t *testing.T) {
-	r := NewRegistry()
-	cv, err := r.NewCounterVec("c_total", "c", "l")
-	if err != nil {
-		t.Fatal(err)
+	tel := newTestTelemetry(t)
+	tel.ObservePeak(PeakSample{Enter: true})
+	tel.ObservePeak(PeakSample{Enter: true})
+	tel.ObserveRegister(RegisterSample{Function: 0, Name: "a"})
+	out := render(t, tel)
+	for _, want := range []string{"pulse_peaks_total 2", "pulse_peak_active 1", "pulse_function_registrations_total 1", "pulse_function_deregistrations_total 0"} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("missing %q", want)
+		}
 	}
-	c := cv.With("a")
-	c.Inc()
-	c.Inc()
-	if got := c.s.value(); got != 2 {
-		t.Errorf("counter = %v, want 2", got)
+	tel.ObservePeak(PeakSample{})
+	obs := []float64{5e-7, 3e-3, 100, 100}
+	var sum float64
+	for _, v := range obs {
+		tel.ObserveStep(StepSample{Seconds: v})
+		sum += v
 	}
-	if cv.With("a").s.value() != 2 {
-		t.Error("With should resolve the same series")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("label arity mismatch did not panic")
-			}
-		}()
-		cv.With("a", "b")
-	}()
-
-	gv, err := r.NewGaugeVec("g", "g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := gv.With()
-	g.Set(10)
-	g.Set(6)
-	if got := g.s.value(); got != 6 {
-		t.Errorf("gauge = %v, want 6", got)
-	}
-
-	hv, err := r.NewHistogramVec("h_seconds", "h", []float64{1, 2, 4}, "l")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := hv.With("x")
-	h.Observe(0.5)
-	h.Observe(3)
-	h.ObserveN(100, 2) // beyond the last bucket → +Inf only
-	h.ObserveN(1, 0)   // no-op
-	if n := atomic.LoadUint64(&h.s.count); n != 4 {
-		t.Errorf("count = %d, want 4", n)
-	}
-	if sum := h.s.value(); sum != 203.5 {
-		t.Errorf("sum = %v, want 203.5", sum)
+	out = render(t, tel)
+	for _, want := range []string{
+		"pulse_peaks_total 2",
+		"pulse_peak_active 0",
+		`pulse_step_duration_seconds_bucket{le="1e-06"} 1`,
+		`pulse_step_duration_seconds_bucket{le="0.001"} 1`,
+		`pulse_step_duration_seconds_bucket{le="0.005"} 2`,
+		`pulse_step_duration_seconds_bucket{le="1"} 2`,
+		`pulse_step_duration_seconds_bucket{le="+Inf"} 4`,
+		"pulse_step_duration_seconds_sum " + string(appendValue(nil, sum)),
+		"pulse_step_duration_seconds_count 4",
+		"pulse_observer_flush_duration_seconds_count 0",
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
 	}
 }
 
 func TestConcurrentUpdates(t *testing.T) {
-	r := NewRegistry()
-	cv, err := r.NewCounterVec("c_total", "c", "worker")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hv, err := r.NewHistogramVec("h_seconds", "h", []float64{1}, "worker")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tel := newTestTelemetry(t)
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			lbl := strconv.Itoa(w % 2) // contend on two series
 			for i := 0; i < per; i++ {
-				cv.With(lbl).Inc()
-				hv.With(lbl).Observe(0.5)
+				tel.ObservePeak(PeakSample{Enter: true})
+				tel.ObserveStep(StepSample{Seconds: 0.5})
+				tel.ObserveScan(ScanSample{Shard: w % 2, Seconds: 0.5})
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	total := cv.With("0").s.value() + cv.With("1").s.value()
-	if total != workers*per {
-		t.Errorf("counter total = %v, want %d", total, workers*per)
-	}
-	if n := atomic.LoadUint64(&hv.With("0").s.count) + atomic.LoadUint64(&hv.With("1").s.count); n != workers*per {
-		t.Errorf("histogram count = %d, want %d", n, workers*per)
+	out := render(t, tel)
+	for _, want := range []string{
+		"pulse_peaks_total 8000",
+		"pulse_step_duration_seconds_count 8000",
+		`pulse_shard_scan_duration_seconds_count{shard="0"} 4000`,
+		`pulse_shard_scan_duration_seconds_count{shard="1"} 4000`,
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("missing %q", want)
+		}
 	}
 }
 
@@ -197,6 +173,20 @@ func parseExposition(t *testing.T, out string) map[string][]string {
 	return samples
 }
 
+// validLabel matches the Prometheus label-name grammar (no colons).
+func validLabel(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i, r := range s {
+		alpha := r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')
+		if !alpha && (i == 0 || r < '0' || r > '9') {
+			return false
+		}
+	}
+	return true
+}
+
 // validateLabelBlock checks {a="x",b="y"} syntax with exposition escaping:
 // inside quotes only \\, \", and \n escapes are legal.
 func validateLabelBlock(t *testing.T, lineNo int, block string) {
@@ -243,33 +233,23 @@ func validateLabelBlock(t *testing.T, lineNo int, block string) {
 }
 
 func TestWritePrometheusExposition(t *testing.T) {
-	r := NewRegistry()
-	cv, err := r.NewCounterVec("pulse_test_total", "Counter with tricky\nhelp and back\\slash.", "function", "variant")
-	if err != nil {
+	tel := newTestTelemetry(t)
+	r := tel.Registry()
+	if err := r.NewCounterFunc("pulse_test_total", "Counter with tricky\nhelp and back\\slash.", func() float64 { return 3 }); err != nil {
 		t.Fatal(err)
 	}
+	if err := r.NewGaugeFunc("pulse_test_func", "Scrape-time gauge.", func() float64 { return 1536.5 }); err != nil {
+		t.Fatal(err)
+	}
+	// Label values come from the samples: a variant name is escaped.
 	for i := 0; i < 3; i++ {
-		cv.With("0", `quoted"value`).Inc()
+		tel.ObserveInvocation(InvocationSample{Function: 0, Variant: `quoted"value`, Count: 1, ServiceSec: 0.2})
 	}
-	cv.With("1", "back\\slash\nnewline").Inc()
-
-	gv, err := r.NewGaugeVec("pulse_test_mb", "A gauge.")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gv.With().Set(1536.5)
-
-	hv, err := r.NewHistogramVec("pulse_test_seconds", "A histogram.", []float64{0.5, 1, 2}, "function")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := hv.With("7")
-	h.Observe(0.2)
-	h.Observe(0.7)
-	h.Observe(5)
-
-	if err := r.NewGaugeFunc("pulse_test_func", "Scrape-time gauge.", func() float64 { return 42 }); err != nil {
-		t.Fatal(err)
+	tel.ObserveKeepAlive(KeepAliveSample{Function: 1, VariantName: "back\\slash\nnewline", MemMB: 7})
+	tel.ObserveInvocation(InvocationSample{Function: 7, Variant: "v", Count: 1, ServiceSec: 0.3})
+	tel.ObserveInvocation(InvocationSample{Function: 7, Variant: "v", Count: 2, ServiceSec: 2})
+	for _, v := range []float64{2e-4, 7e-4, 5} {
+		tel.ObserveFlush(FlushSample{Seconds: v})
 	}
 
 	var b strings.Builder
@@ -284,18 +264,23 @@ func TestWritePrometheusExposition(t *testing.T) {
 		t.Errorf("HELP not escaped:\n%s", out)
 	}
 
-	// Label escaping round-trips.
 	wantLines := []string{
-		`pulse_test_total{function="0",variant="quoted\"value"} 3`,
-		`pulse_test_total{function="1",variant="back\\slash\nnewline"} 1`,
-		`pulse_test_mb 1536.5`,
-		`pulse_test_func 42`,
-		`pulse_test_seconds_bucket{function="7",le="0.5"} 1`,
-		`pulse_test_seconds_bucket{function="7",le="1"} 2`,
-		`pulse_test_seconds_bucket{function="7",le="2"} 2`,
-		`pulse_test_seconds_bucket{function="7",le="+Inf"} 3`,
-		`pulse_test_seconds_sum{function="7"} 5.9`,
-		`pulse_test_seconds_count{function="7"} 3`,
+		`pulse_function_invocations_total{function="0",variant="quoted\"value",start="warm"} 3`,
+		`pulse_function_keepalive_mb{function="1",variant="back\\slash\nnewline"} 7`,
+		`pulse_test_total 3`,
+		`pulse_test_func 1536.5`,
+		`pulse_observer_flush_duration_seconds_bucket{le="0.0005"} 1`,
+		`pulse_observer_flush_duration_seconds_bucket{le="0.001"} 2`,
+		`pulse_observer_flush_duration_seconds_bucket{le="1"} 2`,
+		`pulse_observer_flush_duration_seconds_bucket{le="+Inf"} 3`,
+		`pulse_observer_flush_duration_seconds_sum 5.0009`,
+		`pulse_observer_flush_duration_seconds_count 3`,
+		`pulse_function_service_seconds_bucket{function="7",le="0.25"} 0`,
+		`pulse_function_service_seconds_bucket{function="7",le="0.5"} 1`,
+		`pulse_function_service_seconds_bucket{function="7",le="2.5"} 3`,
+		`pulse_function_service_seconds_bucket{function="7",le="+Inf"} 3`,
+		`pulse_function_service_seconds_sum{function="7"} 4.3`,
+		`pulse_function_service_seconds_count{function="7"} 3`,
 	}
 	for _, want := range wantLines {
 		if !strings.Contains(out, want+"\n") {
@@ -304,22 +289,24 @@ func TestWritePrometheusExposition(t *testing.T) {
 	}
 
 	// Histogram buckets must be cumulative and consistent with count.
-	var prev uint64
-	for _, line := range samples["pulse_test_seconds"] {
-		if !strings.Contains(line, "_bucket") {
-			continue
+	for _, fam := range []string{"pulse_observer_flush_duration_seconds", "pulse_function_service_seconds"} {
+		var prev uint64
+		for _, line := range samples[fam] {
+			if !strings.Contains(line, "_bucket") || (fam == "pulse_function_service_seconds" && !strings.Contains(line, `function="7"`)) {
+				continue
+			}
+			v, err := strconv.ParseUint(line[strings.LastIndex(line, " ")+1:], 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v < prev {
+				t.Errorf("bucket counts not cumulative: %q after %d", line, prev)
+			}
+			prev = v
 		}
-		v, err := strconv.ParseUint(line[strings.LastIndex(line, " ")+1:], 10, 64)
-		if err != nil {
-			t.Fatal(err)
+		if prev != 3 {
+			t.Errorf("%s +Inf bucket = %d, want total count 3", fam, prev)
 		}
-		if v < prev {
-			t.Errorf("bucket counts not cumulative: %q after %d", line, prev)
-		}
-		prev = v
-	}
-	if prev != 3 {
-		t.Errorf("+Inf bucket = %d, want total count 3", prev)
 	}
 }
 
@@ -329,52 +316,95 @@ func TestFormatValue(t *testing.T) {
 		math.Inf(-1): "-Inf",
 		1.5:          "1.5",
 		0:            "0",
+		1e6:          "1e+06",
 	}
 	for in, want := range cases {
-		if got := formatValue(in); got != want {
-			t.Errorf("formatValue(%v) = %q, want %q", in, got, want)
+		if got := string(appendValue(nil, in)); got != want {
+			t.Errorf("appendValue(%v) = %q, want %q", in, got, want)
 		}
 	}
 }
 
+// Series render in the byte order of their label values joined by 0xff:
+// so "1023" sorts before "1" where more labels follow the function label and
+// after it where none do, and a variant that extends another's name sorts
+// before it where the start kind follows. Two renders agree.
 func TestSeriesOrderingDeterministic(t *testing.T) {
-	r := NewRegistry()
-	cv, err := r.NewCounterVec("c_total", "c", "l")
-	if err != nil {
-		t.Fatal(err)
+	tel := newTestTelemetry(t)
+	for _, fn := range []int{1023, 2, 1, 10, 0, 100, 19, 512} {
+		for _, v := range []string{"b", "a-x", "a"} {
+			tel.ObserveInvocation(InvocationSample{Function: fn, Variant: v, Cold: fn%2 == 0, Count: 1, ServiceSec: 0.1})
+			tel.ObserveInvocation(InvocationSample{Function: fn, Variant: v, Count: 1, ServiceSec: 0.1})
+			tel.ObserveKeepAlive(KeepAliveSample{Function: fn, VariantName: v, MemMB: 1})
+		}
 	}
-	for _, l := range []string{"b", "a", "c"} {
-		cv.With(l).Inc()
-	}
-	var b1, b2 strings.Builder
-	if err := r.WritePrometheus(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WritePrometheus(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if b1.String() != b2.String() {
+	b1, b2 := render(t, tel), render(t, tel)
+	if b1 != b2 {
 		t.Error("two renders differ")
 	}
-	ia := strings.Index(b1.String(), `l="a"`)
-	ib := strings.Index(b1.String(), `l="b"`)
-	ic := strings.Index(b1.String(), `l="c"`)
-	if !(ia < ib && ib < ic) {
-		t.Errorf("series not sorted: positions a=%d b=%d c=%d", ia, ib, ic)
+	samples := parseExposition(t, b1)
+	// labelKey joins a line's label values (le excluded) with 0xff.
+	labelKey := func(line string) string {
+		var vals []string
+		for _, kv := range strings.Split(line[strings.Index(line, "{")+1:strings.LastIndex(line, "}")], ",") {
+			if k, v, _ := strings.Cut(kv, "="); k != "le" {
+				vals = append(vals, strings.Trim(v, `"`))
+			}
+		}
+		return strings.Join(vals, "\xff")
+	}
+	for _, fam := range []string{"pulse_function_invocations_total", "pulse_function_keepalive_mb", "pulse_function_service_seconds"} {
+		var keys []string
+		for _, line := range samples[fam] {
+			if k := labelKey(line); len(keys) == 0 || keys[len(keys)-1] != k {
+				keys = append(keys, k)
+			}
+		}
+		if !slices.IsSorted(keys) || len(keys) < 8 {
+			t.Errorf("%s series not in joined-label order: %q", fam, keys)
+		}
+	}
+	for _, order := range [][2]string{
+		{`pulse_function_invocations_total{function="1023",`, `pulse_function_invocations_total{function="1",`},
+		{`pulse_function_invocations_total{function="1",variant="a-x",`, `pulse_function_invocations_total{function="1",variant="a",`},
+		{`pulse_function_keepalive_mb{function="1",variant="a"}`, `pulse_function_keepalive_mb{function="1",variant="a-x"}`},
+		{`pulse_function_service_seconds_count{function="1"}`, `pulse_function_service_seconds_count{function="1023"}`},
+		{`pulse_function_service_seconds_count{function="19"}`, `pulse_function_service_seconds_count{function="2"}`},
+	} {
+		if i, j := strings.Index(b1, order[0]), strings.Index(b1, order[1]); i < 0 || j < 0 || i > j {
+			t.Errorf("%s not before %s", order[0], order[1])
+		}
+	}
+}
+
+// decimalKey orders slots like their decimal strings, followed by 0xff or
+// not, across the whole slot range.
+func TestDecimalKeyOrder(t *testing.T) {
+	fns := []int{0, 1, 2, 9, 10, 11, 19, 20, 99, 100, 101, 511, 512, 1000, 1023, 9999, 10000, 65535, 100000, 999999, maxSlots - 1}
+	for _, multi := range []bool{false, true} {
+		sep := ""
+		if multi {
+			sep = "\xff"
+		}
+		for _, a := range fns {
+			for _, b := range fns {
+				want := strings.Compare(strconv.Itoa(a)+sep, strconv.Itoa(b)+sep)
+				if got := cmp.Compare(decimalKey(a, multi), decimalKey(b, multi)); got != want {
+					t.Errorf("multi=%v: decimalKey(%d) vs decimalKey(%d) = %d, want %d", multi, a, b, got, want)
+				}
+			}
+		}
 	}
 }
 
 func ExampleRegistry() {
 	r := NewRegistry()
-	cv, _ := r.NewCounterVec("requests_total", "Requests served.", "code")
-	for i := 0; i < 3; i++ {
-		cv.With("200").Inc()
-	}
+	_ = r.NewCounterFunc("requests_total", "Requests served.", func() float64 { return 3 })
 	var b strings.Builder
 	_ = r.WritePrometheus(&b)
 	fmt.Print(b.String())
 	// Output:
 	// # HELP requests_total Requests served.
 	// # TYPE requests_total counter
-	// requests_total{code="200"} 3
+	// requests_total 3
 }

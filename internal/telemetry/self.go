@@ -1,6 +1,10 @@
 package telemetry
 
-import "strconv"
+import (
+	"slices"
+	"strconv"
+	"strings"
+)
 
 // Self-observability: the system watching its own hot paths. Step, scan,
 // and flush samples describe what the *engine* cost — minute-barrier
@@ -136,33 +140,91 @@ func (m multi) ObserveFlush(s FlushSample) {
 // ObserveStep implements SelfObserver: the barrier-hold duration feeds the
 // step-duration histogram.
 func (t *Telemetry) ObserveStep(s StepSample) {
-	t.stepDur.Observe(s.Seconds)
+	t.mu.Lock()
+	t.stepDur.observe(s.Seconds)
+	t.mu.Unlock()
 }
+
+// maxShards bounds the scan histograms, which are indexed by shard: a
+// sample naming a shard outside [-1, maxShards) is dropped.
+const maxShards = 1 << 16
 
 // ObserveScan implements SelfObserver: scan duration feeds the per-shard
 // scan histogram (shard "-1" is the coordinator's own scan).
 func (t *Telemetry) ObserveScan(s ScanSample) {
-	t.mu.Lock()
-	h := t.scanCache[s.Shard]
-	t.mu.Unlock()
-	if h == nil {
-		h = t.scanDur.With(strconv.Itoa(s.Shard))
-		t.mu.Lock()
-		t.scanCache[s.Shard] = h
-		t.mu.Unlock()
+	i := s.Shard + 1
+	if uint(i) > maxShards {
+		return
 	}
-	h.Observe(s.Seconds)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if i >= len(t.scan) {
+		t.scan = append(t.scan, make([]durHist, i+1-len(t.scan))...)
+	}
+	t.scan[i].observe(s.Seconds)
 }
 
 // ObserveFlush implements SelfObserver.
 func (t *Telemetry) ObserveFlush(s FlushSample) {
-	t.flushDur.Observe(s.Seconds)
+	t.mu.Lock()
+	t.flushDur.observe(s.Seconds)
+	t.mu.Unlock()
 }
 
-// DefEngineDurationBuckets spans engine hot-path durations: sub-microsecond
-// idle scans up to second-long million-slot sweeps.
-func DefEngineDurationBuckets() []float64 {
-	return []float64{1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1}
+// engineBounds spans engine hot-path durations: sub-microsecond idle scans
+// up to second-long million-slot sweeps.
+var (
+	engineBounds = [...]float64{1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5, 1}
+	engineLes    = formatBounds(engineBounds[:])
+)
+
+// durHist is a duration histogram over engineBounds.
+type durHist struct {
+	n     [len(engineBounds)]uint64 // per-bucket (non-cumulative) counts
+	count uint64
+	sum   float64
+}
+
+func (h *durHist) observe(v float64) {
+	for i, ub := range engineBounds {
+		if v <= ub {
+			h.n[i]++
+			break
+		}
+	}
+	h.count++
+	h.sum += v
+}
+
+// writeDuration renders the unlabeled histogram h.
+func (t *Telemetry) writeDuration(h *durHist) func(*expo, string) {
+	return func(e *expo, name string) {
+		t.mu.Lock()
+		c := *h
+		t.mu.Unlock()
+		e.histogram(name, nil, engineLes, c.n[:], c.count, c.sum)
+	}
+}
+
+// writeScan renders pulse_shard_scan_duration_seconds{shard}, shards in the
+// string order of their labels.
+func (t *Telemetry) writeScan(e *expo, name string) {
+	type shard struct {
+		label string
+		h     durHist
+	}
+	var shards []shard
+	t.mu.Lock()
+	for i, h := range t.scan {
+		if h.count > 0 {
+			shards = append(shards, shard{strconv.Itoa(i - 1), h})
+		}
+	}
+	t.mu.Unlock()
+	slices.SortFunc(shards, func(a, b shard) int { return strings.Compare(a.label, b.label) })
+	for _, sh := range shards {
+		e.histogram(name, appendLabel(nil, "shard", sh.label), engineLes, sh.h.n[:], sh.h.count, sh.h.sum)
+	}
 }
 
 var (

@@ -4,7 +4,6 @@ import (
 	"io"
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // Config parameterizes a Telemetry instance.
@@ -18,32 +17,26 @@ type Config struct {
 }
 
 // Telemetry is the full observability pipeline: an Observer that feeds a
-// labeled metric registry (per-function, per-variant series plus a
-// service-time histogram) and the structured decision log. One instance is
-// shared by the controller, the runtime, and the HTTP API.
+// metric registry (per-function, per-variant series plus a service-time
+// histogram, kept in slot-indexed columns) and the structured decision log.
+// One instance is shared by the controller, the runtime, and the HTTP API.
 type Telemetry struct {
 	reg *Registry
 	log *EventLog
 
-	invocations *CounterVec   // {function,variant,start}
-	service     *HistogramVec // {function}
-	keepalive   *GaugeVec     // {function,variant}
-	downgrades  *CounterVec   // {function}
-	schedules   *CounterVec   // {function}
-	peaks       *Counter
-	peakActive  *Gauge
-	registers   *Counter
-	deregisters *Counter
-	stepDur     *Histogram
-	scanDur     *HistogramVec // {shard}
-	flushDur    *Histogram
-
-	// mu guards slot-table growth, the publication of invocation handle
-	// sets, keep-alive gauge state and scanCache. The ObserveInvocation hit
-	// path never takes it; no registry series is ever created under it.
+	// mu guards every series: a sample writes under it, and a render
+	// copies one chunk (or one unlabeled series) at a time.
 	mu        sync.Mutex
-	dir       atomic.Pointer[[]*slotChunk] // the slot table (slots.go)
-	scanCache map[int]*Histogram           // by shard
+	chunks    []*chunk               // the slot table (slots.go), by slot / chunkSlots
+	spill     map[int32][]variantCol // a slot's invoked variants past inlineVariants
+	keptSpill map[int32][]uint32     // a slot's held variants past inlineVariants
+	names     []string               // interned variant names by id; 0 names none
+	nameID    map[string]uint32      // names' inverse
+	scan      []durHist              // by shard+1; a shard's series exists once observed
+
+	stepDur, flushDur             durHist
+	peaks, registers, deregisters uint64
+	peakActive                    float64
 }
 
 // New builds a Telemetry instance with its default metric families.
@@ -55,77 +48,48 @@ func New(cfg Config) (*Telemetry, error) {
 	t := &Telemetry{
 		reg:       NewRegistry(),
 		log:       log,
-		scanCache: make(map[int]*Histogram),
+		spill:     make(map[int32][]variantCol),
+		keptSpill: make(map[int32][]uint32),
+		names:     []string{""},
+		nameID:    make(map[string]uint32),
 	}
-	t.dir.Store(new([]*slotChunk))
-	if t.invocations, err = t.reg.NewCounterVec("pulse_function_invocations_total",
-		"Invocations served, by function, model variant, and start kind.",
-		"function", "variant", "start"); err != nil {
-		return nil, err
+	locked := func(read func() float64) func() float64 {
+		return func() float64 {
+			t.mu.Lock()
+			defer t.mu.Unlock()
+			return read()
+		}
 	}
-	if t.service, err = t.reg.NewHistogramVec("pulse_function_service_seconds",
-		"Per-invocation service time (cold start included on cold starts).",
-		DefServiceTimeBuckets(), "function"); err != nil {
-		return nil, err
+	for _, f := range []*family{
+		{name: "pulse_function_invocations_total", typ: "counter", write: t.writeInvocations,
+			help: "Invocations served, by function, model variant, and start kind."},
+		{name: "pulse_function_service_seconds", typ: "histogram", write: t.writeService,
+			help: "Per-invocation service time (cold start included on cold starts)."},
+		{name: "pulse_function_keepalive_mb", typ: "gauge", write: t.writeKeepAlive,
+			help: "Memory kept alive this minute, by function and variant (0 when not kept)."},
+		{name: "pulse_downgrades_total", typ: "counter", write: t.writeCounts(downgradesCol),
+			help: "Algorithm 2 downgrades applied during peaks, by function."},
+		{name: "pulse_schedules_total", typ: "counter", write: t.writeCounts(schedulesCol),
+			help: "Function-centric keep-alive plans committed, by function."},
+		{name: "pulse_peaks_total", typ: "counter", fn: locked(func() float64 { return float64(t.peaks) }),
+			help: "Algorithm 1 peak episodes entered."},
+		{name: "pulse_peak_active", typ: "gauge", fn: locked(func() float64 { return t.peakActive }),
+			help: "1 while a keep-alive memory peak episode is being flattened."},
+		{name: "pulse_function_registrations_total", typ: "counter", fn: locked(func() float64 { return float64(t.registers) }),
+			help: "Functions registered online since start."},
+		{name: "pulse_function_deregistrations_total", typ: "counter", fn: locked(func() float64 { return float64(t.deregisters) }),
+			help: "Functions deregistered online since start."},
+		{name: "pulse_step_duration_seconds", typ: "histogram", write: t.writeDuration(&t.stepDur),
+			help: "Wall time the runtime minute barrier is held per Step."},
+		{name: "pulse_shard_scan_duration_seconds", typ: "histogram", write: t.writeScan,
+			help: "Per-minute scan duration, by controller record shard (-1 = the coordinator's own scan)."},
+		{name: "pulse_observer_flush_duration_seconds", typ: "histogram", write: t.writeDuration(&t.flushDur),
+			help: "Duration of the post-scan observer flush replaying sharded samples in serial order."},
+	} {
+		if err := t.reg.register(f); err != nil {
+			return nil, err
+		}
 	}
-	if t.keepalive, err = t.reg.NewGaugeVec("pulse_function_keepalive_mb",
-		"Memory kept alive this minute, by function and variant (0 when not kept).",
-		"function", "variant"); err != nil {
-		return nil, err
-	}
-	if t.downgrades, err = t.reg.NewCounterVec("pulse_downgrades_total",
-		"Algorithm 2 downgrades applied during peaks, by function.",
-		"function"); err != nil {
-		return nil, err
-	}
-	if t.schedules, err = t.reg.NewCounterVec("pulse_schedules_total",
-		"Function-centric keep-alive plans committed, by function.",
-		"function"); err != nil {
-		return nil, err
-	}
-	peaksVec, err := t.reg.NewCounterVec("pulse_peaks_total",
-		"Algorithm 1 peak episodes entered.")
-	if err != nil {
-		return nil, err
-	}
-	t.peaks = peaksVec.With()
-	activeVec, err := t.reg.NewGaugeVec("pulse_peak_active",
-		"1 while a keep-alive memory peak episode is being flattened.")
-	if err != nil {
-		return nil, err
-	}
-	t.peakActive = activeVec.With()
-	regVec, err := t.reg.NewCounterVec("pulse_function_registrations_total",
-		"Functions registered online since start.")
-	if err != nil {
-		return nil, err
-	}
-	t.registers = regVec.With()
-	deregVec, err := t.reg.NewCounterVec("pulse_function_deregistrations_total",
-		"Functions deregistered online since start.")
-	if err != nil {
-		return nil, err
-	}
-	t.deregisters = deregVec.With()
-	stepVec, err := t.reg.NewHistogramVec("pulse_step_duration_seconds",
-		"Wall time the runtime minute barrier is held per Step.",
-		DefEngineDurationBuckets())
-	if err != nil {
-		return nil, err
-	}
-	t.stepDur = stepVec.With()
-	if t.scanDur, err = t.reg.NewHistogramVec("pulse_shard_scan_duration_seconds",
-		"Per-minute scan duration, by controller record shard (-1 = the coordinator's own scan).",
-		DefEngineDurationBuckets(), "shard"); err != nil {
-		return nil, err
-	}
-	flushVec, err := t.reg.NewHistogramVec("pulse_observer_flush_duration_seconds",
-		"Duration of the post-scan observer flush replaying sharded samples in serial order.",
-		DefEngineDurationBuckets())
-	if err != nil {
-		return nil, err
-	}
-	t.flushDur = flushVec.With()
 	return t, nil
 }
 
@@ -136,97 +100,60 @@ func (t *Telemetry) Registry() *Registry { return t.reg }
 // Events exposes the decision log (for the HTTP /events endpoint).
 func (t *Telemetry) Events() *EventLog { return t.log }
 
-// ObserveInvocation implements Observer: it bumps the labeled invocation
-// counter and feeds the function's service-time histogram. Once a (function,
-// variant, start kind) has been seen the path takes no lock: atomic loads, a
-// scan of the function's few variants, the lock-free series updates.
+// ObserveInvocation implements Observer: it bumps the function's invocation
+// count for (variant, start kind) and feeds its service-time histogram.
 func (t *Telemetry) ObserveInvocation(s InvocationSample) {
 	n := s.Count
 	if n <= 0 {
 		n = 1
 	}
-	fs := t.slot(s.Function)
-	if fs == nil {
-		return
-	}
 	cold := 0
 	if s.Cold {
 		cold = 1
 	}
-	var c, h *series
-	if set := fs.inv.Load(); set != nil {
-		h = set.svc
-		for i := range set.variants {
-			if set.variants[i].name == s.Variant {
-				c = set.variants[i].start[cold]
-				break
-			}
-		}
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c, i := t.at(s.Function, true)
 	if c == nil {
-		c, h = t.invocationSeries(fs, s.Variant, cold)
+		return
 	}
-	c.add(float64(n))
-	h.observe(t.service.f.buckets, s.ServiceSec, uint64(n))
+	row := &c.inv[i]
+	t.variant(row, s.Function, s.Variant).inv[cold] += uint64(n)
+	row.svc.observe(s.ServiceSec, uint64(n))
 }
 
 // ObserveKeepAlive implements Observer: it maintains the per-function,
-// per-variant keep-alive gauge, zeroing the series of a variant the
-// function no longer keeps so the exposition never shows stale memory. The
-// sparse contract delivers exactly the samples this needs — a holder's
-// every minute (the gauge follows variant changes) and the release edge (the
-// gauge is zeroed and forgotten); a resting function's silence costs nothing.
-// A holder whose variant and memory did not change since its last sample
-// returns without touching a series: the gauge already holds the value.
+// per-variant keep-alive gauge. A function's gauges read the held variant's
+// MemMB for that variant and 0 for every other it held, so the exposition
+// never shows stale memory. The sparse contract delivers exactly the samples
+// this needs — a holder's every minute (the gauge follows variant changes)
+// and the release edge (the gauge reads 0 again); a resting function's
+// silence costs nothing.
 func (t *Telemetry) ObserveKeepAlive(s KeepAliveSample) {
-	fs := t.slot(s.Function)
-	if fs == nil {
-		return
-	}
-	bits := math.Float64bits(s.MemMB)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	held := &fs.held
+	c, i := t.at(s.Function, s.Variant >= 0)
+	if c == nil {
+		return
+	}
+	h := &c.held[i]
 	if s.Variant < 0 { // release edge
-		if held.gauge != nil {
-			held.gauge.set(0)
-			*held = kaSeries{}
-		}
+		h.name = 0
 		return
 	}
-	if held.gauge == nil || held.variant != s.VariantName {
-		next := fs.kaSeries(s.VariantName)
-		if next.gauge == nil {
-			// First hold of this variant: resolve the gauge outside the lock
-			// (creation may wait behind a scrape), then look again.
-			t.mu.Unlock()
-			g := t.keepalive.f.fresh([]string{fs.label, s.VariantName})
-			t.mu.Lock()
-			if next = fs.kaSeries(s.VariantName); next.gauge == nil {
-				next = kaSeries{variant: s.VariantName, gauge: g}
-				fs.ka = append(fs.ka, next)
-			}
-		}
-		if held.gauge != nil {
-			held.gauge.set(0)
-		}
-		*held = next
-	} else if fs.heldBits == bits {
-		return
+	if h.name == 0 || t.names[h.name] != s.VariantName {
+		h.name = t.keep(h, s.Function, s.VariantName)
 	}
-	held.gauge.set(s.MemMB)
-	fs.heldBits = bits
+	h.bits = math.Float64bits(s.MemMB)
 }
 
-// kaSeries returns the function's gauge for variant, zero when it never held
-// it. Callers hold Telemetry.mu.
-func (fs *fnSeries) kaSeries(variant string) kaSeries {
-	for _, k := range fs.ka {
-		if k.variant == variant {
-			return k
-		}
+// count bumps the per-function counter col picks for slot fn.
+func (t *Telemetry) count(fn int, col func(*chunk) *[chunkSlots]uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if c, i := t.at(fn, true); c != nil {
+		col(c)[i]++
 	}
-	return kaSeries{}
 }
 
 // ObserveMinute implements Observer: the rollup goes to the decision log.
@@ -243,9 +170,7 @@ func (t *Telemetry) ObserveMinute(s MinuteSample) {
 // ObserveSchedule implements Observer: it counts the plan and logs it with
 // the probabilities that chose each variant.
 func (t *Telemetry) ObserveSchedule(s ScheduleSample) {
-	if fs := t.slot(s.Function); fs != nil {
-		fs.counter(&fs.sch, t.schedules).add(1)
-	}
+	t.count(s.Function, schedulesCol)
 	// The log copies Plan and Probs into its ring slot's own storage.
 	t.log.Append(Event{
 		Minute:   s.Minute,
@@ -260,13 +185,14 @@ func (t *Telemetry) ObserveSchedule(s ScheduleSample) {
 // gauge, count episodes, and enter the decision log.
 func (t *Telemetry) ObservePeak(s PeakSample) {
 	kind := KindPeakExit
+	t.mu.Lock()
+	t.peakActive = 0
 	if s.Enter {
 		kind = KindPeakEnter
-		t.peaks.Inc()
-		t.peakActive.Set(1)
-	} else {
-		t.peakActive.Set(0)
+		t.peaks++
+		t.peakActive = 1
 	}
+	t.mu.Unlock()
 	t.log.Append(Event{
 		Minute:      s.Minute,
 		Kind:        kind,
@@ -281,9 +207,7 @@ func (t *Telemetry) ObservePeak(s PeakSample) {
 // ObserveDowngrade implements Observer: every Algorithm 2 downgrade is
 // counted per function and logged with its full utility breakdown.
 func (t *Telemetry) ObserveDowngrade(s DowngradeSample) {
-	if fs := t.slot(s.Function); fs != nil {
-		fs.counter(&fs.dg, t.downgrades).add(1)
-	}
+	t.count(s.Function, downgradesCol)
 	t.log.Append(Event{
 		Minute:      s.Minute,
 		Kind:        KindDowngrade,

@@ -139,8 +139,9 @@ type Arena struct {
 
 	scratch []float64 // store-row staging, preallocated (zero-alloc pushes)
 
-	walker *walker        // the entrant walk's task state
-	pool   *forkjoin.Pool // walks the entrants at every minute boundary
+	walker *walker         // the entrant walk's task state
+	guard  *forkjoin.Guard // closes pool when the arena is collected
+	pool   *forkjoin.Pool  // walks the entrants at every minute boundary
 }
 
 // boundary is one minute boundary as an entrant's walk sees it: the close
@@ -241,10 +242,11 @@ func (b *boundary) consult(e *entrant, slot int32) (memMB, cost float64, ok bool
 // walker is the boundary walk's task state: task i walks the entrant at
 // order[i], dense entrants first (their walks are the long ones, so they
 // are claimed first). The pool's helpers hold the walker, never its Arena,
-// so an unreachable arena is still finalized, and its finalizer stops the
-// helpers.
+// and the walker points at the arena's entrants and columns only during a
+// walk, so an arena nobody holds is freed by the first collection that
+// finds it unreachable, and its guard stops the helpers.
 type walker struct {
-	ents  []entrant // the arena's entrants (same backing array)
+	ents  []entrant // the arena's entrants during a walk, nil between
 	order []int     // entrant indices in claim order: dense first
 	b     boundary  // written before the walk, cleared after the barrier
 }
@@ -351,7 +353,7 @@ func newArena(cfg Config, workers int) (*Arena, error) {
 	for _, fam := range cfg.Assignment {
 		a.addSlot(fam)
 	}
-	a.walker = &walker{ents: a.ents}
+	a.walker = &walker{}
 	for _, rests := range []bool{false, true} {
 		for ei := range a.ents {
 			if a.ents[ei].rests == rests {
@@ -361,10 +363,7 @@ func newArena(cfg Config, workers int) (*Arena, error) {
 	}
 	a.pool = forkjoin.New(workers, a.walker.task)
 	if a.pool.Workers() > 1 {
-		// The helpers reference only the pool and the walker, never a, so
-		// an arena nobody holds is still collected; this stops its helpers
-		// when it is.
-		runtime.SetFinalizer(a, func(a *Arena) { a.pool.Close() })
+		a.guard = forkjoin.NewGuard(a.pool)
 	}
 	return a, nil
 }
@@ -468,8 +467,11 @@ func (a *Arena) advance(m int, closing bool) {
 		openCnt: a.openCnt, retired: a.retired, famOf: a.famOf, fams: a.fams,
 		stride: a.stride,
 	}
+	a.walker.ents = a.ents
 	a.pool.Run(len(a.walker.order))
-	a.walker.b = boundary{} // hold no column a registration may since have regrown
+	// Hold nothing of the arena between walks: no column a registration may
+	// since have regrown, and nothing the helpers would keep alive.
+	a.walker.b, a.walker.ents = boundary{}, nil
 	for _, slot := range a.touched {
 		a.openCnt[slot] = 0
 	}
