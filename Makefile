@@ -10,7 +10,8 @@ all: build vet test
 # Everything CI's test job checks, in one target.
 verify: build vet test
 
-# Zero-allocation assertions for the hot paths (controller idle minute,
+# Zero-allocation assertions for the hot paths (the fork-join pool's Run
+# with a stored task, TestRunZeroAllocs; controller idle minute,
 # including the million-slot pin, runtime Invoke and idle Step with and
 # without the observer chain, the Step harvesting a minute into it, a
 # runtime Stats read (TestStatsZeroAllocs), telemetry buffers/fan-out, its

@@ -274,7 +274,7 @@ func BenchmarkAblationDowngradeSelection(b *testing.B) {
 // GOMAXPROCS. The decisions are bit-identical at every shard count (the
 // differential harness proves it); this benchmark shows what the sharding
 // buys: RecordInvocations runs the per-function optimizer as one fork-join
-// task per shard on the controller's persistent pool, the caller included.
+// task per shard on the process's fork-join pool, the caller included.
 func BenchmarkPulseSharded(b *testing.B) {
 	const nFunctions = 10_000
 	cat := pulse.Catalog()

@@ -314,7 +314,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer rt.Close() // stops the sharded controller's worker pool
+	defer rt.Close() // runs after the handler drain below; stragglers get ErrClosed
 	if controller != nil {
 		log.Printf("pulsed: PULSE controller running with %d shard(s)", controller.Shards())
 	}
@@ -382,9 +382,9 @@ func run() error {
 	}
 	// Shutdown ordering: ListenAndServe returns as soon as Shutdown is
 	// initiated, while in-flight /invoke requests may still be draining.
-	// Wait for the drain to finish before the deferred rt.Close() tears
-	// down the policy (any straggler past the timeout gets ErrClosed from
-	// the runtime's closed guard instead of hitting a closed policy).
+	// Wait for the drain to finish before the deferred rt.Close() closes
+	// the runtime (any straggler past the timeout gets ErrClosed from the
+	// runtime's closed guard).
 	<-drained
 	st := rt.Stats()
 	log.Printf("pulsed: served %d invocations (%d warm, %d cold), keep-alive $%.4f, accuracy %.2f%%",

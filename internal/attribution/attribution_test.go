@@ -61,13 +61,28 @@ func newAccountant(t *testing.T, cfg Config) *Accountant {
 }
 
 // newAccountantWalkers builds an accountant whose arena walks each minute
-// boundary on walkers goroutines: the arena sizes its walk as
-// min(GOMAXPROCS, entrants) when it is built, so GOMAXPROCS is raised to
-// walkers for the construction only.
+// boundary on up to walkers goroutines: the fork-join pool wakes up to
+// GOMAXPROCS−1 helpers, so GOMAXPROCS is set to walkers until the test
+// ends.
 func newAccountantWalkers(t *testing.T, walkers int, cfg Config) *Accountant {
 	t.Helper()
-	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(walkers))
+	procs := goruntime.GOMAXPROCS(walkers)
+	t.Cleanup(func() { goruntime.GOMAXPROCS(procs) })
 	return newAccountant(t, cfg)
+}
+
+// allocsPerRun is testing.AllocsPerRun (one warm-up call, then the mean
+// over runs calls, rounded down) without its GOMAXPROCS of 1, which would
+// leave the fork-join helpers asleep.
+func allocsPerRun(runs int, f func()) float64 {
+	f()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	goruntime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }
 
 func relDiff(a, b float64) float64 {
@@ -380,7 +395,7 @@ func TestAccountantIdleMinuteZeroAllocs(t *testing.T) {
 			for i := 0; i < 30; i++ { // warm up past the first hour-bucket writes
 				observeMinute()
 			}
-			if avg := testing.AllocsPerRun(200, observeMinute); avg != 0 {
+			if avg := allocsPerRun(200, observeMinute); avg != 0 {
 				t.Errorf("steady-state minute allocates %v times, want 0", avg)
 			}
 		})

@@ -210,7 +210,7 @@ func TestTournamentIdleMinuteSixEntrantsNoSteadyStateAllocs(t *testing.T) {
 			for i := 0; i < 30; i++ { // warm up past the first hour-bucket writes
 				observeMinute()
 			}
-			if avg := testing.AllocsPerRun(200, observeMinute); avg != 0 {
+			if avg := allocsPerRun(200, observeMinute); avg != 0 {
 				t.Errorf("steady-state minute with 6 entrants allocates %v times, want 0", avg)
 			}
 
@@ -229,7 +229,7 @@ func TestTournamentIdleMinuteSixEntrantsNoSteadyStateAllocs(t *testing.T) {
 			for i := 0; i < 4*rotate; i++ {
 				cohortMinute()
 			}
-			if avg := testing.AllocsPerRun(200, cohortMinute); avg != 0 {
+			if avg := allocsPerRun(200, cohortMinute); avg != 0 {
 				t.Errorf("rotating-cohort minute with 6 entrants allocates %v times, want 0", avg)
 			}
 
@@ -239,7 +239,7 @@ func TestTournamentIdleMinuteSixEntrantsNoSteadyStateAllocs(t *testing.T) {
 				a.ObserveDeregister(telemetry.DeregisterSample{Minute: minute - 1, Function: victim})
 				observeMinute()
 			}
-			if avg := testing.AllocsPerRun(churnRuns, deregisterThenMinute); avg != 0 {
+			if avg := allocsPerRun(churnRuns, deregisterThenMinute); avg != 0 {
 				t.Errorf("minute after a deregister allocates %v times, want 0", avg)
 			}
 			// observeMinute sends a keep-alive sample to every slot, the

@@ -52,9 +52,6 @@ func (cm CostModel) KeepAliveUSDPerMinute(memMB float64) float64 {
 
 // Policy is a keep-alive controller. The engine drives it minute by
 // minute; implementations must be deterministic for reproducible runs.
-// Policies that own background resources (such as the PULSE controller's
-// record-step helper goroutines) additionally implement io.Closer; drivers
-// that construct policies should close them when done.
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string

@@ -1,17 +1,26 @@
 package core
 
 import (
+	"bytes"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"github.com/pulse-serverless/pulse/internal/models"
 )
 
-// A controller dropped without Close is freed by the first collection that
-// finds it unreachable: it carries no finalizer itself (its pool's guard
-// does), and the recorder its pool's helpers hold points at none of its
-// arenas between runs. A finalizer on the controller would keep its history
-// and plan tables alive through one more collection.
+// onHelper reports whether the calling goroutine is a fork-join helper.
+func onHelper() bool {
+	buf := make([]byte, 4096)
+	return bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("created by github.com/pulse-serverless/pulse/internal/forkjoin."))
+}
+
+// A dropped controller is freed by the first collection that finds it
+// unreachable: it carries no finalizer, and the fork-join pool keeps no
+// task once its Run returns, even when a helper ran one. A finalizer on
+// the controller would keep its history and plan tables alive through one
+// more collection; a pool that kept its last task would keep them for
+// good, through the recorder that task belongs to.
 func TestDroppedControllerFreedByOneCollection(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const n = 20_000
@@ -20,18 +29,27 @@ func TestDroppedControllerFreedByOneCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var helped atomic.Int32
+	shardTask := p.recTask
+	p.recTask = func(i int) {
+		if onHelper() {
+			helped.Add(1)
+		}
+		shardTask(i)
+	}
 	counts := make([]int, n)
 	for i := range counts {
 		counts[i] = 1
 	}
-	for m := 0; m < 2; m++ {
+	// Step until a helper has taken part in the minute just before the drop.
+	for m := 0; helped.Load() == 0; m++ {
+		if m == 100 {
+			t.Fatal("no helper claimed a shard task in 100 minutes at GOMAXPROCS 4")
+		}
 		p.KeepAlive(m)
 		p.RecordInvocations(m, counts)
 	}
 	tables := 4*len(p.hist.gBuck) + 2*len(p.hist.lBuck) + 8*len(p.plans.minutes) + 8*len(p.plans.probs)
-	if p.pool.Workers() < 2 {
-		t.Fatalf("controller runs %d workers, want helpers", p.pool.Workers())
-	}
 
 	var held, freed runtime.MemStats
 	runtime.GC()

@@ -28,8 +28,7 @@ import (
 // gets the next slot with an empty inter-arrival history and no plan, so it
 // stays cold until its first recorded invocations — the paper's behaviour
 // for a function the controller has never seen. The shard ranges are
-// re-partitioned over the grown slot count (resolveShards); the pool's
-// goroutines stay as they are.
+// re-partitioned over the grown slot count (resolveShards).
 func (p *Pulse) RegisterFunction(name string, family int) (int, error) {
 	if family < 0 || family >= len(p.cfg.Catalog.Families) {
 		return 0, fmt.Errorf("core: family %d out of range for %q", family, name)

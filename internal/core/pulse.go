@@ -40,13 +40,12 @@ type Config struct {
 	// Shards is the number of parallel shards the controller partitions
 	// its functions into. Each shard owns its functions' histories and
 	// plan rings and is one task of the minute's record step, which runs
-	// on min(GOMAXPROCS, Shards) goroutines, the caller's included; the
-	// global peak-detect/flatten step (Algorithms 1 and 2) always runs
+	// on the process's fork-join pool (internal/forkjoin): up to
+	// min(GOMAXPROCS, Shards) goroutines, the caller's included. The global
+	// peak-detect/flatten step (Algorithms 1 and 2) always runs
 	// single-threaded on the merged view, so decisions are identical for
 	// every shard count. 0 selects GOMAXPROCS; 1 runs every shard on the
-	// caller with no helper goroutines; the count is capped at the number
-	// of functions. A controller with helper goroutines owns them: call
-	// Close when done (a finalizer reclaims them otherwise).
+	// caller; the count is capped at the number of functions.
 	Shards int
 
 	// DisableGlobalOpt turns off cross-function optimization, leaving only
@@ -113,11 +112,10 @@ type Pulse struct {
 	// minute, rebuilt by RecordInvocations / RecordInvocationsSparse.
 	invokedBuf []int32
 
-	// rec is the record step's task state and pool runs its shard tasks.
-	// The pool is sized once, in New; registration only re-partitions rec.
-	rec   *recorder
-	pool  *forkjoin.Pool
-	guard *forkjoin.Guard // closes pool when the controller is collected
+	// rec is the record step's task state; recTask is its shard task, stored
+	// once so a forkjoin.Run allocates nothing.
+	rec     *recorder
+	recTask func(i int)
 	// selfWanted caches telemetry.WantsSelf(cfg.Observer): whether the
 	// per-minute scans should read the clock and emit scan/flush duration
 	// samples. False keeps the scan paths free of clock reads.
@@ -197,6 +195,8 @@ func New(cfg Config) (*Pulse, error) {
 		p.reqShards = runtime.GOMAXPROCS(0)
 	}
 	p.rec = &recorder{
+		hist:      p.hist,
+		plans:     p.plans,
 		catalog:   cfg.Catalog,
 		window:    cfg.Window,
 		blend:     cfg.Blend,
@@ -204,35 +204,23 @@ func New(cfg Config) (*Pulse, error) {
 		observe:   cfg.Observer != nil,
 		timing:    p.selfWanted,
 	}
+	p.recTask = p.rec.task
 	p.resolveShards()
-	// The pool is sized for the requested shard count, which a growing
-	// population reaches, so registration never respawns it.
-	p.pool = forkjoin.New(min(runtime.GOMAXPROCS(0), p.reqShards), p.rec.task)
-	if p.pool.Workers() > 1 {
-		// Safety net for callers that drop the controller without Close:
-		// the helpers reference only the pool and the recorder, never p,
-		// so an unclosed controller still becomes unreachable, and its
-		// guard stops the helpers once it is collected.
-		p.guard = forkjoin.NewGuard(p.pool)
-	}
 	return p, nil
 }
 
 // resolveShards re-resolves the effective shard count against the current
 // slot count and re-partitions the recorder over the grown per-function
-// state. The pool's goroutines are untouched.
+// state.
 func (p *Pulse) resolveShards() {
 	p.cfg.Shards = min(p.reqShards, len(p.out))
 	p.rec.partition(p.cfg.Shards, len(p.out))
 }
 
-// Close stops the record step's helper goroutines. It is idempotent, safe
-// on a single-worker controller, and must not race with KeepAlive or
-// RecordInvocations; the controller must not be driven afterwards.
-func (p *Pulse) Close() error {
-	p.pool.Close()
-	return nil
-}
+// Close does nothing and returns nil. The record step runs on the
+// process's fork-join pool, so a controller owns no goroutine or other
+// resource to release; Close remains for callers that still call it.
+func (p *Pulse) Close() error { return nil }
 
 // Shards returns the effective shard count (≥ 1).
 func (p *Pulse) Shards() int { return p.cfg.Shards }
@@ -273,7 +261,7 @@ func (p *Pulse) KeepAlive(t int) []int {
 		t0 = time.Now()
 	}
 	// Always on the coordinator: the active list is short and already
-	// ascending, so there is nothing for the pool to win.
+	// ascending, so there is nothing for the fork-join pool to win.
 	for _, fn32 := range p.active.list {
 		fn := int(fn32)
 		v, prob, ok := p.plans.get(fn, t)
@@ -394,10 +382,10 @@ func (p *Pulse) ColdVariant(_, fn int) int {
 // minute gets its history updated and a fresh keep-alive plan for the next
 // window minutes, one variant per offset, from the threshold technique.
 //
-// The per-function work runs as one task per shard on the controller's
-// pool; each shard stages its Observer events in a private buffer that is
-// flushed here, in shard order, once the minute barrier is reached — so
-// the audit log sees the exact event sequence a serial controller emits.
+// The per-function work runs as one fork-join task per shard; each shard
+// stages its Observer events in a private buffer that is flushed here, in
+// shard order, once the minute barrier is reached — so the audit log sees
+// the exact event sequence a serial controller emits.
 func (p *Pulse) RecordInvocations(t int, counts []int) {
 	p.invokedBuf = p.invokedBuf[:0]
 	active := p.reg.ActiveSlice()
@@ -436,7 +424,7 @@ func (p *Pulse) RecordInvocationsSparse(t int, counts []int, invoked []int32) {
 // recordInvoked runs the function-centric optimizer for the slots in
 // p.invokedBuf (ascending): plan rows are acquired and the active set
 // updated on the coordinator, then the history/schedule work runs as the
-// shards' tasks on the pool, and their errors, scan timings and staged
+// shards' fork-join tasks, and their errors, scan timings and staged
 // events are reported in shard order after the barrier.
 func (p *Pulse) recordInvoked(t int) {
 	invoked := p.invokedBuf
@@ -454,12 +442,8 @@ func (p *Pulse) recordInvoked(t int) {
 	}
 
 	r := p.rec
-	r.t, r.invoked = t, invoked
-	r.hist, r.plans, r.assignment = p.hist, p.plans, p.cfg.Assignment
-	p.pool.Run(len(r.shards))
-	// The helpers outlive the controller when it is dropped unclosed: hold
-	// none of its state between runs.
-	r.invoked, r.hist, r.plans, r.assignment = nil, nil, nil, nil
+	r.t, r.invoked, r.assignment = t, invoked, p.cfg.Assignment
+	forkjoin.Run(len(r.shards), p.recTask)
 	for i := range r.shards {
 		if err := r.shards[i].err; err != nil {
 			panic("core: " + err.Error())

@@ -13,8 +13,8 @@ import (
 // embarrassingly parallel half. Per-function state — inter-arrival
 // histories and keep-alive plan rings — is partitioned into contiguous
 // shards, and each minute's record step (RecordInvocations) runs one
-// fork-join task per shard on the controller's pool, the calling goroutine
-// included. The plan gather over the active set and the global view —
+// fork-join task per shard on the process's pool (internal/forkjoin), the
+// calling goroutine included. The plan gather over the active set and the global view —
 // Algorithm 1's peak detection and Algorithm 2's flattening — always run
 // single-threaded on the coordinator, so the paper's semantics are
 // preserved bit for bit at every shard count.
@@ -51,20 +51,14 @@ type shard struct {
 // (plan rows are pre-acquired by the coordinator, so a task never grows or
 // frees arena storage), and the coordinator only reads them after the
 // barrier.
-//
-// A recorder never references its *Pulse, and points at the controller's
-// arenas only for the length of a run: the pool's helpers hold the recorder,
-// and must not keep an unclosed controller's state reachable once the
-// controller is.
 type recorder struct {
 	t       int
 	invoked []int32 // coordinator-owned ascending invoked slots
 	shards  []shard
 
-	// Set for the length of a run.
 	hist       *histArena
 	plans      *planStore
-	assignment models.Assignment
+	assignment models.Assignment // set before each run: registration appends
 
 	catalog   *models.Catalog
 	window    int

@@ -1,17 +1,21 @@
-// Package forkjoin is the persistent fork-join pool every minute barrier
-// fans out on: the controller's record shards and the tournament arena's
-// entrant walk. A Pool owns workers−1 helper goroutines for its lifetime;
-// each Run hands out task indices through one atomic counter, the calling
-// goroutine joins the helpers in claiming them, and Run returns once the
-// last task has finished. With one worker the caller runs every task on the
-// same code path and the pool owns no goroutine.
+// Package forkjoin is the process's fork-join pool, which every minute
+// barrier fans out on: the controller's record shards and the tournament
+// arena's entrant walk. Run hands out task indices through one atomic
+// counter, the calling goroutine joins the pool's helpers in claiming them,
+// and Run returns once the last task has finished.
 //
-// A Run allocates nothing: the helpers are parked on a buffered channel
-// between runs and woken with one token each. The helpers reference only
-// the pool and its task function, so an owner that keeps its task state in
-// a separate object (never in the closure's receiver), and points that
-// state at its own data only for the length of a Run, stays collectable;
-// a Guard it references then closes the pool once it is collected.
+// The helpers are started on first use and grown, never shrunk, to
+// GOMAXPROCS−1 as Run finds it; they live as long as the process, parked on
+// their wake channels between runs. One pool suffices: in the daemon the
+// record shards and the entrant walk are consecutive phases of one minute
+// step, and offline the experiment workers already keep every core busy. A
+// Run that finds the pool busy — a nested Run, or a concurrent one from
+// another goroutine — runs its tasks on the caller instead.
+//
+// A Run allocates nothing once the helpers exist, given a task function
+// the caller stores once (a method value built per call allocates), and the
+// pool drops the task before Run returns, so it never keeps a caller's
+// state reachable.
 package forkjoin
 
 import (
@@ -20,85 +24,65 @@ import (
 	"sync/atomic"
 )
 
-// Pool runs indexed tasks on the caller plus persistent helpers.
-type Pool struct {
-	task    func(i int)
-	n       int // tasks in the current Run; written before the helpers wake
-	next    atomic.Int32
-	helpers int
-	wake    chan struct{} // one token per woken helper per Run
-	done    sync.WaitGroup
-	stop    sync.Once
+// pool is the one set of helpers. mu is held for the length of a Run; task
+// and n are written under it before any helper is woken.
+var pool struct {
+	mu   sync.Mutex
+	task func(i int)
+	n    int
+	next atomic.Int32
+	wake []chan struct{} // one per helper, holding at most one token
+	done sync.WaitGroup
 }
-
-// New starts a pool of workers goroutines, the caller of Run included, so
-// workers−1 helpers (none when workers ≤ 1). task(i) runs once for every i
-// in 0..n−1 of each Run(n); it must not panic, since a panic on a helper
-// cannot reach the caller, so tasks report failures through their own state.
-func New(workers int, task func(i int)) *Pool {
-	p := &Pool{task: task, helpers: max(workers-1, 0)}
-	p.wake = make(chan struct{}, p.helpers)
-	for i := 0; i < p.helpers; i++ {
-		go p.help()
-	}
-	return p
-}
-
-// Workers returns the goroutines a Run can use, the caller included.
-func (p *Pool) Workers() int { return p.helpers + 1 }
 
 // Run executes task(0) … task(n−1) and returns after the last one ends.
-// Tasks run in claim order (ascending index) but on any worker, so tasks
-// must not share mutable state. At most n−1 helpers are woken. Run must not
-// be called concurrently with itself or after Close.
-func (p *Pool) Run(n int) {
-	p.n = n
-	p.next.Store(0)
-	woken := min(p.helpers, n-1)
-	if woken > 0 {
-		p.done.Add(woken)
-		for i := 0; i < woken; i++ {
-			p.wake <- struct{}{}
+// Tasks are claimed in ascending index order but run on any worker, so they
+// must not share mutable state. A task must not panic, since a panic on a
+// helper cannot reach the caller: tasks report failures through their own
+// state. Run may be called from any goroutine, from inside a task too; at
+// most one Run at a time uses the helpers, and the others run their tasks
+// on their callers, in index order.
+func Run(n int, task func(i int)) {
+	if n <= 1 || !pool.mu.TryLock() {
+		for i := 0; i < n; i++ {
+			task(i)
 		}
+		return
 	}
-	p.claim()
-	p.done.Wait()
+	helpers := runtime.GOMAXPROCS(0) - 1
+	for len(pool.wake) < helpers {
+		wake := make(chan struct{}, 1)
+		pool.wake = append(pool.wake, wake)
+		go help(wake)
+	}
+	pool.task, pool.n = task, n
+	pool.next.Store(0)
+	woken := min(helpers, n-1)
+	pool.done.Add(woken)
+	for _, wake := range pool.wake[:woken] {
+		wake <- struct{}{}
+	}
+	claim()
+	pool.done.Wait()
+	pool.task = nil
+	pool.mu.Unlock()
 }
 
-// claim runs unclaimed tasks until none is left.
-func (p *Pool) claim() {
+// claim runs unclaimed tasks of the current Run until none is left.
+func claim() {
 	for {
-		i := int(p.next.Add(1)) - 1
-		if i >= p.n {
+		i := int(pool.next.Add(1)) - 1
+		if i >= pool.n {
 			return
 		}
-		p.task(i)
+		pool.task(i)
 	}
 }
 
-// help is a helper's loop: one claim per token, until the pool closes.
-func (p *Pool) help() {
-	for range p.wake {
-		p.claim()
-		p.done.Done()
+// help is a helper's loop: one claim per token.
+func help(wake chan struct{}) {
+	for range wake {
+		claim()
+		pool.done.Done()
 	}
-}
-
-// Close stops the helpers. It is idempotent.
-func (p *Pool) Close() {
-	p.stop.Do(func() { close(p.wake) })
-}
-
-// Guard is the sentinel an owner of a Pool references so that collecting
-// the owner closes the pool: the guard becomes unreachable with its owner,
-// and its finalizer stops the helpers. The finalizer sits on the guard, not
-// the owner, because an object with a finalizer keeps everything it
-// references alive through one more collection.
-type Guard struct{ p *Pool }
-
-// NewGuard returns a guard that closes p when it is collected.
-func NewGuard(p *Pool) *Guard {
-	g := &Guard{p}
-	runtime.SetFinalizer(g, func(g *Guard) { g.p.Close() })
-	return g
 }

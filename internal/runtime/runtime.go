@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -17,10 +16,9 @@ import (
 	"github.com/pulse-serverless/pulse/internal/telemetry"
 )
 
-// ErrClosed is returned by Invoke and Step after Close: the runtime's
-// policy may own resources (the sharded controller's worker pool) that are
-// released on Close, so calling into it afterwards is a lifecycle error,
-// not a panic.
+// ErrClosed is returned by Invoke and Step after Close: a closed runtime
+// calls its policy no more, and reports the call as a lifecycle error, not
+// a panic.
 var ErrClosed = errors.New("runtime: closed")
 
 // ErrUnknownFunction is returned for a function index or name that was
@@ -462,10 +460,7 @@ func (r *Runtime) famOf(fn int) (int, bool) {
 	return st.family, st.active
 }
 
-// Close marks the runtime closed and releases resources owned by its
-// policy: the runtime owns its Policy, so if the policy implements
-// io.Closer (the sharded PULSE controller does — its worker goroutines
-// stop here), it is closed. Close waits for in-flight invocations (the
+// Close marks the runtime closed. It waits for in-flight invocations (the
 // write window drains them) and is idempotent. Afterwards Invoke and Step
 // return ErrClosed; Stats, Minute, and AliveVariant remain readable.
 func (r *Runtime) Close() error {
@@ -477,11 +472,6 @@ func (r *Runtime) Close() error {
 	r.beginWrite()
 	r.closed.Store(true)
 	r.endWrite()
-	// The policy is closed outside the window: every retrying invocation
-	// observes closed before it can reach ColdVariant again.
-	if c, ok := r.cfg.Policy.(io.Closer); ok {
-		return c.Close()
-	}
 	return nil
 }
 

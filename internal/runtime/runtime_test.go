@@ -433,9 +433,8 @@ func TestWallClockCompression(t *testing.T) {
 	}
 }
 
-// TestRuntimeCloseShardedPolicy: the runtime owns its policy, so Close
-// must propagate to policies owning resources (the sharded PULSE
-// controller's worker pool) and be a no-op for plain policies.
+// TestRuntimeCloseShardedPolicy: Close succeeds and is idempotent with a
+// sharded PULSE controller and with a plain policy.
 func TestRuntimeCloseShardedPolicy(t *testing.T) {
 	cat, asg := testSetup(t)
 	ctrl, err := core.New(core.Config{Catalog: cat, Assignment: asg, Shards: 2})
@@ -465,9 +464,8 @@ func TestRuntimeCloseShardedPolicy(t *testing.T) {
 
 // TestInvokeAfterClose: Close must flip the runtime into a terminal state
 // where Invoke and Step return ErrClosed instead of calling into the
-// closed policy (the sharded controller's worker pool is gone), while the
-// read-only surface stays available for final reporting, in both serving
-// modes.
+// policy, while the read-only surface stays available for final reporting,
+// in both serving modes.
 func TestInvokeAfterClose(t *testing.T) {
 	for _, mode := range []string{ModeSerial, ModeEpoch} {
 		t.Run(mode, func(t *testing.T) {
@@ -539,7 +537,7 @@ func TestCloseNeverStartedRuntime(t *testing.T) {
 
 // TestInvokeDuringShutdown races invokers against Close (run with -race):
 // every invocation must either complete normally or fail with ErrClosed —
-// never panic, deadlock, or reach the closed policy — and the counters
+// never panic, deadlock, or reach the policy after Close — and the counters
 // must account for exactly the successes.
 func TestInvokeDuringShutdown(t *testing.T) {
 	for _, mode := range []string{ModeSerial, ModeEpoch} {

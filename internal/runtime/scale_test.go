@@ -423,8 +423,8 @@ func TestFullChainHarvestStepNoAllocs(t *testing.T) {
 // TestShardedControllerRegistrationBurst registers twenty thousand functions
 // online while invokers hammer the initial population and a stepper rolls
 // minutes. The lifecycle window drains only the dirty chain and the sharded
-// controller rebuilds its worker pool lazily; this is the conservation
-// check for both shortcuts: every successful invocation is
+// controller re-partitions its shards at each registration; this is the
+// conservation check for both: every successful invocation is
 // counted exactly once (Σ workers == Stats.Invocations == Σ RecordInvocations
 // counts), every registrant gets the next dense slot, and a fresh registrant
 // is immediately invocable. CI's 'Differential|Sharded' -race regex picks it

@@ -11,7 +11,6 @@ package sim
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -269,12 +268,6 @@ func RunExperiment(cfg ExperimentConfig, factories []NamedFactory) ([]*Aggregate
 						MeasureOverhead: cfg.MeasureOverhead,
 						Observer:        obs,
 					}, p)
-					// Run-scoped policies are done after their run; a
-					// sharded PULSE controller releases its worker pool
-					// here rather than waiting for its finalizer.
-					if c, ok := p.(io.Closer); ok {
-						_ = c.Close()
-					}
 					if err != nil {
 						fail(fmt.Errorf("sim: run %d policy %q: %w", run, f.Name, err))
 						return

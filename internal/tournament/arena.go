@@ -3,7 +3,6 @@ package tournament
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -139,9 +138,9 @@ type Arena struct {
 
 	scratch []float64 // store-row staging, preallocated (zero-alloc pushes)
 
-	walker *walker         // the entrant walk's task state
-	guard  *forkjoin.Guard // closes pool when the arena is collected
-	pool   *forkjoin.Pool  // walks the entrants at every minute boundary
+	walker *walker // the entrant walk's task state
+	// walk is walker.task, stored once so a forkjoin.Run allocates nothing.
+	walk func(i int)
 }
 
 // boundary is one minute boundary as an entrant's walk sees it: the close
@@ -241,28 +240,20 @@ func (b *boundary) consult(e *entrant, slot int32) (memMB, cost float64, ok bool
 
 // walker is the boundary walk's task state: task i walks the entrant at
 // order[i], dense entrants first (their walks are the long ones, so they
-// are claimed first). The pool's helpers hold the walker, never its Arena,
-// and the walker points at the arena's entrants and columns only during a
-// walk, so an arena nobody holds is freed by the first collection that
-// finds it unreachable, and its guard stops the helpers.
+// are claimed first).
 type walker struct {
-	ents  []entrant // the arena's entrants during a walk, nil between
+	ents  []entrant // the arena's entrants
 	order []int     // entrant indices in claim order: dense first
-	b     boundary  // written before the walk, cleared after the barrier
+	b     boundary  // written before each walk
 }
 
 func (w *walker) task(i int) { w.b.walk(&w.ents[w.order[i]]) }
 
 // New builds an Arena. The catalog and assignment must match the ones
 // driving the policy under observation. Its minute boundaries walk the
-// entrants on min(GOMAXPROCS, len(Entrants)) goroutines, the caller's
-// included.
+// entrants as one task each on the process's fork-join pool
+// (internal/forkjoin), the caller included.
 func New(cfg Config) (*Arena, error) {
-	return newArena(cfg, min(runtime.GOMAXPROCS(0), len(cfg.Entrants)))
-}
-
-// newArena is New with the boundary walk's goroutine count fixed.
-func newArena(cfg Config, workers int) (*Arena, error) {
 	if cfg.Catalog == nil {
 		return nil, fmt.Errorf("tournament: nil catalog")
 	}
@@ -353,7 +344,7 @@ func newArena(cfg Config, workers int) (*Arena, error) {
 	for _, fam := range cfg.Assignment {
 		a.addSlot(fam)
 	}
-	a.walker = &walker{}
+	a.walker = &walker{ents: a.ents}
 	for _, rests := range []bool{false, true} {
 		for ei := range a.ents {
 			if a.ents[ei].rests == rests {
@@ -361,10 +352,7 @@ func newArena(cfg Config, workers int) (*Arena, error) {
 			}
 		}
 	}
-	a.pool = forkjoin.New(workers, a.walker.task)
-	if a.pool.Workers() > 1 {
-		a.guard = forkjoin.NewGuard(a.pool)
-	}
+	a.walk = a.walker.task
 	return a, nil
 }
 
@@ -454,8 +442,8 @@ func (a *Arena) fillRow() []float64 {
 
 // advance opens minute m, closing the open minute m−1 first when closing:
 // its row goes into the time-series store, then every entrant is walked
-// through the boundary on the pool (see boundary.walk), and the barrier
-// feed and shared accumulators reset.
+// through the boundary on the fork-join pool (see boundary.walk), and the
+// barrier feed and shared accumulators reset.
 func (a *Arena) advance(m int, closing bool) {
 	if closing {
 		a.store.push(a.cur, a.fillRow())
@@ -467,11 +455,7 @@ func (a *Arena) advance(m int, closing bool) {
 		openCnt: a.openCnt, retired: a.retired, famOf: a.famOf, fams: a.fams,
 		stride: a.stride,
 	}
-	a.walker.ents = a.ents
-	a.pool.Run(len(a.walker.order))
-	// Hold nothing of the arena between walks: no column a registration may
-	// since have regrown, and nothing the helpers would keep alive.
-	a.walker.b, a.walker.ents = boundary{}, nil
+	forkjoin.Run(len(a.walker.order), a.walk)
 	for _, slot := range a.touched {
 		a.openCnt[slot] = 0
 	}

@@ -10,10 +10,14 @@ package tournament_test
 // interleaving across entrants: every entrant keeps a log of its own.
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/pulse-serverless/pulse/internal/models"
 	"github.com/pulse-serverless/pulse/internal/telemetry"
@@ -29,10 +33,11 @@ type call struct {
 }
 
 // recorder is a ShadowEntrant that holds nothing and appends every call to
-// its own log.
+// its own log. Its KeepAlive and Record calls report to overlap, when set.
 type recorder struct {
-	name string
-	log  *[]call
+	name    string
+	log     *[]call
+	overlap *overlap
 }
 
 func (r *recorder) Name() string { return r.name }
@@ -41,11 +46,44 @@ func (r *recorder) Register(fn, fam, nv int) {
 }
 func (r *recorder) Retire(fn int) { *r.log = append(*r.log, call{r.name, "retire", -1, fn, 0}) }
 func (r *recorder) KeepAlive(m, fn int) int {
+	r.walked()
 	*r.log = append(*r.log, call{r.name, "keepalive", m, fn, 0})
 	return tournament.NoVariant
 }
 func (r *recorder) Record(m, fn, count int) {
+	r.walked()
 	*r.log = append(*r.log, call{r.name, "record", m, fn, count})
+}
+func (r *recorder) walked() {
+	if r.overlap != nil {
+		r.overlap.walked()
+	}
+}
+
+// overlap makes an arena's entrant walks overlap: the first walk call made
+// on the feeding goroutine waits until a fork-join helper has made one, so
+// that helper walks another entrant meanwhile. helped counts the walk calls
+// made on helpers.
+type overlap struct {
+	helped atomic.Int32
+	first  chan struct{} // closed at the first call on a helper
+	waited bool          // read and written by the feeding goroutine only
+}
+
+func (o *overlap) walked() {
+	if onHelper() {
+		if o.helped.Add(1) == 1 {
+			close(o.first)
+		}
+		return
+	}
+	if !o.waited {
+		o.waited = true
+		select {
+		case <-o.first:
+		case <-time.After(10 * time.Second): // check reports the miss
+		}
+	}
 }
 
 // restWindow is how many minutes after an invoked minute a restingRecorder
@@ -83,16 +121,17 @@ func (r *restingRecorder) Record(m, fn, count int) {
 // its entrants must see. An entrant whose name starts with "rest" is a
 // restingRecorder, any other a recorder.
 type protocolModel struct {
-	t     *testing.T
-	arena *tournament.Arena
-	cat   *models.Catalog
-	ents  []string
-	fam   []int        // family per slot, retired ones included
-	live  map[int]bool // slots registered and not retired
-	cnt   map[int]int  // open minute's invocations per slot
-	cur   int          // open minute, -1 before the first sample
-	got   [][]call     // calls each entrant received, by entrant index
-	want  [][]call     // calls the protocol says each entrant must receive
+	t       *testing.T
+	arena   *tournament.Arena
+	cat     *models.Catalog
+	ents    []string
+	fam     []int        // family per slot, retired ones included
+	live    map[int]bool // slots registered and not retired
+	cnt     map[int]int  // open minute's invocations per slot
+	cur     int          // open minute, -1 before the first sample
+	got     [][]call     // calls each entrant received, by entrant index
+	want    [][]call     // calls the protocol says each entrant must receive
+	overlap *overlap     // nil with one entrant, whose walks run on the feeder
 
 	last map[int]int  // last invoked minute per live slot (restingRecorder's rule)
 	held map[int]bool // slots the resting recorders hold in the open minute
@@ -108,9 +147,12 @@ func newProtocolModel(t *testing.T, entrants []string, asg models.Assignment) *p
 		last: map[int]int{}, held: map[int]bool{},
 		got: make([][]call, len(entrants)), want: make([][]call, len(entrants)),
 	}
+	if len(entrants) > 1 {
+		d.overlap = &overlap{first: make(chan struct{})}
+	}
 	impls := make([]tournament.ShadowEntrant, len(entrants))
 	for i, name := range entrants {
-		rec := recorder{name: name, log: &d.got[i]}
+		rec := recorder{name: name, log: &d.got[i], overlap: d.overlap}
 		if resting(name) {
 			impls[i] = &restingRecorder{recorder: rec, last: map[int]int{}}
 		} else {
@@ -122,8 +164,13 @@ func newProtocolModel(t *testing.T, entrants []string, asg models.Assignment) *p
 		d.live[fn] = true
 		d.eachEntrant("register", -1, fn, d.cat.Families[fam].NumVariants())
 	}
-	// One goroutine per entrant, so the walks overlap whatever GOMAXPROCS is.
-	arena, err := tournament.NewWithWorkers(tournament.Config{Catalog: d.cat, Assignment: asg, Entrants: impls}, len(impls))
+	// Enough Ps for a helper per entrant whatever GOMAXPROCS the test runs
+	// under: the walks overlap (see overlap), and check counts that they did.
+	if procs := runtime.GOMAXPROCS(0); procs < len(impls) {
+		runtime.GOMAXPROCS(len(impls))
+		t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
+	}
+	arena, err := tournament.New(tournament.Config{Catalog: d.cat, Assignment: asg, Entrants: impls})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +283,13 @@ func (d *protocolModel) deregister(m, fn int) {
 	d.arena.ObserveDeregister(telemetry.DeregisterSample{Minute: m, Function: fn})
 }
 
-// check compares every entrant's log with the predicted one, call by call.
+// check compares every entrant's log with the predicted one, call by call,
+// and requires a helper to have walked an entrant when there are several.
 func (d *protocolModel) check() {
 	d.t.Helper()
+	if d.overlap != nil && d.overlap.helped.Load() == 0 {
+		d.t.Errorf("no fork-join helper walked any of %d entrants", len(d.ents))
+	}
 	for e, ent := range d.ents {
 		got, want := d.got[e], d.want[e]
 		if reflect.DeepEqual(got, want) {
@@ -435,4 +486,10 @@ func TestArenaProtocolRestingEntrants(t *testing.T) {
 			t.Errorf("%s: slot %d, registered and invoked in minute 1, consulted %d times at minute 2, want 1", ent, joined, n)
 		}
 	}
+}
+
+// onHelper reports whether the calling goroutine is a fork-join helper.
+func onHelper() bool {
+	buf := make([]byte, 4096)
+	return bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("created by github.com/pulse-serverless/pulse/internal/forkjoin."))
 }

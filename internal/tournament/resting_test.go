@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/pulse-serverless/pulse/internal/cluster"
@@ -157,26 +158,81 @@ func TestDifferentialRestingVsDense(t *testing.T) {
 }
 
 // Parallel-vs-serial differential: the six production entrants raced on the
-// churn stream once with every boundary walked on the calling goroutine and
-// once with one goroutine per entrant must give bit-identical ledgers and
-// series, under the race detector too.
+// churn stream in one arena, whose boundary walks overlap on the fork-join
+// helpers, and each alone in an arena of its own, whose one-task walks run
+// on the feeding goroutine, must give every entrant bit-identical ledgers
+// and series, under the race detector too. The parallel arena carries a
+// seventh entrant, a probe that counts the boundaries a helper walked it.
 func TestDifferentialArenaParallelVsSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 7)))
 	cat := models.PaperCatalog()
 	asg := churnAssignment(cat)
 	for _, seed := range []int64{1, 2, 3} {
-		var arenas [2]*tournament.Arena
-		for i := range arenas {
-			ents := productionEntrants(t, cat, false)
-			workers := []int{1, len(ents)}[i]
-			a, err := tournament.NewWithWorkers(tournament.Config{Catalog: cat, Assignment: asg, SeriesWindow: 128, Entrants: ents}, workers)
-			if err != nil {
+		probe := &helperProbe{last: -1}
+		parallel, err := tournament.New(tournament.Config{Catalog: cat, Assignment: asg, SeriesWindow: 128,
+			Entrants: append(productionEntrants(t, cat, false), probe)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := make([]*tournament.Arena, 6)
+		for k := range serial {
+			ent := productionEntrants(t, cat, false)[k]
+			if serial[k], err = tournament.New(tournament.Config{Catalog: cat, Assignment: asg, SeriesWindow: 128,
+				Entrants: []tournament.ShadowEntrant{ent}}); err != nil {
 				t.Fatal(err)
 			}
-			arenas[i] = a
 		}
-		feedChurn(seed, cat, len(asg), 400, arenas[:]...)
-		compareArenas(t, seed, "serial", arenas[0], "parallel", arenas[1])
+		feedChurn(seed, cat, len(asg), 400, append(serial, parallel)...)
+		if probe.helped == 0 {
+			t.Errorf("seed %d: no fork-join helper walked the probe in 400 minutes", seed)
+		}
+		ps := parallel.Snapshot()
+		for k, a := range serial {
+			only := ps
+			only.Entrants = ps.Entrants[k : k+1]
+			only.Functions = make([]tournament.FunctionLedger, len(ps.Functions))
+			for fn, l := range ps.Functions {
+				only.Functions[fn] = entrantColumn(l, k)
+			}
+			only.Total = entrantColumn(ps.Total, k)
+			if as := a.Snapshot(); !reflect.DeepEqual(as, only) {
+				t.Errorf("seed %d: %s's snapshots diverge\nserial   %+v\nparallel %+v", seed, as.Entrants[0], as.Total, only.Total)
+			}
+			for _, c := range []tournament.Channel{tournament.ChanKaMMB, tournament.ChanCostUSD, tournament.ChanCold, tournament.ChanSavingsUSD} {
+				compareSeries(t, seed, "serial", a, tournament.Selector{Entrant: 0, Channel: c}, "parallel", parallel, tournament.Selector{Entrant: k, Channel: c})
+			}
+		}
+		for _, sel := range sharedSelectors {
+			compareSeries(t, seed, "serial", serial[0], sel, "parallel", parallel, sel)
+		}
 	}
+}
+
+// entrantColumn is l with only entrant k's shadow tally and savings.
+func entrantColumn(l tournament.FunctionLedger, k int) tournament.FunctionLedger {
+	l.Shadows, l.Savings = l.Shadows[k:k+1], l.Savings[k:k+1]
+	return l
+}
+
+// helperProbe is an entrant that holds nothing and counts the boundaries
+// whose walk of it ran on a fork-join helper.
+type helperProbe struct {
+	last   int // minute of the last boundary seen
+	helped int
+}
+
+func (p *helperProbe) Name() string         { return "probe" }
+func (p *helperProbe) Register(_, _, _ int) {}
+func (p *helperProbe) Retire(int)           {}
+func (p *helperProbe) Record(_, _, _ int)   {}
+func (p *helperProbe) KeepAlive(m, _ int) int {
+	if m != p.last {
+		p.last = m
+		if onHelper() {
+			p.helped++
+		}
+	}
+	return tournament.NoVariant
 }
 
 // churnAssignment is the initial population feedChurn starts from.
@@ -202,26 +258,36 @@ func compareArenas(t *testing.T, seed int64, na string, a *tournament.Arena, nb 
 			t.Errorf("seed %d: %s never held a slot; the stream does not exercise its held list", seed, as.Entrants[ei])
 		}
 	}
-	sels := []tournament.Selector{
-		tournament.Shared(tournament.ChanKaMMB), tournament.Shared(tournament.ChanCostUSD),
-		tournament.Shared(tournament.ChanCold), tournament.Shared(tournament.ChanInvocations),
-	}
+	sels := append([]tournament.Selector(nil), sharedSelectors...)
 	for ei := range as.Entrants {
 		for _, c := range []tournament.Channel{tournament.ChanKaMMB, tournament.ChanCostUSD, tournament.ChanCold, tournament.ChanSavingsUSD} {
 			sels = append(sels, tournament.Selector{Entrant: ei, Channel: c})
 		}
 	}
 	for _, sel := range sels {
-		for _, hourly := range []bool{false, true} {
-			ap, bp := a.Series(sel, 1<<20, hourly), b.Series(sel, 1<<20, hourly)
-			if len(ap) == 0 || len(ap) != len(bp) {
-				t.Fatalf("seed %d %+v hourly=%v: %d %s points, %d %s", seed, sel, hourly, len(ap), na, len(bp), nb)
-			}
-			for i := range ap {
-				if ap[i].Minute != bp[i].Minute || math.Float64bits(ap[i].Value) != math.Float64bits(bp[i].Value) {
-					t.Errorf("seed %d %+v hourly=%v point %d: %s %+v, %s %+v", seed, sel, hourly, i, na, ap[i], nb, bp[i])
-					break
-				}
+		compareSeries(t, seed, na, a, sel, nb, b, sel)
+	}
+}
+
+// sharedSelectors selects the live account's series.
+var sharedSelectors = []tournament.Selector{
+	tournament.Shared(tournament.ChanKaMMB), tournament.Shared(tournament.ChanCostUSD),
+	tournament.Shared(tournament.ChanCold), tournament.Shared(tournament.ChanInvocations),
+}
+
+// compareSeries requires a's series asel and b's series bsel to hold
+// bit-identical points, minute by minute and hour by hour.
+func compareSeries(t *testing.T, seed int64, na string, a *tournament.Arena, asel tournament.Selector, nb string, b *tournament.Arena, bsel tournament.Selector) {
+	t.Helper()
+	for _, hourly := range []bool{false, true} {
+		ap, bp := a.Series(asel, 1<<20, hourly), b.Series(bsel, 1<<20, hourly)
+		if len(ap) == 0 || len(ap) != len(bp) {
+			t.Fatalf("seed %d %+v hourly=%v: %d %s points, %d %s", seed, asel, hourly, len(ap), na, len(bp), nb)
+		}
+		for i := range ap {
+			if ap[i].Minute != bp[i].Minute || math.Float64bits(ap[i].Value) != math.Float64bits(bp[i].Value) {
+				t.Errorf("seed %d %+v hourly=%v point %d: %s %+v, %s %+v", seed, asel, hourly, i, na, ap[i], nb, bp[i])
+				break
 			}
 		}
 	}
